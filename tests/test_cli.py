@@ -1,12 +1,59 @@
 """CLI behavior: payload shapes, exit codes, determinism, cap overrides."""
 
 import json
+from pathlib import Path
+
+import pytest
 
 import planar_rook.class_crystals as cc
 from planar_rook.algebra import Element, identity_element
 from planar_rook.cli import main
 from planar_rook.diagrams import Diagram, flip, partial_identity
 from planar_rook.modules import ClassLabel
+from planar_rook.verify import TARGETS
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# Every command here must be byte-identical when rerun, and its stdout must
+# equal tests/golden/<name>.out, which was recorded from the CLI and is never
+# regenerated by the tests.
+COMMANDS = {
+    "enumerate-2-2": ("enumerate", "--m", "2", "--n", "2"),
+    "enumerate-count-4-2": ("enumerate", "--m", "4", "--n", "2", "--count-only"),
+    "simples-3-2": ("simples", "--m", "3", "--n", "2"),
+    "decompose-regular-3-1": ("decompose", "--regular", "--m", "3", "--n", "1"),
+    "decompose-regular-2-2": ("decompose", "--regular", "--m", "2", "--n", "2"),
+    "decompose-restrict-1": ("decompose", "--restrict", "1", "--class", "3,2:1,1,1"),
+    "decompose-restrict-0": ("decompose", "--restrict", "0", "--class", "3,2:1,2,0"),
+    "decompose-restrict-zero": ("decompose", "--restrict", "2", "--class", "2,2:1,1,0"),
+    "decompose-induce": ("decompose", "--induce", "2", "--class", "2,2:1,1,0"),
+    "multiply-element": (
+        "multiply", str(GOLDEN / "multiply-a.json"), str(GOLDEN / "multiply-b.json"),
+    ),
+    "multiply-element-x-basis": (
+        "multiply", str(GOLDEN / "multiply-a.json"), str(GOLDEN / "multiply-b.json"),
+        "--x-basis",
+    ),
+    "multiply-diagram": (
+        "multiply", str(GOLDEN / "multiply-c.json"), str(GOLDEN / "multiply-a.json"),
+    ),
+    "multiply-diagram-x-basis": (
+        "multiply", str(GOLDEN / "multiply-c.json"), str(GOLDEN / "multiply-a.json"),
+        "--x-basis",
+    ),
+    "crystal-box-json": ("crystal", "box", "--n", "3", "--json", "-"),
+    "crystal-box-dot": ("crystal", "box", "--n", "3", "--dot", "-"),
+    "crystal-row-json": ("crystal", "row", "--m", "3", "--n", "2", "--json", "-"),
+    "crystal-row-dot": ("crystal", "row", "--m", "3", "--n", "2", "--dot", "-"),
+    "crystal-ssyt-json": ("crystal", "ssyt", "--shape", "2,1", "--n", "2", "--json", "-"),
+    "crystal-ssyt-dot": ("crystal", "ssyt", "--shape", "2,2", "--n", "2", "--dot", "-"),
+    "crystal-cm-json": ("crystal", "cm", "--m", "2", "--n", "2", "--json", "-"),
+    "crystal-cm-dot": ("crystal", "cm", "--m", "3", "--n", "2", "--dot", "-"),
+    "crystal-clambda-json": ("crystal", "clambda", "--parts", "1,2", "--n", "2", "--json", "-"),
+    "crystal-clambda-dot": ("crystal", "clambda", "--parts", "2,1", "--n", "2", "--dot", "-"),
+    "verify-lemmas3-2-2": ("verify", "lemmas3", "--m", "2", "--n", "2"),
+    **{f"verify-{target}": ("verify", target) for target in sorted(TARGETS)},
+}
 
 
 def run(capsys, *argv):
@@ -265,16 +312,15 @@ def test_help_and_missing_command(capsys):
 
 
 def test_repeated_invocations_are_byte_identical(capsys):
-    commands = [
-        ("enumerate", "--m", "2", "--n", "2"),
-        ("simples", "--m", "3", "--n", "2"),
-        ("decompose", "--regular", "--m", "3", "--n", "1"),
-        ("crystal", "clambda", "--parts", "1,2", "--n", "2", "--json", "-"),
-        ("crystal", "ssyt", "--shape", "2,2", "--n", "2", "--dot", "-"),
-        ("verify", "lemmas3", "--m", "2", "--n", "2"),
-    ]
-    for argv in commands:
+    for argv in COMMANDS.values():
         first = run(capsys, *argv)
         second = run(capsys, *argv)
         assert first == second, argv
         assert first[0] == 0, argv
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_golden_output(capsys, name):
+    code, out, err = run(capsys, *COMMANDS[name])
+    assert (code, err) == (0, "")
+    assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
