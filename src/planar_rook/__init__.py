@@ -1,165 +1,41 @@
 """Exact combinatorics of colored planar rook monoids, their semigroup
 algebras over the rationals, the simple modules, and the crystals carried by
-the categories those modules form."""
+the categories those modules form.
+
+The names below are the README's library tour; everything else lives in the
+submodules (diagrams, algebra, modules, crystals, tableaux, class_crystals,
+linalg, verify, cli).
+"""
 
 __version__ = "0.1.0"
 
-from .algebra import (
-    Element,
-    expand_orbit_coordinates,
-    identity_element,
-    mul,
-    orbit_product,
-    orbit_vector,
-    subdiagrams,
-    to_orbit_basis,
-    truncation_idempotent,
-)
-from .class_crystals import (
-    class_crystal,
-    class_operator_via_functors,
-    class_word,
-    highest_component,
-    lower_label,
-    raise_label,
-    straight_line_tuple,
-    tensor_class_crystal,
-)
-from .crystals import (
-    MINUS_INFINITY,
-    Crystal,
-    are_isomorphic,
-    check_axioms,
-    component_containing,
-    components,
-    highest_nodes,
-    make_crystal,
-    morphism_violations,
-    signature_apply,
-    signature_survivors,
-    tensor,
-    tensor_all,
-    to_dot,
-    to_json_dict,
-)
-from .diagrams import (
-    Boundary,
-    Diagram,
-    EnumerationCapError,
-    boundaries,
-    count_diagrams,
-    empty_diagram,
-    enumerate_diagrams,
-    flip,
-    juxtapose,
-    multiply,
-    partial_identity,
-    unique_planar_match,
-    unit_diagram,
-)
-from .modules import (
-    ClassLabel,
-    ExplicitModule,
-    SimpleModule,
-    act,
-    adjunction_check,
-    all_class_labels,
-    class_dimension,
-    decompose,
-    extend_by_color,
-    induce_class,
-    multiplicity,
-    regular_module,
-    restrict,
-    restrict_class,
-    simple,
-)
-from .tableaux import (
-    Tableau,
-    box_crystal,
-    enumerate_ssyt,
-    highest_tableau,
-    reading,
-    row_crystal,
-    ssyt_crystal,
-    tableau_op,
-    weakly_increasing_words,
-    word_key,
-)
-from .verify import TARGETS, verify_target
+from .algebra import identity_element, orbit_vector, to_orbit_basis
+from .class_crystals import class_crystal, highest_component
+from .crystals import are_isomorphic, check_axioms, to_dot
+from .diagrams import Diagram, count_diagrams, enumerate_diagrams, flip, multiply
+from .modules import ClassLabel, decompose, regular_module, restrict, simple
+from .tableaux import row_crystal, ssyt_crystal
 
 __all__ = [
-    "Boundary",
     "ClassLabel",
-    "Crystal",
     "Diagram",
-    "Element",
-    "EnumerationCapError",
-    "ExplicitModule",
-    "MINUS_INFINITY",
-    "SimpleModule",
-    "TARGETS",
-    "Tableau",
-    "act",
-    "adjunction_check",
-    "all_class_labels",
     "are_isomorphic",
-    "boundaries",
-    "box_crystal",
     "check_axioms",
     "class_crystal",
-    "class_dimension",
-    "class_operator_via_functors",
-    "class_word",
-    "component_containing",
-    "components",
     "count_diagrams",
     "decompose",
-    "empty_diagram",
     "enumerate_diagrams",
-    "enumerate_ssyt",
-    "expand_orbit_coordinates",
-    "extend_by_color",
     "flip",
     "highest_component",
-    "highest_nodes",
-    "highest_tableau",
     "identity_element",
-    "induce_class",
-    "juxtapose",
-    "lower_label",
-    "make_crystal",
-    "morphism_violations",
-    "mul",
-    "multiplicity",
     "multiply",
-    "orbit_product",
     "orbit_vector",
-    "partial_identity",
-    "raise_label",
-    "reading",
     "regular_module",
     "restrict",
-    "restrict_class",
     "row_crystal",
-    "signature_apply",
-    "signature_survivors",
     "simple",
     "ssyt_crystal",
-    "straight_line_tuple",
-    "subdiagrams",
-    "tableau_op",
-    "tensor",
-    "tensor_all",
-    "tensor_class_crystal",
     "to_dot",
-    "to_json_dict",
     "to_orbit_basis",
-    "truncation_idempotent",
-    "unique_planar_match",
-    "unit_diagram",
-    "verify_target",
-    "weakly_increasing_words",
-    "word_key",
     "__version__",
 ]

@@ -168,10 +168,6 @@ class Element:
         return cls(m, n, acc)
 
 
-def mul(a: Element, b: Element) -> Element:
-    return a * b
-
-
 def subdiagrams(d: Diagram):
     """All diagrams obtained by deleting a subset of the edges of d."""
     for r in range(len(d.edges) + 1):
@@ -248,18 +244,22 @@ def identity_element(m: int, n: int, force: bool = False) -> Element:
     return _identity(m, n)
 
 
-def truncation_idempotent(m: int, n: int, i: int, force: bool = False) -> Element:
-    """Idempotent cutting to the part of a module where vertex m is colored i.
+def strand(n: int, i: int) -> Element:
+    """The size-1 element appended for color i.
 
-    For i >= 1 this is identity(m-1) tensor (unit_i - unit_0); for i = 0 it is
-    identity(m-1) tensor unit_0.
+    For i >= 1 it is unit_i - unit_0, a color-i edge minus an isolated pair;
+    for i = 0 it is the isolated pair unit_0 itself.
     """
-    if m < 1:
-        raise ValueError("truncation idempotents need m >= 1")
-    if not (0 <= i <= n):
-        raise ValueError(f"color {i} outside 0..{n}")
-    e = identity_element(m - 1, n, force)
     last = Element.from_diagram(unit_diagram(n, i))
     if i >= 1:
         last = last - Element.from_diagram(unit_diagram(n, 0))
-    return e.tensor(last)
+    return last
+
+
+def truncation_idempotent(m: int, n: int, i: int, force: bool = False) -> Element:
+    """Idempotent cutting to the part of a module where vertex m is colored i:
+    identity(m-1) tensor strand(n, i)."""
+    if m < 1:
+        raise ValueError("truncation idempotents need m >= 1")
+    last = strand(n, i)
+    return identity_element(m - 1, n, force).tensor(last)

@@ -1,13 +1,13 @@
 """Crystals on isomorphism classes of simple modules.
 
 The classes at size m sit in bijection with weakly increasing words (send a
-count vector to the word with that many copies of each letter).  Restriction
-and induction move one vertex between colors, and the composites
-restrict(i) . induce(i-1) and restrict(i-1) . induce(i) shift counts exactly
-like the raising and lowering operators of the length-m row crystal.  This
-module builds that crystal, the tensor version whose nodes are tuples of
-classes (one per part of a composition), and the component generated by the
-straight-line tuple of a partition.
+count vector to its canonical boundary word, with that many copies of each
+letter).  Restriction and induction move one vertex between colors, and the
+composites restrict(i) . induce(i-1) and restrict(i-1) . induce(i) shift
+counts exactly like the raising and lowering operators of the length-m row
+crystal.  This module builds that crystal, the tensor version whose nodes
+are tuples of classes (one per part of a composition), and the component
+generated by the straight-line tuple of a partition.
 """
 
 from __future__ import annotations
@@ -20,18 +20,10 @@ from .crystals import (
     component_containing,
     make_crystal,
     signature_apply,
+    string_lengths,
 )
-from .diagrams import weak_compositions
-from .modules import ClassLabel, induce_class, restrict_class
-from .tableaux import Word, word_key
-
-
-def class_word(label: ClassLabel) -> Word:
-    """The weakly increasing word with counts[x] copies of each letter x."""
-    out: list[int] = []
-    for letter, c in enumerate(label.counts):
-        out.extend([letter] * c)
-    return tuple(out)
+from .modules import ClassLabel, all_class_labels, induce_class, restrict_class
+from .tableaux import word_key
 
 
 def raise_label(i: int, label: ClassLabel) -> ClassLabel | None:
@@ -74,14 +66,6 @@ def class_operator_via_functors(kind: str, i: int, label: ClassLabel):
     raise ValueError(f"kind must be 'e' or 'f', got {kind!r}")
 
 
-def _labels_at(m: int, n: int) -> list[ClassLabel]:
-    """Classes at size m ordered so class_word images come out sorted."""
-    return [
-        ClassLabel(n, counts)
-        for counts in sorted(weak_compositions(m, n + 1), reverse=True)
-    ]
-
-
 @lru_cache(maxsize=None)
 def class_crystal(m: int, n: int) -> Crystal:
     """The crystal of simple-module classes at size m.
@@ -92,7 +76,7 @@ def class_crystal(m: int, n: int) -> Crystal:
     """
     if m < 0 or n < 1:
         raise ValueError(f"bad class crystal parameters m={m}, n={n}")
-    labels = _labels_at(m, n)
+    labels = all_class_labels(m, n)
     nodes = []
     weights = {}
     eps = {}
@@ -105,7 +89,7 @@ def class_crystal(m: int, n: int) -> Crystal:
         weights[k] = label.counts
         eps[k] = tuple(label.counts[i] for i in range(1, n + 1))
         phi[k] = tuple(label.counts[i - 1] for i in range(1, n + 1))
-        display[k] = f"{k} ~ {word_key(class_word(label))}"
+        display[k] = f"{k} ~ {word_key(label.canonical_boundary().colors)}"
         for i in range(1, n + 1):
             lowered = lower_label(i, label)
             if lowered is not None:
@@ -115,21 +99,6 @@ def class_crystal(m: int, n: int) -> Crystal:
 
 def tuple_key(labels) -> str:
     return "×".join(label.key for label in labels)
-
-
-def _string_stats(nodes, edges, n):
-    """eps/phi as string lengths, memoized over the acyclic edge structure."""
-    stats: dict[tuple[str, int], int] = {}
-
-    def length(b, i):
-        got = stats.get((b, i))
-        if got is None:
-            target = edges.get((b, i))
-            got = 0 if target is None else 1 + length(target, i)
-            stats[(b, i)] = got
-        return got
-
-    return {b: tuple(length(b, i) for i in range(1, n + 1)) for b in nodes}
 
 
 @lru_cache(maxsize=None)
@@ -146,7 +115,7 @@ def tensor_class_crystal(parts: tuple[int, ...], n: int) -> Crystal:
         raise ValueError(f"parts must be positive integers, got {parts}")
     if n < 1:
         raise ValueError(f"need at least one color, got n={n}")
-    factor_labels = [_labels_at(p, n) for p in parts]
+    factor_labels = [all_class_labels(p, n) for p in parts]
     tuples = list(itertools.product(*factor_labels))
     nodes = []
     weights = {}
@@ -178,12 +147,12 @@ def tensor_class_crystal(parts: tuple[int, ...], n: int) -> Crystal:
                 f_edges[(k, i)] = tuple_key(
                     labels[:pos] + (moved,) + labels[pos + 1 :]
                 )
-    eps = _string_stats(nodes, e_edges, n)
-    phi = _string_stats(nodes, f_edges, n)
+    eps = string_lengths(nodes, e_edges, n)
+    phi = string_lengths(nodes, f_edges, n)
     display = {
         tuple_key(labels): tuple_key(labels)
         + " ~ "
-        + "×".join(word_key(class_word(label)) for label in labels)
+        + "×".join(word_key(label.canonical_boundary().colors) for label in labels)
         for labels in tuples
     }
     return Crystal(

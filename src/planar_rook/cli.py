@@ -3,7 +3,8 @@
 Exit codes: 0 on success, 1 when a mathematical check fails, 2 on usage
 errors (bad flags, malformed inputs, or size caps hit without --force).
 All output is deterministic: rerunning a command byte-for-byte reproduces
-its output.  Set PLANAR_ROOK_FORCE=1 to override size caps globally.
+its output.  The size caps of enumerate and decompose are overridden by
+--force or by setting PLANAR_ROOK_FORCE=1; verify sweeps stay capped.
 """
 
 from __future__ import annotations
@@ -121,20 +122,25 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
+# what malformed JSON numbers and fields raise while building an element,
+# e.g. a coefficient "1/0" (ZeroDivisionError) or 1e400 (OverflowError)
+_MALFORMED = (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError)
+
+
 def _element_from_obj(obj, path: str, x_basis: bool) -> Element:
     if not isinstance(obj, dict):
         raise UsageError(f"{path}: expected a JSON object")
     if "edges" in obj:
         try:
             d = Diagram.from_json_dict(obj)
-        except (KeyError, TypeError, ValueError) as exc:
+        except _MALFORMED as exc:
             raise UsageError(f"{path}: {exc}") from None
         if x_basis:
             return expand_orbit_coordinates(d.m, d.n, {d: Fraction(1)})
         return Element.from_diagram(d)
     try:
         elt = Element.from_json_dict(obj)
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise UsageError(f"{path}: {exc}") from None
     if x_basis:
         return expand_orbit_coordinates(elt.m, elt.n, dict(elt.terms))
@@ -383,8 +389,14 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EnumerationCapError as exc:
-        message = str(exc).replace("force=True", "--force")
-        print(f"error: {message}", file=sys.stderr)
+        # the library's own hint names force=True; name the CLI's overrides,
+        # which only the subcommands with a --force flag honour
+        reason = str(exc).partition(";")[0]
+        if "force" in vars(args):
+            hint = "pass --force or set PLANAR_ROOK_FORCE=1 to override"
+        else:
+            hint = f"{args.command} has no override"
+        print(f"error: {reason}; {hint}", file=sys.stderr)
         return 2
 
 

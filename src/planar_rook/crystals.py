@@ -3,11 +3,12 @@
 A crystal is stored explicitly: a list of node keys, a weight vector in Z^(n+1)
 per node, the statistics eps_i and phi_i for the raising and lowering
 directions i in 1..n, and partial raising/lowering maps as edge dictionaries.
+Every crystal built here is seminormal, so eps_i and phi_i are the lengths of
+the raising and lowering i-strings through the node, never minus infinity.
 The axioms (weight/statistics compatibility, weight shifts along edges,
 raising and lowering being mutually inverse, and the statistics measuring the
-lengths of raising and lowering strings) are checked by `check_axioms`, which
-returns violations as data instead of raising, so verification reports can
-show counterexamples.
+string lengths) are checked by `check_axioms`, which returns violations as
+data instead of raising, so verification reports can show counterexamples.
 
 Tensor products follow the convention in which the lowering operator acts on
 the left factor when its phi exceeds the right factor's eps, and the signature
@@ -22,9 +23,6 @@ from functools import reduce
 from typing import Mapping, Optional
 
 Weight = tuple[int, ...]
-
-# eps/phi value meaning "the operator is undefined in this direction"
-MINUS_INFINITY = float("-inf")
 
 
 @dataclass(frozen=True)
@@ -85,28 +83,37 @@ def make_crystal(n, nodes, weights, eps, phi, f_edges, display=None) -> Crystal:
     return Crystal(n, tuple(nodes), dict(weights), dict(eps), dict(phi), e_edges, dict(f_edges), display)
 
 
-def _string_length(edges, b, i, limit) -> int:
-    steps = 0
-    cur = b
-    while steps <= limit:
-        cur = edges.get((cur, i))
-        if cur is None:
-            return steps
-        steps += 1
-    return -1  # cycle
+def string_lengths(nodes, edges, n: int) -> dict[str, tuple[int, ...]]:
+    """Per node, the number of steps along edges[(b, i)] in each direction i.
+
+    A string that runs into a cycle, which no crystal has, gets length -1.
+    """
+    limit = len(nodes)
+    out = {}
+    for b in nodes:
+        lengths = []
+        for i in range(1, n + 1):
+            steps, cur = 0, edges.get((b, i))
+            while cur is not None and steps <= limit:
+                steps += 1
+                cur = edges.get((cur, i))
+            lengths.append(steps if cur is None else -1)
+        out[b] = tuple(lengths)
+    return out
 
 
 def check_axioms(crystal: Crystal) -> list[str]:
     """All axiom violations, as human-readable strings.  Empty means valid.
 
     Checked for every node and direction: phi = eps + pairing of the weight
-    with the coroot (with minus infinity propagating); raising adds the simple
-    root to the weight and lowering subtracts it; raising and lowering are
-    mutually inverse; eps and phi equal the lengths of the raising and
-    lowering strings; nodes where eps is minus infinity admit neither edge.
+    with the coroot; raising adds the simple root to the weight and lowering
+    subtracts it; raising and lowering are mutually inverse; eps and phi
+    equal the lengths of the raising and lowering strings (a string that
+    runs into a cycle counts as -1).
     """
     bad: list[str] = []
-    limit = len(crystal.nodes)
+    up_lengths = string_lengths(crystal.nodes, crystal.e_edges, crystal.n)
+    down_lengths = string_lengths(crystal.nodes, crystal.f_edges, crystal.n)
     for b in crystal.nodes:
         wt = crystal.weight(b)
         if len(wt) != crystal.n + 1:
@@ -116,16 +123,6 @@ def check_axioms(crystal: Crystal) -> list[str]:
             eps = crystal.eps_i(b, i)
             phi = crystal.phi_i(b, i)
             pairing = weight_pairing(wt, i)
-            if eps == MINUS_INFINITY or phi == MINUS_INFINITY:
-                if not (eps == MINUS_INFINITY and phi == MINUS_INFINITY):
-                    bad.append(
-                        f"node {b}, direction {i}: only one of eps/phi is -inf"
-                    )
-                if crystal.e(b, i) is not None or crystal.f(b, i) is not None:
-                    bad.append(
-                        f"node {b}, direction {i}: edges present despite -inf"
-                    )
-                continue
             if phi != eps + pairing:
                 bad.append(
                     f"node {b}, direction {i}: phi={phi} != eps+pairing={eps + pairing}"
@@ -158,8 +155,8 @@ def check_axioms(crystal: Crystal) -> list[str]:
                     bad.append(
                         f"lowering {b} then raising in direction {i} misses {b}"
                     )
-            up_len = _string_length(crystal.e_edges, b, i, limit)
-            down_len = _string_length(crystal.f_edges, b, i, limit)
+            up_len = up_lengths[b][i - 1]
+            down_len = down_lengths[b][i - 1]
             if up_len != eps:
                 bad.append(
                     f"node {b}, direction {i}: raising string {up_len} != eps {eps}"
@@ -460,10 +457,6 @@ def to_dot(crystal: Crystal) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_stat(x):
-    return None if x == MINUS_INFINITY else int(x)
-
-
 def to_json_dict(crystal: Crystal) -> dict:
     """Serializable form: nodes with statistics, lowering edges by direction."""
     return {
@@ -472,8 +465,8 @@ def to_json_dict(crystal: Crystal) -> dict:
             {
                 "key": b,
                 "wt": list(crystal.weight(b)),
-                "eps": [_json_stat(x) for x in crystal.eps[b]],
-                "phi": [_json_stat(x) for x in crystal.phi[b]],
+                "eps": list(crystal.eps[b]),
+                "phi": list(crystal.phi[b]),
             }
             for b in crystal.nodes
         ],

@@ -43,7 +43,7 @@ def ensure_within_cap(m: int, n: int, force: bool = False) -> None:
     if m > cap:
         raise EnumerationCapError(
             f"size m={m} exceeds the enumeration cap {cap} for n={n} colors; "
-            "pass force=True (CLI: --force) to override"
+            "pass force=True to override"
         )
 
 
@@ -173,20 +173,12 @@ class Boundary:
             raise ValueError("boundaries live on different vertex sets")
         return all(o == 0 or o == s for s, o in zip(self.colors, other.colors))
 
-    def word(self) -> str:
-        return "".join(str(c) for c in self.colors)
-
     def to_json_dict(self) -> dict:
         return {"m": self.m, "n": self.n, "colors": list(self.colors)}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> Boundary:
         return cls(int(obj["m"]), int(obj["n"]), tuple(int(c) for c in obj["colors"]))
-
-
-def boundaries(d: Diagram) -> tuple[Boundary, Boundary]:
-    """(top boundary, bottom boundary) of d."""
-    return d.top_boundary(), d.bottom_boundary()
 
 
 def multiply(d1: Diagram, d2: Diagram) -> Diagram:
@@ -257,11 +249,6 @@ def partial_identity(boundary: Boundary) -> Diagram:
     return unique_planar_match(boundary, boundary)
 
 
-def identity_diagram(m: int, n: int, color: int = 1) -> Diagram:
-    """All m vertical strands in one color (the identity matrix over a unit)."""
-    return partial_identity(Boundary(m, n, (color,) * m))
-
-
 def weak_compositions(total: int, slots: int):
     """All tuples of `slots` nonnegative integers summing to `total`, lex order."""
     if slots == 0:
@@ -310,31 +297,15 @@ def enumerate_diagrams(m: int, n: int, force: bool = False) -> tuple[Diagram, ..
     return _enumerate(m, n)
 
 
+def multinomial(counts) -> int:
+    """sum(counts)! / (counts_0! ... counts_k!): the words with these letter counts."""
+    ways, left = 1, sum(counts)
+    for c in counts:
+        ways *= comb(left, c)
+        left -= c
+    return ways
+
+
 def count_diagrams(m: int, n: int) -> int:
     """Closed form: sum over count vectors of the squared multinomial."""
-    total = 0
-    for counts in weak_compositions(m, n + 1):
-        ways = 1
-        left = m
-        for c in counts:
-            ways *= comb(left, c)
-            left -= c
-        total += ways * ways
-    return total
-
-
-def to_matrix(d: Diagram) -> tuple[tuple[int, ...], ...]:
-    """m x m matrix with entry c at (top, bottom) per edge, 0 elsewhere."""
-    rows = [[0] * d.m for _ in range(d.m)]
-    for t, b, c in d.edges:
-        rows[t - 1][b - 1] = c
-    return tuple(tuple(r) for r in rows)
-
-
-def from_matrix(m: int, n: int, rows) -> Diagram:
-    edges = []
-    for t, row in enumerate(rows, start=1):
-        for b, c in enumerate(row, start=1):
-            if c:
-                edges.append((t, b, int(c)))
-    return Diagram(m, n, tuple(edges))
+    return sum(multinomial(counts) ** 2 for counts in weak_compositions(m, n + 1))

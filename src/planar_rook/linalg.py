@@ -15,12 +15,6 @@ Row = list[Fraction]
 def zeros(nrows: int, ncols: int) -> list[Row]:
     return [[Fraction(0)] * ncols for _ in range(nrows)]
 
-def identity_matrix(k: int) -> list[Row]:
-    out = zeros(k, k)
-    for i in range(k):
-        out[i][i] = Fraction(1)
-    return out
-
 
 def transpose(rows) -> list[Row]:
     return [list(col) for col in zip(*rows)] if rows else []
@@ -35,11 +29,6 @@ def mat_vec(rows, vec) -> list[Fraction]:
                 acc += a * x
         out.append(acc)
     return out
-
-
-def mat_mul(a, b) -> list[Row]:
-    bt = transpose(b)
-    return transpose([mat_vec(a, col) for col in bt])
 
 
 def rref(rows) -> tuple[list[Row], list[int]]:

@@ -16,18 +16,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 
-from .algebra import Element, orbit_vector, truncation_idempotent
+from .algebra import Element, orbit_vector, strand, truncation_idempotent
 from .diagrams import (
     Boundary,
     Diagram,
     ensure_within_cap,
     enumerate_diagrams,
+    multinomial,
     multiply,
     partial_identity,
     unique_planar_match,
-    unit_diagram,
     weak_compositions,
     words_with_counts,
 )
@@ -78,9 +77,6 @@ class ClassLabel:
             word.extend([color] * c)
         return Boundary(self.m, self.n, tuple(word))
 
-    def to_json_dict(self) -> dict:
-        return {"m": self.m, "n": self.n, "counts": list(self.counts)}
-
 
 def all_class_labels(m: int, n: int) -> list[ClassLabel]:
     """Every class at size m, ordered so that earlier labels have more
@@ -93,11 +89,17 @@ def all_class_labels(m: int, n: int) -> list[ClassLabel]:
 
 def class_dimension(label: ClassLabel) -> int:
     """Multinomial coefficient m! / (counts_0! ... counts_n!)."""
-    ways, left = 1, label.m
-    for c in label.counts:
-        ways *= comb(left, c)
-        left -= c
-    return ways
+    return multinomial(label.counts)
+
+
+def _matrix_of_targets(targets, dimension: int):
+    """The 0/1 matrix sending basis vector j to basis vector targets[j], or to
+    zero where targets[j] is None."""
+    rows = zeros(dimension, dimension)
+    for j, t in enumerate(targets):
+        if t is not None:
+            rows[t][j] = Fraction(1)
+    return rows
 
 
 class SimpleModule:
@@ -125,14 +127,21 @@ class SimpleModule:
             )
         return self._explicit
 
-    def _action_matrix(self, d: Diagram):
-        rows = zeros(self.dimension, self.dimension)
+    def targets(self, d: Diagram) -> list[int | None]:
+        """Where d sends each basis vector, by basis index.
+
+        The basis vector at b goes to the one at d*b when the bottom boundary
+        of d covers the top boundary of b, and to zero (None) otherwise; d*b
+        still has the module's bottom boundary, so no reduction is needed.
+        """
         beta = d.bottom_boundary()
-        for j, b in enumerate(self.basis):
-            if beta.covers(b.top_boundary()):
-                target = multiply(d, b)
-                rows[self.index[target]][j] = Fraction(1)
-        return rows
+        return [
+            self.index[multiply(d, b)] if beta.covers(b.top_boundary()) else None
+            for b in self.basis
+        ]
+
+    def _action_matrix(self, d: Diagram):
+        return _matrix_of_targets(self.targets(d), self.dimension)
 
     def __repr__(self) -> str:
         return f"SimpleModule({self.label.key}, dim={self.dimension})"
@@ -149,24 +158,17 @@ def simple(label: ClassLabel, force: bool = False) -> SimpleModule:
 
 
 def act(mod: SimpleModule, a: Element, vec) -> tuple[Fraction, ...]:
-    """Apply an algebra element to a coordinate vector of the simple module.
-
-    A diagram d sends the basis vector at b to the basis vector at d*b when
-    the bottom boundary of d covers the top boundary of b, and to zero
-    otherwise; the result then still has the module's bottom boundary, so no
-    reduction is ever needed.
-    """
+    """Apply an algebra element to a coordinate vector of the simple module,
+    each diagram acting through SimpleModule.targets."""
     if (a.m, a.n) != (mod.label.m, mod.label.n):
         raise ValueError("element and module live at different sizes")
     if len(vec) != mod.dimension:
         raise ValueError(f"vector has length {len(vec)}, expected {mod.dimension}")
     out = [Fraction(0)] * mod.dimension
     for d, coeff in a.terms.items():
-        beta = d.bottom_boundary()
-        for x, b in zip(vec, mod.basis):
-            if x and beta.covers(b.top_boundary()):
-                target = multiply(d, b)
-                out[mod.index[target]] += coeff * Fraction(x)
+        for x, t in zip(vec, mod.targets(d)):
+            if x and t is not None:
+                out[t] += coeff * Fraction(x)
     return tuple(out)
 
 
@@ -225,10 +227,7 @@ def _regular(m: int, n: int) -> ExplicitModule:
     index = {d: j for j, d in enumerate(basis)}
 
     def action(d: Diagram):
-        rows = zeros(len(basis), len(basis))
-        for j, b in enumerate(basis):
-            rows[index[multiply(d, b)]][j] = Fraction(1)
-        return rows
+        return _matrix_of_targets([index[multiply(d, b)] for b in basis], len(basis))
 
     return ExplicitModule(m, n, len(basis), action)
 
@@ -276,18 +275,9 @@ def decompose(mod: ExplicitModule) -> dict[ClassLabel, int]:
 
 
 def extend_by_color(a: Element, i: int) -> Element:
-    """Embed a size-m element into size m+1 by appending one strand.
-
-    For i >= 1 the new strand is a color-i edge minus an isolated pair, the
-    combination that acts correctly on the cut subspace; for i = 0 it is the
-    isolated pair itself.
-    """
-    if not (0 <= i <= a.n):
-        raise ValueError(f"color {i} outside 0..{a.n}")
-    last = Element.from_diagram(unit_diagram(a.n, i))
-    if i >= 1:
-        last = last - Element.from_diagram(unit_diagram(a.n, 0))
-    return a.tensor(last)
+    """Embed a size-m element into size m+1 by appending strand(n, i), the
+    combination that acts correctly on the color-i cut subspace."""
+    return a.tensor(strand(a.n, i))
 
 
 def restrict(i: int, mod) -> ExplicitModule:

@@ -55,9 +55,6 @@ class Tableau:
     def size(self) -> int:
         return sum(self.shape)
 
-    def max_letter(self) -> int:
-        return max((x for row in self.rows for x in row), default=0)
-
     def key(self) -> str:
         return "/".join("".join(str(x) for x in row) for row in self.rows)
 
@@ -92,6 +89,12 @@ def reading_positions(shape) -> list[tuple[int, int]]:
     return out
 
 
+def signature_factors(word: Word, i: int) -> list[tuple[int, int]]:
+    """(eps, phi) in direction i of each letter of word, read as one-box
+    crystal factors: a letter i has eps 1, a letter i-1 has phi 1."""
+    return [(1 if x == i else 0, 1 if x == i - 1 else 0) for x in word]
+
+
 def tableau_op(kind: str, i: int, t: Tableau) -> Tableau | None:
     """Apply a raising (kind 'e') or lowering (kind 'f') operator to a tableau.
 
@@ -102,9 +105,7 @@ def tableau_op(kind: str, i: int, t: Tableau) -> Tableau | None:
     """
     if i < 1:
         raise ValueError(f"direction must be >= 1, got {i}")
-    word = reading(t)
-    factors = [(1 if x == i else 0, 1 if x == i - 1 else 0) for x in word]
-    pos = signature_apply(kind, factors)
+    pos = signature_apply(kind, signature_factors(reading(t), i))
     if pos is None:
         return None
     r, c = reading_positions(t.shape)[pos]
@@ -239,8 +240,7 @@ def _ssyt_crystal(shape: tuple[int, ...], n: int) -> Crystal:
         word = reading(t)
         ev, pv = [], []
         for i in range(1, n + 1):
-            factors = [(1 if x == i else 0, 1 if x == i - 1 else 0) for x in word]
-            minus_owner, plus_owner = signature_survivors(factors)
+            minus_owner, plus_owner = signature_survivors(signature_factors(word, i))
             ev.append(len(minus_owner))
             pv.append(len(plus_owner))
         eps[k] = tuple(ev)

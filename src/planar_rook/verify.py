@@ -15,9 +15,9 @@ import itertools
 from . import class_crystals as cc
 from .algebra import (
     Element,
-    mul,
     orbit_product,
     orbit_vector,
+    strand,
     truncation_idempotent,
 )
 from .crystals import (
@@ -39,19 +39,32 @@ from .modules import (
     restrict_class,
     simple,
 )
-from .tableaux import box_crystal, enumerate_ssyt, row_crystal, ssyt_crystal, word_key
+from .tableaux import (
+    box_crystal,
+    enumerate_ssyt,
+    row_crystal,
+    signature_factors,
+    ssyt_crystal,
+    word_key,
+)
 
 MAX_COUNTEREXAMPLES = 10
 
 
+def _sweep(max_m, max_n, pin_m, pin_n, default_m=4, default_n=2, lo_m=1):
+    """(top_m, top_n, ms, ns): the largest size and color count (the pin,
+    else the explicit maximum, else the default) and the sizes and color
+    counts to sweep (the pin alone, else lo_m..top_m and 1..top_n)."""
+    top_m = pin_m if pin_m is not None else (max_m if max_m is not None else default_m)
+    top_n = pin_n if pin_n is not None else (max_n if max_n is not None else default_n)
+    ms = [pin_m] if pin_m is not None else range(lo_m, top_m + 1)
+    ns = [pin_n] if pin_n is not None else range(1, top_n + 1)
+    return top_m, top_n, ms, ns
+
+
 def _pairs(max_m, max_n, pin_m, pin_n, default_m, default_n, lo_m=1):
     """Case list of (m, n) pairs honoring pins, explicit maxima, or defaults."""
-    if pin_m is not None and pin_n is not None:
-        return [(pin_m, pin_n)]
-    top_m = max_m if max_m is not None else default_m
-    top_n = max_n if max_n is not None else default_n
-    ms = [pin_m] if pin_m is not None else list(range(lo_m, top_m + 1))
-    ns = [pin_n] if pin_n is not None else list(range(1, top_n + 1))
+    _, _, ms, ns = _sweep(max_m, max_n, pin_m, pin_n, default_m, default_n, lo_m)
     return [(m, n) for n in ns for m in ms]
 
 
@@ -88,8 +101,8 @@ def partitions(total: int, max_parts: int) -> list[tuple[int, ...]]:
 
 
 def _verify_axioms(max_m, max_n, pin_m, pin_n):
-    top_m = pin_m if pin_m is not None else (max_m if max_m is not None else 4)
-    top_n = pin_n if pin_n is not None else (max_n if max_n is not None else 2)
+    # a pin caps this sweep rather than replacing it
+    top_m, top_n, _, _ = _sweep(max_m, max_n, pin_m, pin_n)
     suite = []
     for n in range(1, top_n + 1):
         suite.append((f"box(n={n})", box_crystal(n)))
@@ -180,12 +193,12 @@ def _verify_orbit_product_laws(max_m, max_n, pin_m, pin_n):
                 tau = d.top_boundary()
                 prod_orbit = orbit_vector(multiply(dp, d))
                 zero = Element.zero(m, n)
-                left = mul(dp_elt, orbit_vector(d))
+                left = dp_elt * orbit_vector(d)
                 left_expected = prod_orbit if beta.covers(tau) else zero
-                right = mul(dp_orbit, Element.from_diagram(d))
+                right = dp_orbit * Element.from_diagram(d)
                 right_expected = prod_orbit if tau.covers(beta) else zero
                 both = orbit_product(dp, d)
-                both_brute = mul(dp_orbit, orbit_vector(d))
+                both_brute = dp_orbit * orbit_vector(d)
                 failures = []
                 if left != left_expected:
                     failures.append("left law")
@@ -215,7 +228,7 @@ def _verify_truncation_lemmas(max_m, max_n, pin_m, pin_n):
             for d in diagrams:
                 checked += 1
                 x = orbit_vector(d)
-                got = mul(trunc, x)
+                got = trunc * x
                 keep = d.top_boundary().colors[m - 1] == i
                 if got != (x if keep else Element.zero(m, n)):
                     bad.append(
@@ -225,7 +238,7 @@ def _verify_truncation_lemmas(max_m, max_n, pin_m, pin_n):
                         }
                     )
                 checked += 1
-                got = mul(x, trunc)
+                got = x * trunc
                 keep = d.bottom_boundary().colors[m - 1] == i
                 if got != (x if keep else Element.zero(m, n)):
                     bad.append(
@@ -235,13 +248,11 @@ def _verify_truncation_lemmas(max_m, max_n, pin_m, pin_n):
                         }
                     )
             # appending a strand commutes with taking orbit vectors
-            strand = Element.from_diagram(unit_diagram(n, i))
-            if i >= 1:
-                strand = strand - Element.from_diagram(unit_diagram(n, 0))
+            last = strand(n, i)
             for d in smaller:
                 checked += 1
                 extended = orbit_vector(juxtapose(d, unit_diagram(n, i)))
-                if orbit_vector(d).tensor(strand) != extended:
+                if orbit_vector(d).tensor(last) != extended:
                     bad.append(
                         {
                             "case": f"extension m={m},n={n},i={i}",
@@ -357,7 +368,7 @@ def _verify_class_crystal_is_row_crystal(max_m, max_n, pin_m, pin_n):
         classes = cc.class_crystal(m, n)
         rows = row_crystal(m, n)
         mapping = {
-            label.key: word_key(cc.class_word(label))
+            label.key: word_key(label.canonical_boundary().colors)
             for label in all_class_labels(m, n)
         }
         checked += 1
@@ -394,10 +405,7 @@ def _verify_class_crystal_is_row_crystal(max_m, max_n, pin_m, pin_n):
 def _verify_tuple_crystal_factorizes(max_m, max_n, pin_m, pin_n):
     checked = 0
     bad = []
-    top_m = pin_m if pin_m is not None else (max_m if max_m is not None else 4)
-    top_n = pin_n if pin_n is not None else (max_n if max_n is not None else 2)
-    totals = [top_m] if pin_m is not None else range(1, top_m + 1)
-    ns = [pin_n] if pin_n is not None else range(1, top_n + 1)
+    _, _, totals, ns = _sweep(max_m, max_n, pin_m, pin_n)
     for n in ns:
         for total in totals:
             for parts in compositions(total):
@@ -413,10 +421,7 @@ def _verify_tuple_crystal_factorizes(max_m, max_n, pin_m, pin_n):
 def _verify_highest_component(max_m, max_n, pin_m, pin_n):
     checked = 0
     bad = []
-    top_m = pin_m if pin_m is not None else (max_m if max_m is not None else 4)
-    top_n = pin_n if pin_n is not None else (max_n if max_n is not None else 2)
-    totals = [top_m] if pin_m is not None else range(1, top_m + 1)
-    ns = [pin_n] if pin_n is not None else range(1, top_n + 1)
+    _, _, totals, ns = _sweep(max_m, max_n, pin_m, pin_n)
     for n in ns:
         for total in totals:
             for shape in partitions(total, n + 1):
@@ -442,9 +447,7 @@ def _verify_highest_component(max_m, max_n, pin_m, pin_n):
 def _verify_signature_equivalence(max_m, max_n, pin_m, pin_n):
     checked = 0
     bad = []
-    top_m = pin_m if pin_m is not None else (max_m if max_m is not None else 4)
-    top_n = pin_n if pin_n is not None else (max_n if max_n is not None else 2)
-    ns = [pin_n] if pin_n is not None else range(1, top_n + 1)
+    top_m, _, totals, ns = _sweep(max_m, max_n, pin_m, pin_n)
     for n in ns:
         # box powers: the signature rule against the iterated binary rule
         for length in range(2, min(top_m, 4) + 1):
@@ -452,10 +455,7 @@ def _verify_signature_equivalence(max_m, max_n, pin_m, pin_n):
             for word in itertools.product(range(n + 1), repeat=length):
                 key = "⊗".join(str(x) for x in word)
                 for i in range(1, n + 1):
-                    factors = [
-                        (1 if x == i else 0, 1 if x == i - 1 else 0)
-                        for x in word
-                    ]
+                    factors = signature_factors(word, i)
                     for kind in ("e", "f"):
                         checked += 1
                         target = (
@@ -488,7 +488,6 @@ def _verify_signature_equivalence(max_m, max_n, pin_m, pin_n):
                                     }
                                 )
         # tuple crystals: signature arrows against the tensor of class crystals
-        totals = [top_m] if pin_m is not None else range(1, top_m + 1)
         for total in totals:
             for parts in compositions(total):
                 tuples = cc.tensor_class_crystal(parts, n)

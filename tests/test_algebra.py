@@ -18,7 +18,6 @@ from planar_rook.algebra import (
     Element,
     expand_orbit_coordinates,
     identity_element,
-    mul,
     orbit_product,
     orbit_vector,
     subdiagrams,
@@ -29,7 +28,6 @@ from planar_rook.diagrams import (
     Boundary,
     Diagram,
     EnumerationCapError,
-    boundaries,
     empty_diagram,
     enumerate_diagrams,
     multiply,
@@ -60,9 +58,8 @@ def test_size_mismatch_rejected():
             unit_diagram(2, 1)
         )
     with pytest.raises(ValueError):
-        mul(
-            Element.from_diagram(unit_diagram(1, 1)),
-            Element.from_diagram(empty_diagram(2, 1)),
+        Element.from_diagram(unit_diagram(1, 1)) * Element.from_diagram(
+            empty_diagram(2, 1)
         )
 
 
@@ -193,9 +190,8 @@ def test_orbit_round_trip_on_random_elements():
 
 
 def test_identity_one_color_is_identity_diagram():
-    from planar_rook.diagrams import identity_diagram
-
-    assert identity_element(3, 1) == Element.from_diagram(identity_diagram(3, 1))
+    one = partial_identity(Boundary(3, 1, (1, 1, 1)))
+    assert identity_element(3, 1) == Element.from_diagram(one)
 
 
 def test_identity_size_one_two_colors():
@@ -297,7 +293,7 @@ def test_orbit_product_mismatched_is_zero():
     d2 = Diagram(2, 1, ((2, 2, 1),))
     assert orbit_product(d1, d2).is_zero()
     # brute-force confirmation
-    assert mul(orbit_vector(d1), orbit_vector(d2)).is_zero()
+    assert (orbit_vector(d1) * orbit_vector(d2)).is_zero()
 
 
 @pytest.mark.parametrize("m,n", [(2, 1), (3, 1), (1, 2), (2, 2)])
@@ -306,7 +302,7 @@ def test_orbit_product_agrees_with_expansion(m, n):
     for d1 in diagrams:
         for d2 in diagrams:
             fast = orbit_product(d1, d2)
-            brute = mul(orbit_vector(d1), orbit_vector(d2))
+            brute = orbit_vector(d1) * orbit_vector(d2)
             assert fast == brute
 
 

@@ -15,7 +15,6 @@ import pytest
 from planar_rook.class_crystals import (
     class_crystal,
     class_operator_via_functors,
-    class_word,
     highest_component,
     lower_label,
     raise_label,
@@ -43,9 +42,10 @@ def label(n, *counts):
 
 
 def test_class_word():
-    assert class_word(label(2, 1, 1, 1)) == (0, 1, 2)
-    assert class_word(label(1, 0, 3)) == (1, 1, 1)
-    assert class_word(label(2, 2, 0, 0)) == (0, 0)
+    # a class's weakly increasing word is its canonical boundary word
+    assert label(2, 1, 1, 1).canonical_boundary().colors == (0, 1, 2)
+    assert label(1, 0, 3).canonical_boundary().colors == (1, 1, 1)
+    assert label(2, 2, 0, 0).canonical_boundary().colors == (0, 0)
 
 
 def test_raise_label_examples():
@@ -119,7 +119,8 @@ def test_class_crystal_matches_row_crystal_via_word(m, n):
     classes = class_crystal(m, n)
     rows = row_crystal(m, n)
     mapping = {
-        lab.key: word_key(class_word(lab)) for lab in all_class_labels(m, n)
+        lab.key: word_key(lab.canonical_boundary().colors)
+        for lab in all_class_labels(m, n)
     }
     assert morphism_violations(classes, rows, mapping) == []
     ok, _ = are_isomorphic(classes, rows)

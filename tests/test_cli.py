@@ -91,7 +91,8 @@ def test_enumerate_cap_and_overrides(capsys, monkeypatch):
     code, out, err = run(capsys, "enumerate", "--m", "9", "--n", "1", "--count-only")
     assert code == 2
     assert out == ""
-    assert "--force" in err
+    assert err.count("--force") == 1
+    assert "PLANAR_ROOK_FORCE" in err
     assert "force=True" not in err
     code, out, _ = run(
         capsys, "enumerate", "--m", "9", "--n", "1", "--count-only", "--force"
@@ -100,6 +101,11 @@ def test_enumerate_cap_and_overrides(capsys, monkeypatch):
     monkeypatch.setenv("PLANAR_ROOK_FORCE", "1")
     code, out, _ = run(capsys, "enumerate", "--m", "9", "--n", "1", "--count-only")
     assert (code, out) == (0, "48620\n")
+    # verify has no --force and ignores the variable, so it names no override
+    code, out, err = run(capsys, "verify", "prop2.1", "--m", "7", "--n", "2")
+    assert (code, out) == (2, "")
+    assert "exceeds the enumeration cap" in err
+    assert "force" not in err.lower()
 
 
 def test_multiply_diagram_basis(capsys, tmp_path):
@@ -152,6 +158,18 @@ def test_multiply_usage_errors(capsys, tmp_path):
     assert run(capsys, "multiply", small, str(bad))[0] == 2
     arr = write_json(tmp_path / "arr.json", [1, 2])
     assert run(capsys, "multiply", small, arr)[0] == 2
+    # a zero denominator and a float overflow are usage errors, not tracebacks
+    for name, coeff in (("zero.json", '"1/0"'), ("huge.json", "1e400")):
+        path = tmp_path / name
+        path.write_text(
+            '{"m": 1, "n": 1, "terms": [{"coeff": %s, "diagram": '
+            '{"m": 1, "n": 1, "edges": []}}]}' % coeff,
+            encoding="utf-8",
+        )
+        for extra in ((), ("--x-basis",)):
+            code, out, err = run(capsys, "multiply", small, str(path), *extra)
+            assert (code, out) == (2, ""), (name, extra)
+            assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_simples_table(capsys):

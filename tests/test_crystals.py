@@ -8,7 +8,6 @@ import itertools
 import pytest
 
 from planar_rook.crystals import (
-    MINUS_INFINITY,
     Crystal,
     are_isomorphic,
     check_axioms,
@@ -108,20 +107,6 @@ def test_axiom_string_length_violation():
         c.n, c.nodes, c.weights, {"a": (2,), "b": (1,)}, c.phi, c.e_edges, c.f_edges
     )
     assert any("string" in v for v in check_axioms(broken))
-
-
-def test_minus_infinity_handling():
-    ok = make_crystal(
-        1,
-        ["z"],
-        {"z": (0, 0)},
-        {"z": (MINUS_INFINITY,)},
-        {"z": (MINUS_INFINITY,)},
-        {},
-    )
-    assert check_axioms(ok) == []
-    half = Crystal(1, ("z",), {"z": (0, 0)}, {"z": (MINUS_INFINITY,)}, {"z": (0,)}, {}, {})
-    assert any("-inf" in v for v in check_axioms(half))
 
 
 def test_cycle_detected_not_hung():

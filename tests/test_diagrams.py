@@ -16,17 +16,13 @@ from planar_rook.diagrams import (
     Boundary,
     Diagram,
     EnumerationCapError,
-    boundaries,
     count_diagrams,
     empty_diagram,
     enumerate_diagrams,
     flip,
-    from_matrix,
-    identity_diagram,
     juxtapose,
     multiply,
     partial_identity,
-    to_matrix,
     unique_planar_match,
     unit_diagram,
     weak_compositions,
@@ -82,6 +78,33 @@ def oracle_matrix_product(m, n, rows1, rows2):
                     acc = term
             out[i][j] = acc
     return tuple(tuple(r) for r in out)
+
+
+def to_matrix(d: Diagram) -> tuple[tuple[int, ...], ...]:
+    """m x m matrix with entry c at (top, bottom) per edge, 0 elsewhere."""
+    rows = [[0] * d.m for _ in range(d.m)]
+    for t, b, c in d.edges:
+        rows[t - 1][b - 1] = c
+    return tuple(tuple(r) for r in rows)
+
+
+def from_matrix(m: int, n: int, rows) -> Diagram:
+    edges = []
+    for t, row in enumerate(rows, start=1):
+        for b, c in enumerate(row, start=1):
+            if c:
+                edges.append((t, b, int(c)))
+    return Diagram(m, n, tuple(edges))
+
+
+def identity_diagram(m: int, n: int, color: int = 1) -> Diagram:
+    """All m vertical strands in one color (the identity matrix over a unit)."""
+    return partial_identity(Boundary(m, n, (color,) * m))
+
+
+def boundaries(d: Diagram) -> tuple[Boundary, Boundary]:
+    """(top boundary, bottom boundary) of d."""
+    return d.top_boundary(), d.bottom_boundary()
 
 
 # ---------------------------------------------------------------- construction

@@ -7,8 +7,6 @@ import pytest
 from planar_rook.linalg import (
     column_space_basis,
     coordinates_in_basis,
-    identity_matrix,
-    mat_mul,
     mat_vec,
     rank,
     rref,
@@ -18,6 +16,14 @@ from planar_rook.linalg import (
 
 def F(x):
     return Fraction(x)
+
+
+def identity_matrix(k: int) -> list[list[Fraction]]:
+    return [[F(1) if i == j else F(0) for j in range(k)] for i in range(k)]
+
+
+def mat_mul(a, b) -> list[list[Fraction]]:
+    return transpose([mat_vec(a, col) for col in transpose(b)])
 
 
 def test_rref_simple():
