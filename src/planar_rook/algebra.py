@@ -16,7 +16,6 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 
 from .diagrams import (
-    Boundary,
     Diagram,
     empty_diagram,
     ensure_within_cap,
@@ -261,5 +260,4 @@ def truncation_idempotent(m: int, n: int, i: int, force: bool = False) -> Elemen
     identity(m-1) tensor strand(n, i)."""
     if m < 1:
         raise ValueError("truncation idempotents need m >= 1")
-    last = strand(n, i)
-    return identity_element(m - 1, n, force).tensor(last)
+    return identity_element(m - 1, n, force).tensor(strand(n, i))
