@@ -20,6 +20,7 @@ from .diagrams import (
     empty_diagram,
     ensure_within_cap,
     flip,
+    json_int,
     juxtapose,
     multiply,
     unit_diagram,
@@ -157,14 +158,35 @@ class Element:
     @classmethod
     def from_json_dict(cls, obj: dict) -> Element:
         try:
-            m, n, terms = int(obj["m"]), int(obj["n"]), obj["terms"]
+            m, n, terms = obj["m"], obj["n"], obj["terms"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"not an element object: missing {exc}") from None
+        m, n = json_int(m, "m"), json_int(n, "n")
         acc: dict[Diagram, Fraction] = {}
-        for t in terms:
+        for k, t in enumerate(terms):
             d = Diagram.from_json_dict(t["diagram"])
-            acc[d] = acc.get(d, Fraction(0)) + Fraction(t["coeff"])
+            acc[d] = acc.get(d, Fraction(0)) + _json_coeff(t["coeff"], k)
         return cls(m, n, acc)
+
+
+def _json_coeff(x, k: int) -> Fraction:
+    """A term's coefficient: a JSON integer, or a decimal or fraction string."""
+    if type(x) is int:
+        return Fraction(x)
+    if not isinstance(x, str):
+        raise ValueError(
+            f"term {k}: coefficient must be an integer or a string, got {x!r}"
+        )
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(
+            f"term {k}: coefficient {x!r} has a zero denominator"
+        ) from None
+    except ValueError:
+        raise ValueError(
+            f"term {k}: coefficient {x!r} is not a decimal or a fraction"
+        ) from None
 
 
 def subdiagrams(d: Diagram):
@@ -255,9 +277,15 @@ def strand(n: int, i: int) -> Element:
     return last
 
 
+@lru_cache(maxsize=None)
+def _truncation(m: int, n: int, i: int) -> Element:
+    return _identity(m - 1, n).tensor(strand(n, i))
+
+
 def truncation_idempotent(m: int, n: int, i: int, force: bool = False) -> Element:
     """Idempotent cutting to the part of a module where vertex m is colored i:
-    identity(m-1) tensor strand(n, i)."""
+    identity(m-1) tensor strand(n, i), memoized like the identity."""
     if m < 1:
         raise ValueError("truncation idempotents need m >= 1")
-    return identity_element(m - 1, n, force).tensor(strand(n, i))
+    ensure_within_cap(m - 1, n, force)
+    return _truncation(m, n, i)

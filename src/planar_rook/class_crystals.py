@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from math import comb, prod
 
 from .crystals import (
     Crystal,
     component_containing,
+    ensure_nodes_within_cap,
     make_crystal,
     signature_apply,
     string_lengths,
@@ -66,9 +68,9 @@ def class_operator_via_functors(kind: str, i: int, label: ClassLabel):
     raise ValueError(f"kind must be 'e' or 'f', got {kind!r}")
 
 
-@lru_cache(maxsize=None)
-def class_crystal(m: int, n: int) -> Crystal:
-    """The crystal of simple-module classes at size m.
+def class_crystal(m: int, n: int, force: bool = False) -> Crystal:
+    """The crystal of simple-module classes at size m, one node for each of
+    the C(m+n, n) classes.
 
     Node keys are label keys "m|c0,...,cn"; eps counts the color-i vertices
     and phi the color-(i-1) vertices.  DOT labels show the class next to its
@@ -76,6 +78,12 @@ def class_crystal(m: int, n: int) -> Crystal:
     """
     if m < 0 or n < 1:
         raise ValueError(f"bad class crystal parameters m={m}, n={n}")
+    ensure_nodes_within_cap(comb(m + n, n), force)
+    return _class_crystal(m, n)
+
+
+@lru_cache(maxsize=None)
+def _class_crystal(m: int, n: int) -> Crystal:
     labels = all_class_labels(m, n)
     nodes = []
     weights = {}
@@ -101,9 +109,11 @@ def tuple_key(labels) -> str:
     return "×".join(label.key for label in labels)
 
 
-@lru_cache(maxsize=None)
-def tensor_class_crystal(parts: tuple[int, ...], n: int) -> Crystal:
-    """Crystal on tuples of classes, one factor per part of a composition.
+def tensor_class_crystal(
+    parts: tuple[int, ...], n: int, force: bool = False
+) -> Crystal:
+    """Crystal on tuples of classes, one factor per part of a composition,
+    so with the product of the C(part+n, n) as its node count.
 
     The signature rule over the factors (eps = color-i count, phi = color-(i-1)
     count of each factor) picks which factor an operator moves, and the chosen
@@ -115,6 +125,12 @@ def tensor_class_crystal(parts: tuple[int, ...], n: int) -> Crystal:
         raise ValueError(f"parts must be positive integers, got {parts}")
     if n < 1:
         raise ValueError(f"need at least one color, got n={n}")
+    ensure_nodes_within_cap(prod(comb(p + n, n) for p in parts), force)
+    return _tensor_class_crystal(parts, n)
+
+
+@lru_cache(maxsize=None)
+def _tensor_class_crystal(parts: tuple[int, ...], n: int) -> Crystal:
     factor_labels = [all_class_labels(p, n) for p in parts]
     tuples = list(itertools.product(*factor_labels))
     nodes = []
@@ -193,5 +209,5 @@ def highest_component(partition, n: int) -> Crystal:
 
 def clear_caches() -> None:
     """Drop memoized crystals (used by tests that monkeypatch the rules)."""
-    class_crystal.cache_clear()
-    tensor_class_crystal.cache_clear()
+    _class_crystal.cache_clear()
+    _tensor_class_crystal.cache_clear()

@@ -3,8 +3,9 @@
 Exit codes: 0 on success, 1 when a mathematical check fails, 2 on usage
 errors (bad flags, malformed inputs, or size caps hit without --force).
 All output is deterministic: rerunning a command byte-for-byte reproduces
-its output.  The size caps of enumerate and decompose are overridden by
---force or by setting PLANAR_ROOK_FORCE=1; verify sweeps stay capped.
+its output.  The size caps of enumerate, decompose and crystal are
+overridden by --force or by setting PLANAR_ROOK_FORCE=1; verify sweeps stay
+capped.
 """
 
 from __future__ import annotations
@@ -253,29 +254,32 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_crystal(args) -> int:
+    force = args.force or _env_force()
     try:
         if args.kind == "box":
             if args.n is None:
                 raise UsageError("crystal box needs --n")
-            crystal = box_crystal(args.n)
+            crystal = box_crystal(args.n, force)
         elif args.kind == "row":
             if args.m is None or args.n is None:
                 raise UsageError("crystal row needs --m and --n")
-            crystal = row_crystal(args.m, args.n)
+            crystal = row_crystal(args.m, args.n, force)
         elif args.kind == "ssyt":
             if args.shape is None or args.n is None:
                 raise UsageError("crystal ssyt needs --shape and --n")
-            crystal = ssyt_crystal(_parse_int_tuple(args.shape, "shape"), args.n)
+            shape = _parse_int_tuple(args.shape, "shape")
+            crystal = ssyt_crystal(shape, args.n, force)
         elif args.kind == "cm":
             if args.m is None or args.n is None:
                 raise UsageError("crystal cm needs --m and --n")
-            crystal = class_crystal(args.m, args.n)
+            crystal = class_crystal(args.m, args.n, force)
         else:
             if args.parts is None or args.n is None:
                 raise UsageError("crystal clambda needs --parts and --n")
-            crystal = tensor_class_crystal(
-                _parse_int_tuple(args.parts, "composition"), args.n
-            )
+            parts = _parse_int_tuple(args.parts, "composition")
+            crystal = tensor_class_crystal(parts, args.n, force)
+    except EnumerationCapError:
+        raise
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if args.dot is not None and args.json is not None:
@@ -364,6 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parts", metavar="P1,P2,...", help="composition for clambda")
     p.add_argument("--dot", metavar="PATH", help="write DOT ('-' = stdout)")
     p.add_argument("--json", metavar="PATH", help="write JSON ('-' = stdout)")
+    p.add_argument("--force", action="store_true", help="override size caps")
     p.set_defaults(fn=_cmd_crystal)
 
     p = sub.add_parser("verify", help="check a structural fact on small instances")

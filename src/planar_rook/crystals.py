@@ -22,6 +22,20 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Mapping, Optional
 
+from .diagrams import EnumerationCapError
+
+# Builders spend tens of microseconds per node, so a closed-form node count
+# is checked before anything is allocated.
+CRYSTAL_NODE_CAP = 50_000
+
+
+def ensure_nodes_within_cap(nodes: int, force: bool = False) -> None:
+    if not force and nodes > CRYSTAL_NODE_CAP:
+        raise EnumerationCapError(
+            f"the crystal would have {nodes} nodes, over the cap "
+            f"{CRYSTAL_NODE_CAP}; pass force=True to override"
+        )
+
 Weight = tuple[int, ...]
 
 

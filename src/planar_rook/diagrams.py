@@ -32,6 +32,14 @@ SIZE_CAP_MULTI_COLOR = 6
 Edge = tuple[int, int, int]
 
 
+def json_int(x, what: str) -> int:
+    """x itself when it is a JSON integer.  Floats and booleans are refused,
+    so no binary fraction is silently truncated into a size or a color."""
+    if type(x) is not int:
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 def size_cap(n: int) -> int:
     return SIZE_CAP_ONE_COLOR if n == 1 else SIZE_CAP_MULTI_COLOR
 
@@ -124,7 +132,11 @@ class Diagram:
             m, n, edges = obj["m"], obj["n"], obj["edges"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"not a diagram object: missing {exc}") from None
-        return cls(int(m), int(n), tuple(tuple(int(x) for x in e) for e in edges))
+        return cls(
+            json_int(m, "m"),
+            json_int(n, "n"),
+            tuple(tuple(json_int(x, "edge entry") for x in e) for e in edges),
+        )
 
 
 @dataclass(frozen=True, order=True)
@@ -178,7 +190,11 @@ class Boundary:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> Boundary:
-        return cls(int(obj["m"]), int(obj["n"]), tuple(int(c) for c in obj["colors"]))
+        return cls(
+            json_int(obj["m"], "m"),
+            json_int(obj["n"], "n"),
+            tuple(json_int(c, "color") for c in obj["colors"]),
+        )
 
 
 def multiply(d1: Diagram, d2: Diagram) -> Diagram:

@@ -1,90 +1,113 @@
-"""Small dense exact linear algebra over the rationals.
+"""Sparse exact linear algebra on columns.
 
-Everything here is deterministic: pivots are chosen as the first nonzero
-column and the topmost available row, so reduced forms, ranks and extracted
-bases never depend on dict ordering or floating point.
+A column is a dict from row index to a nonzero exact coefficient (an int or
+a Fraction); a matrix is a sequence of columns.  Ranks come from
+fraction-free elimination over the integers: each column is scaled to
+coprime integers, and a pivot is removed with v <- a*v - b*u followed by
+division by the gcd of the result, so no Fraction is built while
+eliminating.
+
+Everything here is deterministic: a pivot vector is keyed by its lowest row
+index and the column space gets its reduced echelon basis, which is unique,
+so ranks and extracted bases never depend on dict ordering or floating
+point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-Row = list[Fraction]
-
-
-def zeros(nrows: int, ncols: int) -> list[Row]:
-    return [[Fraction(0)] * ncols for _ in range(nrows)]
+from math import gcd, lcm
 
 
-def transpose(rows) -> list[Row]:
-    return [list(col) for col in zip(*rows)] if rows else []
-
-
-def mat_vec(rows, vec) -> list[Fraction]:
-    out = []
-    for row in rows:
-        acc = Fraction(0)
-        for a, x in zip(row, vec):
-            if a and x:
-                acc += a * x
-        out.append(acc)
+def _primitive(vec: dict) -> dict:
+    """An integer vector with the same span as vec: cleared of denominators
+    by their lcm and divided by the gcd of its entries."""
+    den = lcm(*(x.denominator for x in vec.values()))
+    out = {r: int(x * den) for r, x in vec.items() if x}
+    g = gcd(*out.values())
+    if g > 1:
+        out = {r: x // g for r, x in out.items()}
     return out
 
 
-def rref(rows) -> tuple[list[Row], list[int]]:
-    """Reduced row echelon form, returned with the pivot column indices.
+def _eliminate(v: dict, u: dict, p: int) -> dict:
+    """a*v - b*u with the entry at p cancelled, divided by its content."""
+    a, b = u[p], v[p]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    w = {r: a * x for r, x in v.items()}
+    for r, x in u.items():
+        y = w.get(r, 0) - b * x
+        if y:
+            w[r] = y
+        else:
+            del w[r]
+    g = gcd(*w.values())
+    return {r: x // g for r, x in w.items()} if g > 1 else w
 
-    Pivoting is deterministic: scan columns left to right, take the topmost
-    unused row with a nonzero entry.
+
+def _echelon(columns) -> dict[int, dict]:
+    """Integer pivot vectors spanning the columns, keyed by lowest row index."""
+    pivots: dict[int, dict] = {}
+    for col in columns:
+        v = _primitive(col)
+        while v:
+            p = min(v)
+            u = pivots.get(p)
+            if u is None:
+                pivots[p] = v
+                break
+            v = _eliminate(v, u, p)
+    return pivots
+
+
+def rank(columns) -> int:
+    return len(_echelon(columns))
+
+
+def _exact(num: int, den: int):
+    q = Fraction(num, den)
+    return q.numerator if q.denominator == 1 else q
+
+
+def column_space_basis(columns) -> tuple[list[dict], list[int]]:
+    """The reduced echelon basis of the column space, plus its pivots.
+
+    Returns (basis, pivots) with pivots ascending, where basis[k] has a 1 at
+    pivots[k], zeros at the other pivots and nothing above pivots[k], so the
+    coordinates of any vector v in the span are simply (v[p] for p in
+    pivots).
     """
-    work = [[Fraction(x) for x in row] for row in rows]
-    nrows = len(work)
-    ncols = len(work[0]) if nrows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((k for k in range(r, nrows) if work[k][c]), None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        pv = work[r][c]
-        if pv != 1:
-            work[r] = [x / pv for x in work[r]]
-        for k in range(nrows):
-            if k != r and work[k][c]:
-                f = work[k][c]
-                work[k] = [a - f * b for a, b in zip(work[k], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return work, pivots
+    echelon = _echelon(columns)
+    pivots = sorted(echelon)
+    reduced: dict[int, dict] = {}
+    for p in reversed(pivots):
+        v = echelon[p]
+        # clear the later pivots, which are already reduced, staying integral
+        for q in sorted(r for r in v if r in reduced):
+            v = _eliminate(v, reduced[q], q)
+        reduced[p] = v
+    basis = []
+    for p in pivots:
+        v = reduced[p]
+        lead = v[p]
+        basis.append({r: _exact(x, lead) for r, x in v.items()})
+    return basis, pivots
 
 
-def rank(rows) -> int:
-    return len(rref(rows)[1])
+def apply(columns, vec: dict) -> dict:
+    """The matrix with the given columns times a sparse vector."""
+    out: dict = {}
+    for j, x in vec.items():
+        for r, a in columns[j].items():
+            out[r] = out.get(r, 0) + a * x
+    return {r: x for r, x in out.items() if x}
 
 
-def column_space_basis(rows) -> tuple[list[Row], list[int]]:
-    """A canonical basis of the column space, as rows, plus coordinate columns.
-
-    Returns (basis, pivots) where basis[k] has a 1 in position pivots[k] and
-    zeros in the other pivot positions, so the coordinates of any vector v in
-    the span are simply (v[p] for p in pivots).
-    """
-    reduced, pivots = rref(transpose(rows))
-    return reduced[: len(pivots)], pivots
-
-
-def coordinates_in_basis(vec, basis, pivots) -> list[Fraction]:
-    """Coordinates of vec in a column_space_basis, verifying membership."""
-    coords = [Fraction(vec[p]) for p in pivots]
-    recombined = [Fraction(0)] * len(vec)
-    for coeff, row in zip(coords, basis):
-        if coeff:
-            for j, x in enumerate(row):
-                if x:
-                    recombined[j] += coeff * x
-    if recombined != [Fraction(x) for x in vec]:
+def coordinates_in_basis(vec: dict, basis, pivots) -> dict:
+    """Sparse coordinates of vec in a column_space_basis, keyed by position in
+    the basis; raises unless vec lies in the span."""
+    coords = {k: vec[p] for k, p in enumerate(pivots) if p in vec}
+    if apply(basis, coords) != {r: x for r, x in vec.items() if x}:
         raise ValueError("vector does not lie in the span of the basis")
     return coords

@@ -13,6 +13,7 @@ extension of the smaller algebra.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -30,13 +31,7 @@ from .diagrams import (
     weak_compositions,
     words_with_counts,
 )
-from .linalg import (
-    column_space_basis,
-    coordinates_in_basis,
-    mat_vec,
-    rank,
-    zeros,
-)
+from .linalg import apply, column_space_basis, coordinates_in_basis, rank
 
 
 @dataclass(frozen=True, order=True)
@@ -92,14 +87,10 @@ def class_dimension(label: ClassLabel) -> int:
     return multinomial(label.counts)
 
 
-def _matrix_of_targets(targets, dimension: int):
-    """The 0/1 matrix sending basis vector j to basis vector targets[j], or to
-    zero where targets[j] is None."""
-    rows = zeros(dimension, dimension)
-    for j, t in enumerate(targets):
-        if t is not None:
-            rows[t][j] = Fraction(1)
-    return rows
+def _matrix_of_targets(targets) -> tuple[dict, ...]:
+    """The sparse columns sending basis vector j to basis vector targets[j],
+    or to zero where targets[j] is None."""
+    return tuple({} if t is None else {t: 1} for t in targets)
 
 
 class SimpleModule:
@@ -141,7 +132,7 @@ class SimpleModule:
         ]
 
     def _action_matrix(self, d: Diagram):
-        return _matrix_of_targets(self.targets(d), self.dimension)
+        return _matrix_of_targets(self.targets(d))
 
     def __repr__(self) -> str:
         return f"SimpleModule({self.label.key}, dim={self.dimension})"
@@ -175,8 +166,15 @@ def act(mod: SimpleModule, a: Element, vec) -> tuple[Fraction, ...]:
 class ExplicitModule:
     """A module given by one matrix per diagram, in a fixed basis.
 
-    The callback is consulted once per diagram and memoized.  Construction is
-    pure, so the cache is idempotent and safe under concurrent readers.
+    The callback maps a diagram to its matrix as `dimension` sparse columns:
+    column j is a mapping from row index (0..dimension-1) to the nonzero
+    int or Fraction coefficient of that basis vector in the image of basis
+    vector j.  A diagram moving basis vector j to basis vector t has column
+    {t: 1}, and {} where it kills j.  Floats are rejected.  The callback is
+    consulted once per diagram and memoized, and matrix() hands out the
+    cached columns themselves, so callers must not modify them.
+    Construction is pure, so the cache is idempotent and safe under
+    concurrent readers.
     """
 
     def __init__(self, m: int, n: int, dimension: int, diagram_action):
@@ -195,27 +193,35 @@ class ExplicitModule:
             )
         got = self._cache.get(d)
         if got is None:
-            rows = self._diagram_action(d)
-            got = tuple(tuple(Fraction(x) for x in row) for row in rows)
-            if len(got) != self.dimension or any(
-                len(r) != self.dimension for r in got
-            ):
+            got = tuple(self._checked(col) for col in self._diagram_action(d))
+            if len(got) != self.dimension:
                 raise ValueError("action callback returned a wrongly sized matrix")
             self._cache[d] = got
         return got
 
-    def matrix_of(self, a: Element):
+    def _checked(self, col) -> dict:
+        if not isinstance(col, Mapping):
+            raise ValueError(f"action callback returned a non-mapping column {col!r}")
+        for r, x in col.items():
+            if not (isinstance(r, int) and 0 <= r < self.dimension):
+                raise ValueError(
+                    f"action callback returned a wrongly sized matrix: "
+                    f"row {r!r} outside 0..{self.dimension - 1}"
+                )
+            if not isinstance(x, (int, Fraction)):
+                raise ValueError(f"action callback returned a non-exact entry {x!r}")
+        return {r: x for r, x in col.items() if x}
+
+    def matrix_of(self, a: Element) -> tuple[dict, ...]:
         if (a.m, a.n) != (self.m, self.n):
             raise ValueError("element and module live at different sizes")
-        acc = zeros(self.dimension, self.dimension)
+        acc: list[dict] = [{} for _ in range(self.dimension)]
         for d, coeff in a.terms.items():
-            mat = self.matrix(d)
-            for r in range(self.dimension):
-                row = mat[r]
-                for c in range(self.dimension):
-                    if row[c]:
-                        acc[r][c] += coeff * row[c]
-        return acc
+            c = coeff.numerator if coeff.denominator == 1 else coeff
+            for out, col in zip(acc, self.matrix(d)):
+                for r, x in col.items():
+                    out[r] = out.get(r, 0) + c * x
+        return tuple({r: x for r, x in col.items() if x} for col in acc)
 
     def __repr__(self) -> str:
         return f"ExplicitModule(m={self.m}, n={self.n}, dim={self.dimension})"
@@ -227,7 +233,7 @@ def _regular(m: int, n: int) -> ExplicitModule:
     index = {d: j for j, d in enumerate(basis)}
 
     def action(d: Diagram):
-        return _matrix_of_targets([index[multiply(d, b)] for b in basis], len(basis))
+        return _matrix_of_targets([index[multiply(d, b)] for b in basis])
 
     return ExplicitModule(m, n, len(basis), action)
 
@@ -300,11 +306,7 @@ def restrict(i: int, mod) -> ExplicitModule:
 
     def action(d: Diagram):
         big = mod.matrix_of(extend_by_color(Element.from_diagram(d), i))
-        columns = []
-        for b in basis:
-            image = mat_vec(big, b)
-            columns.append(coordinates_in_basis(image, basis, pivots))
-        return [[columns[c][r] for c in range(dim)] for r in range(dim)]
+        return [coordinates_in_basis(apply(big, b), basis, pivots) for b in basis]
 
     return ExplicitModule(m - 1, n, dim, action)
 

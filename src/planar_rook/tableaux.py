@@ -14,8 +14,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 
-from .crystals import Crystal, make_crystal, signature_apply, signature_survivors
+from .crystals import (
+    Crystal,
+    ensure_nodes_within_cap,
+    make_crystal,
+    signature_apply,
+    signature_survivors,
+)
 
 Word = tuple[int, ...]
 
@@ -119,10 +126,11 @@ def highest_tableau(shape) -> Tableau:
     return Tableau(tuple(shape), tuple((r,) * w for r, w in enumerate(shape)))
 
 
-def box_crystal(n: int) -> Crystal:
+def box_crystal(n: int, force: bool = False) -> Crystal:
     """The chain crystal on the letters 0..n."""
     if n < 1:
         raise ValueError("need at least one direction")
+    ensure_nodes_within_cap(n + 1, force)
     nodes = [str(j) for j in range(n + 1)]
     weights = {}
     eps = {}
@@ -147,15 +155,17 @@ def word_key(word: Word) -> str:
     return "".join(str(x) for x in word)
 
 
-def row_crystal(m: int, n: int) -> Crystal:
+def row_crystal(m: int, n: int, force: bool = False) -> Crystal:
     """Crystal on weakly increasing words of length m in the letters 0..n.
 
     Lowering in direction i bumps the rightmost i-1 to i; since the reversed
     reading of a row lists all copies of i before all copies of i-1, no signs
-    cancel, so eps counts the copies of i and phi the copies of i-1.
+    cancel, so eps counts the copies of i and phi the copies of i-1.  It has
+    C(m+n, n) nodes.
     """
     if m < 0 or n < 1:
         raise ValueError(f"bad row crystal parameters m={m}, n={n}")
+    ensure_nodes_within_cap(comb(m + n, n), force)
     nodes = []
     weights = {}
     eps = {}
@@ -176,6 +186,21 @@ def row_crystal(m: int, n: int) -> Crystal:
                 lowered = word[:pos] + (i,) + word[pos + 1 :]
                 f_edges[(k, i)] = word_key(lowered)
     return make_crystal(n, nodes, weights, eps, phi, f_edges)
+
+
+def ssyt_count(shape, n: int) -> int:
+    """The number of semistandard tableaux of a partition shape in the
+    letters 0..n, by the hook-content formula (Stanley, EC2 Thm 7.21.2):
+    the product over boxes of (n + 1 + content) / hook."""
+    columns = [
+        sum(1 for width in shape if width > c) for c in range(max(shape, default=0))
+    ]
+    num = den = 1
+    for r, width in enumerate(shape):
+        for c in range(width):
+            num *= n + 1 + c - r
+            den *= (width - c) + (columns[c] - r) - 1
+    return num // den
 
 
 def enumerate_ssyt(shape, n: int) -> list[Tableau]:
@@ -248,11 +273,12 @@ def _ssyt_crystal(shape: tuple[int, ...], n: int) -> Crystal:
     return make_crystal(n, nodes, weights, eps, phi, f_edges)
 
 
-def ssyt_crystal(shape, n: int) -> Crystal:
+def ssyt_crystal(shape, n: int, force: bool = False) -> Crystal:
     """The crystal generated from the highest tableau by lowering operators.
 
     Nodes are keyed by rows joined with '/'.  The node set always coincides
-    with the full semistandard enumeration (tested, not assumed).
+    with the full semistandard enumeration (tested, not assumed), whose size
+    ssyt_count gives in closed form.
     """
     shape = tuple(int(x) for x in shape)
     # constructor validates the shape
@@ -261,4 +287,5 @@ def ssyt_crystal(shape, n: int) -> Crystal:
         raise ValueError(
             f"shape with {len(shape)} rows cannot be filled with letters 0..{n}"
         )
+    ensure_nodes_within_cap(ssyt_count(shape, n), force)
     return _ssyt_crystal(shape, n)

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import planar_rook.class_crystals as cc
+import planar_rook.crystals as crystals
 from planar_rook.algebra import Element, identity_element
 from planar_rook.cli import main
 from planar_rook.diagrams import Diagram, flip, partial_identity
@@ -170,6 +171,36 @@ def test_multiply_usage_errors(capsys, tmp_path):
             code, out, err = run(capsys, "multiply", small, str(path), *extra)
             assert (code, out) == (2, ""), (name, extra)
             assert err.startswith("error: ") and err.count("\n") == 1
+            if name == "zero.json":
+                assert err == (
+                    f"error: {path}: term 0: coefficient '1/0' has a zero denominator\n"
+                )
+    # JSON floats and booleans never reach the exact arithmetic: sizes,
+    # positions and colors must be integers, coefficients integers or strings
+    two = write_json(tmp_path / "two.json", Diagram(2, 1, ()).to_json_dict())
+    element = '{"m": %s, "n": 1, "terms": [{"coeff": %s, "diagram": %s}]}'
+    for name, text in (
+        ("float-m.json", '{"m": 2.7, "n": 1, "edges": [[1, 1, 1]]}'),
+        ("float-edge.json", '{"m": 2, "n": 1, "edges": [[1.9, 1, 1]]}'),
+        ("float-color.json", '{"m": 2, "n": 1, "edges": [[1, 1, 1.0]]}'),
+        ("bool-n.json", '{"m": 2, "n": true, "edges": []}'),
+        ("bool-edge.json", '{"m": 2, "n": 1, "edges": [[true, 1, 1]]}'),
+        ("float-coeff.json", element % ("2", "0.1", '{"m": 2, "n": 1, "edges": []}')),
+        ("bool-coeff.json", element % ("2", "true", '{"m": 2, "n": 1, "edges": []}')),
+        ("list-coeff.json", element % ("2", "[1]", '{"m": 2, "n": 1, "edges": []}')),
+        ("word-coeff.json", element % ("2", '"one"', '{"m": 2, "n": 1, "edges": []}')),
+        ("float-size.json", element % ("2.0", '"1"', '{"m": 2, "n": 1, "edges": []}')),
+        (
+            "float-term-edge.json",
+            element % ("2", '"1"', '{"m": 2, "n": 1, "edges": [[1, 1.5, 1]]}'),
+        ),
+    ):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        for extra in ((), ("--x-basis",)):
+            code, out, err = run(capsys, "multiply", two, str(path), *extra)
+            assert (code, out) == (2, ""), (name, extra)
+            assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
 
 def test_simples_table(capsys):
@@ -291,6 +322,33 @@ def test_crystal_usage_errors(capsys):
         code, out, _ = run(capsys, *argv)
         assert code == 2, argv
         assert out == ""
+
+
+def test_crystal_cap_and_overrides(capsys, monkeypatch):
+    # the closed-form node count is checked before anything is built
+    code, out, err = run(capsys, "crystal", "clambda", "--parts", "6,6,6,6", "--n", "4")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: the crystal would have 1944810000 nodes, over the cap 50000; "
+        "pass --force or set PLANAR_ROOK_FORCE=1 to override\n"
+    )
+    for argv, nodes in (
+        (("box", "--n", "100000"), 100001),
+        (("row", "--m", "30", "--n", "5"), 324632),
+        (("cm", "--m", "30", "--n", "5"), 324632),
+        (("ssyt", "--shape", "8,6,4", "--n", "6"), 8324316),
+    ):
+        code, out, err = run(capsys, "crystal", *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"error: the crystal would have {nodes} nodes")
+    # one override mechanism: --force or the environment variable
+    monkeypatch.setattr(crystals, "CRYSTAL_NODE_CAP", 9)
+    argv = ("crystal", "row", "--m", "3", "--n", "2", "--json", "-")
+    assert run(capsys, *argv)[:2] == (2, "")
+    golden = (GOLDEN / "crystal-row-json.out").read_text(encoding="utf-8")
+    assert run(capsys, *argv, "--force") == (0, golden, "")
+    monkeypatch.setenv("PLANAR_ROOK_FORCE", "1")
+    assert run(capsys, *argv) == (0, golden, "")
 
 
 def test_verify_reports(capsys):

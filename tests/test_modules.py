@@ -45,6 +45,12 @@ def label(n, *counts):
     return ClassLabel(n, tuple(counts))
 
 
+def dense(columns, dim):
+    """The dim x dim matrix, as rows of Fractions, with the given sparse columns."""
+    assert len(columns) == dim
+    return [[Fraction(col.get(r, 0)) for col in columns] for r in range(dim)]
+
+
 # ---------------------------------------------------------------- class labels
 
 
@@ -140,6 +146,7 @@ def test_act_validates_input():
 
 def test_explicit_matrices_are_multiplicative():
     sm = simple(label(2, 1, 1, 0)).explicit()
+    dim = sm.dimension
     diagrams = enumerate_diagrams(2, 2)
     for d1 in diagrams:
         for d2 in diagrams:
@@ -149,11 +156,11 @@ def test_explicit_matrices_are_multiplicative():
             via = [
                 [
                     sum(a * b for a, b in zip(row, col))
-                    for col in zip(*sm.matrix(d2))
+                    for col in zip(*dense(sm.matrix(d2), dim))
                 ]
-                for row in sm.matrix(d1)
+                for row in dense(sm.matrix(d1), dim)
             ]
-            assert [list(r) for r in prod] == via
+            assert dense(prod, dim) == via
 
 
 def test_explicit_module_validates():
@@ -165,6 +172,17 @@ def test_explicit_module_validates():
     bad = ExplicitModule(1, 1, 2, lambda d: [[1]])
     with pytest.raises(ValueError):
         bad.matrix(unit_diagram(1, 1))
+    # one column too few, a non-mapping column, a row outside 0..1, a float
+    for columns in (
+        [{0: 1}],
+        [{0: 1}, [0, 1]],
+        [{0: 1}, {2: 1}],
+        [{0: 1}, {-1: 1}],
+        [{0: 1}, {1: 0.5}],
+    ):
+        bad = ExplicitModule(1, 1, 2, lambda d, cols=columns: cols)
+        with pytest.raises(ValueError):
+            bad.matrix(unit_diagram(1, 1))
 
 
 # ---------------------------------------------------------------- regular module
@@ -178,7 +196,7 @@ def test_regular_module_dimensions():
 
 def test_regular_identity_matrix():
     reg = regular_module(2, 2)
-    mat = reg.matrix_of(identity_element(2, 2))
+    mat = dense(reg.matrix_of(identity_element(2, 2)), reg.dimension)
     for r in range(reg.dimension):
         for c in range(reg.dimension):
             assert mat[r][c] == (1 if r == c else 0)
@@ -225,7 +243,7 @@ def test_decompose_regular_multiplicity_equals_dimension():
 def test_decompose_flags_non_module():
     # I0 and I1 cannot both act as stated: I0*I1 = I0 forces 1*0 == 1
     fake = ExplicitModule(
-        1, 1, 1, lambda d: [[1 if not d.edges else 0]]
+        1, 1, 1, lambda d: [{0: 1} if not d.edges else {}]
     )
     with pytest.raises(ValueError, match="dimension accounting"):
         decompose(fake)
@@ -303,16 +321,17 @@ def test_restrict_validates():
 def test_restrict_is_a_module_action():
     # matrices of the restricted module still multiply correctly
     res = restrict(1, simple(label(2, 0, 1, 1)))
+    dim = res.dimension
     diagrams = enumerate_diagrams(1, 2)
     for d1 in diagrams:
         for d2 in diagrams:
             lhs = res.matrix_of(Element.from_diagram(d1) * Element.from_diagram(d2))
-            a, b = res.matrix(d1), res.matrix(d2)
+            a, b = dense(res.matrix(d1), dim), dense(res.matrix(d2), dim)
             rhs = [
                 [sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
                 for row in a
             ]
-            assert [list(r) for r in lhs] == rhs
+            assert dense(lhs, dim) == rhs
 
 
 # ---------------------------------------------------------------- class maps

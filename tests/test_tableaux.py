@@ -28,6 +28,7 @@ from planar_rook.tableaux import (
     reading,
     reading_positions,
     row_crystal,
+    ssyt_count,
     ssyt_crystal,
     tableau_op,
     weakly_increasing_words,
@@ -181,6 +182,14 @@ def test_enumerate_ssyt_counts():
     assert len(enumerate_ssyt((2, 2), 1)) == 1
     assert len(enumerate_ssyt((2,), 1)) == 3
     assert len(enumerate_ssyt((3, 1), 2)) == 15
+
+
+def test_ssyt_count_matches_enumeration():
+    # the hook-content formula against brute-force filling, tall shapes give 0
+    for shape in partitions_up_to(7, 5):
+        for n in range(1, 4):
+            expected = len(enumerate_ssyt(shape, n)) if len(shape) <= n + 1 else 0
+            assert ssyt_count(shape, n) == expected, (shape, n)
 
 
 def test_enumerate_ssyt_is_sorted_and_valid():
