@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache, reduce
+from math import lcm
 
 from .diagrams import (
     Diagram,
@@ -104,13 +105,19 @@ class Element:
 
     def __mul__(self, other):
         if isinstance(other, Element):
+            # fraction-free: integer coefficients la*a and lb*b, one division
             self._check_compatible(other)
-            acc: dict[Diagram, Fraction] = {}
-            for d1, c1 in self.terms.items():
-                for d2, c2 in other.terms.items():
+            la, left = _integral_terms(self.terms)
+            lb, right = _integral_terms(other.terms)
+            acc: dict[Diagram, int] = {}
+            for d1, c1 in left:
+                for d2, c2 in right:
                     prod = multiply(d1, d2)
-                    acc[prod] = acc.get(prod, Fraction(0)) + c1 * c2
-            return Element(self.m, self.n, acc)
+                    acc[prod] = acc.get(prod, 0) + c1 * c2
+            den = la * lb
+            return Element(
+                self.m, self.n, {d: Fraction(c, den) for d, c in acc.items() if c}
+            )
         if isinstance(other, Diagram):
             return self * Element.from_diagram(other)
         return self.scale(other)
@@ -169,6 +176,13 @@ class Element:
         return cls(m, n, acc)
 
 
+def _integral_terms(terms: dict[Diagram, Fraction]):
+    """(l, [(d, l*c)]) with l the lcm of the denominators, so every scaled
+    coefficient is an integer."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return den, [(d, c.numerator * (den // c.denominator)) for d, c in terms.items()]
+
+
 def _json_coeff(x, k: int) -> Fraction:
     """A term's coefficient: a JSON integer, or a decimal or fraction string."""
     if type(x) is int:
@@ -193,7 +207,7 @@ def subdiagrams(d: Diagram):
     """All diagrams obtained by deleting a subset of the edges of d."""
     for r in range(len(d.edges) + 1):
         for subset in itertools.combinations(d.edges, r):
-            yield Diagram(d.m, d.n, subset)
+            yield Diagram._trusted(d.m, d.n, subset)
 
 
 def orbit_vector(d: Diagram) -> Element:
@@ -222,14 +236,6 @@ def to_orbit_basis(a: Element) -> dict[Diagram, Fraction]:
     return {d: c for d, c in sorted(coords.items()) if c}
 
 
-def expand_orbit_coordinates(m: int, n: int, coords) -> Element:
-    """The element with the given orbit-basis coordinates, in the diagram basis."""
-    acc = Element.zero(m, n)
-    for d, c in coords.items():
-        acc = acc + orbit_vector(d).scale(c)
-    return acc
-
-
 def orbit_product(d1: Diagram, d2: Diagram) -> Element:
     """Product of two orbit vectors without expanding either one.
 
@@ -241,6 +247,25 @@ def orbit_product(d1: Diagram, d2: Diagram) -> Element:
     if d1.bottom_boundary() != d2.top_boundary():
         return Element.zero(d1.m, d1.n)
     return orbit_vector(multiply(d1, d2))
+
+
+def orbit_basis_product(a, b) -> dict[Diagram, Fraction]:
+    """The product of two elements given by orbit coordinates, in orbit
+    coordinates: `orbit_product` extended bilinearly.
+
+    Only pairs whose boundaries match contribute, so b's terms are grouped
+    by top boundary and each term of a meets just the group of its bottom
+    boundary; nothing is expanded into the diagram basis.
+    """
+    by_top: dict = {}
+    for d2, c2 in b.items():
+        by_top.setdefault(d2.top_boundary(), []).append((d2, c2))
+    acc: dict[Diagram, Fraction] = {}
+    for d1, c1 in a.items():
+        for d2, c2 in by_top.get(d1.bottom_boundary(), ()):
+            prod = multiply(d1, d2)
+            acc[prod] = acc.get(prod, 0) + c1 * c2
+    return {d: c for d, c in sorted(acc.items()) if c}
 
 
 @lru_cache(maxsize=None)

@@ -14,9 +14,8 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
-from .algebra import Element, expand_orbit_coordinates, to_orbit_basis
+from .algebra import Element, orbit_basis_product
 from .class_crystals import class_crystal, tensor_class_crystal
 from .crystals import to_dot, to_json_dict
 from .diagrams import (
@@ -128,40 +127,31 @@ def _cmd_enumerate(args) -> int:
 _MALFORMED = (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError)
 
 
-def _element_from_obj(obj, path: str, x_basis: bool) -> Element:
+def _element_from_obj(obj, path: str) -> Element:
     if not isinstance(obj, dict):
         raise UsageError(f"{path}: expected a JSON object")
-    if "edges" in obj:
-        try:
-            d = Diagram.from_json_dict(obj)
-        except _MALFORMED as exc:
-            raise UsageError(f"{path}: {exc}") from None
-        if x_basis:
-            return expand_orbit_coordinates(d.m, d.n, {d: Fraction(1)})
-        return Element.from_diagram(d)
     try:
-        elt = Element.from_json_dict(obj)
+        if "edges" in obj:
+            return Element.from_diagram(Diagram.from_json_dict(obj))
+        return Element.from_json_dict(obj)
     except _MALFORMED as exc:
         raise UsageError(f"{path}: {exc}") from None
-    if x_basis:
-        return expand_orbit_coordinates(elt.m, elt.n, dict(elt.terms))
-    return elt
 
 
 def _cmd_multiply(args) -> int:
-    a = _element_from_obj(_read_json(args.file1), args.file1, args.x_basis)
-    b = _element_from_obj(_read_json(args.file2), args.file2, args.x_basis)
+    """Multiply two elements; with --x-basis both inputs and the product are
+    orbit coordinates, multiplied by the matched-or-zero rule."""
+    a = _element_from_obj(_read_json(args.file1), args.file1)
+    b = _element_from_obj(_read_json(args.file2), args.file2)
     try:
-        product = a * b
+        if args.x_basis:
+            a._check_compatible(b)
+            coords = orbit_basis_product(a.terms, b.terms)
+            payload = Element(a.m, a.n, coords).to_json_dict(basis="orbit")
+        else:
+            payload = (a * b).to_json_dict(basis="diagram")
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    if args.x_basis:
-        coords = to_orbit_basis(product)
-        payload = Element(product.m, product.n, coords).to_json_dict(
-            basis="orbit"
-        )
-    else:
-        payload = product.to_json_dict(basis="diagram")
     sys.stdout.write(_dump(payload))
     return 0
 

@@ -61,7 +61,8 @@ class Diagram:
 
     Edges are triples (top, bottom, color) with 1-based vertex indices and
     colors in 1..n.  The edge tuple is kept sorted by top vertex, so equal
-    diagrams compare and hash equal.
+    diagrams compare and hash equal.  `Diagram._trusted` skips sorting and
+    validation; its callers guarantee valid edges already sorted by top vertex.
     """
 
     m: int
@@ -71,6 +72,15 @@ class Diagram:
     def __post_init__(self) -> None:
         object.__setattr__(self, "edges", tuple(sorted(tuple(e) for e in self.edges)))
         self._validate()
+
+    @classmethod
+    def _trusted(cls, m: int, n: int, edges: tuple[Edge, ...]) -> Diagram:
+        """A diagram whose edges the caller knows to be valid and sorted."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "m", m)
+        object.__setattr__(d, "n", n)
+        object.__setattr__(d, "edges", edges)
+        return d
 
     def _validate(self) -> None:
         if self.m < 0:
@@ -102,13 +112,13 @@ class Diagram:
         word = [0] * self.m
         for t, _, c in self.edges:
             word[t - 1] = c
-        return Boundary(self.m, self.n, tuple(word))
+        return Boundary._trusted(self.m, self.n, tuple(word))
 
     def bottom_boundary(self) -> Boundary:
         word = [0] * self.m
         for _, b, c in self.edges:
             word[b - 1] = c
-        return Boundary(self.m, self.n, tuple(word))
+        return Boundary._trusted(self.m, self.n, tuple(word))
 
     def flip(self) -> Diagram:
         return flip(self)
@@ -161,11 +171,14 @@ class Boundary:
             if not (0 <= c <= self.n):
                 raise ValueError(f"color {c} outside 0..{self.n}")
 
-    def positions(self, i: int) -> tuple[int, ...]:
-        """Vertices carrying color i (i=0 gives the isolated vertices)."""
-        if not (0 <= i <= self.n):
-            raise ValueError(f"color {i} outside 0..{self.n}")
-        return tuple(p for p, c in enumerate(self.colors, start=1) if c == i)
+    @classmethod
+    def _trusted(cls, m: int, n: int, colors: tuple[int, ...]) -> Boundary:
+        """A boundary whose word the caller knows to be valid."""
+        b = object.__new__(cls)
+        object.__setattr__(b, "m", m)
+        object.__setattr__(b, "n", n)
+        object.__setattr__(b, "colors", colors)
+        return b
 
     def counts(self) -> tuple[int, ...]:
         """(number of 0s, number of 1s, ..., number of ns)."""
@@ -213,12 +226,13 @@ def multiply(d1: Diagram, d2: Diagram) -> Diagram:
         hit = lower.get(k)
         if hit is not None and hit[1] == c:
             edges.append((t, hit[0], c))
-    return Diagram(d1.m, d1.n, tuple(edges))
+    # composing non-crossing edges keeps them non-crossing, in d1's top order
+    return Diagram._trusted(d1.m, d1.n, tuple(edges))
 
 
 def flip(d: Diagram) -> Diagram:
     """Reflect across the horizontal axis (matrix transpose)."""
-    return Diagram(d.m, d.n, tuple((b, t, c) for t, b, c in d.edges))
+    return Diagram._trusted(d.m, d.n, tuple(sorted((b, t, c) for t, b, c in d.edges)))
 
 
 def juxtapose(d1: Diagram, d2: Diagram) -> Diagram:
@@ -226,7 +240,7 @@ def juxtapose(d1: Diagram, d2: Diagram) -> Diagram:
     if d1.n != d2.n:
         raise ValueError("cannot juxtapose diagrams with different color counts")
     shifted = tuple((t + d1.m, b + d1.m, c) for t, b, c in d2.edges)
-    return Diagram(d1.m + d2.m, d1.n, d1.edges + shifted)
+    return Diagram._trusted(d1.m + d2.m, d1.n, d1.edges + shifted)
 
 
 def empty_diagram(m: int, n: int) -> Diagram:
@@ -248,16 +262,24 @@ def unique_planar_match(top: Boundary, bottom: Boundary) -> Diagram:
     """
     if (top.m, top.n) != (bottom.m, bottom.n):
         raise ValueError("boundaries live on different vertex sets")
+    bottoms: list[list[int]] = [[] for _ in range(top.n + 1)]
+    for p, c in enumerate(bottom.colors, start=1):
+        bottoms[c].append(p)
+    taken = [0] * (top.n + 1)
     edges = []
+    for t, c in enumerate(top.colors, start=1):
+        if c:
+            k = taken[c]
+            taken[c] = k + 1
+            if k < len(bottoms[c]):
+                edges.append((t, bottoms[c][k], c))
     for i in range(1, top.n + 1):
-        tops = top.positions(i)
-        bottoms = bottom.positions(i)
-        if len(tops) != len(bottoms):
+        if taken[i] != len(bottoms[i]):
             raise ValueError(
-                f"color {i} count mismatch: {len(tops)} on top, {len(bottoms)} on bottom"
+                f"color {i} count mismatch: {taken[i]} on top, "
+                f"{len(bottoms[i])} on bottom"
             )
-        edges.extend((t, b, i) for t, b in zip(tops, bottoms))
-    return Diagram(top.m, top.n, tuple(edges))
+    return Diagram._trusted(top.m, top.n, tuple(edges))
 
 
 def partial_identity(boundary: Boundary) -> Diagram:
@@ -295,10 +317,9 @@ def words_with_counts(counts: tuple[int, ...]):
 def _enumerate(m: int, n: int) -> tuple[Diagram, ...]:
     out = []
     for beta_word in itertools.product(range(n + 1), repeat=m):
-        beta = Boundary(m, n, beta_word)
-        counts = beta.counts()
-        for tau_word in words_with_counts(counts):
-            out.append(unique_planar_match(Boundary(m, n, tau_word), beta))
+        beta = Boundary._trusted(m, n, beta_word)
+        for tau_word in words_with_counts(beta.counts()):
+            out.append(unique_planar_match(Boundary._trusted(m, n, tau_word), beta))
     return tuple(out)
 
 

@@ -46,7 +46,9 @@ class ClassLabel:
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
+        object.__setattr__(self, "counts", tuple(self.counts))
+        if any(type(c) is not int for c in self.counts):
+            raise ValueError(f"counts must be integers, got {self.counts}")
         if self.n < 1:
             raise ValueError(f"need at least one color, got n={self.n}")
         if len(self.counts) != self.n + 1:
@@ -107,6 +109,7 @@ class SimpleModule:
             unique_planar_match(Boundary(label.m, label.n, tau), self.boundary)
             for tau in words_with_counts(self.boundary.counts())
         )
+        self.tops = tuple(b.top_boundary() for b in self.basis)
         self.dimension = len(self.basis)
         self.index = {d: j for j, d in enumerate(self.basis)}
         self._explicit: ExplicitModule | None = None
@@ -127,8 +130,8 @@ class SimpleModule:
         """
         beta = d.bottom_boundary()
         return [
-            self.index[multiply(d, b)] if beta.covers(b.top_boundary()) else None
-            for b in self.basis
+            self.index[multiply(d, b)] if beta.covers(top) else None
+            for b, top in zip(self.basis, self.tops)
         ]
 
     def _action_matrix(self, d: Diagram):

@@ -23,6 +23,7 @@ from .crystals import (
     signature_apply,
     signature_survivors,
 )
+from .diagrams import json_int
 
 Word = tuple[int, ...]
 
@@ -77,7 +78,10 @@ class Tableau:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> Tableau:
-        return cls(tuple(obj["shape"]), tuple(tuple(r) for r in obj["rows"]))
+        return cls(
+            tuple(json_int(x, "shape part") for x in obj["shape"]),
+            tuple(tuple(json_int(x, "tableau entry") for x in r) for r in obj["rows"]),
+        )
 
 
 def reading(t: Tableau) -> Word:

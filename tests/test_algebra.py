@@ -13,11 +13,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planar_rook.algebra import (
     Element,
-    expand_orbit_coordinates,
     identity_element,
+    orbit_basis_product,
     orbit_product,
     orbit_vector,
     subdiagrams,
@@ -38,6 +40,25 @@ from planar_rook.diagrams import (
 I0 = unit_diagram(2, 0)
 I1 = unit_diagram(2, 1)
 I2 = unit_diagram(2, 2)
+
+
+def expand_orbit_coordinates(m: int, n: int, coords) -> Element:
+    """Oracle: the element with the given orbit-basis coordinates, in the
+    diagram basis, by expanding every orbit vector."""
+    acc = Element.zero(m, n)
+    for d, c in coords.items():
+        acc = acc + orbit_vector(d).scale(c)
+    return acc
+
+
+def naive_product(a: Element, b: Element) -> Element:
+    """Oracle for Element * Element: Fraction arithmetic pair by pair."""
+    acc: dict[Diagram, Fraction] = {}
+    for d1, c1 in a.terms.items():
+        for d2, c2 in b.terms.items():
+            prod = multiply(d1, d2)
+            acc[prod] = acc.get(prod, Fraction(0)) + c1 * c2
+    return Element(a.m, a.n, acc)
 
 
 # ---------------------------------------------------------------- element basics
@@ -347,3 +368,57 @@ def test_element_json_round_trip():
 def test_element_json_rejects_garbage():
     with pytest.raises(ValueError):
         Element.from_json_dict({"m": 1, "n": 1})
+
+
+def test_orbit_basis_product_of_basis_vectors():
+    # x_d1 * x_d2 is x_{d1 d2} when the boundaries match and 0 otherwise
+    d1 = Diagram(2, 1, ((1, 1, 1),))
+    d2 = Diagram(2, 1, ((1, 2, 1),))
+    assert orbit_basis_product({d1: Fraction(2)}, {d2: Fraction(1, 3)}) == {
+        multiply(d1, d2): Fraction(2, 3)
+    }
+    assert orbit_basis_product({d2: Fraction(1)}, {d1: Fraction(1)}) == {}
+    assert orbit_basis_product({}, {d1: Fraction(1)}) == {}
+
+
+# ---------------------------------------------------------------- properties
+
+_coefficients = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+
+
+@st.composite
+def same_size_elements(draw, count):
+    """`count` random elements of one algebra of size (m, n) <= (3, 2), each
+    with up to six terms and small rational coefficients (zero included)."""
+    m, n = draw(st.integers(0, 3)), draw(st.integers(1, 2))
+    diagrams = enumerate_diagrams(m, n)
+    terms = st.dictionaries(st.sampled_from(diagrams), _coefficients, max_size=6)
+    return [Element(m, n, draw(terms)) for _ in range(count)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(same_size_elements(2))
+def test_orbit_basis_product_matches_expansion(pair):
+    a, b = pair
+    expected = to_orbit_basis(
+        expand_orbit_coordinates(a.m, a.n, a.terms)
+        * expand_orbit_coordinates(b.m, b.n, b.terms)
+    )
+    assert orbit_basis_product(a.terms, b.terms) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(same_size_elements(3))
+def test_product_laws(triple):
+    a, b, c = triple
+    assert a * b == naive_product(a, b)
+    assert (a * b) * c == a * (b * c)
+    assert (a * b).flip() == b.flip() * a.flip()
+
+
+@settings(max_examples=150, deadline=None)
+@given(same_size_elements(1))
+def test_orbit_round_trip_property(single):
+    (a,) = single
+    assert expand_orbit_coordinates(a.m, a.n, to_orbit_basis(a)) == a
+    assert to_orbit_basis(expand_orbit_coordinates(a.m, a.n, a.terms)) == a.terms

@@ -152,7 +152,13 @@ def test_multiply_usage_errors(capsys, tmp_path):
         tmp_path / "s.json", Diagram(1, 1, ((1, 1, 1),)).to_json_dict()
     )
     big = write_json(tmp_path / "b.json", Diagram(2, 1, ()).to_json_dict())
-    assert run(capsys, "multiply", small, big)[0] == 2
+    zero = write_json(tmp_path / "z.json", {"m": 2, "n": 1, "terms": []})
+    for other in (big, zero):
+        for extra in ((), ("--x-basis",)):
+            code, out, err = run(capsys, "multiply", small, other, *extra)
+            assert (code, out) == (2, ""), (other, extra)
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "different algebras" in err
     assert run(capsys, "multiply", small, str(tmp_path / "absent.json"))[0] == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")

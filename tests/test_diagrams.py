@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from planar_rook.algebra import subdiagrams
 from planar_rook.diagrams import (
     Boundary,
     Diagram,
@@ -107,6 +108,11 @@ def boundaries(d: Diagram) -> tuple[Boundary, Boundary]:
     return d.top_boundary(), d.bottom_boundary()
 
 
+def positions(b: Boundary, i: int) -> tuple[int, ...]:
+    """Vertices of b carrying color i (i=0 gives the isolated vertices)."""
+    return tuple(p for p, c in enumerate(b.colors, start=1) if c == i)
+
+
 # ---------------------------------------------------------------- construction
 
 
@@ -164,12 +170,12 @@ def test_boundaries_of_example():
     top, bottom = boundaries(d)
     assert top.colors == (1, 2, 1, 2, 0)
     assert bottom.colors == (2, 1, 1, 0, 2)
-    assert top.positions(0) == (5,)
-    assert top.positions(1) == (1, 3)
-    assert top.positions(2) == (2, 4)
-    assert bottom.positions(0) == (4,)
-    assert bottom.positions(1) == (2, 3)
-    assert bottom.positions(2) == (1, 5)
+    assert positions(top, 0) == (5,)
+    assert positions(top, 1) == (1, 3)
+    assert positions(top, 2) == (2, 4)
+    assert positions(bottom, 0) == (4,)
+    assert positions(bottom, 1) == (2, 3)
+    assert positions(bottom, 2) == (1, 5)
 
 
 def test_boundary_counts():
@@ -198,7 +204,8 @@ def test_covers_against_setwise_oracle():
         for w2 in all_words:
             b1, b2 = Boundary(m, n, w1), Boundary(m, n, w2)
             expected = all(
-                set(b2.positions(i)) <= set(b1.positions(i)) for i in range(1, n + 1)
+                set(positions(b2, i)) <= set(positions(b1, i))
+                for i in range(1, n + 1)
             )
             assert b1.covers(b2) == expected
 
@@ -445,3 +452,32 @@ def test_boundary_json_round_trip():
 def test_diagram_json_rejects_garbage():
     with pytest.raises(ValueError):
         Diagram.from_json_dict({"m": 2})
+
+
+# ---------------------------------------------------------------- trusted paths
+
+SMALL = [(m, n) for n in (1, 2) for m in range(4)]
+
+
+def assert_validated(d):
+    # the public constructor sorts and validates; a trusted construction
+    # must already be what it would produce
+    assert d == Diagram(d.m, d.n, d.edges)
+    for b in (d.top_boundary(), d.bottom_boundary()):
+        assert b == Boundary(b.m, b.n, b.colors)
+
+
+@pytest.mark.parametrize("m,n", SMALL)
+def test_trusted_constructions_are_valid(m, n):
+    diagrams = enumerate_diagrams(m, n)
+    for d in diagrams:
+        assert_validated(d)
+        assert_validated(flip(d))
+        for sub in subdiagrams(d):
+            assert_validated(sub)
+        for d2 in diagrams:
+            assert_validated(multiply(d, d2))
+    for m2 in range(4 - m):
+        for d2 in enumerate_diagrams(m2, n):
+            for d in diagrams:
+                assert_validated(juxtapose(d, d2))

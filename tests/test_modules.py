@@ -68,6 +68,10 @@ def test_class_label_validation():
         ClassLabel(1, (1, -1))
     with pytest.raises(ValueError):
         ClassLabel(0, (1,))
+    # counts are integers: floats, booleans and strings are refused, not truncated
+    for counts in ((1.9, 0.2), (1, 1.0), (True, 1), ("1", 1)):
+        with pytest.raises(ValueError):
+            ClassLabel(1, counts)
 
 
 def test_all_class_labels():

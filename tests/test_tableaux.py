@@ -268,3 +268,15 @@ def test_reading_intertwines_tableau_and_tensor_operators(n):
 def test_tableau_json_round_trip():
     t = Tableau((2, 1), ((0, 2), (1,)))
     assert Tableau.from_json_dict(t.to_json_dict()) == t
+
+
+def test_tableau_json_rejects_floats():
+    # JSON floats and booleans are refused, never truncated into a shape or letter
+    for obj in (
+        {"shape": [2.5], "rows": [[0.9, 1.7]]},
+        {"shape": [2.0], "rows": [[0, 1]]},
+        {"shape": [2], "rows": [[0, 1.0]]},
+        {"shape": [2], "rows": [[False, 1]]},
+    ):
+        with pytest.raises(ValueError):
+            Tableau.from_json_dict(obj)
