@@ -15,14 +15,14 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import comb, prod
+from typing import NamedTuple
 
 from .crystals import (
     Crystal,
     component_containing,
     ensure_nodes_within_cap,
     make_crystal,
-    signature_apply,
-    string_lengths,
+    signature_survivors,
 )
 from .modules import ClassLabel, all_class_labels, induce_class, restrict_class
 from .tableaux import word_key
@@ -84,25 +84,55 @@ def class_crystal(m: int, n: int, force: bool = False) -> Crystal:
 
 @lru_cache(maxsize=None)
 def _class_crystal(m: int, n: int) -> Crystal:
-    labels = all_class_labels(m, n)
-    nodes = []
-    weights = {}
-    eps = {}
-    phi = {}
-    f_edges = {}
-    display = {}
-    for label in labels:
-        k = label.key
-        nodes.append(k)
-        weights[k] = label.counts
-        eps[k] = tuple(label.counts[i] for i in range(1, n + 1))
-        phi[k] = tuple(label.counts[i - 1] for i in range(1, n + 1))
-        display[k] = f"{k} ~ {word_key(label.canonical_boundary().colors)}"
-        for i in range(1, n + 1):
-            lowered = lower_label(i, label)
-            if lowered is not None:
-                f_edges[(k, i)] = lowered.key
-    return make_crystal(n, nodes, weights, eps, phi, f_edges, display)
+    table = _factor_table(m, n)
+    f_edges = {
+        (k, i): table.keys[j]
+        for k, down in zip(table.keys, table.down)
+        for i, j in enumerate(down, 1)
+        if j is not None
+    }
+    return make_crystal(
+        n,
+        table.keys,
+        dict(zip(table.keys, table.counts)),
+        {k: c[1:] for k, c in zip(table.keys, table.counts)},
+        {k: c[:-1] for k, c in zip(table.keys, table.counts)},
+        f_edges,
+        {k: f"{k} ~ {w}" for k, w in zip(table.keys, table.words)},
+    )
+
+
+class FactorTable(NamedTuple):
+    """The classes of one size, indexed in `all_class_labels` order.
+
+    keys, words and counts hold each class's label key, weakly increasing
+    word and count vector.  up[j][i-1] and down[j][i-1] are the indices of
+    raise_label(i, class j) and lower_label(i, class j), or None.
+    """
+
+    keys: tuple[str, ...]
+    words: tuple[str, ...]
+    counts: tuple[tuple[int, ...], ...]
+    up: tuple[tuple[int | None, ...], ...]
+    down: tuple[tuple[int | None, ...], ...]
+
+
+@lru_cache(maxsize=None)
+def _factor_table(p: int, n: int) -> FactorTable:
+    labels = all_class_labels(p, n)
+    index = {label.counts: j for j, label in enumerate(labels)}
+
+    def neighbors(rule, label):
+        moved = (rule(i, label) for i in range(1, n + 1))
+        return tuple(None if x is None else index[x.counts] for x in moved)
+
+    return FactorTable(
+        tuple(label.key for label in labels),
+        tuple(word_key(label.canonical_boundary().colors) for label in labels),
+        tuple(label.counts for label in labels),
+        tuple(neighbors(raise_label, label) for label in labels),
+        tuple(neighbors(lower_label, label) for label in labels),
+    )
 
 
 def tuple_key(labels) -> str:
@@ -118,7 +148,9 @@ def tensor_class_crystal(
     The signature rule over the factors (eps = color-i count, phi = color-(i-1)
     count of each factor) picks which factor an operator moves, and the chosen
     factor moves by the single-size rule.  eps and phi of a tuple are the
-    string lengths this produces.
+    numbers of surviving minuses and pluses of that rule, computed apart
+    from the edges, so `check_axioms` compares them with the string lengths
+    as an independent check.
     """
     parts = tuple(int(p) for p in parts)
     if not parts or any(p < 1 for p in parts):
@@ -131,49 +163,54 @@ def tensor_class_crystal(
 
 @lru_cache(maxsize=None)
 def _tensor_class_crystal(parts: tuple[int, ...], n: int) -> Crystal:
-    factor_labels = [all_class_labels(p, n) for p in parts]
-    tuples = list(itertools.product(*factor_labels))
-    nodes = []
-    weights = {}
-    f_edges = {}
-    e_edges = {}
-    for labels in tuples:
-        k = tuple_key(labels)
-        nodes.append(k)
-        wt = [0] * (n + 1)
-        for label in labels:
-            for x, c in enumerate(label.counts):
-                wt[x] += c
-        weights[k] = tuple(wt)
-        for i in range(1, n + 1):
-            factors = [
-                (label.counts[i], label.counts[i - 1]) for label in labels
-            ]
-            pos = signature_apply("e", factors)
-            if pos is not None:
-                moved = raise_label(i, labels[pos])
-                assert moved is not None  # signature saw a surviving minus
-                e_edges[(k, i)] = tuple_key(
-                    labels[:pos] + (moved,) + labels[pos + 1 :]
-                )
-            pos = signature_apply("f", factors)
-            if pos is not None:
-                moved = lower_label(i, labels[pos])
-                assert moved is not None  # signature saw a surviving plus
-                f_edges[(k, i)] = tuple_key(
-                    labels[:pos] + (moved,) + labels[pos + 1 :]
-                )
-    eps = string_lengths(nodes, e_edges, n)
-    phi = string_lengths(nodes, f_edges, n)
+    """Build from one factor table per part, on tuples of class indices.
+
+    Nodes run over itertools.product of the index ranges, so the node with
+    index tuple t sits at position sum(t[j] * stride[j]) and moving factor j
+    from class a to class b moves it by (b - a) * stride[j]; key and display
+    strings are joins of the tables' precomputed strings.  One
+    signature_survivors call per node and direction gives the raising
+    factor (rightmost surviving minus), the lowering factor (leftmost
+    surviving plus), and eps and phi as the numbers of surviving minuses and
+    pluses.  A neighbour index the rules left as None (which a correct
+    rule never does where a sign survives) leaves the edge out.
+    """
+    tables = [_factor_table(p, n) for p in parts]
+    strides = [prod(len(t.keys) for t in tables[j + 1 :]) for j in range(len(parts))]
+    nodes = ["×".join(ks) for ks in itertools.product(*(t.keys for t in tables))]
     display = {
-        tuple_key(labels): tuple_key(labels)
-        + " ~ "
-        + "×".join(word_key(label.canonical_boundary().colors) for label in labels)
-        for labels in tuples
+        k: k + " ~ " + "×".join(ws)
+        for k, ws in zip(nodes, itertools.product(*(t.words for t in tables)))
     }
-    return Crystal(
-        n, tuple(nodes), weights, eps, phi, e_edges, f_edges, display
-    )
+    weights = {}
+    eps = {}
+    phi = {}
+    e_edges = {}
+    f_edges = {}
+    directions = range(1, n + 1)
+    index_tuples = itertools.product(*(range(len(t.keys)) for t in tables))
+    for at, (k, idx) in enumerate(zip(nodes, index_tuples)):
+        counts = [t.counts[j] for t, j in zip(tables, idx)]
+        weights[k] = tuple(map(sum, zip(*counts)))
+        eps_k = []
+        phi_k = []
+        for i in directions:
+            minus, plus = signature_survivors([(c[i], c[i - 1]) for c in counts])
+            eps_k.append(len(minus))
+            phi_k.append(len(plus))
+            if minus:
+                pos = minus[-1]
+                moved = tables[pos].up[idx[pos]][i - 1]
+                if moved is not None:
+                    e_edges[(k, i)] = nodes[at + (moved - idx[pos]) * strides[pos]]
+            if plus:
+                pos = plus[0]
+                moved = tables[pos].down[idx[pos]][i - 1]
+                if moved is not None:
+                    f_edges[(k, i)] = nodes[at + (moved - idx[pos]) * strides[pos]]
+        eps[k] = tuple(eps_k)
+        phi[k] = tuple(phi_k)
+    return Crystal(n, tuple(nodes), weights, eps, phi, e_edges, f_edges, display)
 
 
 def straight_line_tuple(partition: tuple[int, ...], n: int) -> tuple[ClassLabel, ...]:
@@ -210,4 +247,5 @@ def highest_component(partition, n: int) -> Crystal:
 def clear_caches() -> None:
     """Drop memoized crystals (used by tests that monkeypatch the rules)."""
     _class_crystal.cache_clear()
+    _factor_table.cache_clear()
     _tensor_class_crystal.cache_clear()

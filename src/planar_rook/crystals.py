@@ -188,10 +188,12 @@ def tensor(left: Crystal, right: Crystal) -> Crystal:
     Raising acts on the left factor when phi(left) >= eps(right), otherwise on
     the right; lowering acts on the left when phi(left) > eps(right) (strict),
     otherwise on the right.  Weights add; eps and phi combine by the standard
-    max formulas.
+    max formulas.  The product's node count is checked against the cap
+    before anything is built.
     """
     if left.n != right.n:
         raise ValueError("cannot tensor crystals with different color counts")
+    ensure_nodes_within_cap(len(left) * len(right))
     n = left.n
     nodes = []
     weights = {}
@@ -268,59 +270,62 @@ def signature_survivors(factors) -> tuple[list[int], list[int]]:
     minus_owner: list[int] = []
     plus_stack: list[int] = []
     for j, (num_minus, num_plus) in enumerate(factors):
-        for _ in range(int(num_minus)):
-            if plus_stack:
-                plus_stack.pop()
-            else:
-                minus_owner.append(j)
-        plus_stack.extend([j] * int(num_plus))
+        # each minus cancels the nearest open plus to its left
+        cancelled = min(num_minus, len(plus_stack))
+        if cancelled:
+            del plus_stack[-cancelled:]
+        if num_minus > cancelled:
+            minus_owner.extend([j] * (num_minus - cancelled))
+        if num_plus:
+            plus_stack.extend([j] * num_plus)
     return minus_owner, plus_stack
 
 
 def components(crystal: Crystal) -> list[Crystal]:
     """Connected components (under both edge directions), in node order."""
     seen: dict[str, int] = {}
-    groups: list[list[str]] = []
     neighbors: dict[str, list[str]] = {b: [] for b in crystal.nodes}
     for (b, _), target in list(crystal.e_edges.items()) + list(
         crystal.f_edges.items()
     ):
         neighbors[b].append(target)
         neighbors[target].append(b)
+    groups: list[list[str]] = []
     for start in crystal.nodes:
         if start in seen:
+            groups[seen[start]].append(start)
             continue
         comp_id = len(groups)
+        groups.append([start])
         stack = [start]
         seen[start] = comp_id
-        block = [start]
         while stack:
             cur = stack.pop()
             for nxt in neighbors[cur]:
                 if nxt not in seen:
                     seen[nxt] = comp_id
                     stack.append(nxt)
-                    block.append(nxt)
-        groups.append(block)
-    out = []
-    for block in groups:
-        members = set(block)
-        nodes = tuple(b for b in crystal.nodes if b in members)
-        out.append(
-            Crystal(
-                crystal.n,
-                nodes,
-                {b: crystal.weights[b] for b in nodes},
-                {b: crystal.eps[b] for b in nodes},
-                {b: crystal.phi[b] for b in nodes},
-                {k: v for k, v in crystal.e_edges.items() if k[0] in members},
-                {k: v for k, v in crystal.f_edges.items() if k[0] in members},
-                None
-                if crystal.display is None
-                else {b: crystal.display[b] for b in nodes if b in crystal.display},
-            )
+    # each edge goes to its source's component: one pass per edge dict,
+    # which keeps the dict's order within every component
+    e_parts: list[dict] = [{} for _ in groups]
+    f_parts: list[dict] = [{} for _ in groups]
+    for edges, parts in ((crystal.e_edges, e_parts), (crystal.f_edges, f_parts)):
+        for k, v in edges.items():
+            parts[seen[k[0]]][k] = v
+    display = crystal.display
+    return [
+        Crystal(
+            crystal.n,
+            tuple(nodes),
+            {b: crystal.weights[b] for b in nodes},
+            {b: crystal.eps[b] for b in nodes},
+            {b: crystal.phi[b] for b in nodes},
+            e_part,
+            f_part,
+            None if display is None else {b: display[b] for b in nodes if b in display},
         )
-    return out
+        for nodes, e_part, f_part in zip(groups, e_parts, f_parts)
+    ]
 
 
 def highest_nodes(crystal: Crystal) -> list[str]:

@@ -11,7 +11,10 @@ import itertools
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from planar_rook import class_crystals as cc
 from planar_rook.class_crystals import (
     class_crystal,
     class_operator_via_functors,
@@ -23,15 +26,19 @@ from planar_rook.class_crystals import (
     tuple_key,
 )
 from planar_rook.crystals import (
+    Crystal,
     are_isomorphic,
     check_axioms,
     components,
     highest_nodes,
     morphism_violations,
+    signature_apply,
+    string_lengths,
     tensor_all,
 )
 from planar_rook.modules import ClassLabel, all_class_labels
 from planar_rook.tableaux import row_crystal, ssyt_crystal, word_key
+from planar_rook.verify import compositions, verify_target
 
 
 def label(n, *counts):
@@ -168,6 +175,114 @@ def test_tensor_class_crystal_isomorphic_to_row_tensor(parts, n):
     assert check_axioms(tuples) == []
     ok, _ = are_isomorphic(tuples, rows)
     assert ok
+
+
+def reference_tensor_class_crystal(parts, n):
+    """The tuple crystal built node by node from ClassLabel objects: the
+    signature rule picks the factor, raise_label/lower_label move it, and eps
+    and phi are the string lengths of the resulting edges."""
+    tuples = list(itertools.product(*(all_class_labels(p, n) for p in parts)))
+    nodes = []
+    weights = {}
+    e_edges = {}
+    f_edges = {}
+    for labels in tuples:
+        k = tuple_key(labels)
+        nodes.append(k)
+        weights[k] = tuple(sum(c) for c in zip(*(lab.counts for lab in labels)))
+        for i in range(1, n + 1):
+            factors = [(lab.counts[i], lab.counts[i - 1]) for lab in labels]
+            for kind, rule, edges in (
+                ("e", raise_label, e_edges),
+                ("f", lower_label, f_edges),
+            ):
+                pos = signature_apply(kind, factors)
+                if pos is not None:
+                    moved = rule(i, labels[pos])
+                    edges[(k, i)] = tuple_key(
+                        labels[:pos] + (moved,) + labels[pos + 1 :]
+                    )
+    display = {
+        tuple_key(labels): tuple_key(labels)
+        + " ~ "
+        + "×".join(word_key(lab.canonical_boundary().colors) for lab in labels)
+        for labels in tuples
+    }
+    return Crystal(
+        n,
+        tuple(nodes),
+        weights,
+        string_lengths(nodes, e_edges, n),
+        string_lengths(nodes, f_edges, n),
+        e_edges,
+        f_edges,
+        display,
+    )
+
+
+def assert_same_crystal(ours, oracle):
+    assert ours.n == oracle.n
+    assert ours.nodes == oracle.nodes
+    assert ours.weights == oracle.weights
+    assert ours.eps == oracle.eps
+    assert ours.phi == oracle.phi
+    assert list(ours.e_edges.items()) == list(oracle.e_edges.items())
+    assert list(ours.f_edges.items()) == list(oracle.f_edges.items())
+    assert ours.display == oracle.display
+
+
+SMALL_CASES = [
+    (parts, n)
+    for n in (1, 2, 3)
+    for total in range(1, 5)
+    for parts in compositions(total)
+]
+
+
+@pytest.mark.parametrize("parts,n", SMALL_CASES)
+def test_tensor_class_crystal_matches_label_oracle(parts, n):
+    assert_same_crystal(
+        tensor_class_crystal(parts, n), reference_tensor_class_crystal(parts, n)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(1, 3), min_size=1, max_size=4).filter(
+        lambda parts: sum(parts) <= 6
+    ),
+    st.integers(1, 2),
+)
+def test_tensor_class_crystal_matches_label_oracle_random(parts, n):
+    parts = tuple(parts)
+    assert_same_crystal(
+        tensor_class_crystal(parts, n), reference_tensor_class_crystal(parts, n)
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tensor_class_crystal_stats_are_string_lengths(n):
+    # eps/phi come from the surviving signs, independently of the edges
+    for total in range(1, 6):
+        for parts in compositions(total):
+            c = tensor_class_crystal(parts, n)
+            assert c.eps == string_lengths(c.nodes, c.e_edges, n), parts
+            assert c.phi == string_lengths(c.nodes, c.f_edges, n), parts
+
+
+def test_clear_caches_rebuilds_from_the_rules(monkeypatch):
+    # the factor tables read lower_label when they are built, so a broken
+    # rule shows up once the memo is cleared
+    cc.clear_caches()
+    monkeypatch.setattr(cc, "lower_label", lambda i, label: None)
+    try:
+        report = verify_target("thm4.5", max_m=3, max_n=1)
+        assert report["failed"] > 0
+        assert report["counterexamples"]
+    finally:
+        monkeypatch.undo()
+        cc.clear_caches()
+    assert verify_target("thm4.5", max_m=3, max_n=1)["failed"] == 0
 
 
 def test_tensor_class_crystal_validation():

@@ -357,6 +357,18 @@ def test_crystal_cap_and_overrides(capsys, monkeypatch):
     assert run(capsys, *argv) == (0, golden, "")
 
 
+def test_verify_tensor_cap_has_no_override(capsys, monkeypatch):
+    # verify axioms builds box^2 (4 nodes) through crystals.tensor, which
+    # checks the product's size before building it; verify has no --force
+    monkeypatch.setattr(crystals, "CRYSTAL_NODE_CAP", 3)
+    code, out, err = run(capsys, "verify", "axioms", "--max-m", "2", "--max-n", "1")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: the crystal would have 4 nodes, over the cap 3; "
+        "verify has no override\n"
+    )
+
+
 def test_verify_reports(capsys):
     code, out, _ = run(capsys, "verify", "thm2.2", "--m", "2", "--n", "2")
     assert code == 0

@@ -7,7 +7,9 @@ import itertools
 
 import pytest
 
+from planar_rook.class_crystals import tensor_class_crystal
 from planar_rook.crystals import (
+    CRYSTAL_NODE_CAP,
     Crystal,
     are_isomorphic,
     check_axioms,
@@ -24,7 +26,8 @@ from planar_rook.crystals import (
     to_json_dict,
     weight_pairing,
 )
-from planar_rook.tableaux import box_crystal, row_crystal
+from planar_rook.diagrams import EnumerationCapError
+from planar_rook.tableaux import box_crystal, row_crystal, ssyt_crystal
 
 
 def test_weight_pairing():
@@ -181,6 +184,80 @@ def test_tensor_all_requires_input():
         tensor_all([])
     b = box_crystal(1)
     assert tensor_all([b]) is b
+
+
+def test_tensor_checks_the_cap_before_building():
+    # 9^5 = 59,049 nodes; the four-fold product (6,561) is built, the last
+    # step is refused before it allocates anything
+    assert 9**5 > CRYSTAL_NODE_CAP
+    with pytest.raises(EnumerationCapError, match="would have 59049 nodes"):
+        tensor_all([box_crystal(8)] * 5)
+    big = row_crystal(4, 8)  # 495 nodes
+    with pytest.raises(EnumerationCapError, match="would have 245025 nodes"):
+        tensor(big, big)
+
+
+def components_by_rescan(crystal):
+    """Components by depth-first search, then every edge dict rescanned once
+    per component."""
+    neighbors = {b: [] for b in crystal.nodes}
+    for (b, _), target in list(crystal.e_edges.items()) + list(
+        crystal.f_edges.items()
+    ):
+        neighbors[b].append(target)
+        neighbors[target].append(b)
+    seen = set()
+    out = []
+    for start in crystal.nodes:
+        if start in seen:
+            continue
+        seen.add(start)
+        block = {start}
+        stack = [start]
+        while stack:
+            for nxt in neighbors[stack.pop()]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    block.add(nxt)
+                    stack.append(nxt)
+        nodes = tuple(b for b in crystal.nodes if b in block)
+        display = crystal.display
+        out.append(
+            Crystal(
+                crystal.n,
+                nodes,
+                {b: crystal.weights[b] for b in nodes},
+                {b: crystal.eps[b] for b in nodes},
+                {b: crystal.phi[b] for b in nodes},
+                {k: v for k, v in crystal.e_edges.items() if k[0] in block},
+                {k: v for k, v in crystal.f_edges.items() if k[0] in block},
+                None if display is None else {b: display[b] for b in nodes},
+            )
+        )
+    return out
+
+
+@pytest.mark.parametrize(
+    "crystal",
+    [
+        tensor_all([box_crystal(2)] * 3),
+        tensor(row_crystal(2, 1), box_crystal(1)),
+        ssyt_crystal((2, 1), 2),
+        tensor_class_crystal((2, 1, 1), 2),
+        tensor_class_crystal((1, 3), 1),
+    ],
+    ids=["box^3", "row-box", "ssyt", "classes(2,1,1)", "classes(1,3)"],
+)
+def test_components_match_rescanning_oracle(crystal):
+    ours = components(crystal)
+    oracle = components_by_rescan(crystal)
+    assert len(ours) == len(oracle)
+    for a, b in zip(ours, oracle):
+        assert a == b
+        assert a.nodes == b.nodes
+        assert list(a.e_edges.items()) == list(b.e_edges.items())
+        assert list(a.f_edges.items()) == list(b.f_edges.items())
+        assert a.display == b.display
 
 
 # ---------------------------------------------------------------- signature
