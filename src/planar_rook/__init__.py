@@ -9,6 +9,7 @@ linalg, verify, cli).
 
 __version__ = "0.1.0"
 
+from . import algebra, class_crystals, diagrams, modules, tableaux
 from .algebra import identity_element, orbit_vector, to_orbit_basis
 from .class_crystals import class_crystal, highest_component
 from .crystals import are_isomorphic, check_axioms, to_dot
@@ -16,12 +17,23 @@ from .diagrams import Diagram, count_diagrams, enumerate_diagrams, flip, multipl
 from .modules import ClassLabel, decompose, regular_module, restrict, simple
 from .tableaux import row_crystal, ssyt_crystal
 
+
+def clear_caches() -> None:
+    """Drop every memoized result: diagram enumerations and words, identity
+    and truncation elements, simple and regular modules, and crystals."""
+    for module in (algebra, class_crystals, diagrams, modules, tableaux):
+        for memo in vars(module).values():
+            if hasattr(memo, "cache_clear"):
+                memo.cache_clear()
+
+
 __all__ = [
     "ClassLabel",
     "Diagram",
     "are_isomorphic",
     "check_axioms",
     "class_crystal",
+    "clear_caches",
     "count_diagrams",
     "decompose",
     "enumerate_diagrams",

@@ -24,6 +24,7 @@ from .diagrams import (
     json_int,
     juxtapose,
     multiply,
+    product_words,
     unit_diagram,
 )
 
@@ -42,7 +43,7 @@ class Element:
         self.m = m
         self.n = n
         cleaned: dict[Diagram, Fraction] = {}
-        for d, coeff in sorted((terms or {}).items()):
+        for d, coeff in _sorted_terms(terms or {}):
             if (d.m, d.n) != (m, n):
                 raise ValueError(
                     f"term {d} has size ({d.m},{d.n}), element has ({m},{n})"
@@ -109,15 +110,15 @@ class Element:
             self._check_compatible(other)
             la, left = _integral_terms(self.terms)
             lb, right = _integral_terms(other.terms)
-            acc: dict[Diagram, int] = {}
+            # accumulate by word pair; build a Diagram per distinct product only
+            acc: dict[tuple, int] = {}
             for d1, c1 in left:
                 for d2, c2 in right:
-                    prod = multiply(d1, d2)
-                    acc[prod] = acc.get(prod, 0) + c1 * c2
-            den = la * lb
-            return Element(
-                self.m, self.n, {d: Fraction(c, den) for d, c in acc.items() if c}
-            )
+                    words = product_words(d1, d2)
+                    acc[words] = acc.get(words, 0) + c1 * c2
+            den, m, n = la * lb, self.m, self.n
+            prods = {Diagram._trusted(m, n, *w): c for w, c in acc.items() if c}
+            return Element(m, n, {d: Fraction(c, den) for d, c in prods.items()})
         if isinstance(other, Diagram):
             return self * Element.from_diagram(other)
         return self.scale(other)
@@ -203,11 +204,20 @@ def _json_coeff(x, k: int) -> Fraction:
         ) from None
 
 
+def _sorted_terms(terms: dict):
+    """The items in diagram order, which for one (m, n) is edge order."""
+    return sorted(terms.items(), key=lambda item: item[0].edges)
+
+
 def subdiagrams(d: Diagram):
-    """All diagrams obtained by deleting a subset of the edges of d."""
+    """All diagrams obtained by deleting a subset of the edges of d, by
+    number of edges and then in the order of d.edges."""
     for r in range(len(d.edges) + 1):
         for subset in itertools.combinations(d.edges, r):
-            yield Diagram._trusted(d.m, d.n, subset)
+            top, bottom = [0] * d.m, [0] * d.m
+            for t, b, c in subset:
+                top[t - 1] = bottom[b - 1] = c
+            yield Diagram._trusted(d.m, d.n, tuple(top), tuple(bottom))
 
 
 def orbit_vector(d: Diagram) -> Element:
@@ -233,7 +243,7 @@ def to_orbit_basis(a: Element) -> dict[Diagram, Fraction]:
     for d, c in a.terms.items():
         for sub in subdiagrams(d):
             coords[sub] = coords.get(sub, Fraction(0)) + c
-    return {d: c for d, c in sorted(coords.items()) if c}
+    return {d: c for d, c in _sorted_terms(coords) if c}
 
 
 def orbit_product(d1: Diagram, d2: Diagram) -> Element:
@@ -254,18 +264,20 @@ def orbit_basis_product(a, b) -> dict[Diagram, Fraction]:
     coordinates: `orbit_product` extended bilinearly.
 
     Only pairs whose boundaries match contribute, so b's terms are grouped
-    by top boundary and each term of a meets just the group of its bottom
-    boundary; nothing is expanded into the diagram basis.
+    by top word and each term of a meets just the group of its bottom word;
+    nothing is expanded into the diagram basis.  Every edge of a matched pair
+    survives the stacking, so d1*d2 has d1's top word and d2's bottom word.
     """
     by_top: dict = {}
     for d2, c2 in b.items():
-        by_top.setdefault(d2.top_boundary(), []).append((d2, c2))
-    acc: dict[Diagram, Fraction] = {}
+        by_top.setdefault(d2.top, []).append((d2.bottom, c2))
+    acc: dict[tuple, Fraction] = {}
     for d1, c1 in a.items():
-        for d2, c2 in by_top.get(d1.bottom_boundary(), ()):
-            prod = multiply(d1, d2)
-            acc[prod] = acc.get(prod, 0) + c1 * c2
-    return {d: c for d, c in sorted(acc.items()) if c}
+        for bottom, c2 in by_top.get(d1.bottom, ()):
+            key = (d1.m, d1.n, d1.top, bottom)
+            acc[key] = acc.get(key, 0) + c1 * c2
+    prods = {Diagram._trusted(*key): c for key, c in acc.items() if c}
+    return dict(_sorted_terms(prods))
 
 
 @lru_cache(maxsize=None)

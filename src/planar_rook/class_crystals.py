@@ -157,8 +157,13 @@ def tensor_class_crystal(
         raise ValueError(f"parts must be positive integers, got {parts}")
     if n < 1:
         raise ValueError(f"need at least one color, got n={n}")
-    ensure_nodes_within_cap(prod(comb(p + n, n) for p in parts), force)
+    ensure_nodes_within_cap(tuple_count(parts, n), force)
     return _tensor_class_crystal(parts, n)
+
+
+def tuple_count(parts, n: int) -> int:
+    """Nodes of the tuple crystal: the product of the C(part+n, n)."""
+    return prod(comb(p + n, n) for p in parts)
 
 
 @lru_cache(maxsize=None)
@@ -242,10 +247,3 @@ def highest_component(partition, n: int) -> Crystal:
         )
     crystal = tensor_class_crystal(partition, n)
     return component_containing(crystal, tuple_key(straight_line_tuple(partition, n)))
-
-
-def clear_caches() -> None:
-    """Drop memoized crystals (used by tests that monkeypatch the rules)."""
-    _class_crystal.cache_clear()
-    _factor_table.cache_clear()
-    _tensor_class_crystal.cache_clear()

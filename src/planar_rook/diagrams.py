@@ -3,21 +3,22 @@
 A diagram of size m with n colors is a partial matching between a top row and a
 bottom row of m vertices (numbered 1..m), each edge carrying a color in 1..n,
 such that no vertex meets two edges and edges of the same color never cross.
-Equivalently it is an m x m matrix whose entries are 0 or one of the standard
-units u_1..u_n of the ring (Z_2)^n, with at most one nonzero entry in every row
-and every column and no same-color inversion.  Multiplication is matrix
-multiplication over (Z_2)^n; graphically, stack the first diagram on top of the
-second and keep the concatenated edges whose colors agree.
+Equivalently it is an m x m matrix over the units u_1..u_n of (Z_2)^n with at
+most one nonzero entry per row and column and no same-color inversion; the
+product is matrix multiplication, i.e. stacking and keeping the concatenated
+edges whose colors agree.
 
-Color 0 is reserved for isolated vertices in boundary words and never appears
-on an edge.
+A diagram is stored as its two boundary words, the color at each vertex with
+0 for an isolated one.  Two words with equal color counts have exactly one
+crossingless matching, so the edge list is a view derived from the words, and
+enumeration, products, flips and juxtaposition all work on words.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from math import comb
 
 
@@ -28,8 +29,7 @@ class EnumerationCapError(ValueError):
 # Caps keep accidental exponential enumerations out of interactive use.
 SIZE_CAP_ONE_COLOR = 8
 SIZE_CAP_MULTI_COLOR = 6
-
-Edge = tuple[int, int, int]
+MAX_SIZE = 4096
 
 
 def json_int(x, what: str) -> int:
@@ -40,98 +40,106 @@ def json_int(x, what: str) -> int:
     return x
 
 
-def size_cap(n: int) -> int:
-    return SIZE_CAP_ONE_COLOR if n == 1 else SIZE_CAP_MULTI_COLOR
-
-
 def ensure_within_cap(m: int, n: int, force: bool = False) -> None:
-    if force:
-        return
-    cap = size_cap(n)
-    if m > cap:
+    cap = SIZE_CAP_ONE_COLOR if n == 1 else SIZE_CAP_MULTI_COLOR
+    if m > cap and not force:
         raise EnumerationCapError(
             f"size m={m} exceeds the enumeration cap {cap} for n={n} colors; "
             "pass force=True to override"
         )
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class Diagram:
     """An n-colored planar rook diagram on m top and m bottom vertices.
 
-    Edges are triples (top, bottom, color) with 1-based vertex indices and
-    colors in 1..n.  The edge tuple is kept sorted by top vertex, so equal
-    diagrams compare and hash equal.  `Diagram._trusted` skips sorting and
-    validation; its callers guarantee valid edges already sorted by top vertex.
+    Stored as its boundary words `top` and `bottom`, tuples of length m whose
+    entry p is the color at vertex p+1 (0 if isolated); equality and the hash
+    (computed once) read them, so diagrams are immutable by convention.
+    `edges` is a view of the matching `_match` builds on first use: triples
+    (top, bottom, color), 1-based, sorted by top vertex, read by repr, JSON
+    and the order (by m, n, then edges).
+
+    `Diagram(m, n, edges)` validates, in `__post_init__`: ints in range, m up
+    to MAX_SIZE (a word entry per vertex), edges that round-trip through their
+    words (no same-color crossing).  `Diagram._trusted(m, n, top, bottom)`
+    checks nothing; callers pass length-m words over 0..n with equal counts.
     """
 
-    m: int
-    n: int
-    edges: tuple[Edge, ...] = ()
+    __slots__ = ("m", "n", "top", "bottom", "_hash", "_view")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", tuple(sorted(tuple(e) for e in self.edges)))
-        self._validate()
+    def __init__(self, m: int, n: int, edges=()) -> None:
+        self.m, self.n = m, n
+        self.__post_init__(edges)
 
-    @classmethod
-    def _trusted(cls, m: int, n: int, edges: tuple[Edge, ...]) -> Diagram:
-        """A diagram whose edges the caller knows to be valid and sorted."""
-        d = object.__new__(cls)
-        object.__setattr__(d, "m", m)
-        object.__setattr__(d, "n", n)
-        object.__setattr__(d, "edges", edges)
-        return d
-
-    def _validate(self) -> None:
-        if self.m < 0:
-            raise ValueError(f"size must be nonnegative, got m={self.m}")
-        if self.n < 1:
-            raise ValueError(f"need at least one color, got n={self.n}")
-        tops: set[int] = set()
-        bottoms: set[int] = set()
-        for e in self.edges:
+    def __post_init__(self, edges) -> None:
+        m, n = json_int(self.m, "m"), json_int(self.n, "n")
+        if not (0 <= m <= MAX_SIZE and n >= 1):
+            raise ValueError(f"need 0 <= m <= {MAX_SIZE} and n >= 1, got m={m}, n={n}")
+        top, bottom, given = [0] * m, [0] * m, []
+        for e in edges:
             if len(e) != 3:
                 raise ValueError(f"edge {e!r} is not a (top, bottom, color) triple")
-            t, b, c = e
-            if not (1 <= t <= self.m and 1 <= b <= self.m):
-                raise ValueError(f"edge {e} out of range for m={self.m}")
-            if not (1 <= c <= self.n):
-                raise ValueError(f"edge {e} has color outside 1..{self.n}")
-            if t in tops:
-                raise ValueError(f"top vertex {t} meets two edges")
-            if b in bottoms:
-                raise ValueError(f"bottom vertex {b} meets two edges")
-            tops.add(t)
-            bottoms.add(b)
-        # planarity per color: same-color edges must not cross
-        for e1, e2 in itertools.combinations(self.edges, 2):
-            if e1[2] == e2[2] and (e1[0] - e2[0]) * (e1[1] - e2[1]) < 0:
-                raise ValueError(f"same-color edges {e1} and {e2} cross")
+            t, b, c = e = tuple(json_int(x, "edge entry") for x in e)
+            if not (1 <= t <= m and 1 <= b <= m and 1 <= c <= n):
+                raise ValueError(f"edge {e} out of range for m={m}, n={n}")
+            if top[t - 1] or bottom[b - 1]:
+                raise ValueError(f"edge {e} meets a vertex of another edge")
+            top[t - 1] = bottom[b - 1] = c
+            given.append(e)
+        self.top, self.bottom = tuple(top), tuple(bottom)
+        self._hash = self._view = None
+        if sorted(given) != list(self.edges):
+            raise ValueError(f"same-color edges cross in {tuple(sorted(given))}")
+
+    @classmethod
+    def _trusted(cls, m: int, n: int, top: tuple, bottom: tuple) -> Diagram:
+        d = object.__new__(cls)
+        d.m, d.n, d.top, d.bottom = m, n, top, bottom
+        d._hash = d._view = None
+        return d
+
+    def _matching(self) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
+        if self._view is None:
+            self._view = _match(self.top, self.bottom)
+        return self._view
+
+    @property
+    def edges(self) -> tuple[tuple[int, int, int], ...]:
+        return self._matching()[1]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Diagram):
+            return NotImplemented
+        return (self.top, self.bottom, self.n) == (other.top, other.bottom, other.n)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.top, self.bottom, self.n))
+        return self._hash
+
+    def __lt__(self, other) -> bool:
+        if not isinstance(other, Diagram):
+            return NotImplemented
+        return (self.m, self.n, self.edges) < (other.m, other.n, other.edges)
+
+    def __repr__(self) -> str:
+        return f"Diagram(m={self.m!r}, n={self.n!r}, edges={self.edges!r})"
 
     def top_boundary(self) -> Boundary:
-        word = [0] * self.m
-        for t, _, c in self.edges:
-            word[t - 1] = c
-        return Boundary._trusted(self.m, self.n, tuple(word))
+        return Boundary._trusted(self.m, self.n, self.top)
 
     def bottom_boundary(self) -> Boundary:
-        word = [0] * self.m
-        for _, b, c in self.edges:
-            word[b - 1] = c
-        return Boundary._trusted(self.m, self.n, tuple(word))
+        return Boundary._trusted(self.m, self.n, self.bottom)
 
     def flip(self) -> Diagram:
         return flip(self)
 
     def __mul__(self, other):
-        if not isinstance(other, Diagram):
-            return NotImplemented
-        return multiply(self, other)
+        return multiply(self, other) if isinstance(other, Diagram) else NotImplemented
 
     def __matmul__(self, other):
-        if not isinstance(other, Diagram):
-            return NotImplemented
-        return juxtapose(self, other)
+        return juxtapose(self, other) if isinstance(other, Diagram) else NotImplemented
 
     def to_json_dict(self) -> dict:
         return {"m": self.m, "n": self.n, "edges": [list(e) for e in self.edges]}
@@ -142,11 +150,23 @@ class Diagram:
             m, n, edges = obj["m"], obj["n"], obj["edges"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"not a diagram object: missing {exc}") from None
-        return cls(
-            json_int(m, "m"),
-            json_int(n, "n"),
-            tuple(tuple(json_int(x, "edge entry") for x in e) for e in edges),
-        )
+        return cls(m, n, edges)
+
+
+@lru_cache(maxsize=1 << 12)
+def _match(top: tuple, bottom: tuple):
+    """(down, edges): down[t] is the 0-based bottom partner of top position t
+    (-1 if it is isolated), and edges are the triples.  For each color the
+    k-th colored top vertex meets the k-th colored bottom vertex: the only
+    crossingless matching of two words with equal color counts, since
+    same-color edges may not cross.  Memoized, as equal diagrams recur as
+    new objects (e.g. 4,402 matchings of 186 word pairs in verify thm3.2)."""
+    below: dict[int, list[int]] = {}
+    for p in range(len(bottom) - 1, -1, -1):
+        if bottom[p]:
+            below.setdefault(bottom[p], []).append(p)
+    down = tuple(below[c].pop() if c else -1 for c in top)
+    return down, tuple((t + 1, down[t] + 1, c) for t, c in enumerate(top) if c)
 
 
 @dataclass(frozen=True, order=True)
@@ -162,12 +182,13 @@ class Boundary:
     colors: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "colors", tuple(int(c) for c in self.colors))
-        if self.m < 0 or self.n < 1:
+        colors = tuple(json_int(c, "color") for c in self.colors)
+        object.__setattr__(self, "colors", colors)
+        if json_int(self.m, "m") < 0 or json_int(self.n, "n") < 1:
             raise ValueError(f"bad boundary size m={self.m}, n={self.n}")
-        if len(self.colors) != self.m:
-            raise ValueError(f"word length {len(self.colors)} != m={self.m}")
-        for c in self.colors:
+        if len(colors) != self.m:
+            raise ValueError(f"word length {len(colors)} != m={self.m}")
+        for c in colors:
             if not (0 <= c <= self.n):
                 raise ValueError(f"color {c} outside 0..{self.n}")
 
@@ -182,10 +203,7 @@ class Boundary:
 
     def counts(self) -> tuple[int, ...]:
         """(number of 0s, number of 1s, ..., number of ns)."""
-        tally = [0] * (self.n + 1)
-        for c in self.colors:
-            tally[c] += 1
-        return tuple(tally)
+        return tuple(self.colors.count(c) for c in range(self.n + 1))
 
     def covers(self, other: Boundary) -> bool:
         """Containment on the colored positions only.
@@ -203,44 +221,42 @@ class Boundary:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> Boundary:
-        return cls(
-            json_int(obj["m"], "m"),
-            json_int(obj["n"], "n"),
-            tuple(json_int(c, "color") for c in obj["colors"]),
-        )
+        return cls(obj["m"], obj["n"], obj["colors"])
 
 
 def multiply(d1: Diagram, d2: Diagram) -> Diagram:
-    """Stack d1 on top of d2.
-
-    The product has an edge (t, b, c) exactly when d1 joins t to some middle
-    vertex k with color c and d2 joins k to b with the same color.  This
-    agrees with matrix multiplication over (Z_2)^n because u_i u_j = 0 for
-    i != j and u_i u_i = u_i, and no sums of distinct units ever arise.
-    """
+    """Stack d1 on top of d2: the product has an edge (t, b, c) exactly when
+    d1 joins t to some middle vertex k with color c and d2 joins k to b with
+    the same color.  This agrees with matrix multiplication over (Z_2)^n
+    because u_i u_j = 0 for i != j and u_i u_i = u_i, and no sums of distinct
+    units ever arise."""
     if (d1.m, d1.n) != (d2.m, d2.n):
         raise ValueError(f"cannot multiply ({d1.m},{d1.n}) by ({d2.m},{d2.n}) diagrams")
-    lower = {t: (b, c) for t, b, c in d2.edges}
-    edges = []
-    for t, k, c in d1.edges:
-        hit = lower.get(k)
-        if hit is not None and hit[1] == c:
-            edges.append((t, hit[0], c))
-    # composing non-crossing edges keeps them non-crossing, in d1's top order
-    return Diagram._trusted(d1.m, d1.n, tuple(edges))
+    return Diagram._trusted(d1.m, d1.n, *product_words(d1, d2))
+
+
+def product_words(d1: Diagram, d2: Diagram) -> tuple[tuple, tuple]:
+    """The (top, bottom) words of d1*d2 for diagrams of one size: a middle
+    vertex k survives iff d1.bottom[k] == d2.top[k] != 0, and the product
+    keeps d1's top and d2's bottom letters whose partners survive."""
+    top, bottom = [0] * d1.m, [0] * d1.m
+    middle, above, down = d1._matching()[0], d2.top, d2._matching()[0]
+    for t, c in enumerate(d1.top):
+        if c and above[middle[t]] == c:
+            top[t] = bottom[down[middle[t]]] = c
+    return tuple(top), tuple(bottom)
 
 
 def flip(d: Diagram) -> Diagram:
     """Reflect across the horizontal axis (matrix transpose)."""
-    return Diagram._trusted(d.m, d.n, tuple(sorted((b, t, c) for t, b, c in d.edges)))
+    return Diagram._trusted(d.m, d.n, d.bottom, d.top)
 
 
 def juxtapose(d1: Diagram, d2: Diagram) -> Diagram:
     """Place d2 to the right of d1, shifting its vertex labels by d1.m."""
     if d1.n != d2.n:
         raise ValueError("cannot juxtapose diagrams with different color counts")
-    shifted = tuple((t + d1.m, b + d1.m, c) for t, b, c in d2.edges)
-    return Diagram._trusted(d1.m + d2.m, d1.n, d1.edges + shifted)
+    return Diagram._trusted(d1.m + d2.m, d1.n, d1.top + d2.top, d1.bottom + d2.bottom)
 
 
 def empty_diagram(m: int, n: int) -> Diagram:
@@ -255,31 +271,13 @@ def unit_diagram(n: int, i: int) -> Diagram:
 
 
 def unique_planar_match(top: Boundary, bottom: Boundary) -> Diagram:
-    """The unique crossingless diagram with the given boundaries.
-
-    For each color the k-th colored top vertex is joined to the k-th colored
-    bottom vertex; this is forced, since same-color edges may not cross.
-    """
+    """The unique crossingless diagram with the given boundaries."""
     if (top.m, top.n) != (bottom.m, bottom.n):
         raise ValueError("boundaries live on different vertex sets")
-    bottoms: list[list[int]] = [[] for _ in range(top.n + 1)]
-    for p, c in enumerate(bottom.colors, start=1):
-        bottoms[c].append(p)
-    taken = [0] * (top.n + 1)
-    edges = []
-    for t, c in enumerate(top.colors, start=1):
-        if c:
-            k = taken[c]
-            taken[c] = k + 1
-            if k < len(bottoms[c]):
-                edges.append((t, bottoms[c][k], c))
-    for i in range(1, top.n + 1):
-        if taken[i] != len(bottoms[i]):
-            raise ValueError(
-                f"color {i} count mismatch: {taken[i]} on top, "
-                f"{len(bottoms[i])} on bottom"
-            )
-    return Diagram._trusted(top.m, top.n, tuple(edges))
+    for i, (up, down) in enumerate(zip(top.counts(), bottom.counts())):
+        if i and up != down:
+            raise ValueError(f"color {i} count mismatch: {up} on top, {down} on bottom")
+    return Diagram._trusted(top.m, top.n, top.colors, bottom.colors)
 
 
 def partial_identity(boundary: Boundary) -> Diagram:
@@ -287,49 +285,49 @@ def partial_identity(boundary: Boundary) -> Diagram:
     return unique_planar_match(boundary, boundary)
 
 
-def weak_compositions(total: int, slots: int):
-    """All tuples of `slots` nonnegative integers summing to `total`, lex order."""
+def weak_compositions(total: int, slots: int) -> list[tuple[int, ...]]:
+    """All tuples of `slots` nonnegative integers summing to `total`, in lex
+    order, which is the order of their bar positions among total+slots-1."""
     if slots == 0:
-        if total == 0:
-            yield ()
-        return
-    if slots == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in weak_compositions(total - head, slots - 1):
-            yield (head,) + rest
+        return [()] if total == 0 else []
+    ends = (-1,), (total + slots - 1,)
+    return [
+        tuple(b - a - 1 for a, b in zip(ends[0] + bars, bars + ends[1]))
+        for bars in itertools.combinations(range(total + slots - 1), slots - 1)
+    ]
 
 
-def words_with_counts(counts: tuple[int, ...]):
-    """All words with counts[c] letters c, in lexicographic order."""
-    if sum(counts) == 0:
-        yield ()
-        return
-    for letter, remaining in enumerate(counts):
-        if remaining:
-            shrunk = counts[:letter] + (remaining - 1,) + counts[letter + 1 :]
-            for rest in words_with_counts(shrunk):
-                yield (letter,) + rest
+@lru_cache(maxsize=None)
+def words_with_counts(counts: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """All words with counts[c] letters c, in lexicographic order: the
+    next-permutation walk of the multiset from its sorted word."""
+    word = [c for c, k in enumerate(counts) for _ in range(k)]
+    out = [tuple(word)]
+    while True:
+        i = len(word) - 2
+        while i >= 0 and word[i] >= word[i + 1]:
+            i -= 1
+        if i < 0:
+            return tuple(out)
+        j = max(j for j in range(i + 1, len(word)) if word[j] > word[i])
+        word[i], word[j] = word[j], word[i]
+        word[i + 1 :] = word[: i : -1]
+        out.append(tuple(word))
 
 
 @lru_cache(maxsize=None)
 def _enumerate(m: int, n: int) -> tuple[Diagram, ...]:
-    out = []
-    for beta_word in itertools.product(range(n + 1), repeat=m):
-        beta = Boundary._trusted(m, n, beta_word)
-        for tau_word in words_with_counts(beta.counts()):
-            out.append(unique_planar_match(Boundary._trusted(m, n, tau_word), beta))
-    return tuple(out)
+    trusted, letters = Diagram._trusted, range(n + 1)
+    return tuple(
+        trusted(m, n, tau, beta)
+        for beta in itertools.product(letters, repeat=m)
+        for tau in words_with_counts(tuple(beta.count(c) for c in letters))
+    )
 
 
 def enumerate_diagrams(m: int, n: int, force: bool = False) -> tuple[Diagram, ...]:
-    """All diagrams of size m with n colors.
-
-    Ordered lexicographically by (bottom word, top word).  Diagrams are in
-    bijection with pairs of boundaries having equal color counts, since the
-    crossingless matching between two compatible boundaries is unique.
-    """
+    """All diagrams of size m with n colors: every pair of words with equal
+    color counts, ordered lexicographically by (bottom word, top word)."""
     ensure_within_cap(m, n, force)
     return _enumerate(m, n)
 

@@ -25,9 +25,8 @@ from .diagrams import (
     ensure_within_cap,
     enumerate_diagrams,
     multinomial,
-    multiply,
     partial_identity,
-    unique_planar_match,
+    product_words,
     weak_compositions,
     words_with_counts,
 )
@@ -105,13 +104,13 @@ class SimpleModule:
     def __init__(self, label: ClassLabel):
         self.label = label
         self.boundary = label.canonical_boundary()
-        self.basis = tuple(
-            unique_planar_match(Boundary(label.m, label.n, tau), self.boundary)
-            for tau in words_with_counts(self.boundary.counts())
-        )
-        self.tops = tuple(b.top_boundary() for b in self.basis)
+        m, n, beta = label.m, label.n, self.boundary.colors
+        tops = words_with_counts(label.counts)
+        self.basis = tuple(Diagram._trusted(m, n, tau, beta) for tau in tops)
+        self.tops = tuple(Boundary._trusted(m, n, tau) for tau in tops)
         self.dimension = len(self.basis)
-        self.index = {d: j for j, d in enumerate(self.basis)}
+        # d*b keeps the module's bottom word, so its top word names it
+        self.index = {tau: j for j, tau in enumerate(tops)}
         self._explicit: ExplicitModule | None = None
 
     def explicit(self) -> ExplicitModule:
@@ -130,7 +129,7 @@ class SimpleModule:
         """
         beta = d.bottom_boundary()
         return [
-            self.index[multiply(d, b)] if beta.covers(top) else None
+            self.index[product_words(d, b)[0]] if beta.covers(top) else None
             for b, top in zip(self.basis, self.tops)
         ]
 
@@ -149,21 +148,6 @@ def _simple(label: ClassLabel) -> SimpleModule:
 def simple(label: ClassLabel, force: bool = False) -> SimpleModule:
     ensure_within_cap(label.m, label.n, force)
     return _simple(label)
-
-
-def act(mod: SimpleModule, a: Element, vec) -> tuple[Fraction, ...]:
-    """Apply an algebra element to a coordinate vector of the simple module,
-    each diagram acting through SimpleModule.targets."""
-    if (a.m, a.n) != (mod.label.m, mod.label.n):
-        raise ValueError("element and module live at different sizes")
-    if len(vec) != mod.dimension:
-        raise ValueError(f"vector has length {len(vec)}, expected {mod.dimension}")
-    out = [Fraction(0)] * mod.dimension
-    for d, coeff in a.terms.items():
-        for x, t in zip(vec, mod.targets(d)):
-            if x and t is not None:
-                out[t] += coeff * Fraction(x)
-    return tuple(out)
 
 
 class ExplicitModule:
@@ -233,10 +217,10 @@ class ExplicitModule:
 @lru_cache(maxsize=None)
 def _regular(m: int, n: int) -> ExplicitModule:
     basis = enumerate_diagrams(m, n, force=True)
-    index = {d: j for j, d in enumerate(basis)}
+    index = {(d.top, d.bottom): j for j, d in enumerate(basis)}
 
     def action(d: Diagram):
-        return _matrix_of_targets([index[multiply(d, b)] for b in basis])
+        return _matrix_of_targets([index[product_words(d, b)] for b in basis])
 
     return ExplicitModule(m, n, len(basis), action)
 

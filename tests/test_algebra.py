@@ -422,3 +422,14 @@ def test_orbit_round_trip_property(single):
     (a,) = single
     assert expand_orbit_coordinates(a.m, a.n, to_orbit_basis(a)) == a
     assert to_orbit_basis(expand_orbit_coordinates(a.m, a.n, a.terms)) == a.terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(same_size_elements(1))
+def test_element_json_round_trip_property(single):
+    (a,) = single
+    for basis in ("diagram", "orbit"):
+        blob = json.dumps(a.to_json_dict(basis))
+        parsed = Element.from_json_dict(json.loads(blob))
+        assert parsed == a
+        assert list(parsed.terms.items()) == list(a.terms.items())

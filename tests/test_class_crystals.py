@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planar_rook import class_crystals as cc
+from planar_rook import clear_caches
 from planar_rook.class_crystals import (
     class_crystal,
     class_operator_via_functors,
@@ -273,7 +274,7 @@ def test_tensor_class_crystal_stats_are_string_lengths(n):
 def test_clear_caches_rebuilds_from_the_rules(monkeypatch):
     # the factor tables read lower_label when they are built, so a broken
     # rule shows up once the memo is cleared
-    cc.clear_caches()
+    clear_caches()
     monkeypatch.setattr(cc, "lower_label", lambda i, label: None)
     try:
         report = verify_target("thm4.5", max_m=3, max_n=1)
@@ -281,7 +282,7 @@ def test_clear_caches_rebuilds_from_the_rules(monkeypatch):
         assert report["counterexamples"]
     finally:
         monkeypatch.undo()
-        cc.clear_caches()
+        clear_caches()
     assert verify_target("thm4.5", max_m=3, max_n=1)["failed"] == 0
 
 

@@ -1,11 +1,13 @@
 """CLI behavior: payload shapes, exit codes, determinism, cap overrides."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
 
 import planar_rook.class_crystals as cc
+from planar_rook import clear_caches
 import planar_rook.crystals as crystals
 from planar_rook.algebra import Element, identity_element
 from planar_rook.cli import main
@@ -191,6 +193,12 @@ def test_multiply_usage_errors(capsys, tmp_path):
         ("float-color.json", '{"m": 2, "n": 1, "edges": [[1, 1, 1.0]]}'),
         ("bool-n.json", '{"m": 2, "n": true, "edges": []}'),
         ("bool-edge.json", '{"m": 2, "n": 1, "edges": [[true, 1, 1]]}'),
+        # words hold an entry per vertex, so a huge size is refused, not allocated
+        ("huge-m.json", '{"m": 1000000000, "n": 1, "edges": []}'),
+        (
+            "huge-term-m.json",
+            element % ("2", '"1"', '{"m": 1000000000, "n": 1, "edges": []}'),
+        ),
         ("float-coeff.json", element % ("2", "0.1", '{"m": 2, "n": 1, "edges": []}')),
         ("bool-coeff.json", element % ("2", "true", '{"m": 2, "n": 1, "edges": []}')),
         ("list-coeff.json", element % ("2", "[1]", '{"m": 2, "n": 1, "edges": []}')),
@@ -369,6 +377,20 @@ def test_verify_tensor_cap_has_no_override(capsys, monkeypatch):
     )
 
 
+def test_verify_axioms_refuses_an_over_cap_sweep_before_building(capsys):
+    # box^5 at n=8 has 9^5 = 59049 nodes; the sizes are checked in closed
+    # form first, so no crystal of the sweep is built before the refusal
+    started = time.perf_counter()
+    code, out, err = run(capsys, "verify", "axioms", "--max-m", "5", "--max-n", "8")
+    elapsed = time.perf_counter() - started
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: the crystal would have 59049 nodes, over the cap 50000; "
+        "verify has no override\n"
+    )
+    assert elapsed < 5
+
+
 def test_verify_reports(capsys):
     code, out, _ = run(capsys, "verify", "thm2.2", "--m", "2", "--n", "2")
     assert code == 0
@@ -385,7 +407,7 @@ def test_verify_unknown_target(capsys):
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):
-    cc.clear_caches()
+    clear_caches()
     monkeypatch.setattr(cc, "raise_label", lambda i, label: None)
     try:
         code, out, _ = run(
@@ -397,7 +419,7 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
         assert payload["counterexamples"]
     finally:
         monkeypatch.undo()
-        cc.clear_caches()
+        clear_caches()
 
 
 def test_help_and_missing_command(capsys):

@@ -1,8 +1,9 @@
 """Diagram-level tests.
 
 The enumeration and product tests check the implementation against independent
-oracles: a filtered brute-force generator for enumeration, and matrix
-multiplication over (Z_2)^n for the product.
+oracles: a filtered brute-force generator and a recursive word generator for
+enumeration, matrix multiplication over (Z_2)^n and edge stacking for the
+product, and an edge-building matcher for the edges derived from the words.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planar_rook.algebra import subdiagrams
 from planar_rook.diagrams import (
@@ -79,6 +82,43 @@ def oracle_matrix_product(m, n, rows1, rows2):
                     acc = term
             out[i][j] = acc
     return tuple(tuple(r) for r in out)
+
+
+def oracle_multiply(d1: Diagram, d2: Diagram) -> Diagram:
+    """Edge stacking: (t, b, c) when d1 has (t, k, c) and d2 has (k, b, c)."""
+    lower = {t: (b, c) for t, b, c in d2.edges}
+    edges = [
+        (t, lower[k][0], c) for t, k, c in d1.edges if lower.get(k, (0, 0))[1] == c
+    ]
+    return Diagram(d1.m, d1.n, tuple(edges))
+
+
+def oracle_words_with_counts(counts):
+    """All words with counts[c] letters c, in lexicographic order, by
+    recursion on the first letter."""
+    if sum(counts) == 0:
+        yield ()
+        return
+    for letter, remaining in enumerate(counts):
+        if remaining:
+            shrunk = counts[:letter] + (remaining - 1,) + counts[letter + 1 :]
+            for rest in oracle_words_with_counts(shrunk):
+                yield (letter,) + rest
+
+
+def oracle_match(top, bottom):
+    """Edges joining, color by color, the k-th colored top vertex to the k-th
+    colored bottom vertex, sorted by top vertex."""
+    bottoms: dict[int, list[int]] = {}
+    for p, c in enumerate(bottom, start=1):
+        bottoms.setdefault(c, []).append(p)
+    taken: dict[int, int] = {}
+    edges = []
+    for t, c in enumerate(top, start=1):
+        if c:
+            edges.append((t, bottoms[c][taken.get(c, 0)], c))
+            taken[c] = taken.get(c, 0) + 1
+    return tuple(edges)
 
 
 def to_matrix(d: Diagram) -> tuple[tuple[int, ...], ...]:
@@ -156,6 +196,27 @@ def test_out_of_range_rejected():
         Diagram(-1, 1, ())
     with pytest.raises(ValueError):
         Diagram(2, 0, ())
+    with pytest.raises(ValueError, match="m <= 4096"):
+        Diagram(4097, 1, ())
+    assert Diagram(4096, 1, ((4096, 1, 1),)).edges == ((4096, 1, 1),)
+
+
+@pytest.mark.parametrize(
+    "m,n,edges",
+    [
+        (2, 2, ((1, 1, 1.5),)),
+        (2, 2, ((1.0, 1, 1),)),
+        (2, 2, ((1, 2, True),)),
+        (2, 2, (("1", 1, 1),)),
+        (2.0, 1, ()),
+        (2, 1.0, ()),
+        (True, 1, ()),
+        ("2", 1, ()),
+    ],
+)
+def test_non_integer_sizes_and_entries_rejected(m, n, edges):
+    with pytest.raises(ValueError, match="must be an integer"):
+        Diagram(m, n, edges)
 
 
 def test_size_zero_allowed():
@@ -217,6 +278,15 @@ def test_boundary_validation():
         Boundary(2, 1, (1, 2))
     with pytest.raises(ValueError):
         Boundary(2, 1, (1, -1))
+    for m, n, colors in [
+        (2, 1, (1.7, 0)),
+        (2, 1, ("1", 0)),
+        (2, 1, (True, 0)),
+        (2.0, 1, (1, 0)),
+        (2, 1.0, (1, 0)),
+    ]:
+        with pytest.raises(ValueError, match="must be an integer"):
+            Boundary(m, n, colors)
 
 
 # ---------------------------------------------------------------- product
@@ -348,6 +418,24 @@ def test_enumeration_matches_brute_force_oracle(m, n):
     assert ours == oracle_all_diagrams(m, n)
 
 
+# every (m, n) up to (5, 2) and (4, 3)
+WORD_ORACLE_SIZES = [
+    (m, n) for n, top in ((1, 5), (2, 5), (3, 4)) for m in range(top + 1)
+]
+
+
+@pytest.mark.parametrize("m,n", WORD_ORACLE_SIZES)
+def test_enumeration_matches_word_oracle_in_order(m, n):
+    expected = [
+        unique_planar_match(Boundary(m, n, tau), Boundary(m, n, beta))
+        for beta in itertools.product(range(n + 1), repeat=m)
+        for tau in oracle_words_with_counts(Boundary(m, n, beta).counts())
+    ]
+    got = enumerate_diagrams(m, n)
+    assert list(got) == expected
+    assert [d.edges for d in got] == [oracle_match(d.top, d.bottom) for d in expected]
+
+
 def test_enumeration_order_is_by_bottom_then_top_word():
     diagrams = enumerate_diagrams(2, 2)
     keys = [(d.bottom_boundary().colors, d.top_boundary().colors) for d in diagrams]
@@ -427,6 +515,15 @@ def test_words_with_counts():
     words = list(words_with_counts((1, 2)))
     assert words == [(0, 1, 1), (1, 0, 1), (1, 1, 0)]
     assert list(words_with_counts((0, 0))) == [()]
+    assert words_with_counts(()) == ((),)
+
+
+def test_words_with_counts_matches_recursive_oracle():
+    for slots in range(1, 5):
+        for total in range(7):
+            for counts in weak_compositions(total, slots):
+                expected = tuple(oracle_words_with_counts(counts))
+                assert words_with_counts(counts) == expected, counts
 
 
 def test_matrix_round_trip():
@@ -481,3 +578,54 @@ def test_trusted_constructions_are_valid(m, n):
         for d2 in enumerate_diagrams(m2, n):
             for d in diagrams:
                 assert_validated(juxtapose(d, d2))
+
+
+# ---------------------------------------------------------------- word properties
+
+# (m, n) up to (6, 1) and (4, 3)
+PROPERTY_SIZES = [
+    (m, n) for n, top in ((1, 6), (2, 4), (3, 4)) for m in range(top + 1)
+]
+
+
+@st.composite
+def diagrams_of_one_size(draw, count=2):
+    """`count` random diagrams of one size: each a random bottom word under a
+    random rearrangement of it, built from words without enumeration."""
+    m, n = draw(st.sampled_from(PROPERTY_SIZES))
+    out = []
+    for _ in range(count):
+        bottom = tuple(draw(st.lists(st.integers(0, n), min_size=m, max_size=m)))
+        top = tuple(draw(st.permutations(bottom)))
+        out.append(unique_planar_match(Boundary(m, n, top), Boundary(m, n, bottom)))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(diagrams_of_one_size())
+def test_word_product_matches_edge_stacking_oracle(pair):
+    d1, d2 = pair
+    prod, expected = multiply(d1, d2), oracle_multiply(d1, d2)
+    assert prod == expected
+    assert prod.edges == expected.edges
+    assert hash(prod) == hash(expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(diagrams_of_one_size(count=1))
+def test_derived_edges_round_trip(single):
+    (d,) = single
+    assert d.edges == oracle_match(d.top, d.bottom)
+    assert oracle_is_valid(d.m, d.n, d.edges)
+    rebuilt = Diagram(d.m, d.n, d.edges)
+    assert (rebuilt.top, rebuilt.bottom, rebuilt.edges) == (d.top, d.bottom, d.edges)
+    assert Diagram(d.m, d.n, tuple(reversed(d.edges))) == d
+
+
+@settings(max_examples=300, deadline=None)
+@given(diagrams_of_one_size(count=1))
+def test_diagram_json_round_trip_property(single):
+    (d,) = single
+    parsed = Diagram.from_json_dict(json.loads(json.dumps(d.to_json_dict())))
+    assert parsed == d
+    assert parsed.edges == d.edges

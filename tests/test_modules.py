@@ -26,7 +26,7 @@ from planar_rook.diagrams import (
 from planar_rook.modules import (
     ClassLabel,
     ExplicitModule,
-    act,
+    SimpleModule,
     adjunction_check,
     all_class_labels,
     class_dimension,
@@ -49,6 +49,21 @@ def dense(columns, dim):
     """The dim x dim matrix, as rows of Fractions, with the given sparse columns."""
     assert len(columns) == dim
     return [[Fraction(col.get(r, 0)) for col in columns] for r in range(dim)]
+
+
+def act(mod: SimpleModule, a: Element, vec) -> tuple[Fraction, ...]:
+    """Apply an algebra element to a coordinate vector of the simple module,
+    each diagram acting through SimpleModule.targets."""
+    if (a.m, a.n) != (mod.label.m, mod.label.n):
+        raise ValueError("element and module live at different sizes")
+    if len(vec) != mod.dimension:
+        raise ValueError(f"vector has length {len(vec)}, expected {mod.dimension}")
+    out = [Fraction(0)] * mod.dimension
+    for d, coeff in a.terms.items():
+        for x, t in zip(vec, mod.targets(d)):
+            if x and t is not None:
+                out[t] += coeff * Fraction(x)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------- class labels

@@ -3,6 +3,7 @@
 import pytest
 
 import planar_rook.class_crystals as cc
+from planar_rook import clear_caches
 from planar_rook.verify import TARGETS, compositions, partitions, verify_target
 
 
@@ -43,7 +44,7 @@ def test_composition_and_partition_helpers():
 
 def test_broken_raising_rule_is_reported(monkeypatch):
     # sabotage the closed-form operator; the functor route must disagree
-    cc.clear_caches()
+    clear_caches()
     monkeypatch.setattr(cc, "raise_label", lambda i, label: None)
     try:
         report = verify_target("thm4.3", max_m=2, max_n=1)
@@ -53,16 +54,16 @@ def test_broken_raising_rule_is_reported(monkeypatch):
         assert "via functors" in sample
     finally:
         monkeypatch.undo()
-        cc.clear_caches()
+        clear_caches()
 
 
 def test_broken_lowering_rule_breaks_the_isomorphism(monkeypatch):
     # freeze all lowering: the class crystal degenerates to isolated nodes
-    cc.clear_caches()
+    clear_caches()
     monkeypatch.setattr(cc, "lower_label", lambda i, label: None)
     try:
         report = verify_target("thm4.3", max_m=2, max_n=1)
         assert report["failed"] > 0
     finally:
         monkeypatch.undo()
-        cc.clear_caches()
+        clear_caches()
