@@ -308,9 +308,11 @@ def strand(n: int, i: int) -> Element:
     For i >= 1 it is unit_i - unit_0, a color-i edge minus an isolated pair;
     for i = 0 it is the isolated pair unit_0 itself.
     """
-    last = Element.from_diagram(unit_diagram(n, i))
+    if not (0 <= i <= n):
+        raise ValueError(f"color {i} outside 0..{n}")
+    last = Element.from_diagram(Diagram._trusted(1, n, (i,), (i,)))
     if i >= 1:
-        last = last - Element.from_diagram(unit_diagram(n, 0))
+        last = last - Element.from_diagram(Diagram._trusted(1, n, (0,), (0,)))
     return last
 
 

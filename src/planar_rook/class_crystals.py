@@ -21,8 +21,7 @@ from .crystals import (
     Crystal,
     component_containing,
     ensure_nodes_within_cap,
-    make_crystal,
-    signature_survivors,
+    signature,
 )
 from .modules import ClassLabel, all_class_labels, induce_class, restrict_class
 from .tableaux import word_key
@@ -37,7 +36,7 @@ def raise_label(i: int, label: ClassLabel) -> ClassLabel | None:
     counts = list(label.counts)
     counts[i] -= 1
     counts[i - 1] += 1
-    return ClassLabel(label.n, tuple(counts))
+    return ClassLabel._trusted(label.n, tuple(counts))
 
 
 def lower_label(i: int, label: ClassLabel) -> ClassLabel | None:
@@ -49,7 +48,7 @@ def lower_label(i: int, label: ClassLabel) -> ClassLabel | None:
     counts = list(label.counts)
     counts[i - 1] -= 1
     counts[i] += 1
-    return ClassLabel(label.n, tuple(counts))
+    return ClassLabel._trusted(label.n, tuple(counts))
 
 
 def class_operator_via_functors(kind: str, i: int, label: ClassLabel):
@@ -74,47 +73,28 @@ def class_crystal(m: int, n: int, force: bool = False) -> Crystal:
 
     Node keys are label keys "m|c0,...,cn"; eps counts the color-i vertices
     and phi the color-(i-1) vertices.  DOT labels show the class next to its
-    weakly increasing word.
+    weakly increasing word.  It is the tuple crystal of the one-part
+    composition (m,): with a single factor nothing cancels.
     """
     if m < 0 or n < 1:
         raise ValueError(f"bad class crystal parameters m={m}, n={n}")
     ensure_nodes_within_cap(comb(m + n, n), force)
-    return _class_crystal(m, n)
-
-
-@lru_cache(maxsize=None)
-def _class_crystal(m: int, n: int) -> Crystal:
-    table = _factor_table(m, n)
-    f_edges = {
-        (k, i): table.keys[j]
-        for k, down in zip(table.keys, table.down)
-        for i, j in enumerate(down, 1)
-        if j is not None
-    }
-    return make_crystal(
-        n,
-        table.keys,
-        dict(zip(table.keys, table.counts)),
-        {k: c[1:] for k, c in zip(table.keys, table.counts)},
-        {k: c[:-1] for k, c in zip(table.keys, table.counts)},
-        f_edges,
-        {k: f"{k} ~ {w}" for k, w in zip(table.keys, table.words)},
-    )
+    return _tensor_class_crystal((m,), n)
 
 
 class FactorTable(NamedTuple):
     """The classes of one size, indexed in `all_class_labels` order.
 
     keys, words and counts hold each class's label key, weakly increasing
-    word and count vector.  up[j][i-1] and down[j][i-1] are the indices of
-    raise_label(i, class j) and lower_label(i, class j), or None.
+    word and count vector.  up[i-1][j] and down[i-1][j] are the indices of
+    raise_label(i, class j) and lower_label(i, class j), or -1.
     """
 
     keys: tuple[str, ...]
     words: tuple[str, ...]
     counts: tuple[tuple[int, ...], ...]
-    up: tuple[tuple[int | None, ...], ...]
-    down: tuple[tuple[int | None, ...], ...]
+    up: list[list[int]]
+    down: list[list[int]]
 
 
 @lru_cache(maxsize=None)
@@ -122,16 +102,16 @@ def _factor_table(p: int, n: int) -> FactorTable:
     labels = all_class_labels(p, n)
     index = {label.counts: j for j, label in enumerate(labels)}
 
-    def neighbors(rule, label):
-        moved = (rule(i, label) for i in range(1, n + 1))
-        return tuple(None if x is None else index[x.counts] for x in moved)
+    def column(rule, i):
+        moved = (rule(i, label) for label in labels)
+        return [-1 if x is None else index[x.counts] for x in moved]
 
     return FactorTable(
         tuple(label.key for label in labels),
         tuple(word_key(label.canonical_boundary().colors) for label in labels),
         tuple(label.counts for label in labels),
-        tuple(neighbors(raise_label, label) for label in labels),
-        tuple(neighbors(lower_label, label) for label in labels),
+        [column(raise_label, i) for i in range(1, n + 1)],
+        [column(lower_label, i) for i in range(1, n + 1)],
     )
 
 
@@ -168,54 +148,45 @@ def tuple_count(parts, n: int) -> int:
 
 @lru_cache(maxsize=None)
 def _tensor_class_crystal(parts: tuple[int, ...], n: int) -> Crystal:
-    """Build from one factor table per part, on tuples of class indices.
+    """Build the columns from one factor table per part.
 
-    Nodes run over itertools.product of the index ranges, so the node with
-    index tuple t sits at position sum(t[j] * stride[j]) and moving factor j
-    from class a to class b moves it by (b - a) * stride[j]; key and display
-    strings are joins of the tables' precomputed strings.  One
-    signature_survivors call per node and direction gives the raising
-    factor (rightmost surviving minus), the lowering factor (leftmost
-    surviving plus), and eps and phi as the numbers of surviving minuses and
-    pluses.  A neighbour index the rules left as None (which a correct
-    rule never does where a sign survives) leaves the edge out.
+    Nodes run over itertools.product of the tables, so the node whose
+    factor j is class k_j sits at position sum(k_j * stride[j]), and moving
+    factor j from class k to class k' moves it by (k' - k) * stride[j].
+    One `signature` call per node and direction over the factors' (eps,
+    phi) pairs gives the raising and lowering factors and the node's eps
+    and phi.  A neighbour the rules left as -1 (which a correct rule never
+    does where a sign survives) leaves the edge out.  Key and display
+    strings are joins of the tables' strings.
     """
     tables = [_factor_table(p, n) for p in parts]
-    strides = [prod(len(t.keys) for t in tables[j + 1 :]) for j in range(len(parts))]
-    nodes = ["×".join(ks) for ks in itertools.product(*(t.keys for t in tables))]
-    display = {
-        k: k + " ~ " + "×".join(ws)
-        for k, ws in zip(nodes, itertools.product(*(t.words for t in tables)))
-    }
-    weights = {}
-    eps = {}
-    phi = {}
-    e_edges = {}
-    f_edges = {}
-    directions = range(1, n + 1)
-    index_tuples = itertools.product(*(range(len(t.keys)) for t in tables))
-    for at, (k, idx) in enumerate(zip(nodes, index_tuples)):
-        counts = [t.counts[j] for t, j in zip(tables, idx)]
-        weights[k] = tuple(map(sum, zip(*counts)))
-        eps_k = []
-        phi_k = []
-        for i in directions:
-            minus, plus = signature_survivors([(c[i], c[i - 1]) for c in counts])
-            eps_k.append(len(minus))
-            phi_k.append(len(plus))
-            if minus:
-                pos = minus[-1]
-                moved = tables[pos].up[idx[pos]][i - 1]
-                if moved is not None:
-                    e_edges[(k, i)] = nodes[at + (moved - idx[pos]) * strides[pos]]
-            if plus:
-                pos = plus[0]
-                moved = tables[pos].down[idx[pos]][i - 1]
-                if moved is not None:
-                    f_edges[(k, i)] = nodes[at + (moved - idx[pos]) * strides[pos]]
-        eps[k] = tuple(eps_k)
-        phi[k] = tuple(phi_k)
-    return Crystal(n, tuple(nodes), weights, eps, phi, e_edges, f_edges, display)
+    sizes = [len(t.keys) for t in tables]
+    strides = [prod(sizes[j + 1 :]) for j in range(len(parts))]
+
+    def targets(sigs, which, cols):
+        """Where the factor each signature picks (sig[which]) goes by its
+        table column cols[j], as a node position; -1 where nothing moves."""
+        out = []
+        for at, sig in enumerate(sigs):
+            j = sig[which]
+            k = at // strides[j] % sizes[j] if j >= 0 else 0
+            out.append(-1 if j < 0 or cols[j][k] < 0 else at + (cols[j][k] - k) * strides[j])
+        return out
+
+    eps, phi, up, down = [], [], [], []
+    for d in range(n):
+        pairs = ([(c[d + 1], c[d]) for c in t.counts] for t in tables)
+        sigs = list(map(signature, itertools.product(*pairs)))
+        eps.append([sig[2] for sig in sigs])
+        phi.append([sig[3] for sig in sigs])
+        up.append(targets(sigs, 0, [t.up[d] for t in tables]))
+        down.append(targets(sigs, 1, [t.down[d] for t in tables]))
+
+    keys = ["×".join(ks) for ks in itertools.product(*(t.keys for t in tables))]
+    words = itertools.product(*(t.words for t in tables))
+    labels = [k + " ~ " + "×".join(ws) for k, ws in zip(keys, words)]
+    wt = [tuple(map(sum, zip(*cs))) for cs in itertools.product(*(t.counts for t in tables))]
+    return Crystal(n, wt, eps, phi, up, down, keys, labels)
 
 
 def straight_line_tuple(partition: tuple[int, ...], n: int) -> tuple[ClassLabel, ...]:

@@ -1,14 +1,18 @@
 """Finite crystals for the general linear Lie algebra on n+1 letters.
 
-A crystal is stored explicitly: a list of node keys, a weight vector in Z^(n+1)
-per node, the statistics eps_i and phi_i for the raising and lowering
-directions i in 1..n, and partial raising/lowering maps as edge dictionaries.
-Every crystal built here is seminormal, so eps_i and phi_i are the lengths of
-the raising and lowering i-strings through the node, never minus infinity.
-The axioms (weight/statistics compatibility, weight shifts along edges,
-raising and lowering being mutually inverse, and the statistics measuring the
-string lengths) are checked by `check_axioms`, which returns violations as
-data instead of raising, so verification reports can show counterexamples.
+A crystal is stored as integer columns over node positions.  Node b is a
+position 0..N-1 with weight wt[b] in Z^(n+1); for each direction i in 1..n
+the columns eps[i-1] and phi[i-1] hold the statistics eps_i and phi_i, and
+up[i-1] and down[i-1] hold the positions that raising and lowering send b
+to, with -1 where the operator sends b to zero.  The node key strings sit
+beside the columns and are read only by export, by the keyed accessors and
+by the node maps handed back to callers.  Every crystal built here is
+seminormal, so eps_i and phi_i are the lengths of the raising and lowering
+i-strings through the node, never minus infinity.  The axioms
+(weight/statistics compatibility, weight shifts along edges, raising and
+lowering being mutually inverse, and the statistics measuring the string
+lengths) are checked by `check_axioms`, which returns violations as data
+instead of raising, so verification reports can show counterexamples.
 
 Tensor products follow the convention in which the lowering operator acts on
 the left factor when its phi exceeds the right factor's eps, and the signature
@@ -18,9 +22,10 @@ rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
-from typing import Mapping, Optional
+from operator import add
+from typing import Optional
 
 from .diagrams import EnumerationCapError
 
@@ -39,42 +44,69 @@ def ensure_nodes_within_cap(nodes: int, force: bool = False) -> None:
 Weight = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Crystal:
-    """An explicit finite crystal.
+    """An explicit finite crystal on the node positions 0..len-1.
 
-    nodes fixes the canonical ordering used by serialization and traversals.
-    e_edges[(b, i)] is the raising target, f_edges[(b, i)] the lowering
-    target; absent keys mean the operator sends the node to zero.  display
-    optionally overrides node labels in DOT output.
+    wt[b] is the weight of node b; eps[i-1][b] and phi[i-1][b] are its
+    statistics in direction i; up[i-1][b] and down[i-1][b] are the positions
+    of its raising and lowering targets, or -1 when the operator kills it.
+    The columns are lists that nobody mutates once the crystal is built.
+    nodes[b] is the node's key and labels[b], when labels are given, its
+    DOT label.  Crystals are equal when their columns, keys and labels are.
     """
 
     n: int
+    wt: list[Weight]
+    eps: list[list[int]]
+    phi: list[list[int]]
+    up: list[list[int]]
+    down: list[list[int]]
     nodes: tuple[str, ...]
-    weights: Mapping[str, Weight]
-    eps: Mapping[str, tuple]
-    phi: Mapping[str, tuple]
-    e_edges: Mapping[tuple[str, int], str]
-    f_edges: Mapping[tuple[str, int], str]
-    display: Optional[Mapping[str, str]] = None
+    labels: Optional[tuple[str, ...]] = None
+    _index: Optional[dict[str, int]] = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.nodes = tuple(self.nodes)
+        if self.labels is not None:
+            self.labels = tuple(self.labels)
+
+    @property
+    def f_edges(self) -> dict[tuple[str, int], str]:
+        """The lowering edges keyed as {(key, i): target key}."""
+        keys = self.nodes
+        return {
+            (keys[b], i): keys[t]
+            for i, col in enumerate(self.down, 1)
+            for b, t in enumerate(col)
+            if t >= 0
+        }
+
+    def position(self, b: str) -> int:
+        """The position of the node with key b (KeyError if there is none)."""
+        if self._index is None:
+            self._index = {k: p for p, k in enumerate(self.nodes)}
+        return self._index[b]
 
     def weight(self, b: str) -> Weight:
-        return self.weights[b]
+        return self.wt[self.position(b)]
 
-    def eps_i(self, b: str, i: int):
-        return self.eps[b][i - 1]
+    def eps_i(self, b: str, i: int) -> int:
+        return self.eps[i - 1][self.position(b)]
 
-    def phi_i(self, b: str, i: int):
-        return self.phi[b][i - 1]
+    def phi_i(self, b: str, i: int) -> int:
+        return self.phi[i - 1][self.position(b)]
 
     def e(self, b: str, i: int) -> Optional[str]:
-        return self.e_edges.get((b, i))
+        t = self.up[i - 1][self.position(b)]
+        return None if t < 0 else self.nodes[t]
 
     def f(self, b: str, i: int) -> Optional[str]:
-        return self.f_edges.get((b, i))
+        t = self.down[i - 1][self.position(b)]
+        return None if t < 0 else self.nodes[t]
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.wt)
 
 
 def weight_pairing(wt: Weight, i: int) -> int:
@@ -82,37 +114,36 @@ def weight_pairing(wt: Weight, i: int) -> int:
     return wt[i - 1] - wt[i]
 
 
-def add_weights(w1: Weight, w2: Weight) -> Weight:
-    return tuple(a + b for a, b in zip(w1, w2))
-
-
 def make_crystal(n, nodes, weights, eps, phi, f_edges, display=None) -> Crystal:
-    """Assemble a crystal, deriving the raising edges from the lowering ones."""
-    e_edges: dict[tuple[str, int], str] = {}
+    """Assemble a crystal from data keyed by node, where eps[b] and phi[b]
+    are per-direction tuples and f_edges maps (b, i) to the lowering target;
+    the raising edges are the inverse of the lowering ones."""
+    nodes = tuple(nodes)
+    index = {b: p for p, b in enumerate(nodes)}
+    up = [[-1] * len(nodes) for _ in range(n)]
+    down = [[-1] * len(nodes) for _ in range(n)]
     for (b, i), target in f_edges.items():
-        key = (target, i)
-        if key in e_edges:
+        t = index[target]
+        if up[i - 1][t] >= 0:
             raise ValueError(f"lowering in direction {i} is not injective at {target}")
-        e_edges[key] = b
-    return Crystal(n, tuple(nodes), dict(weights), dict(eps), dict(phi), e_edges, dict(f_edges), display)
+        up[i - 1][t] = index[b]
+        down[i - 1][index[b]] = t
+    stat = lambda table: [[table[b][i] for b in nodes] for i in range(n)]
+    labels = None if display is None else [display.get(b, b) for b in nodes]
+    return Crystal(n, [weights[b] for b in nodes], stat(eps), stat(phi), up, down, nodes, labels)
 
 
-def string_lengths(nodes, edges, n: int) -> dict[str, tuple[int, ...]]:
-    """Per node, the number of steps along edges[(b, i)] in each direction i.
-
-    A string that runs into a cycle, which no crystal has, gets length -1.
-    """
-    limit = len(nodes)
-    out = {}
-    for b in nodes:
-        lengths = []
-        for i in range(1, n + 1):
-            steps, cur = 0, edges.get((b, i))
-            while cur is not None and steps <= limit:
-                steps += 1
-                cur = edges.get((cur, i))
-            lengths.append(steps if cur is None else -1)
-        out[b] = tuple(lengths)
+def _string_lengths(col: list[int]) -> list[int]:
+    """Steps along col from each position until -1; a string that runs into
+    a cycle, which no crystal has, gets length -1."""
+    limit = len(col)
+    out = []
+    for cur in col:
+        steps = 0
+        while cur >= 0 and steps <= limit:
+            steps += 1
+            cur = col[cur]
+        out.append(steps if cur < 0 else -1)
     return out
 
 
@@ -123,62 +154,44 @@ def check_axioms(crystal: Crystal) -> list[str]:
     with the coroot; raising adds the simple root to the weight and lowering
     subtracts it; raising and lowering are mutually inverse; eps and phi
     equal the lengths of the raising and lowering strings (a string that
-    runs into a cycle counts as -1).
+    runs into a cycle counts as -1).  Keys are read only to word a violation.
     """
+    n, wt = crystal.n, crystal.wt
+    moves = [
+        (("raising", "lowering", 1, up, down), ("lowering", "raising", -1, down, up))
+        for up, down in zip(crystal.up, crystal.down)
+    ]
+    lengths = [list(map(_string_lengths, cols)) for cols in zip(crystal.up, crystal.down)]
     bad: list[str] = []
-    up_lengths = string_lengths(crystal.nodes, crystal.e_edges, crystal.n)
-    down_lengths = string_lengths(crystal.nodes, crystal.f_edges, crystal.n)
-    for b in crystal.nodes:
-        wt = crystal.weight(b)
-        if len(wt) != crystal.n + 1:
-            bad.append(f"node {b}: weight {wt} has wrong length")
+    key = crystal.nodes.__getitem__
+    for p, w in enumerate(wt):
+        if len(w) != n + 1:
+            bad.append(f"node {key(p)}: weight {w} has wrong length")
             continue
-        for i in range(1, crystal.n + 1):
-            eps = crystal.eps_i(b, i)
-            phi = crystal.phi_i(b, i)
-            pairing = weight_pairing(wt, i)
+        for d in range(n):
+            i, eps, phi = d + 1, crystal.eps[d][p], crystal.phi[d][p]
+            pairing = weight_pairing(w, i)
             if phi != eps + pairing:
                 bad.append(
-                    f"node {b}, direction {i}: phi={phi} != eps+pairing={eps + pairing}"
+                    f"node {key(p)}, direction {i}: phi={phi} != eps+pairing={eps + pairing}"
                 )
-            up = crystal.e(b, i)
-            if up is not None:
-                expected = list(wt)
-                expected[i - 1] += 1
-                expected[i] -= 1
-                if crystal.weight(up) != tuple(expected):
-                    bad.append(
-                        f"raising {b} in direction {i}: weight {crystal.weight(up)}"
-                        f" != {tuple(expected)}"
-                    )
-                if crystal.f(up, i) != b:
-                    bad.append(
-                        f"raising {b} then lowering in direction {i} misses {b}"
-                    )
-            down = crystal.f(b, i)
-            if down is not None:
-                expected = list(wt)
-                expected[i - 1] -= 1
-                expected[i] += 1
-                if crystal.weight(down) != tuple(expected):
-                    bad.append(
-                        f"lowering {b} in direction {i}: weight {crystal.weight(down)}"
-                        f" != {tuple(expected)}"
-                    )
-                if crystal.e(down, i) != b:
-                    bad.append(
-                        f"lowering {b} then raising in direction {i} misses {b}"
-                    )
-            up_len = up_lengths[b][i - 1]
-            down_len = down_lengths[b][i - 1]
+            for name, other, step, there, back in moves[d]:
+                t = there[p]
+                if t >= 0:
+                    moved = list(w)
+                    moved[d] += step
+                    moved[i] -= step
+                    if wt[t] != tuple(moved):
+                        bad.append(
+                            f"{name} {key(p)} in direction {i}: weight {wt[t]} != {tuple(moved)}"
+                        )
+                    if back[t] != p:
+                        bad.append(f"{name} {key(p)} then {other} in direction {i} misses {key(p)}")
+            up_len, down_len = lengths[d][0][p], lengths[d][1][p]
             if up_len != eps:
-                bad.append(
-                    f"node {b}, direction {i}: raising string {up_len} != eps {eps}"
-                )
+                bad.append(f"node {key(p)}, direction {i}: raising string {up_len} != eps {eps}")
             if down_len != phi:
-                bad.append(
-                    f"node {b}, direction {i}: lowering string {down_len} != phi {phi}"
-                )
+                bad.append(f"node {key(p)}, direction {i}: lowering string {down_len} != phi {phi}")
     return bad
 
 
@@ -188,55 +201,42 @@ def tensor(left: Crystal, right: Crystal) -> Crystal:
     Raising acts on the left factor when phi(left) >= eps(right), otherwise on
     the right; lowering acts on the left when phi(left) > eps(right) (strict),
     otherwise on the right.  Weights add; eps and phi combine by the standard
-    max formulas.  The product's node count is checked against the cap
-    before anything is built.
+    max formulas.  The pair (a, b) sits at position a * len(right) + b, with
+    key a⊗b.  The product's node count is checked against the cap before
+    anything is built.
     """
     if left.n != right.n:
         raise ValueError("cannot tensor crystals with different color counts")
     ensure_nodes_within_cap(len(left) * len(right))
-    n = left.n
-    nodes = []
-    weights = {}
-    eps: dict[str, tuple] = {}
-    phi: dict[str, tuple] = {}
-    e_edges: dict[tuple[str, int], str] = {}
-    f_edges: dict[tuple[str, int], str] = {}
-
-    def key(b1, b2):
-        return f"{b1}⊗{b2}"
-
-    for b1 in left.nodes:
-        w1 = left.weight(b1)
-        for b2 in right.nodes:
-            k = key(b1, b2)
-            nodes.append(k)
-            w2 = right.weight(b2)
-            weights[k] = add_weights(w1, w2)
-            ev, pv = [], []
-            for i in range(1, n + 1):
-                e1, p1 = left.eps_i(b1, i), left.phi_i(b1, i)
-                e2, p2 = right.eps_i(b2, i), right.phi_i(b2, i)
-                ev.append(max(e1, e2 - weight_pairing(w1, i)))
-                pv.append(max(p2, p1 + weight_pairing(w2, i)))
-                if p1 >= e2:
-                    up = left.e(b1, i)
-                    if up is not None:
-                        e_edges[(k, i)] = key(up, b2)
-                else:
-                    up = right.e(b2, i)
-                    if up is not None:
-                        e_edges[(k, i)] = key(b1, up)
-                if p1 > e2:
-                    down = left.f(b1, i)
-                    if down is not None:
-                        f_edges[(k, i)] = key(down, b2)
-                else:
-                    down = right.f(b2, i)
-                    if down is not None:
-                        f_edges[(k, i)] = key(b1, down)
-            eps[k] = tuple(ev)
-            phi[k] = tuple(pv)
-    return Crystal(n, tuple(nodes), weights, eps, phi, e_edges, f_edges)
+    size = len(right)
+    positions = range(size)
+    eps, phi, up, down = [], [], [], []
+    for d in range(left.n):
+        e2s, p2s, u2s, d2s = right.eps[d], right.phi[d], right.up[d], right.down[d]
+        pair2 = [w[d] - w[d + 1] for w in right.wt]
+        e_col, p_col, u_col, d_col = [], [], [], []
+        for a, (w1, e1, p1, u1, d1) in enumerate(
+            zip(left.wt, left.eps[d], left.phi[d], left.up[d], left.down[d])
+        ):
+            base, pair1 = a * size, w1[d] - w1[d + 1]
+            lu, ld = u1 * size if u1 >= 0 else -1, d1 * size if d1 >= 0 else -1
+            e_col += [e1 if e1 >= e2 - pair1 else e2 - pair1 for e2 in e2s]
+            p_col += [p2 if p2 >= p1 + q2 else p1 + q2 for p2, q2 in zip(p2s, pair2)]
+            u_col += [
+                (lu + b if lu >= 0 else -1) if p1 >= e2 else (base + u2 if u2 >= 0 else -1)
+                for b, e2, u2 in zip(positions, e2s, u2s)
+            ]
+            d_col += [
+                (ld + b if ld >= 0 else -1) if p1 > e2 else (base + d2 if d2 >= 0 else -1)
+                for b, e2, d2 in zip(positions, e2s, d2s)
+            ]
+        eps.append(e_col)
+        phi.append(p_col)
+        up.append(u_col)
+        down.append(d_col)
+    wt = [tuple(map(add, w1, w2)) for w1 in left.wt for w2 in right.wt]
+    keys = [f"{b1}⊗{b2}" for b1 in left.nodes for b2 in right.nodes]
+    return Crystal(left.n, wt, eps, phi, up, down, keys)
 
 
 def tensor_all(crystals) -> Crystal:
@@ -247,209 +247,233 @@ def tensor_all(crystals) -> Crystal:
     return reduce(tensor, crystals)
 
 
-def signature_apply(kind: str, factors) -> Optional[int]:
-    """Which factor an operator acts on, by the signature rule.
+def signature(factors) -> tuple[int, int, int, int]:
+    """(raising factor, lowering factor, eps, phi) by the signature rule.
 
     factors lists (eps, phi) of each tensor factor in one direction, left to
     right.  Write eps minuses then phi pluses for each factor and cancel
-    every (+, -) pair with the + on the left; raising acts on the factor
+    every (+, -) pair with the + on the left.  Raising acts on the factor
     owning the rightmost surviving -, lowering on the factor owning the
-    leftmost surviving +.  Returns the factor index, or None when no sign
-    survives.
+    leftmost surviving + (-1 when no such sign survives); eps and phi are
+    the numbers of surviving minuses and pluses.  Only counts are kept: a
+    minus cancels the nearest open plus, so the leftmost open plus survives
+    until every open plus has been cancelled.
     """
-    minus_owner, plus_owner = signature_survivors(factors)
-    if kind == "e":
-        return minus_owner[-1] if minus_owner else None
-    if kind == "f":
-        return plus_owner[0] if plus_owner else None
-    raise ValueError(f"kind must be 'e' or 'f', got {kind!r}")
+    rise = fall = -1
+    minus = plus = 0
+    for j, (m, p) in enumerate(factors):
+        if m > plus:
+            minus += m - plus
+            rise = j
+            plus = 0
+        else:
+            plus -= m
+        if p:
+            if not plus:
+                fall = j
+            plus += p
+    return rise, fall if plus else -1, minus, plus
 
 
-def signature_survivors(factors) -> tuple[list[int], list[int]]:
-    """Factor indices owning the surviving minuses and pluses, in order."""
-    minus_owner: list[int] = []
-    plus_stack: list[int] = []
-    for j, (num_minus, num_plus) in enumerate(factors):
-        # each minus cancels the nearest open plus to its left
-        cancelled = min(num_minus, len(plus_stack))
-        if cancelled:
-            del plus_stack[-cancelled:]
-        if num_minus > cancelled:
-            minus_owner.extend([j] * (num_minus - cancelled))
-        if num_plus:
-            plus_stack.extend([j] * num_plus)
-    return minus_owner, plus_stack
+def signature_apply(kind: str, factors) -> Optional[int]:
+    """Which factor an operator acts on by the signature rule: raising for
+    kind 'e', lowering for kind 'f'; None when no sign survives."""
+    if kind not in ("e", "f"):
+        raise ValueError(f"kind must be 'e' or 'f', got {kind!r}")
+    pos = signature(factors)[0 if kind == "e" else 1]
+    return None if pos < 0 else pos
+
+
+def _component_positions(crystal: Crystal) -> list[list[int]]:
+    """Positions of each connected component under both edge families, in
+    node order, components ordered by their first node."""
+    root = list(range(len(crystal)))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = x = root[root[x]]
+        return x
+
+    for col in crystal.up + crystal.down:
+        for b, t in enumerate(col):
+            if t >= 0:
+                rb, rt = find(b), find(t)
+                # the smaller position stays the root, so roots are minima
+                if rb < rt:
+                    root[rt] = rb
+                elif rt < rb:
+                    root[rb] = rt
+    groups: dict[int, list[int]] = {}
+    for b in range(len(crystal)):
+        groups.setdefault(find(b), []).append(b)
+    return list(groups.values())
+
+
+def _restrict(crystal: Crystal, members: list[int]) -> Crystal:
+    """The sub-crystal on the given positions, renumbered in their order."""
+    new = [-1] * len(crystal)
+    for q, p in enumerate(members):
+        new[p] = q
+
+    def pick(col):
+        return [col[p] for p in members]
+
+    def moved(col):
+        return [-1 if t < 0 else new[t] for t in pick(col)]
+
+    labels = None if crystal.labels is None else pick(crystal.labels)
+    return Crystal(
+        crystal.n, pick(crystal.wt), list(map(pick, crystal.eps)), list(map(pick, crystal.phi)),
+        list(map(moved, crystal.up)), list(map(moved, crystal.down)),
+        pick(crystal.nodes), labels,
+    )
 
 
 def components(crystal: Crystal) -> list[Crystal]:
     """Connected components (under both edge directions), in node order."""
-    seen: dict[str, int] = {}
-    neighbors: dict[str, list[str]] = {b: [] for b in crystal.nodes}
-    for (b, _), target in list(crystal.e_edges.items()) + list(
-        crystal.f_edges.items()
-    ):
-        neighbors[b].append(target)
-        neighbors[target].append(b)
-    groups: list[list[str]] = []
-    for start in crystal.nodes:
-        if start in seen:
-            groups[seen[start]].append(start)
-            continue
-        comp_id = len(groups)
-        groups.append([start])
-        stack = [start]
-        seen[start] = comp_id
-        while stack:
-            cur = stack.pop()
-            for nxt in neighbors[cur]:
-                if nxt not in seen:
-                    seen[nxt] = comp_id
-                    stack.append(nxt)
-    # each edge goes to its source's component: one pass per edge dict,
-    # which keeps the dict's order within every component
-    e_parts: list[dict] = [{} for _ in groups]
-    f_parts: list[dict] = [{} for _ in groups]
-    for edges, parts in ((crystal.e_edges, e_parts), (crystal.f_edges, f_parts)):
-        for k, v in edges.items():
-            parts[seen[k[0]]][k] = v
-    display = crystal.display
-    return [
-        Crystal(
-            crystal.n,
-            tuple(nodes),
-            {b: crystal.weights[b] for b in nodes},
-            {b: crystal.eps[b] for b in nodes},
-            {b: crystal.phi[b] for b in nodes},
-            e_part,
-            f_part,
-            None if display is None else {b: display[b] for b in nodes if b in display},
-        )
-        for nodes, e_part, f_part in zip(groups, e_parts, f_parts)
-    ]
+    return [_restrict(crystal, group) for group in _component_positions(crystal)]
+
+
+def _highest(crystal: Crystal, members) -> list[int]:
+    return [p for p in members if all(col[p] < 0 for col in crystal.up)]
 
 
 def highest_nodes(crystal: Crystal) -> list[str]:
     """Nodes killed by every raising operator."""
-    return [
-        b
-        for b in crystal.nodes
-        if all(crystal.e(b, i) is None for i in range(1, crystal.n + 1))
-    ]
+    return [crystal.nodes[p] for p in _highest(crystal, range(len(crystal)))]
 
 
 def component_containing(crystal: Crystal, node: str) -> Crystal:
-    for comp in components(crystal):
-        if node in comp.weights:
-            return comp
-    raise ValueError(f"node {node!r} not in the crystal")
+    if node not in crystal.nodes:
+        raise ValueError(f"node {node!r} not in the crystal")
+    p = crystal.position(node)
+    return next(_restrict(crystal, g) for g in _component_positions(crystal) if p in g)
 
 
-def _traversal(comp: Crystal):
+def _traversal(crystal: Crystal, members: list[int]):
     """Canonical traversal of one component from its unique highest node.
 
-    Returns (certificate, ordered nodes).  The certificate is a nested tuple
-    of integers; equal certificates mean the components are isomorphic, and
-    matching the traversals node by node gives the isomorphism.
+    Returns (certificate, ordered positions).  The certificate lists the
+    weights, the eps, phi and lowering columns (targets as traversal
+    indices) in traversal order; equal certificates mean the components
+    are isomorphic, and matching the traversals node by node gives the
+    isomorphism.
     """
-    highs = highest_nodes(comp)
+    highs = _highest(crystal, members)
     if len(highs) != 1:
         raise ValueError(
             f"component with {len(highs)} highest nodes is not a normal "
             "crystal component; no certificate"
         )
-    order = [highs[0]]
-    position = {highs[0]: 0}
-    cursor = 0
-    while cursor < len(order):
-        b = order[cursor]
-        cursor += 1
-        for i in range(1, comp.n + 1):
-            target = comp.f(b, i)
-            if target is not None and target not in position:
-                position[target] = len(order)
-                order.append(target)
-    if len(order) != len(comp.nodes):
+    order = highs
+    index = {highs[0]: 0}
+    for b in order:
+        for col in crystal.down:
+            t = col[b]
+            if t >= 0 and t not in index:
+                index[t] = len(order)
+                order.append(t)
+    if len(order) != len(members):
         raise ValueError(
             "component is not generated by lowering from its highest node; "
             "not a normal crystal component"
         )
-    cert = tuple(
-        (
-            comp.weight(b),
-            tuple(comp.eps[b]),
-            tuple(comp.phi[b]),
-            tuple(
-                position[comp.f(b, i)] if comp.f(b, i) is not None else -1
-                for i in range(1, comp.n + 1)
-            ),
-        )
-        for b in order
+    cert = (
+        tuple(map(crystal.wt.__getitem__, order)),
+        tuple(tuple(map(col.__getitem__, order)) for col in crystal.eps + crystal.phi),
+        tuple(
+            tuple(-1 if t < 0 else index[t] for t in map(col.__getitem__, order))
+            for col in crystal.down
+        ),
     )
     return cert, order
 
 
+def _image_violations(source: Crystal, target: Crystal, image: list[int]) -> list[str]:
+    """Defects of the bijection sending position b to image[b] as a strict
+    isomorphism, node by node in source order; keys are read only to word a
+    defect."""
+    bad = []
+    for b, t in enumerate(image):
+        found = []
+        if source.wt[b] != target.wt[t]:
+            found.append(("weight", ""))
+        for name, ours, theirs in (("eps", source.eps, target.eps), ("phi", source.phi, target.phi)):
+            if any(o[b] != th[t] for o, th in zip(ours, theirs)):
+                found.append((name, ""))
+        for i in range(source.n):
+            for name, ours, theirs in (
+                ("raising", source.up[i], target.up[i]),
+                ("lowering", source.down[i], target.down[i]),
+            ):
+                s = ours[b]
+                if (-1 if s < 0 else image[s]) != theirs[t]:
+                    found.append((name, f", direction {i + 1}"))
+        if found:
+            at = f"{source.nodes[b]} -> {target.nodes[t]}"
+            bad += [f"{name} mismatch at {at}{where}" for name, where in found]
+    return bad
+
+
 def morphism_violations(source: Crystal, target: Crystal, mapping) -> list[str]:
-    """Defects of a node map as a strict isomorphism of crystals.
+    """Defects of a node map (keys to keys) as a strict isomorphism of
+    crystals, in source node order.
 
     Checks bijectivity, preservation of weight/eps/phi and both edge
     families.  Empty list means the map is an isomorphism.
     """
-    bad = []
     if source.n != target.n:
         return [f"different color counts: {source.n} vs {target.n}"]
-    if len(mapping) != len(source.nodes) or set(mapping) != set(source.nodes):
-        bad.append("mapping does not cover the source nodes exactly")
-        return bad
+    if len(mapping) != len(source) or set(mapping) != set(source.nodes):
+        return ["mapping does not cover the source nodes exactly"]
     if sorted(mapping.values()) != sorted(target.nodes):
-        bad.append("mapping is not a bijection onto the target nodes")
-        return bad
-    for b, image in mapping.items():
-        if source.weight(b) != target.weight(image):
-            bad.append(f"weight mismatch at {b} -> {image}")
-        if tuple(source.eps[b]) != tuple(target.eps[image]):
-            bad.append(f"eps mismatch at {b} -> {image}")
-        if tuple(source.phi[b]) != tuple(target.phi[image]):
-            bad.append(f"phi mismatch at {b} -> {image}")
-        for i in range(1, source.n + 1):
-            for ours, theirs, name in (
-                (source.e(b, i), target.e(image, i), "raising"),
-                (source.f(b, i), target.f(image, i), "lowering"),
-            ):
-                expected = mapping.get(ours) if ours is not None else None
-                if expected != theirs:
-                    bad.append(
-                        f"{name} mismatch at {b} -> {image}, direction {i}"
-                    )
-    return bad
+        return ["mapping is not a bijection onto the target nodes"]
+    image = [target.position(mapping[b]) for b in source.nodes]
+    return _image_violations(source, target, image)
 
 
-def are_isomorphic(left: Crystal, right: Crystal):
-    """(True, node map) when the crystals are isomorphic, else (False, None).
+def isomorphism_positions(left: Crystal, right: Crystal) -> Optional[list[int]]:
+    """image[b], the position of right that left's position b goes to under
+    an isomorphism, or None when the crystals are not isomorphic.
 
     Both crystals must decompose into components with unique highest nodes
     reachable by lowering (anything else raises).  Components are matched by
-    canonical traversal certificates; the returned witness is verified edge
-    by edge before being handed back.
+    canonical traversal certificates, and the witness is verified edge by
+    edge before it is returned.
     """
     if left.n != right.n:
         raise ValueError("crystals have different color counts")
-    comps_left = components(left)
-    comps_right = components(right)
+    comps_left = _component_positions(left)
+    comps_right = _component_positions(right)
     if len(comps_left) != len(comps_right):
-        return False, None
-    tagged_left = sorted((_traversal(c) for c in comps_left), key=lambda t: t[0])
-    tagged_right = sorted((_traversal(c) for c in comps_right), key=lambda t: t[0])
-    mapping: dict[str, str] = {}
-    for (cert_l, order_l), (cert_r, order_r) in zip(tagged_left, tagged_right):
+        return None
+
+    def tagged(crystal, comps):
+        return sorted((_traversal(crystal, c) for c in comps), key=lambda t: t[0])
+
+    image = [-1] * len(left)
+    for (cert_l, order_l), (cert_r, order_r) in zip(
+        tagged(left, comps_left), tagged(right, comps_right)
+    ):
         if cert_l != cert_r:
-            return False, None
-        mapping.update(zip(order_l, order_r))
-    defects = morphism_violations(left, right, mapping)
+            return None
+        for p, q in zip(order_l, order_r):
+            image[p] = q
+    defects = _image_violations(left, right, image)
     if defects:
         raise AssertionError(
             f"certificate matching produced a defective witness: {defects[:3]}"
         )
-    return True, mapping
+    return image
+
+
+def are_isomorphic(left: Crystal, right: Crystal):
+    """(True, node map) when the crystals are isomorphic, else (False, None);
+    `isomorphism_positions` with the witness handed back as a map of keys."""
+    image = isomorphism_positions(left, right)
+    if image is None:
+        return False, None
+    return True, dict(zip(left.nodes, map(right.nodes.__getitem__, image)))
 
 
 def _dot_escape(text: str) -> str:
@@ -459,17 +483,16 @@ def _dot_escape(text: str) -> str:
 def to_dot(crystal: Crystal) -> str:
     """Graphviz source with one arc per lowering edge, colored by direction."""
     lines = ["digraph crystal {", "  rankdir=TB;", "  node [shape=box];"]
-    display = crystal.display or {}
-    for b in crystal.nodes:
-        wt = ", ".join(str(x) for x in crystal.weight(b))
-        label = _dot_escape(display.get(b, b)) + f"\\nwt=({wt})"
-        lines.append(f'  "{_dot_escape(b)}" [label="{label}"];')
-    for b in crystal.nodes:
-        for i in range(1, crystal.n + 1):
-            target = crystal.f(b, i)
-            if target is not None:
+    keys = [_dot_escape(k) for k in crystal.nodes]
+    labels = crystal.labels or crystal.nodes
+    for k, label, w in zip(keys, labels, crystal.wt):
+        wt = ", ".join(str(x) for x in w)
+        lines.append(f'  "{k}" [label="{_dot_escape(label)}\\nwt=({wt})"];')
+    for b, k in enumerate(keys):
+        for i, col in enumerate(crystal.down, 1):
+            if col[b] >= 0:
                 lines.append(
-                    f'  "{_dot_escape(b)}" -> "{_dot_escape(target)}" '
+                    f'  "{k}" -> "{keys[col[b]]}" '
                     f'[label="{i}", colorscheme=set19, color={(i - 1) % 9 + 1}];'
                 )
     lines.append("}")
@@ -478,21 +501,22 @@ def to_dot(crystal: Crystal) -> str:
 
 def to_json_dict(crystal: Crystal) -> dict:
     """Serializable form: nodes with statistics, lowering edges by direction."""
+    keys = crystal.nodes
     return {
         "n": crystal.n,
         "nodes": [
             {
-                "key": b,
-                "wt": list(crystal.weight(b)),
-                "eps": list(crystal.eps[b]),
-                "phi": list(crystal.phi[b]),
+                "key": k,
+                "wt": list(w),
+                "eps": [col[b] for col in crystal.eps],
+                "phi": [col[b] for col in crystal.phi],
             }
-            for b in crystal.nodes
+            for b, (k, w) in enumerate(zip(keys, crystal.wt))
         ],
         "edges": [
-            {"from": b, "to": crystal.f(b, i), "i": i}
-            for b in crystal.nodes
-            for i in range(1, crystal.n + 1)
-            if crystal.f(b, i) is not None
+            {"from": k, "to": keys[col[b]], "i": i}
+            for b, k in enumerate(keys)
+            for i, col in enumerate(crystal.down, 1)
+            if col[b] >= 0
         ],
     }

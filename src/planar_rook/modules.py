@@ -58,6 +58,14 @@ class ClassLabel:
         if any(c < 0 for c in self.counts):
             raise ValueError(f"negative count in {self.counts}")
 
+    @classmethod
+    def _trusted(cls, n: int, counts: tuple[int, ...]) -> ClassLabel:
+        """A label whose counts the caller knows to be valid."""
+        label = object.__new__(cls)
+        object.__setattr__(label, "n", n)
+        object.__setattr__(label, "counts", counts)
+        return label
+
     @property
     def m(self) -> int:
         return sum(self.counts)
@@ -77,8 +85,10 @@ class ClassLabel:
 def all_class_labels(m: int, n: int) -> list[ClassLabel]:
     """Every class at size m, ordered so that earlier labels have more
     isolated vertices (reverse lexicographic count vectors)."""
+    if n < 1:
+        raise ValueError(f"need at least one color, got n={n}")
     return [
-        ClassLabel(n, counts)
+        ClassLabel._trusted(n, counts)
         for counts in sorted(weak_compositions(m, n + 1), reverse=True)
     ]
 
@@ -309,7 +319,7 @@ def restrict_class(i: int, label: ClassLabel) -> ClassLabel | None:
         return None
     counts = list(label.counts)
     counts[i] -= 1
-    return ClassLabel(label.n, tuple(counts))
+    return ClassLabel._trusted(label.n, tuple(counts))
 
 
 def induce_class(i: int, label: ClassLabel) -> ClassLabel:
@@ -318,7 +328,7 @@ def induce_class(i: int, label: ClassLabel) -> ClassLabel:
         raise ValueError(f"color {i} outside 0..{label.n}")
     counts = list(label.counts)
     counts[i] += 1
-    return ClassLabel(label.n, tuple(counts))
+    return ClassLabel._trusted(label.n, tuple(counts))
 
 
 def adjunction_check(i: int, small: ClassLabel, big: ClassLabel) -> tuple[int, int]:

@@ -20,8 +20,8 @@ from .crystals import (
     Crystal,
     ensure_nodes_within_cap,
     make_crystal,
+    signature,
     signature_apply,
-    signature_survivors,
 )
 from .diagrams import json_int
 
@@ -267,13 +267,9 @@ def _ssyt_crystal(shape: tuple[int, ...], n: int) -> Crystal:
         t = found[k]
         weights[k] = t.letter_counts(n)
         word = reading(t)
-        ev, pv = [], []
-        for i in range(1, n + 1):
-            minus_owner, plus_owner = signature_survivors(signature_factors(word, i))
-            ev.append(len(minus_owner))
-            pv.append(len(plus_owner))
-        eps[k] = tuple(ev)
-        phi[k] = tuple(pv)
+        stats = [signature(signature_factors(word, i)) for i in range(1, n + 1)]
+        eps[k] = tuple(s[2] for s in stats)
+        phi[k] = tuple(s[3] for s in stats)
     return make_crystal(n, nodes, weights, eps, phi, f_edges)
 
 

@@ -22,6 +22,7 @@ from planar_rook.algebra import (
     orbit_basis_product,
     orbit_product,
     orbit_vector,
+    strand,
     subdiagrams,
     to_orbit_basis,
     truncation_idempotent,
@@ -284,6 +285,18 @@ def test_truncation_idempotent_validation():
         truncation_idempotent(0, 2, 1)
     with pytest.raises(ValueError):
         truncation_idempotent(2, 2, 3)
+
+
+def test_strand_is_unit_minus_isolated_pair():
+    for n in (1, 2, 3):
+        isolated = Element.from_diagram(unit_diagram(n, 0))
+        assert strand(n, 0) == isolated
+        for i in range(1, n + 1):
+            assert strand(n, i) == Element.from_diagram(unit_diagram(n, i)) - isolated
+    with pytest.raises(ValueError):
+        strand(2, 3)
+    with pytest.raises(ValueError):
+        strand(2, -1)
 
 
 def test_truncation_idempotent_picks_out_last_vertex_color():

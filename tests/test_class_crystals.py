@@ -10,7 +10,9 @@ from __future__ import annotations
 import itertools
 from math import comb
 
+import crystal_oracle as oracle
 import pytest
+from crystal_oracle import DictCrystal, as_dicts
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,14 +29,12 @@ from planar_rook.class_crystals import (
     tuple_key,
 )
 from planar_rook.crystals import (
-    Crystal,
     are_isomorphic,
     check_axioms,
     components,
     highest_nodes,
     morphism_violations,
     signature_apply,
-    string_lengths,
     tensor_all,
 )
 from planar_rook.modules import ClassLabel, all_class_labels
@@ -119,7 +119,32 @@ def test_class_crystal_small():
 
 def test_class_crystal_display_shows_words():
     c = class_crystal(2, 1)
-    assert c.display["2|1,1"] == "2|1,1 ~ 01"
+    assert c.labels[c.position("2|1,1")] == "2|1,1 ~ 01"
+
+
+@pytest.mark.parametrize("m,n", [(0, 1), (0, 2), (1, 1), (2, 1), (3, 2), (4, 3)])
+def test_class_crystal_matches_its_closed_form(m, n):
+    # the class crystal is the one-part tuple crystal; check it against the
+    # definition: eps_i counts color i, phi_i color i-1, lower_label lowers
+    labels = all_class_labels(m, n)
+    keys = [lab.key for lab in labels]
+    f_edges = {
+        (lab.key, i): lower_label(i, lab).key
+        for lab in labels
+        for i in range(1, n + 1)
+        if lower_label(i, lab) is not None
+    }
+    reference = DictCrystal(
+        n,
+        tuple(keys),
+        {lab.key: lab.counts for lab in labels},
+        {lab.key: lab.counts[1:] for lab in labels},
+        {lab.key: lab.counts[:-1] for lab in labels},
+        {(t, i): b for (b, i), t in f_edges.items()},
+        f_edges,
+        {lab.key: f"{lab.key} ~ {word_key(lab.canonical_boundary().colors)}" for lab in labels},
+    )
+    assert class_crystal(m, n) == oracle.from_dicts(reference)
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (2, 2), (3, 2), (4, 3)])
@@ -209,27 +234,20 @@ def reference_tensor_class_crystal(parts, n):
         + "×".join(word_key(lab.canonical_boundary().colors) for lab in labels)
         for labels in tuples
     }
-    return Crystal(
+    return DictCrystal(
         n,
         tuple(nodes),
         weights,
-        string_lengths(nodes, e_edges, n),
-        string_lengths(nodes, f_edges, n),
+        oracle.string_lengths(nodes, e_edges, n),
+        oracle.string_lengths(nodes, f_edges, n),
         e_edges,
         f_edges,
         display,
     )
 
 
-def assert_same_crystal(ours, oracle):
-    assert ours.n == oracle.n
-    assert ours.nodes == oracle.nodes
-    assert ours.weights == oracle.weights
-    assert ours.eps == oracle.eps
-    assert ours.phi == oracle.phi
-    assert list(ours.e_edges.items()) == list(oracle.e_edges.items())
-    assert list(ours.f_edges.items()) == list(oracle.f_edges.items())
-    assert ours.display == oracle.display
+def assert_same_crystal(ours, reference):
+    oracle.assert_same(as_dicts(ours), reference)
 
 
 SMALL_CASES = [
@@ -266,9 +284,9 @@ def test_tensor_class_crystal_stats_are_string_lengths(n):
     # eps/phi come from the surviving signs, independently of the edges
     for total in range(1, 6):
         for parts in compositions(total):
-            c = tensor_class_crystal(parts, n)
-            assert c.eps == string_lengths(c.nodes, c.e_edges, n), parts
-            assert c.phi == string_lengths(c.nodes, c.f_edges, n), parts
+            c = as_dicts(tensor_class_crystal(parts, n))
+            assert c.eps == oracle.string_lengths(c.nodes, c.e_edges, n), parts
+            assert c.phi == oracle.string_lengths(c.nodes, c.f_edges, n), parts
 
 
 def test_clear_caches_rebuilds_from_the_rules(monkeypatch):

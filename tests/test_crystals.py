@@ -4,10 +4,19 @@ components, and the isomorphism certificate machinery."""
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
+import crystal_oracle as oracle
 import pytest
+from crystal_oracle import DictCrystal, as_dicts, from_dicts
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from planar_rook.class_crystals import tensor_class_crystal
+from planar_rook.class_crystals import (
+    class_crystal,
+    highest_component,
+    tensor_class_crystal,
+)
 from planar_rook.crystals import (
     CRYSTAL_NODE_CAP,
     Crystal,
@@ -18,8 +27,8 @@ from planar_rook.crystals import (
     highest_nodes,
     make_crystal,
     morphism_violations,
+    signature,
     signature_apply,
-    signature_survivors,
     tensor,
     tensor_all,
     to_dot,
@@ -80,40 +89,33 @@ def test_chain_is_valid():
 
 
 def test_axiom_phi_eps_pairing_violation():
-    c = _chain2()
-    broken = Crystal(
-        c.n, c.nodes, c.weights, {"a": (1,), "b": (1,)}, c.phi, c.e_edges, c.f_edges
-    )
+    c = as_dicts(_chain2())
+    broken = from_dicts(replace(c, eps={"a": (1,), "b": (1,)}))
     assert any("phi=" in v or "string" in v for v in check_axioms(broken))
 
 
 def test_axiom_weight_shift_violation():
-    c = _chain2()
-    broken = Crystal(
-        c.n, c.nodes, {"a": (1, 0), "b": (1, 0)}, c.eps, c.phi, c.e_edges, c.f_edges
-    )
+    c = as_dicts(_chain2())
+    broken = from_dicts(replace(c, weights={"a": (1, 0), "b": (1, 0)}))
     msgs = check_axioms(broken)
     assert any("weight" in v for v in msgs)
 
 
 def test_axiom_inverse_violation():
     # hand-build edge dicts that are not mutually inverse
-    c = _chain2()
-    broken = Crystal(c.n, c.nodes, c.weights, c.eps, c.phi, {}, c.f_edges)
+    broken = from_dicts(replace(as_dicts(_chain2()), e_edges={}))
     msgs = check_axioms(broken)
     assert any("lowering a then raising" in v for v in msgs)
 
 
 def test_axiom_string_length_violation():
-    c = _chain2()
-    broken = Crystal(
-        c.n, c.nodes, c.weights, {"a": (2,), "b": (1,)}, c.phi, c.e_edges, c.f_edges
-    )
+    c = as_dicts(_chain2())
+    broken = from_dicts(replace(c, eps={"a": (2,), "b": (1,)}))
     assert any("string" in v for v in check_axioms(broken))
 
 
-def test_cycle_detected_not_hung():
-    looped = Crystal(
+def _looped():
+    return DictCrystal(
         1,
         ("a", "b"),
         {"a": (0, 0), "b": (0, 0)},
@@ -122,7 +124,10 @@ def test_cycle_detected_not_hung():
         {("a", 1): "b", ("b", 1): "a"},
         {("a", 1): "b", ("b", 1): "a"},
     )
-    msgs = check_axioms(looped)
+
+
+def test_cycle_detected_not_hung():
+    msgs = check_axioms(from_dicts(_looped()))
     assert msgs  # weight shifts and string lengths both fail
 
 
@@ -197,7 +202,7 @@ def test_tensor_checks_the_cap_before_building():
         tensor(big, big)
 
 
-def components_by_rescan(crystal):
+def components_by_rescan(crystal: DictCrystal) -> list[DictCrystal]:
     """Components by depth-first search, then every edge dict rescanned once
     per component."""
     neighbors = {b: [] for b in crystal.nodes}
@@ -223,7 +228,7 @@ def components_by_rescan(crystal):
         nodes = tuple(b for b in crystal.nodes if b in block)
         display = crystal.display
         out.append(
-            Crystal(
+            DictCrystal(
                 crystal.n,
                 nodes,
                 {b: crystal.weights[b] for b in nodes},
@@ -237,38 +242,45 @@ def components_by_rescan(crystal):
     return out
 
 
-@pytest.mark.parametrize(
-    "crystal",
-    [
-        tensor_all([box_crystal(2)] * 3),
-        tensor(row_crystal(2, 1), box_crystal(1)),
-        ssyt_crystal((2, 1), 2),
-        tensor_class_crystal((2, 1, 1), 2),
-        tensor_class_crystal((1, 3), 1),
-    ],
-    ids=["box^3", "row-box", "ssyt", "classes(2,1,1)", "classes(1,3)"],
-)
+CORPUS = {
+    "box^3": lambda: tensor_all([box_crystal(2)] * 3),
+    "row-box": lambda: tensor(row_crystal(2, 1), box_crystal(1)),
+    "ssyt": lambda: ssyt_crystal((2, 1), 2),
+    "classes(2,1,1)": lambda: tensor_class_crystal((2, 1, 1), 2),
+    "classes(1,3)": lambda: tensor_class_crystal((1, 3), 1),
+}
+
+
+@pytest.mark.parametrize("crystal", [build() for build in CORPUS.values()], ids=list(CORPUS))
 def test_components_match_rescanning_oracle(crystal):
-    ours = components(crystal)
-    oracle = components_by_rescan(crystal)
-    assert len(ours) == len(oracle)
-    for a, b in zip(ours, oracle):
-        assert a == b
+    ours = [as_dicts(c) for c in components(crystal)]
+    rescanned = components_by_rescan(as_dicts(crystal))
+    assert ours == rescanned == oracle.components(as_dicts(crystal))
+    for a, b in zip(ours, rescanned):
         assert a.nodes == b.nodes
         assert list(a.e_edges.items()) == list(b.e_edges.items())
         assert list(a.f_edges.items()) == list(b.f_edges.items())
-        assert a.display == b.display
 
 
 # ---------------------------------------------------------------- signature
 
 
 def test_signature_survivors():
-    # word: - + + | factor 0 contributes the -, factor 1 the first +
-    assert signature_survivors([(1, 1), (0, 1)]) == ([0], [0, 1])
+    # the stack oracle: word - + + | factor 0 contributes the -, factor 1 the first +
+    assert oracle.signature_survivors([(1, 1), (0, 1)]) == ([0], [0, 1])
     # cancellation: + then - annihilate
-    assert signature_survivors([(0, 1), (1, 0)]) == ([], [])
-    assert signature_survivors([(2, 0), (0, 3)]) == ([0, 0], [1, 1, 1])
+    assert oracle.signature_survivors([(0, 1), (1, 0)]) == ([], [])
+    assert oracle.signature_survivors([(2, 0), (0, 3)]) == ([0, 0], [1, 1, 1])
+
+
+def test_signature_examples():
+    assert signature([(1, 1), (0, 1)]) == (0, 0, 1, 2)
+    assert signature([(0, 1), (1, 0)]) == (-1, -1, 0, 0)
+    assert signature([(2, 0), (0, 3)]) == (0, 1, 2, 3)
+    # the leftmost open plus is cancelled last: + + | - leaves factor 0's plus
+    assert signature([(0, 2), (1, 0)]) == (-1, 0, 0, 1)
+    assert signature([(0, 1), (0, 1), (2, 0), (0, 1)]) == (-1, 3, 0, 1)
+    assert signature([]) == (-1, -1, 0, 0)
 
 
 def test_signature_apply_examples():
@@ -337,9 +349,9 @@ def test_are_isomorphic_relabeled():
     relabeled = make_crystal(
         2,
         ["x", "y", "z"],
-        {"x": b.weights["0"], "y": b.weights["1"], "z": b.weights["2"]},
-        {"x": b.eps["0"], "y": b.eps["1"], "z": b.eps["2"]},
-        {"x": b.phi["0"], "y": b.phi["1"], "z": b.phi["2"]},
+        dict(zip("xyz", b.wt)),
+        dict(zip("xyz", zip(*b.eps))),
+        dict(zip("xyz", zip(*b.phi))),
         {("x", 1): "y", ("y", 2): "z"},
     )
     ok, witness = are_isomorphic(b, relabeled)
@@ -350,30 +362,14 @@ def test_are_isomorphic_relabeled():
 def test_are_isomorphic_rejects_different():
     assert are_isomorphic(box_crystal(1), row_crystal(2, 1))[0] is False
     b = box_crystal(1)
-    shifted = Crystal(
-        1,
-        b.nodes,
-        {"0": (2, 0), "1": (1, 1)},
-        b.eps,
-        b.phi,
-        b.e_edges,
-        b.f_edges,
-    )
+    shifted = from_dicts(replace(as_dicts(b), weights={"0": (2, 0), "1": (1, 1)}))
     assert are_isomorphic(b, shifted)[0] is False
     with pytest.raises(ValueError):
         are_isomorphic(box_crystal(1), box_crystal(2))
 
 
 def test_are_isomorphic_rejects_non_normal():
-    looped = Crystal(
-        1,
-        ("a", "b"),
-        {"a": (0, 0), "b": (0, 0)},
-        {"a": (0,), "b": (0,)},
-        {"a": (0,), "b": (0,)},
-        {("a", 1): "b", ("b", 1): "a"},
-        {("a", 1): "b", ("b", 1): "a"},
-    )
+    looped = from_dicts(_looped())
     with pytest.raises(ValueError, match="not a normal"):
         are_isomorphic(looped, looped)
 
@@ -404,3 +400,179 @@ def test_to_json_structure():
     assert [node["key"] for node in obj["nodes"]] == ["0", "1", "2"]
     assert {"from": "0", "to": "1", "i": 1} in obj["edges"]
     assert all(node["eps"] is not None for node in obj["nodes"])
+
+
+# ---------------------------------------------------------------- dict oracles
+
+
+ORACLE_CORPUS = {
+    **CORPUS,
+    "box(1)": lambda: box_crystal(1),
+    "box^4(n=1)": lambda: tensor_all([box_crystal(1)] * 4),
+    "row(3,2)": lambda: row_crystal(3, 2),
+    "ssyt((2,2,1),2)": lambda: ssyt_crystal((2, 2, 1), 2),
+    "classes(3,2)": lambda: class_crystal(3, 2),
+    "classes(1,2,1)": lambda: tensor_class_crystal((1, 2, 1), 2),
+    "highest((2,1),2)": lambda: highest_component((2, 1), 2),
+    "rows(2,1)": lambda: tensor(row_crystal(2, 2), row_crystal(1, 2)),
+    # highest nodes last, so position 0 is a lowering target
+    "reversed ssyt": lambda: _reversed(ssyt_crystal((2, 1), 2)),
+    "reversed box(2)": lambda: _reversed(box_crystal(2)),
+}
+
+
+def _reversed(c):
+    return from_dicts(replace(as_dicts(c), nodes=c.nodes[::-1]))
+
+TENSOR_PAIRS = [
+    ("box(1)", "box(1)"),
+    ("row(3,2)", "box^3"),
+    ("box^3", "row(3,2)"),
+    ("ssyt", "classes(3,2)"),
+    ("highest((2,1),2)", "classes(1,2,1)"),
+    ("row-box", "box^4(n=1)"),
+    ("reversed ssyt", "reversed box(2)"),
+    ("reversed box(2)", "classes(1,2,1)"),
+]
+
+
+@pytest.mark.parametrize("left,right", TENSOR_PAIRS)
+def test_tensor_matches_dict_oracle(left, right):
+    a, b = ORACLE_CORPUS[left](), ORACLE_CORPUS[right]()
+    product = tensor(a, b)
+    oracle.assert_same(as_dicts(product), oracle.tensor(as_dicts(a), as_dicts(b)))
+    assert check_axioms(product) == oracle.check_axioms(as_dicts(product)) == []
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CORPUS))
+def test_column_core_matches_dict_oracle(name):
+    c = ORACLE_CORPUS[name]()
+    d = as_dicts(c)
+    assert from_dicts(d) == c
+    assert check_axioms(c) == oracle.check_axioms(d) == []
+    assert [as_dicts(x) for x in components(c)] == oracle.components(d)
+    assert highest_nodes(c) == oracle.highest_nodes(d)
+    assert c.f_edges == d.f_edges and len(c.f_edges) == len(d.f_edges)
+    ok, witness = are_isomorphic(c, c)
+    assert (ok, witness) == oracle.are_isomorphic(d, d)
+
+
+ISO_PAIRS = [
+    ("classes(2,1,1)", lambda: tensor_all([row_crystal(p, 2) for p in (2, 1, 1)])),
+    ("highest((2,1),2)", lambda: ssyt_crystal((2, 1), 2)),
+    ("classes(3,2)", lambda: row_crystal(3, 2)),
+    ("box^3", lambda: tensor(box_crystal(2), tensor(box_crystal(2), box_crystal(2)))),
+    ("box^3", lambda: tensor_class_crystal((1, 1, 1), 2)),
+    ("classes(3,2)", lambda: ssyt_crystal((2, 1), 2)),
+    ("row(3,2)", lambda: ssyt_crystal((3,), 2)),
+    ("reversed ssyt", lambda: highest_component((2, 1), 2)),
+]
+
+
+@pytest.mark.parametrize("name,build", ISO_PAIRS)
+def test_are_isomorphic_matches_dict_oracle(name, build):
+    left, right = ORACLE_CORPUS[name](), build()
+    ours = are_isomorphic(left, right)
+    assert ours == oracle.are_isomorphic(as_dicts(left), as_dicts(right))
+    if ours[0]:
+        assert morphism_violations(left, right, ours[1]) == []
+
+
+def _outcome(fn, *args):
+    """The result, or the type and message of the exception raised."""
+    try:
+        return fn(*args)
+    except (ValueError, AssertionError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(ORACLE_CORPUS)), st.data())
+def test_checkers_match_dict_oracle_on_broken_crystals(name, data):
+    """One entry of one column changed: every checker agrees with the dict
+    oracle, violations word for word and in order."""
+    c = ORACLE_CORPUS[name]()
+    fields = {
+        "wt": [list(c.wt)],
+        "eps": [list(col) for col in c.eps],
+        "phi": [list(col) for col in c.phi],
+        "up": [list(col) for col in c.up],
+        "down": [list(col) for col in c.down],
+    }
+    field = data.draw(st.sampled_from(sorted(fields)))
+    col = data.draw(st.sampled_from(fields[field]))
+    b = data.draw(st.integers(0, len(c) - 1))
+    if field == "wt":
+        j = data.draw(st.integers(0, c.n))
+        w = list(col[b])
+        w[j] += data.draw(st.sampled_from([-1, 1]))
+        col[b] = tuple(w)
+    elif field in ("up", "down"):
+        col[b] = data.draw(st.integers(-1, len(c) - 1).filter(lambda t: t != col[b]))
+    else:
+        col[b] += data.draw(st.sampled_from([-1, 1]))
+    broken = Crystal(
+        c.n, fields["wt"][0], fields["eps"], fields["phi"], fields["up"],
+        fields["down"], c.nodes,
+    )
+    d, good = as_dicts(broken), as_dicts(c)
+    assert check_axioms(broken) == oracle.check_axioms(d) != []
+    assert [as_dicts(x) for x in components(broken)] == oracle.components(d)
+    assert highest_nodes(broken) == oracle.highest_nodes(d)
+    identity = {k: k for k in c.nodes}
+    assert morphism_violations(broken, c, identity) == oracle.morphism_violations(
+        d, good, identity
+    ) != []
+    assert _outcome(are_isomorphic, broken, c) == _outcome(oracle.are_isomorphic, d, good)
+    assert _outcome(are_isomorphic, c, broken) == _outcome(oracle.are_isomorphic, good, d)
+
+
+factor_lists = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(factor_lists)
+def test_signature_matches_stack_oracle(factors):
+    minus, plus = oracle.signature_survivors(factors)
+    rise = minus[-1] if minus else -1
+    fall = plus[0] if plus else -1
+    assert signature(factors) == (rise, fall, len(minus), len(plus))
+    assert signature_apply("e", factors) == (minus[-1] if minus else None)
+    assert signature_apply("f", factors) == (plus[0] if plus else None)
+
+
+compositions_st = st.lists(st.integers(1, 3), min_size=1, max_size=4).filter(
+    lambda parts: sum(parts) <= 6
+)
+shapes_st = st.lists(st.integers(1, 4), min_size=1, max_size=4).map(
+    lambda parts: tuple(sorted(parts, reverse=True))
+).filter(lambda shape: sum(shape) <= 7)
+
+
+@settings(max_examples=25, deadline=None)
+@given(compositions_st, st.integers(1, 3))
+def test_check_axioms_empty_on_random_compositions(parts, n):
+    parts = tuple(parts)
+    assert check_axioms(tensor_class_crystal(parts, n)) == []
+    assert check_axioms(tensor_all([row_crystal(p, n) for p in parts])) == []
+
+
+@settings(max_examples=25, deadline=None)
+@given(shapes_st, st.integers(1, 3))
+def test_check_axioms_empty_on_random_shapes(shape, n):
+    assume(len(shape) <= n + 1)
+    assert check_axioms(ssyt_crystal(shape, n)) == []
+    assert check_axioms(highest_component(shape, n)) == []
+
+
+def test_crystal_equality_compares_keys_and_labels():
+    b = box_crystal(1)
+    product = tensor(b, b)
+    assert product == tensor(b, box_crystal(1))
+    assert product == from_dicts(as_dicts(tensor(b, b)))
+    assert product.nodes == ("0⊗0", "0⊗1", "1⊗0", "1⊗1")
+    relabeled = from_dicts(replace(as_dicts(product), display={"0⊗0": "top"}))
+    assert product != relabeled
+    assert product != "0⊗0"
+    with pytest.raises(TypeError):
+        hash(product)

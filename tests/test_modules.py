@@ -99,6 +99,22 @@ def test_all_class_labels():
         assert len(set(labels)) == len(labels)
 
 
+def test_class_moves_build_the_validated_labels():
+    # all_class_labels, restrict_class and induce_class skip validation;
+    # what they build equals the validated label with the same counts
+    for m, n in [(0, 1), (3, 2), (2, 3)]:
+        for lab in all_class_labels(m, n):
+            assert lab == ClassLabel(n, lab.counts)
+            assert hash(lab) == hash(ClassLabel(n, lab.counts))
+            for i in range(n + 1):
+                for moved in (restrict_class(i, lab), induce_class(i, lab)):
+                    if moved is not None:
+                        assert moved == ClassLabel(n, moved.counts)
+                        assert type(moved.counts) is tuple
+    with pytest.raises(ValueError, match="at least one color"):
+        all_class_labels(2, 0)
+
+
 def test_class_dimension_against_enumeration():
     # dimension == number of diagrams with the canonical bottom boundary
     for m, n in [(2, 1), (3, 1), (2, 2), (3, 2)]:

@@ -61,8 +61,8 @@ def test_box_crystal_structure():
     b = box_crystal(3)
     assert b.nodes == ("0", "1", "2", "3")
     assert b.weight("2") == (0, 0, 1, 0)
-    assert b.eps["2"] == (0, 1, 0)
-    assert b.phi["2"] == (0, 0, 1)
+    assert [b.eps_i("2", i) for i in (1, 2, 3)] == [0, 1, 0]
+    assert [b.phi_i("2", i) for i in (1, 2, 3)] == [0, 0, 1]
     for j in range(3):
         assert b.f(str(j), j + 1) == str(j + 1)
     assert b.f("1", 1) is None
@@ -97,8 +97,8 @@ def test_row_lowering_changes_rightmost():
 
 def test_row_stats_count_letters():
     r = row_crystal(4, 2)
-    assert r.eps["0112"] == (2, 1)
-    assert r.phi["0112"] == (1, 2)
+    assert [r.eps_i("0112", i) for i in (1, 2)] == [2, 1]
+    assert [r.phi_i("0112", i) for i in (1, 2)] == [1, 2]
     assert r.weight("0112") == (1, 2, 1)
 
 

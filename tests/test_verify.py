@@ -1,9 +1,14 @@
 """Verification targets: defaults pass, pins shape the sweep, mutations caught."""
 
+from functools import partial
+
 import pytest
 
 import planar_rook.class_crystals as cc
+import planar_rook.verify as verify
 from planar_rook import clear_caches
+from planar_rook.crystals import Crystal, signature
+from planar_rook.tableaux import row_crystal
 from planar_rook.verify import TARGETS, compositions, partitions, verify_target
 
 
@@ -67,3 +72,86 @@ def test_broken_lowering_rule_breaks_the_isomorphism(monkeypatch):
     finally:
         monkeypatch.undo()
         clear_caches()
+
+
+def test_thm43_reports_a_class_crystal_that_is_not_normal(monkeypatch):
+    # without lowering moves the class crystal keeps only its raising edges,
+    # so its components are not generated from their highest nodes
+    clear_caches()
+    monkeypatch.setattr(cc, "lower_label", lambda i, label: None)
+    try:
+        report = verify_target("thm4.3", max_m=2, max_n=1)
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+    details = [case.get("detail", "") for case in report["counterexamples"]]
+    assert any("not a normal crystal component" in d for d in details)
+
+
+@pytest.mark.parametrize(
+    "target,calls",
+    # per color count: one product per composition of 2..4 with two or more
+    # parts (11), plus the box squares, cubes and fourth powers (3)
+    [("thm4.5", 2 * 11), ("signature-equivalence", 2 * (11 + 3))],
+)
+def test_tensor_products_of_shared_prefixes_are_built_once(monkeypatch, target, calls):
+    built = []
+    tensor = verify.tensor
+
+    def counted(left, right):
+        built.append((len(left), len(right)))
+        return tensor(left, right)
+
+    monkeypatch.setattr(verify, "tensor", counted)
+    report = verify_target(target, max_m=4, max_n=2)
+    assert report["failed"] == 0
+    assert len(built) == calls
+
+
+def test_signature_equivalence_reports_a_wrong_tuple_rule(monkeypatch):
+    # raising on the leftmost surviving minus instead of the rightmost moves
+    # the wrong factor wherever two factors keep a minus
+    def leftmost_minus(factors):
+        rise, fall, eps, phi = signature(factors)
+        owners = [j for j, (m, _) in enumerate(factors) if m]
+        return (owners[0] if rise >= 0 else -1), fall, eps, phi
+
+    clear_caches()
+    monkeypatch.setattr(cc, "signature", leftmost_minus)
+    try:
+        report = verify_target("signature-equivalence", max_m=3, max_n=1)
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+    assert report["failed"] > 0
+    case = report["counterexamples"][0]
+    assert case["case"].startswith("e_1 on ")
+    assert case["signature"] != case["binary"]
+    assert verify_target("signature-equivalence", max_m=3, max_n=1)["failed"] == 0
+
+
+def test_left_products_keep_only_products_that_can_be_prefixes(monkeypatch):
+    built = []
+    tensor = verify.tensor
+    monkeypatch.setattr(verify, "tensor", lambda a, b: built.append(1) or tensor(a, b))
+    product = verify._left_products(partial(row_crystal, n=1), 3)
+    # (1, 1) is built once and kept; (1, 1, 1) has the top sum and is rebuilt
+    first = product((1, 1, 1))
+    product((1, 1))
+    assert product((1, 1, 1)) == first
+    assert len(built) == 3
+
+
+def test_signature_equivalence_reports_tuple_keys_missing_from_the_product(monkeypatch):
+    build = cc.tensor_class_crystal
+
+    def misjoined(parts, n, force=False):
+        c = build(parts, n, force)
+        keys = [k.replace("×", "+") for k in c.nodes]
+        return Crystal(c.n, c.wt, c.eps, c.phi, c.up, c.down, keys, c.labels)
+
+    monkeypatch.setattr(cc, "tensor_class_crystal", misjoined)
+    report = verify_target("signature-equivalence", max_m=2, max_n=1)
+    assert report["failed"] > 0
+    case = report["counterexamples"][0]
+    assert "+" in case["signature"] and case["binary"] is None
