@@ -12,6 +12,7 @@ idempotents and the module theory transparent.
 from __future__ import annotations
 
 import itertools
+import sys
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import lcm
@@ -185,15 +186,23 @@ def _integral_terms(terms: dict[Diagram, Fraction]):
 
 
 def _json_coeff(x, k: int) -> Fraction:
-    """A term's coefficient: a JSON integer, or a decimal or fraction string."""
+    """A term's coefficient: a JSON integer, or a decimal or fraction string.
+
+    A string whose numerator or denominator has more digits than the
+    interpreter prints (sys.get_int_max_str_digits()) is refused; a decimal
+    exponent beyond that limit is refused before Fraction expands it.
+    """
     if type(x) is int:
         return Fraction(x)
     if not isinstance(x, str):
         raise ValueError(
             f"term {k}: coefficient must be an integer or a string, got {x!r}"
         )
+    limit = sys.get_int_max_str_digits()
+    _, e, exponent = x.lower().partition("e")
     try:
-        return Fraction(x)
+        huge = bool(limit and e and abs(int(exponent)) > limit)
+        value = None if huge else Fraction(x)
     except ZeroDivisionError:
         raise ValueError(
             f"term {k}: coefficient {x!r} has a zero denominator"
@@ -202,6 +211,15 @@ def _json_coeff(x, k: int) -> Fraction:
         raise ValueError(
             f"term {k}: coefficient {x!r} is not a decimal or a fraction"
         ) from None
+    if not huge and limit:
+        big = max(abs(value.numerator), value.denominator)
+        # bit_length filters cheaply: 10**limit has about 3.32 * limit bits
+        huge = big.bit_length() > 3 * limit and big >= 10**limit
+    if huge:
+        raise ValueError(
+            f"term {k}: coefficient {x!r} has more than {limit} digits"
+        )
+    return value
 
 
 def _sorted_terms(terms: dict):

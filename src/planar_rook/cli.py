@@ -68,6 +68,9 @@ def _read_json(path: str):
         raise UsageError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path} is not valid JSON: {exc}") from None
+    except ValueError as exc:
+        # an integer with more digits than sys.get_int_max_str_digits()
+        raise UsageError(f"{path}: {exc}") from None
 
 
 def _parse_class(spec: str) -> ClassLabel:

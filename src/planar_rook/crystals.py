@@ -114,25 +114,6 @@ def weight_pairing(wt: Weight, i: int) -> int:
     return wt[i - 1] - wt[i]
 
 
-def make_crystal(n, nodes, weights, eps, phi, f_edges, display=None) -> Crystal:
-    """Assemble a crystal from data keyed by node, where eps[b] and phi[b]
-    are per-direction tuples and f_edges maps (b, i) to the lowering target;
-    the raising edges are the inverse of the lowering ones."""
-    nodes = tuple(nodes)
-    index = {b: p for p, b in enumerate(nodes)}
-    up = [[-1] * len(nodes) for _ in range(n)]
-    down = [[-1] * len(nodes) for _ in range(n)]
-    for (b, i), target in f_edges.items():
-        t = index[target]
-        if up[i - 1][t] >= 0:
-            raise ValueError(f"lowering in direction {i} is not injective at {target}")
-        up[i - 1][t] = index[b]
-        down[i - 1][index[b]] = t
-    stat = lambda table: [[table[b][i] for b in nodes] for i in range(n)]
-    labels = None if display is None else [display.get(b, b) for b in nodes]
-    return Crystal(n, [weights[b] for b in nodes], stat(eps), stat(phi), up, down, nodes, labels)
-
-
 def _string_lengths(col: list[int]) -> list[int]:
     """Steps along col from each position until -1; a string that runs into
     a cycle, which no crystal has, gets length -1."""

@@ -1,12 +1,16 @@
 """Letter, row and tableau crystals with 0-based entries.
 
-Letters run over 0..n.  The one-box crystal is the chain 0 -> 1 -> ... -> n
-under lowering.  A row of length m is a weakly increasing word; its crystal
-structure lowers the rightmost copy of i-1 and raises the leftmost copy of i.
-Semistandard tableaux (rows weakly increasing, columns strictly increasing)
-carry the structure lifted through the right-to-left, top-to-bottom reading:
-the reading embeds a tableau into a tensor power of the one-box crystal, and
-the signature rule picks the box an operator changes.
+Letters run over 0..n.  A filling is a tuple of rows of letters: the one-box
+crystal has the fillings ((j,),), a row of length m is one weakly increasing
+word, and a semistandard tableau (rows weakly increasing, columns strictly
+increasing) is its rows.  All three get their structure from one builder:
+reading a filling right to left, rows top to bottom, embeds it into a tensor
+power of the one-box crystal, and per direction the signature rule on that
+reading word gives eps and phi and picks the letter that raising lowers and
+the letter that lowering raises.  The moved word is looked up among the
+given fillings, so a rule that led outside them would raise.  In a row the
+reversed reading lists every copy of i before every copy of i-1, so no signs
+cancel: lowering bumps the rightmost i-1 and raising the leftmost i.
 """
 
 from __future__ import annotations
@@ -16,13 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .crystals import (
-    Crystal,
-    ensure_nodes_within_cap,
-    make_crystal,
-    signature,
-    signature_apply,
-)
+from .crystals import Crystal, ensure_nodes_within_cap, signature
 from .diagrams import json_int
 
 Word = tuple[int, ...]
@@ -64,14 +62,7 @@ class Tableau:
         return sum(self.shape)
 
     def key(self) -> str:
-        return "/".join("".join(str(x) for x in row) for row in self.rows)
-
-    def letter_counts(self, n: int) -> tuple[int, ...]:
-        tally = [0] * (n + 1)
-        for row in self.rows:
-            for x in row:
-                tally[x] += 1
-        return tuple(tally)
+        return filling_key(self.rows)
 
     def to_json_dict(self) -> dict:
         return {"shape": list(self.shape), "rows": [list(r) for r in self.rows]}
@@ -84,20 +75,18 @@ class Tableau:
         )
 
 
-def reading(t: Tableau) -> Word:
+def word_key(word: Word) -> str:
+    return "".join(str(x) for x in word)
+
+
+def filling_key(rows) -> str:
+    """Each row's letters run together, rows joined with '/'."""
+    return "/".join(map(word_key, rows))
+
+
+def reading(rows) -> Word:
     """Right-to-left within each row, rows top to bottom."""
-    out: list[int] = []
-    for row in t.rows:
-        out.extend(reversed(row))
-    return tuple(out)
-
-
-def reading_positions(shape) -> list[tuple[int, int]]:
-    """(row, column) of each reading-word position."""
-    out = []
-    for r, width in enumerate(shape):
-        out.extend((r, c) for c in reversed(range(width)))
-    return out
+    return tuple(x for row in rows for x in reversed(row))
 
 
 def signature_factors(word: Word, i: int) -> list[tuple[int, int]]:
@@ -106,28 +95,42 @@ def signature_factors(word: Word, i: int) -> list[tuple[int, int]]:
     return [(1 if x == i else 0, 1 if x == i - 1 else 0) for x in word]
 
 
-def tableau_op(kind: str, i: int, t: Tableau) -> Tableau | None:
-    """Apply a raising (kind 'e') or lowering (kind 'f') operator to a tableau.
-
-    The signature rule over the reading word chooses the box; raising turns an
-    i into i-1, lowering an i-1 into i.  None when the operator vanishes.
-    The changed filling is rebuilt through the validating constructor, so a
-    result outside the semistandard family would raise rather than pass.
-    """
-    if i < 1:
-        raise ValueError(f"direction must be >= 1, got {i}")
-    pos = signature_apply(kind, signature_factors(reading(t), i))
-    if pos is None:
-        return None
-    r, c = reading_positions(t.shape)[pos]
-    new_rows = [list(row) for row in t.rows]
-    new_rows[r][c] += -1 if kind == "e" else 1
-    return Tableau(t.shape, tuple(tuple(row) for row in new_rows))
-
-
 def highest_tableau(shape) -> Tableau:
     """Row r filled with the letter r."""
     return Tableau(tuple(shape), tuple((r,) * w for r, w in enumerate(shape)))
+
+
+def _filling_crystal(n: int, fillings: list) -> Crystal:
+    """The crystal on the given fillings, in their order, keyed by
+    filling_key: per direction one signature call on each reading word
+    gives eps, phi and the letters raising and lowering move.  A moved word
+    that reads none of the fillings raises, naming the filling and the
+    direction."""
+    words = list(map(reading, fillings))
+    index = {w: p for p, w in enumerate(words)}
+
+    def moved(p: int, j: int, step: int, i: int) -> int:
+        if j < 0:
+            return -1
+        w = words[p]
+        t = index.get(w[:j] + (w[j] + step,) + w[j + 1 :])
+        if t is None:
+            name = "raising" if step < 0 else "lowering"
+            raise ValueError(
+                f"{name} {filling_key(fillings[p])} in direction {i} "
+                "leaves the given fillings"
+            )
+        return t
+
+    eps, phi, up, down = [], [], [], []
+    for i in range(1, n + 1):
+        stats = [signature(signature_factors(w, i)) for w in words]
+        eps.append([s[2] for s in stats])
+        phi.append([s[3] for s in stats])
+        up.append([moved(p, s[0], -1, i) for p, s in enumerate(stats)])
+        down.append([moved(p, s[1], 1, i) for p, s in enumerate(stats)])
+    wt = [tuple(map(w.count, range(n + 1))) for w in words]
+    return Crystal(n, wt, eps, phi, up, down, tuple(map(filling_key, fillings)))
 
 
 def box_crystal(n: int, force: bool = False) -> Crystal:
@@ -135,61 +138,21 @@ def box_crystal(n: int, force: bool = False) -> Crystal:
     if n < 1:
         raise ValueError("need at least one direction")
     ensure_nodes_within_cap(n + 1, force)
-    nodes = [str(j) for j in range(n + 1)]
-    weights = {}
-    eps = {}
-    phi = {}
-    f_edges = {}
-    for j in range(n + 1):
-        wt = [0] * (n + 1)
-        wt[j] = 1
-        weights[str(j)] = tuple(wt)
-        eps[str(j)] = tuple(1 if i == j else 0 for i in range(1, n + 1))
-        phi[str(j)] = tuple(1 if i == j + 1 else 0 for i in range(1, n + 1))
-        if j < n:
-            f_edges[(str(j), j + 1)] = str(j + 1)
-    return make_crystal(n, nodes, weights, eps, phi, f_edges)
+    return _filling_crystal(n, [((j,),) for j in range(n + 1)])
 
 
 def weakly_increasing_words(m: int, n: int) -> list[Word]:
     return list(itertools.combinations_with_replacement(range(n + 1), m))
 
 
-def word_key(word: Word) -> str:
-    return "".join(str(x) for x in word)
-
-
 def row_crystal(m: int, n: int, force: bool = False) -> Crystal:
-    """Crystal on weakly increasing words of length m in the letters 0..n.
-
-    Lowering in direction i bumps the rightmost i-1 to i; since the reversed
-    reading of a row lists all copies of i before all copies of i-1, no signs
-    cancel, so eps counts the copies of i and phi the copies of i-1.  It has
-    C(m+n, n) nodes.
-    """
+    """Crystal on weakly increasing words of length m in the letters 0..n,
+    in lexicographic order; eps counts the copies of i and phi the copies
+    of i-1.  It has C(m+n, n) nodes."""
     if m < 0 or n < 1:
         raise ValueError(f"bad row crystal parameters m={m}, n={n}")
     ensure_nodes_within_cap(comb(m + n, n), force)
-    nodes = []
-    weights = {}
-    eps = {}
-    phi = {}
-    f_edges = {}
-    for word in weakly_increasing_words(m, n):
-        k = word_key(word)
-        nodes.append(k)
-        tally = [0] * (n + 1)
-        for x in word:
-            tally[x] += 1
-        weights[k] = tuple(tally)
-        eps[k] = tuple(tally[i] for i in range(1, n + 1))
-        phi[k] = tuple(tally[i - 1] for i in range(1, n + 1))
-        for i in range(1, n + 1):
-            if tally[i - 1]:
-                pos = max(p for p, x in enumerate(word) if x == i - 1)
-                lowered = word[:pos] + (i,) + word[pos + 1 :]
-                f_edges[(k, i)] = word_key(lowered)
-    return make_crystal(n, nodes, weights, eps, phi, f_edges)
+    return _filling_crystal(n, [(w,) for w in weakly_increasing_words(m, n)])
 
 
 def ssyt_count(shape, n: int) -> int:
@@ -238,47 +201,15 @@ def enumerate_ssyt(shape, n: int) -> list[Tableau]:
 
 @lru_cache(maxsize=None)
 def _ssyt_crystal(shape: tuple[int, ...], n: int) -> Crystal:
-    top = highest_tableau(shape)
-    for i in range(1, n + 1):
-        if tableau_op("e", i, top) is not None:
-            raise AssertionError(f"highest tableau of {shape} is raisable at {i}")
-    found: dict[str, Tableau] = {top.key(): top}
-    frontier = [top]
-    f_edges: dict[tuple[str, int], str] = {}
-    while frontier:
-        frontier.sort(key=Tableau.key)
-        next_frontier = []
-        for t in frontier:
-            for i in range(1, n + 1):
-                lowered = tableau_op("f", i, t)
-                if lowered is None:
-                    continue
-                k = lowered.key()
-                f_edges[(t.key(), i)] = k
-                if k not in found:
-                    found[k] = lowered
-                    next_frontier.append(lowered)
-        frontier = next_frontier
-    nodes = sorted(found)
-    weights = {}
-    eps = {}
-    phi = {}
-    for k in nodes:
-        t = found[k]
-        weights[k] = t.letter_counts(n)
-        word = reading(t)
-        stats = [signature(signature_factors(word, i)) for i in range(1, n + 1)]
-        eps[k] = tuple(s[2] for s in stats)
-        phi[k] = tuple(s[3] for s in stats)
-    return make_crystal(n, nodes, weights, eps, phi, f_edges)
+    fillings = sorted((t.rows for t in enumerate_ssyt(shape, n)), key=filling_key)
+    return _filling_crystal(n, fillings)
 
 
 def ssyt_crystal(shape, n: int, force: bool = False) -> Crystal:
-    """The crystal generated from the highest tableau by lowering operators.
-
-    Nodes are keyed by rows joined with '/'.  The node set always coincides
-    with the full semistandard enumeration (tested, not assumed), whose size
-    ssyt_count gives in closed form.
+    """The crystal on every semistandard tableau of the shape, keyed by rows
+    joined with '/' and in key order; ssyt_count gives its size in closed
+    form.  That it is connected, with the highest tableau as its only
+    highest node, is tested, not assumed.
     """
     shape = tuple(int(x) for x in shape)
     # constructor validates the shape

@@ -1,10 +1,15 @@
 """CLI behavior: payload shapes, exit codes, determinism, cap overrides."""
 
+import contextlib
+import io
 import json
+import sys
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import planar_rook.class_crystals as cc
 from planar_rook import clear_caches
@@ -167,8 +172,22 @@ def test_multiply_usage_errors(capsys, tmp_path):
     assert run(capsys, "multiply", small, str(bad))[0] == 2
     arr = write_json(tmp_path / "arr.json", [1, 2])
     assert run(capsys, "multiply", small, arr)[0] == 2
-    # a zero denominator and a float overflow are usage errors, not tracebacks
-    for name, coeff in (("zero.json", '"1/0"'), ("huge.json", "1e400")):
+    # a zero denominator, a float overflow and coefficients past the
+    # interpreter's digit limit are usage errors, not tracebacks: a decimal
+    # exponent past the limit is refused before Fraction expands it, so at
+    # once, a value too long to print when it is read, and a JSON integer
+    # past the limit when the file is parsed
+    limit = sys.get_int_max_str_digits()
+    for name, coeff in (
+        ("zero.json", '"1/0"'),
+        ("huge.json", "1e400"),
+        ("exponent.json", '"1e999999999"'),
+        ("negative-exponent.json", '"-3e-999999999"'),
+        ("unprintable.json", '"1e99999"'),
+        ("at-limit.json", f'"1e{limit}"'),
+        ("denominator.json", f'"1e-{limit}"'),
+        ("json-int.json", "7" * (limit + 1)),
+    ):
         path = tmp_path / name
         path.write_text(
             '{"m": 1, "n": 1, "terms": [{"coeff": %s, "diagram": '
@@ -176,9 +195,11 @@ def test_multiply_usage_errors(capsys, tmp_path):
             encoding="utf-8",
         )
         for extra in ((), ("--x-basis",)):
+            start = time.perf_counter()
             code, out, err = run(capsys, "multiply", small, str(path), *extra)
+            assert time.perf_counter() - start < 1, (name, extra)
             assert (code, out) == (2, ""), (name, extra)
-            assert err.startswith("error: ") and err.count("\n") == 1
+            assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
             if name == "zero.json":
                 assert err == (
                     f"error: {path}: term 0: coefficient '1/0' has a zero denominator\n"
@@ -215,6 +236,109 @@ def test_multiply_usage_errors(capsys, tmp_path):
             code, out, err = run(capsys, "multiply", two, str(path), *extra)
             assert (code, out) == (2, ""), (name, extra)
             assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
+def _element_text(coeff: str) -> str:
+    return (
+        '{"m": 2, "n": 1, "terms": [{"coeff": %s, "diagram": '
+        '{"m": 2, "n": 1, "edges": [[1, 2, 1]]}}]}' % coeff
+    )
+
+
+def test_multiply_prints_coefficients_up_to_the_digit_limit(capsys, tmp_path):
+    # a coefficient of exactly the limit's digits multiplies and prints in
+    # both bases: the partner's top boundary is the element's bottom one
+    limit = sys.get_int_max_str_digits()
+    path = tmp_path / "largest.json"
+    path.write_text(_element_text(f'"1e{limit - 1}"'), encoding="utf-8")
+    partner = write_json(tmp_path / "p.json", Diagram(2, 1, ((2, 2, 1),)).to_json_dict())
+    for extra in ((), ("--x-basis",)):
+        code, out, _ = run(capsys, "multiply", str(path), partner, *extra)
+        assert code == 0
+        assert json.loads(out)["terms"][0]["coeff"] == "1" + "0" * (limit - 1)
+
+
+# ---------------------------------------------------------------- fuzz
+
+# malformed inputs for `multiply`, each refused whatever else it holds: the
+# valid element below with one field replaced by a value of the wrong kind
+# or removed, a prefix of its text, or a top level that is not an object
+_VALID = json.loads(_element_text('"3/2"'))
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.floats(allow_nan=False)
+    | st.text(alphabet="ab/.-e ", max_size=4)
+)
+_ANY = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=2)
+    | st.dictionaries(st.sampled_from(["m", "n", "terms", "coeff", "edges"]), inner, max_size=3),
+    max_leaves=6,
+)
+_NOT_INT = _ANY.filter(lambda v: type(v) is not int)
+_NOT_ITERABLE = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+
+
+def _wrong_int(*valid):
+    return _NOT_INT | st.integers(-3, 9).filter(lambda v: v not in valid)
+
+
+_DIAGRAM = ("terms", 0, "diagram")
+_EDGE = (*_DIAGRAM, "edges", 0)
+_BAD_FIELDS = {
+    ("m",): _wrong_int(2),
+    ("n",): _wrong_int(1),
+    ("terms",): _NOT_ITERABLE,
+    ("terms", 0): _NOT_ITERABLE | st.lists(_SCALARS, max_size=2),
+    ("terms", 0, "coeff"): _ANY.filter(lambda v: type(v) not in (int, str))
+    | st.text(alphabet="ab/.- ", max_size=4)
+    | st.sampled_from(["1/0", "1e999999999", "2/3e5"]),
+    _DIAGRAM: _ANY.filter(lambda v: not isinstance(v, dict)),
+    (*_DIAGRAM, "m"): _wrong_int(2),
+    (*_DIAGRAM, "n"): _wrong_int(1),
+    (*_DIAGRAM, "edges"): _NOT_ITERABLE
+    | st.lists(st.lists(st.integers(1, 2), max_size=4).filter(lambda e: len(e) != 3), min_size=1, max_size=2),
+    (*_EDGE, 0): _wrong_int(1, 2),
+    (*_EDGE, 1): _wrong_int(1, 2),
+    (*_EDGE, 2): _wrong_int(1),
+}
+
+
+@st.composite
+def malformed_elements(draw) -> str:
+    kind = draw(st.sampled_from(["replace", "remove", "prefix", "top"]))
+    text = json.dumps(_VALID)
+    if kind == "prefix":
+        return text[: draw(st.integers(0, len(text) - 1))]
+    if kind == "top":
+        return json.dumps(draw(_ANY.filter(lambda v: not isinstance(v, dict))))
+    doc = json.loads(text)
+    path = draw(st.sampled_from(sorted(_BAD_FIELDS, key=repr)))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if kind == "remove" and isinstance(parent, dict):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(_BAD_FIELDS[path])
+    return json.dumps(doc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(malformed_elements(), st.booleans(), st.booleans())
+def test_multiply_fuzz_malformed_json_is_a_usage_error(tmp_path_factory, text, first, x_basis):
+    folder = tmp_path_factory.mktemp("fuzz")
+    good = write_json(folder / "good.json", _VALID)
+    bad = folder / "bad.json"
+    bad.write_text(text, encoding="utf-8")
+    files = [str(bad), good] if first else [good, str(bad)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["multiply", *files, *(["--x-basis"] if x_basis else [])])
+    assert (code, out.getvalue()) == (2, ""), text
+    assert err.getvalue().startswith(f"error: {bad}") and err.getvalue().count("\n") == 1
 
 
 def test_simples_table(capsys):

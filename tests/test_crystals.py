@@ -25,7 +25,6 @@ from planar_rook.crystals import (
     component_containing,
     components,
     highest_nodes,
-    make_crystal,
     morphism_violations,
     signature,
     signature_apply,
@@ -45,7 +44,9 @@ def test_weight_pairing():
 
 
 def test_single_node_crystal_is_valid():
-    c = make_crystal(2, ["*"], {"*": (0, 0, 0)}, {"*": (0, 0)}, {"*": (0, 0)}, {})
+    c = from_dicts(
+        DictCrystal(2, ("*",), {"*": (0, 0, 0)}, {"*": (0, 0)}, {"*": (0, 0)}, {}, {})
+    )
     assert check_axioms(c) == []
     assert highest_nodes(c) == ["*"]
 
@@ -57,16 +58,20 @@ def test_make_crystal_inverts_edges():
     assert b.f("0", 2) is None and b.e("0", 1) is None
 
 
-def test_make_crystal_rejects_non_injective_lowering():
-    with pytest.raises(ValueError):
-        make_crystal(
-            1,
-            ["a", "b", "c"],
-            {"a": (1, 0), "b": (1, 0), "c": (0, 1)},
-            {"a": (0,), "b": (0,), "c": (1,)},
-            {"a": (1,), "b": (1,), "c": (0,)},
-            {("a", 1): "c", ("b", 1): "c"},
-        )
+def test_check_axioms_reports_non_injective_lowering():
+    # a and b both lower to c, which can raise back to only one of them
+    c = DictCrystal(
+        1,
+        ("a", "b", "c"),
+        {"a": (1, 0), "b": (1, 0), "c": (0, 1)},
+        {"a": (0,), "b": (0,), "c": (1,)},
+        {"a": (1,), "b": (1,), "c": (0,)},
+        {("c", 1): "a"},
+        {("a", 1): "c", ("b", 1): "c"},
+    )
+    msgs = check_axioms(from_dicts(c))
+    assert msgs == oracle.check_axioms(c)
+    assert "lowering b then raising in direction 1 misses b" in msgs
 
 
 # ---------------------------------------------------------------- axioms
@@ -74,13 +79,16 @@ def test_make_crystal_rejects_non_injective_lowering():
 
 def _chain2():
     # a -> b in direction 1, weights shift by the simple root
-    return make_crystal(
-        1,
-        ["a", "b"],
-        {"a": (1, 0), "b": (0, 1)},
-        {"a": (0,), "b": (1,)},
-        {"a": (1,), "b": (0,)},
-        {("a", 1): "b"},
+    return from_dicts(
+        DictCrystal(
+            1,
+            ("a", "b"),
+            {"a": (1, 0), "b": (0, 1)},
+            {"a": (0,), "b": (1,)},
+            {"a": (1,), "b": (0,)},
+            {("b", 1): "a"},
+            {("a", 1): "b"},
+        )
     )
 
 
@@ -346,13 +354,16 @@ def test_component_containing():
 
 def test_are_isomorphic_relabeled():
     b = box_crystal(2)
-    relabeled = make_crystal(
-        2,
-        ["x", "y", "z"],
-        dict(zip("xyz", b.wt)),
-        dict(zip("xyz", zip(*b.eps))),
-        dict(zip("xyz", zip(*b.phi))),
-        {("x", 1): "y", ("y", 2): "z"},
+    relabeled = from_dicts(
+        DictCrystal(
+            2,
+            ("x", "y", "z"),
+            dict(zip("xyz", b.wt)),
+            dict(zip("xyz", zip(*b.eps))),
+            dict(zip("xyz", zip(*b.phi))),
+            {("y", 1): "x", ("z", 2): "y"},
+            {("x", 1): "y", ("y", 2): "z"},
+        )
     )
     ok, witness = are_isomorphic(b, relabeled)
     assert ok

@@ -3,14 +3,18 @@
 The tableau operators are validated two independent ways: against the
 curated small examples, and against the iterated binary tensor rule through
 the reading-word embedding (the signature rule and the binary rule must pick
-the same box).
+the same box).  `tableau_op` below is the box-by-box oracle: it changes one
+box of a `Tableau` and rebuilds it through the validating constructor, and
+the SSYT crystal's raising and lowering columns are checked against it.
 """
 
 from __future__ import annotations
 
-import itertools
+import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planar_rook.crystals import (
     are_isomorphic,
@@ -18,22 +22,50 @@ from planar_rook.crystals import (
     component_containing,
     components,
     highest_nodes,
+    signature_apply,
     tensor_all,
 )
 from planar_rook.tableaux import (
     Tableau,
+    _filling_crystal,
     box_crystal,
     enumerate_ssyt,
     highest_tableau,
     reading,
-    reading_positions,
     row_crystal,
+    signature_factors,
     ssyt_count,
     ssyt_crystal,
-    tableau_op,
     weakly_increasing_words,
     word_key,
 )
+
+
+def reading_positions(shape) -> list[tuple[int, int]]:
+    """(row, column) of each reading-word position."""
+    out = []
+    for r, width in enumerate(shape):
+        out.extend((r, c) for c in reversed(range(width)))
+    return out
+
+
+def tableau_op(kind: str, i: int, t: Tableau) -> Tableau | None:
+    """Apply a raising (kind 'e') or lowering (kind 'f') operator to a tableau.
+
+    The signature rule over the reading word chooses the box; raising turns an
+    i into i-1, lowering an i-1 into i.  None when the operator vanishes.
+    The changed filling is rebuilt through the validating constructor, so a
+    result outside the semistandard family would raise rather than pass.
+    """
+    if i < 1:
+        raise ValueError(f"direction must be >= 1, got {i}")
+    pos = signature_apply(kind, signature_factors(reading(t.rows), i))
+    if pos is None:
+        return None
+    r, c = reading_positions(t.shape)[pos]
+    new_rows = [list(row) for row in t.rows]
+    new_rows[r][c] += -1 if kind == "e" else 1
+    return Tableau(t.shape, tuple(tuple(row) for row in new_rows))
 
 
 def partitions_up_to(total, max_parts):
@@ -141,7 +173,7 @@ def test_tableau_validation():
 
 def test_reading_order():
     t = Tableau((4, 2, 1), ((0, 1, 1, 3), (2, 3), (3,)))
-    assert reading(t) == (3, 1, 1, 0, 3, 2, 3)
+    assert reading(t.rows) == (3, 1, 1, 0, 3, 2, 3)
     assert reading_positions((2, 1)) == [(0, 1), (0, 0), (1, 0)]
 
 
@@ -219,6 +251,43 @@ def test_ssyt_crystal_nodes_match_enumeration(shape, n):
     assert len(components(crystal)) == 1
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ssyt_columns_match_tableau_op(n):
+    # the builder's raising and lowering columns against the box-by-box oracle
+    for shape in partitions_up_to(5, n + 1):
+        crystal = ssyt_crystal(shape, n)
+        for t in enumerate_ssyt(shape, n):
+            for i in range(1, n + 1):
+                for kind, move in (("e", crystal.e), ("f", crystal.f)):
+                    moved = tableau_op(kind, i, t)
+                    expected = None if moved is None else moved.key()
+                    assert move(t.key(), i) == expected, (t, kind, i)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ssyt_crystal_is_connected_from_the_highest_tableau(n):
+    # the nodes are all tableaux, so connectivity is a property to check
+    for shape in partitions_up_to(6, n + 1):
+        crystal = ssyt_crystal(shape, n)
+        assert len(components(crystal)) == 1, shape
+        assert highest_nodes(crystal) == [highest_tableau(shape).key()], shape
+
+
+def test_row_and_ssyt_node_orders_with_two_digit_letters():
+    # rows are listed by their letters, tableaux by their key strings
+    assert row_crystal(1, 10).nodes == tuple(str(j) for j in range(11))
+    assert ssyt_crystal((1,), 10).nodes == ("0", "1", "10", *map(str, range(2, 10)))
+
+
+def test_filling_builder_refuses_a_move_outside_the_fillings():
+    with pytest.raises(ValueError, match="lowering 0 in direction 1 leaves"):
+        _filling_crystal(1, [((0,),)])
+    with pytest.raises(ValueError, match="raising 1 in direction 1 leaves"):
+        _filling_crystal(1, [((1,),)])
+    with pytest.raises(ValueError, match="lowering 0/2 in direction 1 leaves"):
+        _filling_crystal(2, [((0,), (2,))])
+
+
 def test_ssyt_crystal_small_example():
     crystal = ssyt_crystal((2, 1), 2)
     assert len(crystal) == 8
@@ -249,7 +318,7 @@ def test_reading_intertwines_tableau_and_tensor_operators(n):
         size = sum(shape)
         power = tensor_all([box_crystal(n)] * size)
         for t in tableaux:
-            word = reading(t)
+            word = reading(t.rows)
             key = "⊗".join(str(x) for x in word)
             for i in range(1, n + 1):
                 for kind in ("e", "f"):
@@ -261,13 +330,25 @@ def test_reading_intertwines_tableau_and_tensor_operators(n):
                         assert target is None
                     else:
                         assert target == "⊗".join(
-                            str(x) for x in reading(moved)
+                            str(x) for x in reading(moved.rows)
                         )
 
 
 def test_tableau_json_round_trip():
     t = Tableau((2, 1), ((0, 2), (1,)))
     assert Tableau.from_json_dict(t.to_json_dict()) == t
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_tableau_json_round_trip_property(data):
+    n = data.draw(st.sampled_from([1, 2, 3, 10]))
+    shape = data.draw(st.sampled_from(partitions_up_to(4 if n < 10 else 2, n + 1)))
+    t = data.draw(st.sampled_from(enumerate_ssyt(shape, n)))
+    text = json.dumps(t.to_json_dict())
+    back = Tableau.from_json_dict(json.loads(text))
+    assert back == t and back.key() == t.key()
+    assert json.dumps(back.to_json_dict()) == text
 
 
 def test_tableau_json_rejects_floats():
