@@ -12,6 +12,7 @@ idempotents and the module theory transparent.
 from __future__ import annotations
 
 import itertools
+import re
 import sys
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -189,8 +190,9 @@ def _json_coeff(x, k: int) -> Fraction:
     """A term's coefficient: a JSON integer, or a decimal or fraction string.
 
     A string whose numerator or denominator has more digits than the
-    interpreter prints (sys.get_int_max_str_digits()) is refused; a decimal
-    exponent beyond that limit is refused before Fraction expands it.
+    interpreter prints (sys.get_int_max_str_digits()) is refused.  A run of
+    digits beyond that limit, which Fraction could not read, and a decimal
+    exponent beyond it, which Fraction would expand, are refused first.
     """
     if type(x) is int:
         return Fraction(x)
@@ -201,7 +203,11 @@ def _json_coeff(x, k: int) -> Fraction:
     limit = sys.get_int_max_str_digits()
     _, e, exponent = x.lower().partition("e")
     try:
-        huge = bool(limit and e and abs(int(exponent)) > limit)
+        # int() skips underscores when it counts digits, so runs join across them
+        huge = bool(limit) and (
+            any(len(run) > limit for run in re.findall(r"\d+", x.replace("_", "")))
+            or bool(e) and abs(int(exponent)) > limit
+        )
         value = None if huge else Fraction(x)
     except ZeroDivisionError:
         raise ValueError(

@@ -22,7 +22,6 @@ rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
 from typing import Optional
@@ -44,7 +43,6 @@ def ensure_nodes_within_cap(nodes: int, force: bool = False) -> None:
 Weight = tuple[int, ...]
 
 
-@dataclass(slots=True)
 class Crystal:
     """An explicit finite crystal on the node positions 0..len-1.
 
@@ -53,23 +51,32 @@ class Crystal:
     of its raising and lowering targets, or -1 when the operator kills it.
     The columns are lists that nobody mutates once the crystal is built.
     nodes[b] is the node's key and labels[b], when labels are given, its
-    DOT label.  Crystals are equal when their columns, keys and labels are.
+    DOT label.  Crystals are equal when their columns, keys and labels are;
+    they are unhashable, and the key index `position` fills is not compared.
     """
 
-    n: int
-    wt: list[Weight]
-    eps: list[list[int]]
-    phi: list[list[int]]
-    up: list[list[int]]
-    down: list[list[int]]
-    nodes: tuple[str, ...]
-    labels: Optional[tuple[str, ...]] = None
-    _index: Optional[dict[str, int]] = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("n", "wt", "eps", "phi", "up", "down", "nodes", "labels", "_index")
+    __hash__ = None
 
-    def __post_init__(self) -> None:
-        self.nodes = tuple(self.nodes)
-        if self.labels is not None:
-            self.labels = tuple(self.labels)
+    def __init__(self, n: int, wt, eps, phi, up, down, nodes, labels=None) -> None:
+        self.n, self.wt, self.eps, self.phi, self.up, self.down = n, wt, eps, phi, up, down
+        self.nodes = tuple(nodes)
+        self.labels = None if labels is None else tuple(labels)
+        self._index = None
+
+    def _fields(self) -> tuple:
+        return self.n, self.wt, self.eps, self.phi, self.up, self.down, self.nodes, self.labels
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Crystal:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return (
+            f"Crystal(n={self.n!r}, wt={self.wt!r}, eps={self.eps!r}, phi={self.phi!r}, "
+            f"up={self.up!r}, down={self.down!r}, nodes={self.nodes!r}, labels={self.labels!r})"
+        )
 
     @property
     def f_edges(self) -> dict[tuple[str, int], str]:

@@ -17,7 +17,6 @@ enumeration, products, flips and juxtaposition all work on words.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache, total_ordering
 from math import comb
 
@@ -169,37 +168,50 @@ def _match(top: tuple, bottom: tuple):
     return down, tuple((t + 1, down[t] + 1, c) for t, c in enumerate(top) if c)
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class Boundary:
     """One row of a diagram recorded as a color word.
 
     Position p carries the color of the edge meeting vertex p, or 0 if the
-    vertex is isolated.  Words compare lexicographically.
+    vertex is isolated.  Boundaries compare, hash and sort by (m, n, colors),
+    so words of one size compare lexicographically; immutable by convention.
     """
 
-    m: int
-    n: int
-    colors: tuple[int, ...]
+    __slots__ = ("m", "n", "colors")
 
-    def __post_init__(self) -> None:
-        colors = tuple(json_int(c, "color") for c in self.colors)
-        object.__setattr__(self, "colors", colors)
-        if json_int(self.m, "m") < 0 or json_int(self.n, "n") < 1:
-            raise ValueError(f"bad boundary size m={self.m}, n={self.n}")
-        if len(colors) != self.m:
-            raise ValueError(f"word length {len(colors)} != m={self.m}")
+    def __init__(self, m: int, n: int, colors: tuple[int, ...]) -> None:
+        colors = tuple(json_int(c, "color") for c in colors)
+        if json_int(m, "m") < 0 or json_int(n, "n") < 1:
+            raise ValueError(f"bad boundary size m={m}, n={n}")
+        if len(colors) != m:
+            raise ValueError(f"word length {len(colors)} != m={m}")
         for c in colors:
-            if not (0 <= c <= self.n):
-                raise ValueError(f"color {c} outside 0..{self.n}")
+            if not (0 <= c <= n):
+                raise ValueError(f"color {c} outside 0..{n}")
+        self.m, self.n, self.colors = m, n, colors
 
     @classmethod
     def _trusted(cls, m: int, n: int, colors: tuple[int, ...]) -> Boundary:
         """A boundary whose word the caller knows to be valid."""
         b = object.__new__(cls)
-        object.__setattr__(b, "m", m)
-        object.__setattr__(b, "n", n)
-        object.__setattr__(b, "colors", colors)
+        b.m, b.n, b.colors = m, n, colors
         return b
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Boundary:
+            return NotImplemented
+        return (self.m, self.n, self.colors) == (other.m, other.n, other.colors)
+
+    def __lt__(self, other) -> bool:
+        if type(other) is not Boundary:
+            return NotImplemented
+        return (self.m, self.n, self.colors) < (other.m, other.n, other.colors)
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.n, self.colors))
+
+    def __repr__(self) -> str:
+        return f"Boundary(m={self.m!r}, n={self.n!r}, colors={self.colors!r})"
 
     def counts(self) -> tuple[int, ...]:
         """(number of 0s, number of 1s, ..., number of ns)."""

@@ -14,9 +14,8 @@ extension of the smaller algebra.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 
 from .algebra import Element, orbit_vector, strand, truncation_idempotent
 from .diagrams import (
@@ -24,6 +23,7 @@ from .diagrams import (
     Diagram,
     ensure_within_cap,
     enumerate_diagrams,
+    juxtapose,
     multinomial,
     partial_identity,
     product_words,
@@ -33,38 +33,54 @@ from .diagrams import (
 from .linalg import apply, column_space_basis, coordinates_in_basis, rank
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class ClassLabel:
     """Isomorphism class of a simple module: how many vertices of each color.
 
     counts[0] counts isolated vertices, counts[i] the color-i vertices; the
-    total is the size m.
+    total is the size m.  Labels compare, hash and sort by (n, counts) and
+    are immutable by convention.
     """
 
-    n: int
-    counts: tuple[int, ...]
+    __slots__ = ("n", "counts")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "counts", tuple(self.counts))
-        if any(type(c) is not int for c in self.counts):
-            raise ValueError(f"counts must be integers, got {self.counts}")
-        if self.n < 1:
-            raise ValueError(f"need at least one color, got n={self.n}")
-        if len(self.counts) != self.n + 1:
+    def __init__(self, n: int, counts: tuple[int, ...]) -> None:
+        counts = tuple(counts)
+        if any(type(c) is not int for c in counts):
+            raise ValueError(f"counts must be integers, got {counts}")
+        if n < 1:
+            raise ValueError(f"need at least one color, got n={n}")
+        if len(counts) != n + 1:
             raise ValueError(
-                f"expected {self.n + 1} counts (isolated plus one per color), "
-                f"got {len(self.counts)}"
+                f"expected {n + 1} counts (isolated plus one per color), "
+                f"got {len(counts)}"
             )
-        if any(c < 0 for c in self.counts):
-            raise ValueError(f"negative count in {self.counts}")
+        if any(c < 0 for c in counts):
+            raise ValueError(f"negative count in {counts}")
+        self.n, self.counts = n, counts
 
     @classmethod
     def _trusted(cls, n: int, counts: tuple[int, ...]) -> ClassLabel:
         """A label whose counts the caller knows to be valid."""
         label = object.__new__(cls)
-        object.__setattr__(label, "n", n)
-        object.__setattr__(label, "counts", counts)
+        label.n, label.counts = n, counts
         return label
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not ClassLabel:
+            return NotImplemented
+        return (self.n, self.counts) == (other.n, other.counts)
+
+    def __lt__(self, other) -> bool:
+        if type(other) is not ClassLabel:
+            return NotImplemented
+        return (self.n, self.counts) < (other.n, other.counts)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.counts))
+
+    def __repr__(self) -> str:
+        return f"ClassLabel(n={self.n!r}, counts={self.counts!r})"
 
     @property
     def m(self) -> int:
@@ -212,9 +228,14 @@ class ExplicitModule:
     def matrix_of(self, a: Element) -> tuple[dict, ...]:
         if (a.m, a.n) != (self.m, self.n):
             raise ValueError("element and module live at different sizes")
+        return self._combination(
+            (d, c.numerator if c.denominator == 1 else c) for d, c in a.terms.items()
+        )
+
+    def _combination(self, terms) -> tuple[dict, ...]:
+        """The columns of the sum of c * matrix(d) over the (d, c) pairs."""
         acc: list[dict] = [{} for _ in range(self.dimension)]
-        for d, coeff in a.terms.items():
-            c = coeff.numerator if coeff.denominator == 1 else coeff
+        for d, c in terms:
             for out, col in zip(acc, self.matrix(d)):
                 for r, x in col.items():
                     out[r] = out.get(r, 0) + c * x
@@ -277,12 +298,6 @@ def decompose(mod: ExplicitModule) -> dict[ClassLabel, int]:
     return out
 
 
-def extend_by_color(a: Element, i: int) -> Element:
-    """Embed a size-m element into size m+1 by appending strand(n, i), the
-    combination that acts correctly on the color-i cut subspace."""
-    return a.tensor(strand(a.n, i))
-
-
 def restrict(i: int, mod) -> ExplicitModule:
     """Cut mod by the color-i truncation idempotent and restrict the action.
 
@@ -300,9 +315,11 @@ def restrict(i: int, mod) -> ExplicitModule:
     projector = mod.matrix_of(truncation_idempotent(m, n, i))
     basis, pivots = column_space_basis(projector)
     dim = len(pivots)
+    last = [(e, c.numerator) for e, c in strand(n, i).terms.items()]
 
     def action(d: Diagram):
-        big = mod.matrix_of(extend_by_color(Element.from_diagram(d), i))
+        # d acts as d ⊗ strand(n, i), one juxtaposed diagram per strand term
+        big = mod._combination((juxtapose(d, e), c) for e, c in last)
         return [coordinates_in_basis(apply(big, b), basis, pivots) for b in basis]
 
     return ExplicitModule(m - 1, n, dim, action)

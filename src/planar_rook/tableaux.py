@@ -16,8 +16,7 @@ cancel: lowering bumps the rightmost i-1 and raising the leftmost i.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from math import comb
 
 from .crystals import Crystal, ensure_nodes_within_cap, signature
@@ -26,36 +25,53 @@ from .diagrams import json_int
 Word = tuple[int, ...]
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class Tableau:
-    """A semistandard filling of a partition shape with letters >= 0."""
+    """A semistandard filling of a partition shape with letters >= 0.
 
-    shape: tuple[int, ...]
-    rows: tuple[Word, ...]
+    Tableaux compare, hash and sort by (shape, rows) and are immutable by
+    convention.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "shape", tuple(int(x) for x in self.shape))
-        object.__setattr__(
-            self, "rows", tuple(tuple(int(x) for x in row) for row in self.rows)
-        )
-        shape = self.shape
+    __slots__ = ("shape", "rows")
+
+    def __init__(self, shape: tuple[int, ...], rows: tuple[Word, ...]) -> None:
+        shape = tuple(int(x) for x in shape)
+        rows = tuple(tuple(int(x) for x in row) for row in rows)
         if any(x < 1 for x in shape):
             raise ValueError(f"shape parts must be positive, got {shape}")
         if any(a < b for a, b in zip(shape, shape[1:])):
             raise ValueError(f"shape must be weakly decreasing, got {shape}")
-        if len(self.rows) != len(shape):
-            raise ValueError(f"{len(self.rows)} rows for shape {shape}")
-        for r, (row, width) in enumerate(zip(self.rows, shape)):
+        if len(rows) != len(shape):
+            raise ValueError(f"{len(rows)} rows for shape {shape}")
+        for r, (row, width) in enumerate(zip(rows, shape)):
             if len(row) != width:
                 raise ValueError(f"row {r} has length {len(row)}, expected {width}")
             if any(x < 0 for x in row):
                 raise ValueError(f"negative letter in row {r}")
             if any(a > b for a, b in zip(row, row[1:])):
                 raise ValueError(f"row {r} is not weakly increasing: {row}")
-        for r in range(1, len(self.rows)):
-            upper, lower = self.rows[r - 1], self.rows[r]
+        for r in range(1, len(rows)):
+            upper, lower = rows[r - 1], rows[r]
             if any(upper[c] >= lower[c] for c in range(len(lower))):
                 raise ValueError(f"column not strictly increasing between rows {r-1},{r}")
+        self.shape, self.rows = shape, rows
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Tableau:
+            return NotImplemented
+        return (self.shape, self.rows) == (other.shape, other.rows)
+
+    def __lt__(self, other) -> bool:
+        if type(other) is not Tableau:
+            return NotImplemented
+        return (self.shape, self.rows) < (other.shape, other.rows)
+
+    def __hash__(self) -> int:
+        return hash((self.shape, self.rows))
+
+    def __repr__(self) -> str:
+        return f"Tableau(shape={self.shape!r}, rows={self.rows!r})"
 
     @property
     def size(self) -> int:

@@ -3,6 +3,8 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import planar_rook
 import planar_rook.class_crystals as cc
 from planar_rook import clear_caches
 import planar_rook.crystals as crystals
@@ -187,6 +190,10 @@ def test_multiply_usage_errors(capsys, tmp_path):
         ("at-limit.json", f'"1e{limit}"'),
         ("denominator.json", f'"1e-{limit}"'),
         ("json-int.json", "7" * (limit + 1)),
+        # runs of digits Fraction cannot read: the same wording, not a syntax error
+        ("long-numerator.json", '"%s/3"' % ("1" * (limit + 1))),
+        ("long-denominator.json", '"3/%s"' % ("1" * (limit + 1))),
+        ("long-integer.json", '"%s"' % ("1" * (limit + 1))),
     ):
         path = tmp_path / name
         path.write_text(
@@ -204,6 +211,8 @@ def test_multiply_usage_errors(capsys, tmp_path):
                 assert err == (
                     f"error: {path}: term 0: coefficient '1/0' has a zero denominator\n"
                 )
+            if name.startswith("long-"):
+                assert err.endswith(f"' has more than {limit} digits\n"), (name, extra)
     # JSON floats and booleans never reach the exact arithmetic: sizes,
     # positions and colors must be integers, coefficients integers or strings
     two = write_json(tmp_path / "two.json", Diagram(2, 1, ()).to_json_dict())
@@ -564,3 +573,24 @@ def test_golden_output(capsys, name):
     code, out, err = run(capsys, *COMMANDS[name])
     assert (code, err) == (0, "")
     assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def test_cli_import_loads_no_introspection_modules():
+    # every command pays the import, so the package's value classes are
+    # written out rather than generated through dataclasses, which would pull
+    # in inspect, ast, dis and tokenize; modules site loaded beforehand do
+    # not count
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import planar_rook.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    src = str(Path(planar_rook.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "planar_rook.cli" in out
+    assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(out)

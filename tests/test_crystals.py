@@ -585,5 +585,16 @@ def test_crystal_equality_compares_keys_and_labels():
     relabeled = from_dicts(replace(as_dicts(product), display={"0⊗0": "top"}))
     assert product != relabeled
     assert product != "0⊗0"
+    assert product != (product.n, product.wt, product.eps, product.phi,
+                       product.up, product.down, product.nodes, None)
     with pytest.raises(TypeError):
         hash(product)
+    # the key index that position() fills is not compared
+    twin = tensor(b, b)
+    product.position("1⊗1")
+    assert product._index is not None and twin._index is None
+    assert product == twin and twin == product
+    assert repr(b) == (
+        "Crystal(n=1, wt=[(1, 0), (0, 1)], eps=[[0, 1]], phi=[[1, 0]], "
+        "up=[[-1, 0]], down=[[1, -1]], nodes=('0', '1'), labels=None)"
+    )

@@ -629,3 +629,22 @@ def test_diagram_json_round_trip_property(single):
     parsed = Diagram.from_json_dict(json.loads(json.dumps(d.to_json_dict())))
     assert parsed == d
     assert parsed.edges == d.edges
+
+
+# ---------------------------------------------------------------- value class
+
+
+def test_boundary_value_semantics():
+    b = Boundary(3, 2, (0, 2, 1))
+    assert repr(b) == "Boundary(m=3, n=2, colors=(0, 2, 1))"
+    assert b == Boundary(3, 2, [0, 2, 1]) == Boundary._trusted(3, 2, (0, 2, 1))
+    assert b != Boundary(3, 2, (0, 1, 2))
+    assert hash(b) == hash((3, 2, (0, 2, 1)))
+    assert b != (3, 2, (0, 2, 1)) and not b == (3, 2, (0, 2, 1))
+    # ordered by (m, n, colors): size first, then the word lexicographically
+    words = [Boundary(2, 2, (1, 0)), Boundary(1, 2, (2,)), Boundary(2, 1, (1, 1)),
+             Boundary(2, 2, (0, 2)), Boundary(1, 1, (0,))]
+    assert sorted(words) == sorted(words, key=lambda w: (w.m, w.n, w.colors))
+    assert Boundary(2, 2, (0, 2)) < Boundary(2, 2, (1, 0)) <= Boundary(2, 2, (1, 0))
+    with pytest.raises(TypeError):
+        Boundary(1, 1, (0,)) < (1, 1, (0,))

@@ -15,7 +15,13 @@ from math import comb
 
 import pytest
 
-from planar_rook.algebra import Element, identity_element, orbit_vector
+from planar_rook.algebra import (
+    Element,
+    identity_element,
+    orbit_vector,
+    strand,
+    truncation_idempotent,
+)
 from planar_rook.diagrams import (
     Boundary,
     Diagram,
@@ -23,6 +29,7 @@ from planar_rook.diagrams import (
     enumerate_diagrams,
     unit_diagram,
 )
+from planar_rook.linalg import apply, column_space_basis, coordinates_in_basis
 from planar_rook.modules import (
     ClassLabel,
     ExplicitModule,
@@ -31,7 +38,6 @@ from planar_rook.modules import (
     all_class_labels,
     class_dimension,
     decompose,
-    extend_by_color,
     induce_class,
     multiplicity,
     regular_module,
@@ -292,6 +298,12 @@ def test_decompose_zero_module():
 # ---------------------------------------------------------------- restriction
 
 
+def extend_by_color(a: Element, i: int) -> Element:
+    """The oracle for restriction's action: a size-m element embedded into
+    size m+1 by appending strand(n, i), as one Element."""
+    return a.tensor(strand(a.n, i))
+
+
 def test_extend_by_color():
     a = Element.from_diagram(unit_diagram(2, 1))
     ext = extend_by_color(a, 2)
@@ -303,6 +315,26 @@ def test_extend_by_color():
     assert ext0 == Element.from_diagram(d_drop)
     with pytest.raises(ValueError):
         extend_by_color(a, 3)
+
+
+@pytest.mark.parametrize("top_m, n", [(4, 2), (6, 1)])
+def test_restrict_action_matches_element_route(top_m, n):
+    # each restricted column against the Element route: d extended by
+    # strand(n, i) as one Element, through matrix_of, in the same basis
+    for m in range(1, top_m + 1):
+        diagrams = enumerate_diagrams(m - 1, n)
+        for lab in all_class_labels(m, n):
+            mod = simple(lab).explicit()
+            for i in range(n + 1):
+                projector = mod.matrix_of(truncation_idempotent(m, n, i))
+                basis, pivots = column_space_basis(projector)
+                res = restrict(i, mod)
+                for d in diagrams:
+                    big = mod.matrix_of(extend_by_color(Element.from_diagram(d), i))
+                    expected = [
+                        coordinates_in_basis(apply(big, b), basis, pivots) for b in basis
+                    ]
+                    assert res.matrix(d) == tuple(expected), (lab, i, d)
 
 
 def test_restrict_matches_last_letter_oracle():
@@ -418,3 +450,15 @@ def test_adjunction_exhaustive_small():
                     for big in all_class_labels(m, n):
                         left, right = adjunction_check(i, small, big)
                         assert left == right
+
+
+def test_class_label_value_semantics():
+    lab = ClassLabel(2, (1, 0, 1))
+    assert repr(lab) == "ClassLabel(n=2, counts=(1, 0, 1))"
+    assert lab == ClassLabel(2, [1, 0, 1]) == ClassLabel._trusted(2, (1, 0, 1))
+    assert hash(lab) == hash((2, (1, 0, 1)))
+    assert lab != (2, (1, 0, 1)) and not lab == (2, (1, 0, 1))
+    labels = [lab, ClassLabel(1, (0, 3)), ClassLabel(2, (0, 2, 0)), ClassLabel(1, (2, 0))]
+    assert sorted(labels) == sorted(labels, key=lambda x: (x.n, x.counts))
+    assert max(labels) == ClassLabel(2, (1, 0, 1)) and ClassLabel(2, (0, 2, 0)) < lab
+    assert len({ClassLabel(2, (1, 0, 1)), lab, ClassLabel(2, (0, 1, 1))}) == 2

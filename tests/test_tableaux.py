@@ -361,3 +361,15 @@ def test_tableau_json_rejects_floats():
     ):
         with pytest.raises(ValueError):
             Tableau.from_json_dict(obj)
+
+
+def test_tableau_value_semantics():
+    t = Tableau((2, 1), ((0, 1), (1,)))
+    assert repr(t) == "Tableau(shape=(2, 1), rows=((0, 1), (1,)))"
+    assert t == Tableau([2, 1], [[0, 1], [1]])
+    assert hash(t) == hash(((2, 1), ((0, 1), (1,))))
+    assert t != ((2, 1), ((0, 1), (1,))) and not t == ((2, 1), ((0, 1), (1,)))
+    # ordered by (shape, rows)
+    tableaux = enumerate_ssyt((2, 1), 2) + enumerate_ssyt((3,), 1) + enumerate_ssyt((1, 1), 2)
+    assert sorted(tableaux) == sorted(tableaux, key=lambda x: (x.shape, x.rows))
+    assert Tableau((1,), ((2,),)) < Tableau((1, 1), ((0,), (1,))) < t
