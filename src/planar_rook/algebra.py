@@ -20,6 +20,7 @@ from math import lcm
 
 from .diagrams import (
     Diagram,
+    brief,
     empty_diagram,
     ensure_within_cap,
     flip,
@@ -48,7 +49,7 @@ class Element:
         for d, coeff in _sorted_terms(terms or {}):
             if (d.m, d.n) != (m, n):
                 raise ValueError(
-                    f"term {d} has size ({d.m},{d.n}), element has ({m},{n})"
+                    f"term {brief(d)} does not have size ({brief(m)},{brief(n)})"
                 )
             c = Fraction(coeff)
             if c:
@@ -85,8 +86,8 @@ class Element:
     def _check_compatible(self, other: Element) -> None:
         if (self.m, self.n) != (other.m, other.n):
             raise ValueError(
-                f"elements live in different algebras: "
-                f"({self.m},{self.n}) vs ({other.m},{other.n})"
+                f"elements live in different algebras: ({brief(self.m)},"
+                f"{brief(self.n)}) vs ({brief(other.m)},{brief(other.n)})"
             )
 
     def __add__(self, other: Element) -> Element:
@@ -198,7 +199,7 @@ def _json_coeff(x, k: int) -> Fraction:
         return Fraction(x)
     if not isinstance(x, str):
         raise ValueError(
-            f"term {k}: coefficient must be an integer or a string, got {x!r}"
+            f"term {k}: coefficient must be an integer or a string, got {brief(x)}"
         )
     limit = sys.get_int_max_str_digits()
     _, e, exponent = x.lower().partition("e")
@@ -211,11 +212,11 @@ def _json_coeff(x, k: int) -> Fraction:
         value = None if huge else Fraction(x)
     except ZeroDivisionError:
         raise ValueError(
-            f"term {k}: coefficient {x!r} has a zero denominator"
+            f"term {k}: coefficient {brief(x)} has a zero denominator"
         ) from None
     except ValueError:
         raise ValueError(
-            f"term {k}: coefficient {x!r} is not a decimal or a fraction"
+            f"term {k}: coefficient {brief(x)} is not a decimal or a fraction"
         ) from None
     if not huge and limit:
         big = max(abs(value.numerator), value.denominator)
@@ -223,7 +224,7 @@ def _json_coeff(x, k: int) -> Fraction:
         huge = big.bit_length() > 3 * limit and big >= 10**limit
     if huge:
         raise ValueError(
-            f"term {k}: coefficient {x!r} has more than {limit} digits"
+            f"term {k}: coefficient {brief(x)} has more than {limit} digits"
         )
     return value
 
@@ -273,12 +274,12 @@ def to_orbit_basis(a: Element) -> dict[Diagram, Fraction]:
 def orbit_product(d1: Diagram, d2: Diagram) -> Element:
     """Product of two orbit vectors without expanding either one.
 
-    It is the orbit vector of d1*d2 when the bottom boundary of d1 equals the
-    top boundary of d2, and zero otherwise.
+    It is the orbit vector of d1*d2 when the bottom word of d1 equals the
+    top word of d2, and zero otherwise.
     """
     if (d1.m, d1.n) != (d2.m, d2.n):
         raise ValueError("diagrams live in different algebras")
-    if d1.bottom_boundary() != d2.top_boundary():
+    if d1.bottom != d2.top:
         return Element.zero(d1.m, d1.n)
     return orbit_vector(multiply(d1, d2))
 

@@ -108,7 +108,7 @@ def _factor_table(p: int, n: int) -> FactorTable:
 
     return FactorTable(
         tuple(label.key for label in labels),
-        tuple(word_key(label.canonical_boundary().colors) for label in labels),
+        tuple(word_key(label.canonical_word()) for label in labels),
         tuple(label.counts for label in labels),
         [column(raise_label, i) for i in range(1, n + 1)],
         [column(lower_label, i) for i in range(1, n + 1)],

@@ -21,6 +21,7 @@ from .crystals import to_dot, to_json_dict
 from .diagrams import (
     Diagram,
     EnumerationCapError,
+    brief,
     count_diagrams,
     enumerate_diagrams,
 )
@@ -77,21 +78,23 @@ def _parse_class(spec: str) -> ClassLabel:
     """Parse 'm,n:c0,c1,...,cn' into a class label."""
     head, sep, tail = spec.partition(":")
     if not sep:
-        raise UsageError(f"malformed class {spec!r}; expected 'm,n:c0,...,cn'")
+        raise UsageError(f"malformed class {brief(spec)}; expected 'm,n:c0,...,cn'")
     try:
         m_str, n_str = head.split(",")
         m, n = int(m_str), int(n_str)
         counts = tuple(int(x) for x in tail.split(","))
     except ValueError:
         raise UsageError(
-            f"malformed class {spec!r}; expected 'm,n:c0,...,cn'"
+            f"malformed class {brief(spec)}; expected 'm,n:c0,...,cn'"
         ) from None
     try:
         label = ClassLabel(n, counts)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if label.m != m:
-        raise UsageError(f"class counts in {spec!r} sum to {label.m}, not {m}")
+        raise UsageError(
+            f"class counts in {brief(spec)} sum to {brief(label.m)}, not {brief(m)}"
+        )
     return label
 
 
@@ -100,7 +103,7 @@ def _parse_int_tuple(spec: str, what: str) -> tuple[int, ...]:
         return tuple(int(x) for x in spec.split(","))
     except ValueError:
         raise UsageError(
-            f"malformed {what} {spec!r}; expected a comma list of integers"
+            f"malformed {what} {brief(spec)}; expected a comma list of integers"
         ) from None
 
 

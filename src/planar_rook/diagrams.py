@@ -31,11 +31,20 @@ SIZE_CAP_MULTI_COLOR = 6
 MAX_SIZE = 4096
 
 
+def brief(x) -> str:
+    """repr(x), or for a long one its length and its two ends, so a message
+    quoting malformed input stays one short line."""
+    text = repr(x)
+    if len(text) <= 40:
+        return text
+    return f"({len(text)} characters) {text[:24]}...{text[-12:]}"
+
+
 def json_int(x, what: str) -> int:
     """x itself when it is a JSON integer.  Floats and booleans are refused,
     so no binary fraction is silently truncated into a size or a color."""
     if type(x) is not int:
-        raise ValueError(f"{what} must be an integer, got {x!r}")
+        raise ValueError(f"{what} must be an integer, got {brief(x)}")
     return x
 
 
@@ -74,22 +83,24 @@ class Diagram:
     def __post_init__(self, edges) -> None:
         m, n = json_int(self.m, "m"), json_int(self.n, "n")
         if not (0 <= m <= MAX_SIZE and n >= 1):
-            raise ValueError(f"need 0 <= m <= {MAX_SIZE} and n >= 1, got m={m}, n={n}")
+            raise ValueError(
+                f"need 0 <= m <= {MAX_SIZE} and n >= 1, got m={brief(m)}, n={brief(n)}"
+            )
         top, bottom, given = [0] * m, [0] * m, []
         for e in edges:
             if len(e) != 3:
-                raise ValueError(f"edge {e!r} is not a (top, bottom, color) triple")
+                raise ValueError(f"edge {brief(e)} is not a (top, bottom, color) triple")
             t, b, c = e = tuple(json_int(x, "edge entry") for x in e)
             if not (1 <= t <= m and 1 <= b <= m and 1 <= c <= n):
-                raise ValueError(f"edge {e} out of range for m={m}, n={n}")
+                raise ValueError(f"edge {brief(e)} out of range for m={m}, n={brief(n)}")
             if top[t - 1] or bottom[b - 1]:
-                raise ValueError(f"edge {e} meets a vertex of another edge")
+                raise ValueError(f"edge {brief(e)} meets a vertex of another edge")
             top[t - 1] = bottom[b - 1] = c
             given.append(e)
         self.top, self.bottom = tuple(top), tuple(bottom)
         self._hash = self._view = None
         if sorted(given) != list(self.edges):
-            raise ValueError(f"same-color edges cross in {tuple(sorted(given))}")
+            raise ValueError(f"same-color edges cross in {brief(tuple(sorted(given)))}")
 
     @classmethod
     def _trusted(cls, m: int, n: int, top: tuple, bottom: tuple) -> Diagram:
@@ -124,12 +135,6 @@ class Diagram:
 
     def __repr__(self) -> str:
         return f"Diagram(m={self.m!r}, n={self.n!r}, edges={self.edges!r})"
-
-    def top_boundary(self) -> Boundary:
-        return Boundary._trusted(self.m, self.n, self.top)
-
-    def bottom_boundary(self) -> Boundary:
-        return Boundary._trusted(self.m, self.n, self.bottom)
 
     def flip(self) -> Diagram:
         return flip(self)
@@ -166,74 +171,6 @@ def _match(top: tuple, bottom: tuple):
             below.setdefault(bottom[p], []).append(p)
     down = tuple(below[c].pop() if c else -1 for c in top)
     return down, tuple((t + 1, down[t] + 1, c) for t, c in enumerate(top) if c)
-
-
-@total_ordering
-class Boundary:
-    """One row of a diagram recorded as a color word.
-
-    Position p carries the color of the edge meeting vertex p, or 0 if the
-    vertex is isolated.  Boundaries compare, hash and sort by (m, n, colors),
-    so words of one size compare lexicographically; immutable by convention.
-    """
-
-    __slots__ = ("m", "n", "colors")
-
-    def __init__(self, m: int, n: int, colors: tuple[int, ...]) -> None:
-        colors = tuple(json_int(c, "color") for c in colors)
-        if json_int(m, "m") < 0 or json_int(n, "n") < 1:
-            raise ValueError(f"bad boundary size m={m}, n={n}")
-        if len(colors) != m:
-            raise ValueError(f"word length {len(colors)} != m={m}")
-        for c in colors:
-            if not (0 <= c <= n):
-                raise ValueError(f"color {c} outside 0..{n}")
-        self.m, self.n, self.colors = m, n, colors
-
-    @classmethod
-    def _trusted(cls, m: int, n: int, colors: tuple[int, ...]) -> Boundary:
-        """A boundary whose word the caller knows to be valid."""
-        b = object.__new__(cls)
-        b.m, b.n, b.colors = m, n, colors
-        return b
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not Boundary:
-            return NotImplemented
-        return (self.m, self.n, self.colors) == (other.m, other.n, other.colors)
-
-    def __lt__(self, other) -> bool:
-        if type(other) is not Boundary:
-            return NotImplemented
-        return (self.m, self.n, self.colors) < (other.m, other.n, other.colors)
-
-    def __hash__(self) -> int:
-        return hash((self.m, self.n, self.colors))
-
-    def __repr__(self) -> str:
-        return f"Boundary(m={self.m!r}, n={self.n!r}, colors={self.colors!r})"
-
-    def counts(self) -> tuple[int, ...]:
-        """(number of 0s, number of 1s, ..., number of ns)."""
-        return tuple(self.colors.count(c) for c in range(self.n + 1))
-
-    def covers(self, other: Boundary) -> bool:
-        """Containment on the colored positions only.
-
-        True when every vertex colored i >= 1 in `other` carries the same
-        color here.  Isolated vertices of `other` are unconstrained, so this
-        is not plain word equality or componentwise set containment at 0.
-        """
-        if (self.m, self.n) != (other.m, other.n):
-            raise ValueError("boundaries live on different vertex sets")
-        return all(o == 0 or o == s for s, o in zip(self.colors, other.colors))
-
-    def to_json_dict(self) -> dict:
-        return {"m": self.m, "n": self.n, "colors": list(self.colors)}
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> Boundary:
-        return cls(obj["m"], obj["n"], obj["colors"])
 
 
 def multiply(d1: Diagram, d2: Diagram) -> Diagram:
@@ -277,24 +214,26 @@ def empty_diagram(m: int, n: int) -> Diagram:
 
 def unit_diagram(n: int, i: int) -> Diagram:
     """Size-1 diagram: a single edge of color i, or edgeless for i = 0."""
-    if not (0 <= i <= n):
-        raise ValueError(f"color {i} outside 0..{n}")
-    return Diagram(1, n, ()) if i == 0 else Diagram(1, n, ((1, 1, i),))
+    return partial_identity(n, (i,))
 
 
-def unique_planar_match(top: Boundary, bottom: Boundary) -> Diagram:
-    """The unique crossingless diagram with the given boundaries."""
-    if (top.m, top.n) != (bottom.m, bottom.n):
-        raise ValueError("boundaries live on different vertex sets")
-    for i, (up, down) in enumerate(zip(top.counts(), bottom.counts())):
-        if i and up != down:
-            raise ValueError(f"color {i} count mismatch: {up} on top, {down} on bottom")
-    return Diagram._trusted(top.m, top.n, top.colors, bottom.colors)
+def partial_identity(n: int, word) -> Diagram:
+    """The diagram joining each colored position of the word straight down
+    to itself, built through the validating constructor."""
+    edges = [(p, p, c) for p, c in enumerate(word, 1) if json_int(c, "color")]
+    return Diagram(len(word), n, edges)
 
 
-def partial_identity(boundary: Boundary) -> Diagram:
-    """The diagram joining each colored position straight down to itself."""
-    return unique_planar_match(boundary, boundary)
+def covers(above: tuple, below: tuple) -> bool:
+    """Containment on the colored positions only.
+
+    True when every vertex colored i >= 1 in `below` carries the same color
+    in `above`.  Isolated vertices of `below` are unconstrained, so this is
+    not plain word equality or componentwise set containment at 0.
+    """
+    if len(above) != len(below):
+        raise ValueError("words live on different vertex sets")
+    return all(b == 0 or a == b for a, b in zip(above, below))
 
 
 def weak_compositions(total: int, slots: int) -> list[tuple[int, ...]]:

@@ -1,14 +1,16 @@
 """Simple modules over the colored planar rook algebra, and the restriction
 and induction structure between neighboring sizes.
 
-For each boundary T of size m there is a module spanned by the orbit vectors
-of the diagrams whose bottom boundary is T; the one-sided orbit product rule
-makes the action combinatorial (a diagram either moves a basis vector to
+For each boundary word T of size m there is a module spanned by the orbit
+vectors of the diagrams whose bottom word is T; the one-sided orbit product
+rule makes the action combinatorial (a diagram either moves a basis vector to
 another basis vector or kills it).  Two such modules are isomorphic exactly
-when their boundaries have the same color counts, so isomorphism classes are
+when their words have the same color counts, so isomorphism classes are
 labeled by count vectors.  Restriction to one size down is implemented
-concretely: cut by a truncation idempotent and act through the one-strand
-extension of the smaller algebra.
+concretely: cut by the truncation idempotent e = id ⊗ strand(n, i) and let a
+smaller diagram d act as d ⊗ unit_i.  On the image of e this is the action of
+d ⊗ strand(n, i), because (d ⊗ unit_i)·e = e·(d ⊗ strand(n, i)): for i >= 1
+the unit_0 term of the strand gives d ⊗ unit_0·strand(n, i) = 0.
 """
 
 from __future__ import annotations
@@ -17,16 +19,18 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 
-from .algebra import Element, orbit_vector, strand, truncation_idempotent
+from .algebra import Element, orbit_vector, truncation_idempotent
 from .diagrams import (
-    Boundary,
     Diagram,
+    brief,
+    covers,
     ensure_within_cap,
     enumerate_diagrams,
     juxtapose,
     multinomial,
     partial_identity,
     product_words,
+    unit_diagram,
     weak_compositions,
     words_with_counts,
 )
@@ -47,16 +51,16 @@ class ClassLabel:
     def __init__(self, n: int, counts: tuple[int, ...]) -> None:
         counts = tuple(counts)
         if any(type(c) is not int for c in counts):
-            raise ValueError(f"counts must be integers, got {counts}")
+            raise ValueError(f"counts must be integers, got {brief(counts)}")
         if n < 1:
-            raise ValueError(f"need at least one color, got n={n}")
+            raise ValueError(f"need at least one color, got n={brief(n)}")
         if len(counts) != n + 1:
             raise ValueError(
                 f"expected {n + 1} counts (isolated plus one per color), "
                 f"got {len(counts)}"
             )
         if any(c < 0 for c in counts):
-            raise ValueError(f"negative count in {counts}")
+            raise ValueError(f"negative count in {brief(counts)}")
         self.n, self.counts = n, counts
 
     @classmethod
@@ -90,19 +94,16 @@ class ClassLabel:
     def key(self) -> str:
         return f"{self.m}|{','.join(str(c) for c in self.counts)}"
 
-    def canonical_boundary(self) -> Boundary:
+    def canonical_word(self) -> tuple[int, ...]:
         """The block word 0..0 1..1 2..2 with the prescribed counts."""
-        word = []
-        for color, c in enumerate(self.counts):
-            word.extend([color] * c)
-        return Boundary(self.m, self.n, tuple(word))
+        return tuple(color for color, c in enumerate(self.counts) for _ in range(c))
 
 
 def all_class_labels(m: int, n: int) -> list[ClassLabel]:
     """Every class at size m, ordered so that earlier labels have more
     isolated vertices (reverse lexicographic count vectors)."""
     if n < 1:
-        raise ValueError(f"need at least one color, got n={n}")
+        raise ValueError(f"need at least one color, got n={brief(n)}")
     return [
         ClassLabel._trusted(n, counts)
         for counts in sorted(weak_compositions(m, n + 1), reverse=True)
@@ -118,62 +119,6 @@ def _matrix_of_targets(targets) -> tuple[dict, ...]:
     """The sparse columns sending basis vector j to basis vector targets[j],
     or to zero where targets[j] is None."""
     return tuple({} if t is None else {t: 1} for t in targets)
-
-
-class SimpleModule:
-    """The simple module of one class, on its canonical boundary.
-
-    The basis is indexed by the diagrams with that bottom boundary, ordered
-    by top word; a diagram of the algebra acts by the one-sided orbit rule.
-    """
-
-    def __init__(self, label: ClassLabel):
-        self.label = label
-        self.boundary = label.canonical_boundary()
-        m, n, beta = label.m, label.n, self.boundary.colors
-        tops = words_with_counts(label.counts)
-        self.basis = tuple(Diagram._trusted(m, n, tau, beta) for tau in tops)
-        self.tops = tuple(Boundary._trusted(m, n, tau) for tau in tops)
-        self.dimension = len(self.basis)
-        # d*b keeps the module's bottom word, so its top word names it
-        self.index = {tau: j for j, tau in enumerate(tops)}
-        self._explicit: ExplicitModule | None = None
-
-    def explicit(self) -> ExplicitModule:
-        if self._explicit is None:
-            self._explicit = ExplicitModule(
-                self.label.m, self.label.n, self.dimension, self._action_matrix
-            )
-        return self._explicit
-
-    def targets(self, d: Diagram) -> list[int | None]:
-        """Where d sends each basis vector, by basis index.
-
-        The basis vector at b goes to the one at d*b when the bottom boundary
-        of d covers the top boundary of b, and to zero (None) otherwise; d*b
-        still has the module's bottom boundary, so no reduction is needed.
-        """
-        beta = d.bottom_boundary()
-        return [
-            self.index[product_words(d, b)[0]] if beta.covers(top) else None
-            for b, top in zip(self.basis, self.tops)
-        ]
-
-    def _action_matrix(self, d: Diagram):
-        return _matrix_of_targets(self.targets(d))
-
-    def __repr__(self) -> str:
-        return f"SimpleModule({self.label.key}, dim={self.dimension})"
-
-
-@lru_cache(maxsize=None)
-def _simple(label: ClassLabel) -> SimpleModule:
-    return SimpleModule(label)
-
-
-def simple(label: ClassLabel, force: bool = False) -> SimpleModule:
-    ensure_within_cap(label.m, label.n, force)
-    return _simple(label)
 
 
 class ExplicitModule:
@@ -228,14 +173,9 @@ class ExplicitModule:
     def matrix_of(self, a: Element) -> tuple[dict, ...]:
         if (a.m, a.n) != (self.m, self.n):
             raise ValueError("element and module live at different sizes")
-        return self._combination(
-            (d, c.numerator if c.denominator == 1 else c) for d, c in a.terms.items()
-        )
-
-    def _combination(self, terms) -> tuple[dict, ...]:
-        """The columns of the sum of c * matrix(d) over the (d, c) pairs."""
         acc: list[dict] = [{} for _ in range(self.dimension)]
-        for d, c in terms:
+        for d, c in a.terms.items():
+            c = c.numerator if c.denominator == 1 else c
             for out, col in zip(acc, self.matrix(d)):
                 for r, x in col.items():
                     out[r] = out.get(r, 0) + c * x
@@ -243,6 +183,48 @@ class ExplicitModule:
 
     def __repr__(self) -> str:
         return f"ExplicitModule(m={self.m}, n={self.n}, dim={self.dimension})"
+
+
+class SimpleModule(ExplicitModule):
+    """The simple module of one class, on its canonical word.
+
+    The basis is indexed by the diagrams with that bottom word, ordered by
+    top word; a diagram of the algebra acts by the one-sided orbit rule.
+    """
+
+    def __init__(self, label: ClassLabel):
+        self.label = label
+        m, n, beta = label.m, label.n, label.canonical_word()
+        tops = words_with_counts(label.counts)
+        self.basis = tuple(Diagram._trusted(m, n, tau, beta) for tau in tops)
+        # d*b keeps the module's bottom word, so its top word names it
+        self.index = {tau: j for j, tau in enumerate(tops)}
+        super().__init__(m, n, len(tops), lambda d: _matrix_of_targets(self.targets(d)))
+
+    def targets(self, d: Diagram) -> list[int | None]:
+        """Where d sends each basis vector, by basis index.
+
+        The basis vector at b goes to the one at d*b when the bottom word of
+        d covers the top word of b, and to zero (None) otherwise; d*b still
+        has the module's bottom word, so no reduction is needed.
+        """
+        return [
+            self.index[product_words(d, b)[0]] if covers(d.bottom, b.top) else None
+            for b in self.basis
+        ]
+
+    def __repr__(self) -> str:
+        return f"SimpleModule({self.label.key}, dim={self.dimension})"
+
+
+@lru_cache(maxsize=None)
+def _simple(label: ClassLabel) -> SimpleModule:
+    return SimpleModule(label)
+
+
+def simple(label: ClassLabel, force: bool = False) -> SimpleModule:
+    ensure_within_cap(label.m, label.n, force)
+    return _simple(label)
 
 
 @lru_cache(maxsize=None)
@@ -266,14 +248,14 @@ def multiplicity(mod: ExplicitModule, label: ClassLabel) -> int:
     """Multiplicity of the labeled simple module inside mod.
 
     Probe with the orbit vector of the partial identity on the canonical
-    boundary: on a simple module it acts with rank 1 when the classes match
+    word: on a simple module it acts with rank 1 when the classes match
     (it fixes the single basis vector whose top word is the canonical word and
     kills the rest) and rank 0 otherwise, so on a semisimple module its rank
     counts copies.
     """
     if (mod.m, mod.n) != (label.m, label.n):
         raise ValueError("module and class label live at different sizes")
-    probe = orbit_vector(partial_identity(label.canonical_boundary()))
+    probe = orbit_vector(partial_identity(label.n, label.canonical_word()))
     return rank(mod.matrix_of(probe))
 
 
@@ -298,31 +280,28 @@ def decompose(mod: ExplicitModule) -> dict[ClassLabel, int]:
     return out
 
 
-def restrict(i: int, mod) -> ExplicitModule:
+def restrict(i: int, mod: ExplicitModule) -> ExplicitModule:
     """Cut mod by the color-i truncation idempotent and restrict the action.
 
-    The result is a module one size down: the idempotent commutes with every
-    extended diagram, so its image is stable, and coordinates are taken in a
-    canonical basis of that image.  A zero image gives a zero module.
+    The result is a module one size down, with coordinates in a canonical
+    basis of the image of e = truncation_idempotent(m, n, i).  A diagram d
+    acts there as d ⊗ unit_i: since (d ⊗ unit_i)·e = e·(d ⊗ strand(n, i)),
+    the image is stable and this is the action of the extended element, one
+    matrix of mod per diagram.  A zero image gives a zero module.
     """
-    if isinstance(mod, SimpleModule):
-        mod = mod.explicit()
     m, n = mod.m, mod.n
     if m < 1:
         raise ValueError("cannot restrict a size-0 module")
-    if not (0 <= i <= n):
-        raise ValueError(f"color {i} outside 0..{n}")
+    # truncation_idempotent refuses a color outside 0..n
     projector = mod.matrix_of(truncation_idempotent(m, n, i))
     basis, pivots = column_space_basis(projector)
-    dim = len(pivots)
-    last = [(e, c.numerator) for e, c in strand(n, i).terms.items()]
+    last = unit_diagram(n, i)
 
     def action(d: Diagram):
-        # d acts as d ⊗ strand(n, i), one juxtaposed diagram per strand term
-        big = mod._combination((juxtapose(d, e), c) for e, c in last)
+        big = mod.matrix(juxtapose(d, last))
         return [coordinates_in_basis(apply(big, b), basis, pivots) for b in basis]
 
-    return ExplicitModule(m - 1, n, dim, action)
+    return ExplicitModule(m - 1, n, len(pivots), action)
 
 
 def restrict_class(i: int, label: ClassLabel) -> ClassLabel | None:

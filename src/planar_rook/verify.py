@@ -31,7 +31,7 @@ from .crystals import (
     tensor,
     tensor_all,
 )
-from .diagrams import enumerate_diagrams, juxtapose, multiply, unit_diagram
+from .diagrams import covers, enumerate_diagrams, juxtapose, multiply, unit_diagram
 from .modules import (
     adjunction_check,
     all_class_labels,
@@ -194,16 +194,14 @@ def _verify_orbit_product_laws(max_m, max_n, pin_m, pin_n):
         for dp in diagrams:
             dp_elt = Element.from_diagram(dp)
             dp_orbit = orbit_vector(dp)
-            beta = dp.bottom_boundary()
             for d in diagrams:
                 checked += 1
-                tau = d.top_boundary()
                 prod_orbit = orbit_vector(multiply(dp, d))
                 zero = Element.zero(m, n)
                 left = dp_elt * orbit_vector(d)
-                left_expected = prod_orbit if beta.covers(tau) else zero
+                left_expected = prod_orbit if covers(dp.bottom, d.top) else zero
                 right = dp_orbit * Element.from_diagram(d)
-                right_expected = prod_orbit if tau.covers(beta) else zero
+                right_expected = prod_orbit if covers(d.top, dp.bottom) else zero
                 both = orbit_product(dp, d)
                 both_brute = dp_orbit * orbit_vector(d)
                 failures = []
@@ -236,7 +234,7 @@ def _verify_truncation_lemmas(max_m, max_n, pin_m, pin_n):
                 checked += 1
                 x = orbit_vector(d)
                 got = trunc * x
-                keep = d.top_boundary().colors[m - 1] == i
+                keep = d.top[m - 1] == i
                 if got != (x if keep else Element.zero(m, n)):
                     bad.append(
                         {
@@ -246,7 +244,7 @@ def _verify_truncation_lemmas(max_m, max_n, pin_m, pin_n):
                     )
                 checked += 1
                 got = x * trunc
-                keep = d.bottom_boundary().colors[m - 1] == i
+                keep = d.bottom[m - 1] == i
                 if got != (x if keep else Element.zero(m, n)):
                     bad.append(
                         {
@@ -375,7 +373,7 @@ def _verify_class_crystal_is_row_crystal(max_m, max_n, pin_m, pin_n):
         classes = cc.class_crystal(m, n)
         rows = row_crystal(m, n)
         mapping = {
-            label.key: word_key(label.canonical_boundary().colors)
+            label.key: word_key(label.canonical_word())
             for label in all_class_labels(m, n)
         }
         # the closed-form moves against the functor composites come first,

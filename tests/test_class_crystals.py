@@ -51,9 +51,9 @@ def label(n, *counts):
 
 def test_class_word():
     # a class's weakly increasing word is its canonical boundary word
-    assert label(2, 1, 1, 1).canonical_boundary().colors == (0, 1, 2)
-    assert label(1, 0, 3).canonical_boundary().colors == (1, 1, 1)
-    assert label(2, 2, 0, 0).canonical_boundary().colors == (0, 0)
+    assert label(2, 1, 1, 1).canonical_word() == (0, 1, 2)
+    assert label(1, 0, 3).canonical_word() == (1, 1, 1)
+    assert label(2, 2, 0, 0).canonical_word() == (0, 0)
 
 
 def test_raise_label_examples():
@@ -142,7 +142,7 @@ def test_class_crystal_matches_its_closed_form(m, n):
         {lab.key: lab.counts[:-1] for lab in labels},
         {(t, i): b for (b, i), t in f_edges.items()},
         f_edges,
-        {lab.key: f"{lab.key} ~ {word_key(lab.canonical_boundary().colors)}" for lab in labels},
+        {lab.key: f"{lab.key} ~ {word_key(lab.canonical_word())}" for lab in labels},
     )
     assert class_crystal(m, n) == oracle.from_dicts(reference)
 
@@ -152,7 +152,7 @@ def test_class_crystal_matches_row_crystal_via_word(m, n):
     classes = class_crystal(m, n)
     rows = row_crystal(m, n)
     mapping = {
-        lab.key: word_key(lab.canonical_boundary().colors)
+        lab.key: word_key(lab.canonical_word())
         for lab in all_class_labels(m, n)
     }
     assert morphism_violations(classes, rows, mapping) == []
@@ -231,7 +231,7 @@ def reference_tensor_class_crystal(parts, n):
     display = {
         tuple_key(labels): tuple_key(labels)
         + " ~ "
-        + "×".join(word_key(lab.canonical_boundary().colors) for lab in labels)
+        + "×".join(word_key(lab.canonical_word()) for lab in labels)
         for labels in tuples
     }
     return DictCrystal(

@@ -146,7 +146,7 @@ def test_multiply_matrix_example(capsys, tmp_path):
 
 def test_multiply_orbit_basis_idempotent(capsys, tmp_path):
     label = ClassLabel(1, (0, 2))
-    d = partial_identity(label.canonical_boundary())
+    d = partial_identity(label.n, label.canonical_word())
     f = write_json(tmp_path / "dt.json", d.to_json_dict())
     code, out, _ = run(capsys, "multiply", f, f, "--x-basis")
     assert code == 0
@@ -179,7 +179,8 @@ def test_multiply_usage_errors(capsys, tmp_path):
     # interpreter's digit limit are usage errors, not tracebacks: a decimal
     # exponent past the limit is refused before Fraction expands it, so at
     # once, a value too long to print when it is read, and a JSON integer
-    # past the limit when the file is parsed
+    # past the limit when the file is parsed; a long malformed value is
+    # quoted by its ends and length, so the message stays one short line
     limit = sys.get_int_max_str_digits()
     for name, coeff in (
         ("zero.json", '"1/0"'),
@@ -194,6 +195,8 @@ def test_multiply_usage_errors(capsys, tmp_path):
         ("long-numerator.json", '"%s/3"' % ("1" * (limit + 1))),
         ("long-denominator.json", '"3/%s"' % ("1" * (limit + 1))),
         ("long-integer.json", '"%s"' % ("1" * (limit + 1))),
+        ("many-x.json", '"%s"' % ("x" * 5000)),
+        ("many-zeros-denominator.json", '"1/%s"' % ("0" * 3000)),
     ):
         path = tmp_path / name
         path.write_text(
@@ -207,6 +210,7 @@ def test_multiply_usage_errors(capsys, tmp_path):
             assert time.perf_counter() - start < 1, (name, extra)
             assert (code, out) == (2, ""), (name, extra)
             assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+            assert len(err.encode()) < 300, (name, extra)
             if name == "zero.json":
                 assert err == (
                     f"error: {path}: term 0: coefficient '1/0' has a zero denominator\n"
@@ -225,6 +229,7 @@ def test_multiply_usage_errors(capsys, tmp_path):
         ("bool-edge.json", '{"m": 2, "n": 1, "edges": [[true, 1, 1]]}'),
         # words hold an entry per vertex, so a huge size is refused, not allocated
         ("huge-m.json", '{"m": 1000000000, "n": 1, "edges": []}'),
+        ("long-m.json", '{"m": "%s", "n": 1, "edges": []}' % ("x" * 5000)),
         (
             "huge-term-m.json",
             element % ("2", '"1"', '{"m": 1000000000, "n": 1, "edges": []}'),
@@ -245,6 +250,7 @@ def test_multiply_usage_errors(capsys, tmp_path):
             code, out, err = run(capsys, "multiply", two, str(path), *extra)
             assert (code, out) == (2, ""), (name, extra)
             assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+            assert len(err.encode()) < 300, (name, extra)
 
 
 def _element_text(coeff: str) -> str:

@@ -17,17 +17,16 @@ from hypothesis import strategies as st
 
 from planar_rook.algebra import subdiagrams
 from planar_rook.diagrams import (
-    Boundary,
     Diagram,
     EnumerationCapError,
     count_diagrams,
+    covers,
     empty_diagram,
     enumerate_diagrams,
     flip,
     juxtapose,
     multiply,
     partial_identity,
-    unique_planar_match,
     unit_diagram,
     weak_compositions,
     words_with_counts,
@@ -140,17 +139,12 @@ def from_matrix(m: int, n: int, rows) -> Diagram:
 
 def identity_diagram(m: int, n: int, color: int = 1) -> Diagram:
     """All m vertical strands in one color (the identity matrix over a unit)."""
-    return partial_identity(Boundary(m, n, (color,) * m))
+    return partial_identity(n, (color,) * m)
 
 
-def boundaries(d: Diagram) -> tuple[Boundary, Boundary]:
-    """(top boundary, bottom boundary) of d."""
-    return d.top_boundary(), d.bottom_boundary()
-
-
-def positions(b: Boundary, i: int) -> tuple[int, ...]:
-    """Vertices of b carrying color i (i=0 gives the isolated vertices)."""
-    return tuple(p for p, c in enumerate(b.colors, start=1) if c == i)
+def positions(word: tuple, i: int) -> tuple[int, ...]:
+    """Vertices of a word carrying color i (i=0 gives the isolated vertices)."""
+    return tuple(p for p, c in enumerate(word, start=1) if c == i)
 
 
 # ---------------------------------------------------------------- construction
@@ -228,9 +222,9 @@ def test_size_zero_allowed():
 
 def test_boundaries_of_example():
     d = Diagram(5, 2, ((1, 2, 1), (2, 1, 2), (3, 3, 1), (4, 5, 2)))
-    top, bottom = boundaries(d)
-    assert top.colors == (1, 2, 1, 2, 0)
-    assert bottom.colors == (2, 1, 1, 0, 2)
+    top, bottom = d.top, d.bottom
+    assert top == (1, 2, 1, 2, 0)
+    assert bottom == (2, 1, 1, 0, 2)
     assert positions(top, 0) == (5,)
     assert positions(top, 1) == (1, 3)
     assert positions(top, 2) == (2, 4)
@@ -239,22 +233,20 @@ def test_boundaries_of_example():
     assert positions(bottom, 2) == (1, 5)
 
 
-def test_boundary_counts():
-    b = Boundary(5, 2, (2, 1, 1, 0, 2))
-    assert b.counts() == (1, 2, 2)
-
-
 def test_covers_ignores_isolated_positions():
-    big = Boundary(3, 2, (1, 2, 0))
-    assert big.covers(Boundary(3, 2, (1, 0, 0)))
-    assert big.covers(Boundary(3, 2, (0, 2, 0)))
-    assert big.covers(Boundary(3, 2, (1, 2, 0)))
-    assert not big.covers(Boundary(3, 2, (2, 0, 0)))
+    big = (1, 2, 0)
+    assert covers(big, (1, 0, 0))
+    assert covers(big, (0, 2, 0))
+    assert covers(big, (1, 2, 0))
+    assert not covers(big, (2, 0, 0))
     # position 3 is isolated in big, so color there is not covered
-    assert not big.covers(Boundary(3, 2, (0, 0, 1)))
+    assert not covers(big, (0, 0, 1))
     # the smaller word may have fewer colored positions but never different ones
-    assert Boundary(1, 1, (1,)).covers(Boundary(1, 1, (0,)))
-    assert not Boundary(1, 1, (0,)).covers(Boundary(1, 1, (1,)))
+    assert covers((1,), (0,))
+    assert not covers((0,), (1,))
+    # words of different lengths live on different vertex sets
+    with pytest.raises(ValueError):
+        covers((1, 0), (1,))
 
 
 def test_covers_against_setwise_oracle():
@@ -263,30 +255,11 @@ def test_covers_against_setwise_oracle():
     all_words = list(itertools.product(range(n + 1), repeat=m))
     for w1 in all_words:
         for w2 in all_words:
-            b1, b2 = Boundary(m, n, w1), Boundary(m, n, w2)
             expected = all(
-                set(positions(b2, i)) <= set(positions(b1, i))
+                set(positions(w2, i)) <= set(positions(w1, i))
                 for i in range(1, n + 1)
             )
-            assert b1.covers(b2) == expected
-
-
-def test_boundary_validation():
-    with pytest.raises(ValueError):
-        Boundary(2, 1, (1,))
-    with pytest.raises(ValueError):
-        Boundary(2, 1, (1, 2))
-    with pytest.raises(ValueError):
-        Boundary(2, 1, (1, -1))
-    for m, n, colors in [
-        (2, 1, (1.7, 0)),
-        (2, 1, ("1", 0)),
-        (2, 1, (True, 0)),
-        (2.0, 1, (1, 0)),
-        (2, 1.0, (1, 0)),
-    ]:
-        with pytest.raises(ValueError, match="must be an integer"):
-            Boundary(m, n, colors)
+            assert covers(w1, w2) == expected
 
 
 # ---------------------------------------------------------------- product
@@ -351,9 +324,7 @@ def test_flip_is_an_anti_involution():
 
 def test_flip_swaps_boundaries():
     d = Diagram(5, 2, ((1, 2, 1), (2, 1, 2), (3, 3, 1), (4, 5, 2)))
-    top, bottom = boundaries(d)
-    ftop, fbottom = boundaries(flip(d))
-    assert (ftop, fbottom) == (bottom, top)
+    assert (flip(d).top, flip(d).bottom) == (d.bottom, d.top)
 
 
 # ---------------------------------------------------------------- juxtapose
@@ -362,8 +333,7 @@ def test_flip_swaps_boundaries():
 def test_juxtapose_example():
     d = juxtapose(unit_diagram(2, 1), unit_diagram(2, 0))
     assert d == Diagram(2, 2, ((1, 1, 1),))
-    top, bottom = boundaries(d)
-    assert top.colors == (1, 0) and bottom.colors == (1, 0)
+    assert d.top == (1, 0) and d.bottom == (1, 0)
 
 
 def test_juxtapose_associative_and_unital():
@@ -427,9 +397,9 @@ WORD_ORACLE_SIZES = [
 @pytest.mark.parametrize("m,n", WORD_ORACLE_SIZES)
 def test_enumeration_matches_word_oracle_in_order(m, n):
     expected = [
-        unique_planar_match(Boundary(m, n, tau), Boundary(m, n, beta))
+        Diagram._trusted(m, n, tau, beta)
         for beta in itertools.product(range(n + 1), repeat=m)
-        for tau in oracle_words_with_counts(Boundary(m, n, beta).counts())
+        for tau in oracle_words_with_counts(tuple(beta.count(c) for c in range(n + 1)))
     ]
     got = enumerate_diagrams(m, n)
     assert list(got) == expected
@@ -438,7 +408,7 @@ def test_enumeration_matches_word_oracle_in_order(m, n):
 
 def test_enumeration_order_is_by_bottom_then_top_word():
     diagrams = enumerate_diagrams(2, 2)
-    keys = [(d.bottom_boundary().colors, d.top_boundary().colors) for d in diagrams]
+    keys = [(d.bottom, d.top) for d in diagrams]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
 
@@ -464,36 +434,41 @@ def test_count_closed_form_one_color():
 # ---------------------------------------------------------------- matching
 
 
-def test_unique_planar_match_examples():
-    b110 = Boundary(3, 1, (1, 1, 0))
-    assert unique_planar_match(b110, b110) == Diagram(3, 1, ((1, 1, 1), (2, 2, 1)))
-    d = unique_planar_match(Boundary(2, 1, (1, 0)), Boundary(2, 1, (0, 1)))
-    assert d == Diagram(2, 1, ((1, 2, 1),))
-    d2 = unique_planar_match(Boundary(2, 2, (1, 2)), Boundary(2, 2, (2, 1)))
-    assert d2 == Diagram(2, 2, ((1, 2, 1), (2, 1, 2)))
-
-
-def test_unique_planar_match_count_mismatch():
-    with pytest.raises(ValueError):
-        unique_planar_match(Boundary(2, 1, (1, 1)), Boundary(2, 1, (1, 0)))
-    with pytest.raises(ValueError):
-        unique_planar_match(Boundary(2, 2, (1, 0)), Boundary(2, 2, (2, 0)))
+def test_word_pair_match_examples():
+    # the diagram on a pair of words is the one the matching rule joins
+    for m, n, top, bottom, edges in [
+        (3, 1, (1, 1, 0), (1, 1, 0), ((1, 1, 1), (2, 2, 1))),
+        (2, 1, (1, 0), (0, 1), ((1, 2, 1),)),
+        (2, 2, (1, 2), (2, 1), ((1, 2, 1), (2, 1, 2))),
+    ]:
+        d = Diagram._trusted(m, n, top, bottom)
+        assert d == Diagram(m, n, edges)
+        assert d.edges == edges
 
 
 def test_match_reconstructs_every_diagram():
-    # a diagram is determined by its boundaries
+    # a diagram is determined by its boundary words
     for m, n in [(3, 1), (2, 2), (3, 2)]:
         for d in enumerate_diagrams(m, n):
-            top, bottom = boundaries(d)
-            assert unique_planar_match(top, bottom) == d
+            assert Diagram(m, n, oracle_match(d.top, d.bottom)) == d
 
 
 def test_partial_identity():
-    t = Boundary(3, 2, (0, 1, 2))
-    d = partial_identity(t)
+    t = (0, 1, 2)
+    d = partial_identity(2, t)
     assert d == Diagram(3, 2, ((2, 2, 1), (3, 3, 2)))
-    assert boundaries(d) == (t, t)
+    assert (d.top, d.bottom) == (t, t)
     assert multiply(d, d) == d
+    # built through the validating constructor, so bad words are refused
+    for n, word in [(2, (0, 3)), (2, (-1,)), (1, (1.0,)), (1, (0.0,)), (1, (False,)), (0, (0,))]:
+        with pytest.raises(ValueError):
+            partial_identity(n, word)
+    # a unit diagram is the partial identity of a one-letter word
+    assert unit_diagram(2, 0) == empty_diagram(1, 2)
+    assert unit_diagram(2, 2) == partial_identity(2, (2,)) == Diagram(1, 2, ((1, 1, 2),))
+    for i in (3, -1):
+        with pytest.raises(ValueError):
+            unit_diagram(2, i)
 
 
 # ---------------------------------------------------------------- helpers
@@ -541,11 +516,6 @@ def test_diagram_json_round_trip():
     assert Diagram.from_json_dict(json.loads(blob)).edges == d.edges
 
 
-def test_boundary_json_round_trip():
-    b = Boundary(3, 2, (0, 1, 2))
-    assert Boundary.from_json_dict(b.to_json_dict()) == b
-
-
 def test_diagram_json_rejects_garbage():
     with pytest.raises(ValueError):
         Diagram.from_json_dict({"m": 2})
@@ -560,8 +530,6 @@ def assert_validated(d):
     # the public constructor sorts and validates; a trusted construction
     # must already be what it would produce
     assert d == Diagram(d.m, d.n, d.edges)
-    for b in (d.top_boundary(), d.bottom_boundary()):
-        assert b == Boundary(b.m, b.n, b.colors)
 
 
 @pytest.mark.parametrize("m,n", SMALL)
@@ -597,7 +565,7 @@ def diagrams_of_one_size(draw, count=2):
     for _ in range(count):
         bottom = tuple(draw(st.lists(st.integers(0, n), min_size=m, max_size=m)))
         top = tuple(draw(st.permutations(bottom)))
-        out.append(unique_planar_match(Boundary(m, n, top), Boundary(m, n, bottom)))
+        out.append(Diagram._trusted(m, n, top, bottom))
     return out
 
 
@@ -629,22 +597,3 @@ def test_diagram_json_round_trip_property(single):
     parsed = Diagram.from_json_dict(json.loads(json.dumps(d.to_json_dict())))
     assert parsed == d
     assert parsed.edges == d.edges
-
-
-# ---------------------------------------------------------------- value class
-
-
-def test_boundary_value_semantics():
-    b = Boundary(3, 2, (0, 2, 1))
-    assert repr(b) == "Boundary(m=3, n=2, colors=(0, 2, 1))"
-    assert b == Boundary(3, 2, [0, 2, 1]) == Boundary._trusted(3, 2, (0, 2, 1))
-    assert b != Boundary(3, 2, (0, 1, 2))
-    assert hash(b) == hash((3, 2, (0, 2, 1)))
-    assert b != (3, 2, (0, 2, 1)) and not b == (3, 2, (0, 2, 1))
-    # ordered by (m, n, colors): size first, then the word lexicographically
-    words = [Boundary(2, 2, (1, 0)), Boundary(1, 2, (2,)), Boundary(2, 1, (1, 1)),
-             Boundary(2, 2, (0, 2)), Boundary(1, 1, (0,))]
-    assert sorted(words) == sorted(words, key=lambda w: (w.m, w.n, w.colors))
-    assert Boundary(2, 2, (0, 2)) < Boundary(2, 2, (1, 0)) <= Boundary(2, 2, (1, 0))
-    with pytest.raises(TypeError):
-        Boundary(1, 1, (0,)) < (1, 1, (0,))

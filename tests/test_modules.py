@@ -23,7 +23,6 @@ from planar_rook.algebra import (
     truncation_idempotent,
 )
 from planar_rook.diagrams import (
-    Boundary,
     Diagram,
     empty_diagram,
     enumerate_diagrams,
@@ -79,7 +78,7 @@ def test_class_label_basics():
     lab = label(2, 1, 2, 2)
     assert lab.m == 5
     assert lab.key == "5|1,2,2"
-    assert lab.canonical_boundary() == Boundary(5, 2, (0, 1, 1, 2, 2))
+    assert lab.canonical_word() == (0, 1, 1, 2, 2)
 
 
 def test_class_label_validation():
@@ -122,13 +121,11 @@ def test_class_moves_build_the_validated_labels():
 
 
 def test_class_dimension_against_enumeration():
-    # dimension == number of diagrams with the canonical bottom boundary
+    # dimension == number of diagrams with the canonical bottom word
     for m, n in [(2, 1), (3, 1), (2, 2), (3, 2)]:
         for lab in all_class_labels(m, n):
-            word = lab.canonical_boundary()
-            by_count = sum(
-                1 for d in enumerate_diagrams(m, n) if d.bottom_boundary() == word
-            )
+            word = lab.canonical_word()
+            by_count = sum(1 for d in enumerate_diagrams(m, n) if d.bottom == word)
             assert class_dimension(lab) == by_count
 
 
@@ -142,12 +139,13 @@ def test_simple_dimensions():
     assert simple(label(2, 0, 0, 2)).dimension == 1
 
 
-def test_simple_basis_has_fixed_bottom_boundary():
+def test_simple_basis_has_fixed_bottom_word():
     sm = simple(label(2, 1, 1, 1))
+    assert isinstance(sm, ExplicitModule)
     assert sm.dimension == 6
     for d in sm.basis:
-        assert d.bottom_boundary() == sm.boundary
-    tops = [d.top_boundary().colors for d in sm.basis]
+        assert d.bottom == (0, 1, 2)
+    tops = [d.top for d in sm.basis]
     assert tops == sorted(tops)
 
 
@@ -186,7 +184,7 @@ def test_act_validates_input():
 
 
 def test_explicit_matrices_are_multiplicative():
-    sm = simple(label(2, 1, 1, 0)).explicit()
+    sm = simple(label(2, 1, 1, 0))
     dim = sm.dimension
     diagrams = enumerate_diagrams(2, 2)
     for d1 in diagrams:
@@ -205,7 +203,7 @@ def test_explicit_matrices_are_multiplicative():
 
 
 def test_explicit_module_validates():
-    sm = simple(label(1, 1, 1)).explicit()
+    sm = simple(label(1, 1, 1))
     with pytest.raises(ValueError):
         sm.matrix(unit_diagram(2, 1))
     with pytest.raises(ValueError):
@@ -249,7 +247,7 @@ def test_regular_identity_matrix():
 def test_simple_modules_are_multiplicity_one():
     for m, n in [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2)]:
         for lab in all_class_labels(m, n):
-            mod = simple(lab).explicit()
+            mod = simple(lab)
             for other in all_class_labels(m, n):
                 expected = 1 if other == lab else 0
                 assert multiplicity(mod, other) == expected
@@ -317,24 +315,36 @@ def test_extend_by_color():
         extend_by_color(a, 3)
 
 
-@pytest.mark.parametrize("top_m, n", [(4, 2), (6, 1)])
-def test_restrict_action_matches_element_route(top_m, n):
+def simples_up_to(top_m, n):
+    return [simple(lab) for m in range(1, top_m + 1) for lab in all_class_labels(m, n)]
+
+
+# the simple modules up to a size, and regular modules, which hold simples
+# with multiplicity: restriction assumes only that the action is an action
+ROUTE_MODULES = {
+    "4-2": lambda: simples_up_to(4, 2),
+    "6-1": lambda: simples_up_to(6, 1),
+    "regular-3-1": lambda: [regular_module(3, 1)],
+    "regular-2-2": lambda: [regular_module(2, 2)],
+}
+
+
+@pytest.mark.parametrize("case", list(ROUTE_MODULES))
+def test_restrict_action_matches_element_route(case):
     # each restricted column against the Element route: d extended by
     # strand(n, i) as one Element, through matrix_of, in the same basis
-    for m in range(1, top_m + 1):
-        diagrams = enumerate_diagrams(m - 1, n)
-        for lab in all_class_labels(m, n):
-            mod = simple(lab).explicit()
-            for i in range(n + 1):
-                projector = mod.matrix_of(truncation_idempotent(m, n, i))
-                basis, pivots = column_space_basis(projector)
-                res = restrict(i, mod)
-                for d in diagrams:
-                    big = mod.matrix_of(extend_by_color(Element.from_diagram(d), i))
-                    expected = [
-                        coordinates_in_basis(apply(big, b), basis, pivots) for b in basis
-                    ]
-                    assert res.matrix(d) == tuple(expected), (lab, i, d)
+    for mod in ROUTE_MODULES[case]():
+        m, n = mod.m, mod.n
+        for i in range(n + 1):
+            projector = mod.matrix_of(truncation_idempotent(m, n, i))
+            basis, pivots = column_space_basis(projector)
+            res = restrict(i, mod)
+            for d in enumerate_diagrams(m - 1, n):
+                big = mod.matrix_of(extend_by_color(Element.from_diagram(d), i))
+                expected = [
+                    coordinates_in_basis(apply(big, b), basis, pivots) for b in basis
+                ]
+                assert res.matrix(d) == tuple(expected), (mod, i, d)
 
 
 def test_restrict_matches_last_letter_oracle():
@@ -348,7 +358,7 @@ def test_restrict_matches_last_letter_oracle():
                 expected = sum(
                     1
                     for d in sm.basis
-                    if d.top_boundary().colors[m - 1] == i
+                    if d.top[m - 1] == i
                 )
                 assert res.dimension == expected
 
@@ -378,9 +388,23 @@ def test_restrict_drops_one_count():
                     assert dec == {target: 1}
 
 
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (3, 1), (4, 1), (1, 2), (2, 2), (3, 2)])
+def test_restrict_regular_module_branches(m, n):
+    # the regular module holds each class N class_dimension(N) times, so its
+    # restriction holds restrict_class(i, N) with the summed multiplicities
+    for i in range(n + 1):
+        expected: dict = {}
+        for lab in all_class_labels(m, n):
+            target = restrict_class(i, lab)
+            if target is not None:
+                expected[target] = expected.get(target, 0) + class_dimension(lab)
+        assert decompose(restrict(i, regular_module(m, n))) == expected
+
+
 def test_restrict_validates():
-    with pytest.raises(ValueError):
-        restrict(2, simple(label(1, 1, 1)))
+    for i in (2, -1):
+        with pytest.raises(ValueError, match="outside 0..1"):
+            restrict(i, simple(label(1, 1, 1)))
     with pytest.raises(ValueError):
         restrict(0, ExplicitModule(0, 1, 1, lambda d: [[1]]))
 
