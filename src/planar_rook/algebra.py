@@ -24,7 +24,6 @@ from .diagrams import (
     empty_diagram,
     ensure_within_cap,
     flip,
-    json_int,
     juxtapose,
     multiply,
     product_words,
@@ -172,7 +171,7 @@ class Element:
             m, n, terms = obj["m"], obj["n"], obj["terms"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"not an element object: missing {exc}") from None
-        m, n = json_int(m, "m"), json_int(n, "n")
+        empty_diagram(m, n)  # refuses the sizes a diagram refuses, in its words
         acc: dict[Diagram, Fraction] = {}
         for k, t in enumerate(terms):
             d = Diagram.from_json_dict(t["diagram"])

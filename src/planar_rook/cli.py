@@ -298,18 +298,21 @@ def _cmd_verify(args) -> int:
 # ------------------------------------------------------------------ parser
 
 
-def _nonneg(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{text} is negative")
-    return value
+def _at_least(least: int):
+    """An argparse type for integers >= least; a refusal quotes the text briefly."""
+
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= least:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {brief(text)}")
+
+    return parse
 
 
-def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text} is not positive")
-    return value
+_nonneg, _positive = _at_least(0), _at_least(1)
 
 
 def build_parser() -> argparse.ArgumentParser:

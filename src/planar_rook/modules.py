@@ -15,6 +15,7 @@ the unit_0 term of the strand gives d ⊗ unit_0·strand(n, i) = 0.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache, total_ordering
@@ -23,7 +24,6 @@ from .algebra import Element, orbit_vector, truncation_idempotent
 from .diagrams import (
     Diagram,
     brief,
-    covers,
     ensure_within_cap,
     enumerate_diagrams,
     juxtapose,
@@ -133,15 +133,26 @@ class ExplicitModule:
     cached columns themselves, so callers must not modify them.
     Construction is pure, so the cache is idempotent and safe under
     concurrent readers.
+
+    The public constructor validates every column the callback returns; the
+    package's own modules (simple, regular, restricted) are trusted, built by
+    `_trusted` from callbacks that return such columns, and not re-checked.
     """
 
     def __init__(self, m: int, n: int, dimension: int, diagram_action):
         if m < 0 or n < 1 or dimension < 0:
             raise ValueError(f"bad module shape m={m}, n={n}, dim={dimension}")
-        self.m = m
-        self.n = n
-        self.dimension = dimension
-        self._diagram_action = diagram_action
+        self._adopt(m, n, dimension, lambda d: map(self._checked, diagram_action(d)))
+
+    @classmethod
+    def _trusted(cls, m: int, n: int, dimension: int, action) -> ExplicitModule:
+        """A module whose action the caller knows to follow the contract."""
+        mod = object.__new__(cls)
+        mod._adopt(m, n, dimension, action)
+        return mod
+
+    def _adopt(self, m: int, n: int, dimension: int, action) -> None:
+        self.m, self.n, self.dimension, self._diagram_action = m, n, dimension, action
         self._cache: dict[Diagram, tuple] = {}
 
     def matrix(self, d: Diagram) -> tuple:
@@ -151,7 +162,7 @@ class ExplicitModule:
             )
         got = self._cache.get(d)
         if got is None:
-            got = tuple(self._checked(col) for col in self._diagram_action(d))
+            got = tuple(self._diagram_action(d))
             if len(got) != self.dimension:
                 raise ValueError("action callback returned a wrongly sized matrix")
             self._cache[d] = got
@@ -199,19 +210,31 @@ class SimpleModule(ExplicitModule):
         self.basis = tuple(Diagram._trusted(m, n, tau, beta) for tau in tops)
         # d*b keeps the module's bottom word, so its top word names it
         self.index = {tau: j for j, tau in enumerate(tops)}
-        super().__init__(m, n, len(tops), lambda d: _matrix_of_targets(self.targets(d)))
+        self._adopt(m, n, len(tops), lambda d: _matrix_of_targets(self.targets(d)))
 
     def targets(self, d: Diagram) -> list[int | None]:
         """Where d sends each basis vector, by basis index.
 
         The basis vector at b goes to the one at d*b when the bottom word of
         d covers the top word of b, and to zero (None) otherwise; d*b still
-        has the module's bottom word, so no reduction is needed.
+        has the module's bottom word, so no reduction is needed.  Only the
+        covered top words are visited: per color c, every choice of
+        counts[c] of d's color-c bottom positions.
         """
-        return [
-            self.index[product_words(d, b)[0]] if covers(d.bottom, b.top) else None
-            for b in self.basis
+        out: list[int | None] = [None] * self.dimension
+        slots = [
+            itertools.combinations([p for p, x in enumerate(d.bottom) if x == c], k)
+            for c, k in enumerate(self.label.counts)
+            if c
         ]
+        for choice in itertools.product(*slots):
+            tau = [0] * self.m
+            for c, positions in enumerate(choice, 1):
+                for p in positions:
+                    tau[p] = c
+            j = self.index[tuple(tau)]
+            out[j] = self.index[product_words(d, self.basis[j])[0]]
+        return out
 
     def __repr__(self) -> str:
         return f"SimpleModule({self.label.key}, dim={self.dimension})"
@@ -235,7 +258,7 @@ def _regular(m: int, n: int) -> ExplicitModule:
     def action(d: Diagram):
         return _matrix_of_targets([index[product_words(d, b)] for b in basis])
 
-    return ExplicitModule(m, n, len(basis), action)
+    return ExplicitModule._trusted(m, n, len(basis), action)
 
 
 def regular_module(m: int, n: int, force: bool = False) -> ExplicitModule:
@@ -255,8 +278,12 @@ def multiplicity(mod: ExplicitModule, label: ClassLabel) -> int:
     """
     if (mod.m, mod.n) != (label.m, label.n):
         raise ValueError("module and class label live at different sizes")
-    probe = orbit_vector(partial_identity(label.n, label.canonical_word()))
-    return rank(mod.matrix_of(probe))
+    return rank(mod.matrix_of(_probe(label)))
+
+
+@lru_cache(maxsize=None)
+def _probe(label: ClassLabel) -> Element:
+    return orbit_vector(partial_identity(label.n, label.canonical_word()))
 
 
 def decompose(mod: ExplicitModule) -> dict[ClassLabel, int]:
@@ -301,7 +328,7 @@ def restrict(i: int, mod: ExplicitModule) -> ExplicitModule:
         big = mod.matrix(juxtapose(d, last))
         return [coordinates_in_basis(apply(big, b), basis, pivots) for b in basis]
 
-    return ExplicitModule(m - 1, n, len(pivots), action)
+    return ExplicitModule._trusted(m - 1, n, len(pivots), action)
 
 
 def restrict_class(i: int, label: ClassLabel) -> ClassLabel | None:
@@ -338,5 +365,10 @@ def adjunction_check(i: int, small: ClassLabel, big: ClassLabel) -> tuple[int, i
     if small.n != big.n or small.m + 1 != big.m:
         raise ValueError("labels must sit at adjacent sizes with equal colors")
     left = 1 if induce_class(i, small) == big else 0
-    right = multiplicity(restrict(i, simple(big)), small)
+    right = multiplicity(_restricted_simple(i, big), small)
     return left, right
+
+
+@lru_cache(maxsize=None)
+def _restricted_simple(i: int, big: ClassLabel) -> ExplicitModule:
+    return restrict(i, simple(big))

@@ -169,6 +169,12 @@ def test_multiply_usage_errors(capsys, tmp_path):
             assert (code, out) == (2, ""), (other, extra)
             assert err.startswith("error: ") and err.count("\n") == 1
             assert "different algebras" in err
+    # an element with no terms still has a size a diagram could have
+    neg = write_json(tmp_path / "neg.json", {"m": -5, "n": 0, "terms": []})
+    for extra in ((), ("--x-basis",)):
+        code, out, err = run(capsys, "multiply", neg, neg, *extra)
+        assert (code, out) == (2, ""), extra
+        assert err == f"error: {neg}: need 0 <= m <= 4096 and n >= 1, got m=-5, n=0\n"
     assert run(capsys, "multiply", small, str(tmp_path / "absent.json"))[0] == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
@@ -418,6 +424,25 @@ def test_decompose_usage_errors(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
         assert out == ""
+    # integer flags quote a long, malformed or out-of-range value by its
+    # ends and length, in one short error line that names no helper
+    long_x, long_neg = "x" * 5000, "-" + "1" * 4000
+    cases = [
+        ("enumerate", "--m", long_x, "--n", "1"),
+        ("enumerate", "--m", "2", "--n", long_x),
+        ("enumerate", "--m", "-1", "--n", "1"),
+        ("enumerate", "--m", "2", "--n", "0"),
+        ("decompose", "--regular", "--m", long_neg, "--n", "1"),
+        ("decompose", "--regular", "--m", "2", "--n", "1.5"),
+        ("decompose", "--restrict", long_x, "--class", "2,1:1,1"),
+        ("decompose", "--restrict", long_neg, "--class", "2,1:1,1"),
+    ]
+    for argv in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv[:3]
+        lines = [line for line in err.splitlines() if "error:" in line]
+        assert len(lines) == 1 and len(lines[0].encode()) < 300, argv[:3]
+        assert "expected an integer >= " in lines[0] and "_nonneg" not in lines[0], argv[:3]
 
 
 def test_crystal_dot_output(capsys):

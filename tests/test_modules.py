@@ -24,8 +24,10 @@ from planar_rook.algebra import (
 )
 from planar_rook.diagrams import (
     Diagram,
+    covers,
     empty_diagram,
     enumerate_diagrams,
+    product_words,
     unit_diagram,
 )
 from planar_rook.linalg import apply, column_space_basis, coordinates_in_basis
@@ -222,6 +224,38 @@ def test_explicit_module_validates():
         bad = ExplicitModule(1, 1, 2, lambda d, cols=columns: cols)
         with pytest.raises(ValueError):
             bad.matrix(unit_diagram(1, 1))
+
+
+def targets_by_covering(mod: SimpleModule, d: Diagram) -> list[int | None]:
+    """The oracle for SimpleModule.targets: test every basis vector, sending
+    b to d*b when the bottom word of d covers the top word of b."""
+    return [
+        mod.index[product_words(d, b)[0]] if covers(d.bottom, b.top) else None
+        for b in mod.basis
+    ]
+
+
+@pytest.mark.parametrize(
+    "m, n", [(m, n) for n in (1, 2) for m in range(5)] + [(3, 3)]
+)
+def test_targets_visit_exactly_the_covered_words(m, n):
+    diagrams = enumerate_diagrams(m, n)
+    for lab in all_class_labels(m, n):
+        sm = simple(lab)
+        for d in diagrams:
+            assert sm.targets(d) == targets_by_covering(sm, d), (lab, d)
+
+
+@pytest.mark.parametrize("m, n", [(3, 2), (4, 1)])
+def test_trusted_modules_return_checked_columns(m, n):
+    # the package's own modules skip the public constructor's validation,
+    # so every column must already be what validation would return
+    mods = [simple(lab) for lab in all_class_labels(m, n)] + [regular_module(m, n)]
+    mods += [restrict(i, mod) for mod in list(mods) for i in range(n + 1)]
+    for mod in mods:
+        for d in enumerate_diagrams(mod.m, n):
+            for col in mod.matrix(d):
+                assert mod._checked(col) == col, (mod, d)
 
 
 # ---------------------------------------------------------------- regular module
