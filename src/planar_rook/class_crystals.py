@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import comb, prod
+from operator import add
 from typing import NamedTuple
 
 from .crystals import (
@@ -24,7 +25,6 @@ from .crystals import (
     signature,
 )
 from .modules import ClassLabel, all_class_labels, induce_class, restrict_class
-from .tableaux import word_key
 
 
 def raise_label(i: int, label: ClassLabel) -> ClassLabel | None:
@@ -108,7 +108,8 @@ def _factor_table(p: int, n: int) -> FactorTable:
 
     return FactorTable(
         tuple(label.key for label in labels),
-        tuple(word_key(label.canonical_word()) for label in labels),
+        # the weakly increasing word from the counts, a run per letter
+        tuple("".join(str(j) * c for j, c in enumerate(label.counts)) for label in labels),
         tuple(label.counts for label in labels),
         [column(raise_label, i) for i in range(1, n + 1)],
         [column(lower_label, i) for i in range(1, n + 1)],
@@ -148,44 +149,60 @@ def tuple_count(parts, n: int) -> int:
 
 @lru_cache(maxsize=None)
 def _tensor_class_crystal(parts: tuple[int, ...], n: int) -> Crystal:
-    """Build the columns from one factor table per part.
+    """Build the columns one factor at a time, over the prefixes of
+    itertools.product of one factor table per part: prefix node a followed
+    by class k of a factor of s classes sits at a * s + k.
 
-    Nodes run over itertools.product of the tables, so the node whose
-    factor j is class k_j sits at position sum(k_j * stride[j]), and moving
-    factor j from class k to class k' moves it by (k' - k) * stride[j].
-    One `signature` call per node and direction over the factors' (eps,
-    phi) pairs gives the raising and lowering factors and the node's eps
-    and phi.  A neighbour the rules left as -1 (which a correct rule never
-    does where a sign survives) leaves the edge out.  Key and display
-    strings are joins of the tables' strings.
+    Per direction a prefix node holds its surviving (eps, phi) and its
+    raising and lowering targets; on one factor these are the class's
+    counts and table moves.  Appending class k is the signature rule
+    on two factors, the prefix's (eps, phi) and the class's, memoized per
+    (eps, phi, m, p) for the build: where it picks the prefix, target t
+    moves to t * s + k; where it picks the class, to a * s + col[k] by the
+    class's table column.  A target the rules left as -1 (which a correct
+    rule never does where a sign survives) leaves the edge out.  Weights
+    add a factor at a time; keys and labels join the tables' strings.
     """
     tables = [_factor_table(p, n) for p in parts]
-    sizes = [len(t.keys) for t in tables]
-    strides = [prod(sizes[j + 1 :]) for j in range(len(parts))]
-
-    def targets(sigs, which, cols):
-        """Where the factor each signature picks (sig[which]) goes by its
-        table column cols[j], as a node position; -1 where nothing moves."""
-        out = []
-        for at, sig in enumerate(sigs):
-            j = sig[which]
-            k = at // strides[j] % sizes[j] if j >= 0 else 0
-            out.append(-1 if j < 0 or cols[j][k] < 0 else at + (cols[j][k] - k) * strides[j])
-        return out
-
+    memo: dict = {}
     eps, phi, up, down = [], [], [], []
     for d in range(n):
-        pairs = ([(c[d + 1], c[d]) for c in t.counts] for t in tables)
-        sigs = list(map(signature, itertools.product(*pairs)))
-        eps.append([sig[2] for sig in sigs])
-        phi.append([sig[3] for sig in sigs])
-        up.append(targets(sigs, 0, [t.up[d] for t in tables]))
-        down.append(targets(sigs, 1, [t.down[d] for t in tables]))
+        first = tables[0]
+        e_col, p_col = [c[d + 1] for c in first.counts], [c[d] for c in first.counts]
+        u_col, d_col = list(first.up[d]), list(first.down[d])
+        for t in tables[1:]:
+            s, ks = len(t.keys), range(len(t.keys))
+            pairs = [(c[d + 1], c[d]) for c in t.counts]
+            # per prefix (eps, phi), over the classes: the factor raising
+            # and lowering pick, and the surviving (eps, phi)
+            rows = {}
+            for ep in set(zip(e_col, p_col)):
+                sigs = memo.setdefault(ep, {})
+                for mq in set(pairs) - sigs.keys():
+                    sigs[mq] = signature((ep, mq))
+                rows[ep] = list(zip(*map(sigs.get, pairs)))
+            per = list(map(rows.__getitem__, zip(e_col, p_col)))
+            e_col = list(itertools.chain.from_iterable(row[2] for row in per))
+            p_col = list(itertools.chain.from_iterable(row[3] for row in per))
+            u_col, d_col = (
+                [
+                    (x * s + k if x >= 0 else -1) if r == 0 else (a * s + c if r == 1 and c >= 0 else -1)
+                    for a, (row, x) in enumerate(zip(per, targets))
+                    for k, r, c in zip(ks, row[which], col)
+                ]
+                for which, targets, col in ((0, u_col, t.up[d]), (1, d_col, t.down[d]))
+            )
+        eps.append(e_col)
+        phi.append(p_col)
+        up.append(u_col)
+        down.append(d_col)
 
+    wt = list(tables[0].counts)
+    for t in tables[1:]:
+        wt = [tuple(map(add, w, c)) for w in wt for c in t.counts]
     keys = ["×".join(ks) for ks in itertools.product(*(t.keys for t in tables))]
     words = itertools.product(*(t.words for t in tables))
     labels = [k + " ~ " + "×".join(ws) for k, ws in zip(keys, words)]
-    wt = [tuple(map(sum, zip(*cs))) for cs in itertools.product(*(t.counts for t in tables))]
     return Crystal(n, wt, eps, phi, up, down, keys, labels)
 
 

@@ -274,26 +274,25 @@ def signature_apply(kind: str, factors) -> Optional[int]:
 
 def _component_positions(crystal: Crystal) -> list[list[int]]:
     """Positions of each connected component under both edge families, in
-    node order, components ordered by their first node."""
+    node order, components ordered by their first node.  The union-find
+    keeps the smaller position as the root, so root[b] <= b; a lowering
+    edge that raising inverts was joined by the raising pass."""
     root = list(range(len(crystal)))
-
-    def find(x: int) -> int:
-        while root[x] != x:
-            root[x] = x = root[root[x]]
-        return x
-
-    for col in crystal.up + crystal.down:
+    for col, back in [(col, None) for col in crystal.up] + list(zip(crystal.down, crystal.up)):
         for b, t in enumerate(col):
-            if t >= 0:
-                rb, rt = find(b), find(t)
-                # the smaller position stays the root, so roots are minima
-                if rb < rt:
-                    root[rt] = rb
-                elif rt < rb:
-                    root[rb] = rt
+            if t >= 0 and (back is None or back[t] != b):
+                while root[b] != b:
+                    root[b] = b = root[root[b]]
+                while root[t] != t:
+                    root[t] = t = root[root[t]]
+                if b < t:
+                    root[t] = b
+                elif t < b:
+                    root[b] = t
     groups: dict[int, list[int]] = {}
-    for b in range(len(crystal)):
-        groups.setdefault(find(b), []).append(b)
+    for b, r in enumerate(root):
+        root[b] = r = root[r]
+        groups.setdefault(r, []).append(b)
     return list(groups.values())
 
 
@@ -322,13 +321,17 @@ def components(crystal: Crystal) -> list[Crystal]:
     return [_restrict(crystal, group) for group in _component_positions(crystal)]
 
 
-def _highest(crystal: Crystal, members) -> list[int]:
-    return [p for p in members if all(col[p] < 0 for col in crystal.up)]
+def _highest_flags(crystal: Crystal) -> list[bool]:
+    """flags[b]: whether every raising operator kills position b."""
+    flags = [True] * len(crystal)
+    for col in crystal.up:
+        flags = [f and t < 0 for f, t in zip(flags, col)]
+    return flags
 
 
 def highest_nodes(crystal: Crystal) -> list[str]:
     """Nodes killed by every raising operator."""
-    return [crystal.nodes[p] for p in _highest(crystal, range(len(crystal)))]
+    return [k for k, high in zip(crystal.nodes, _highest_flags(crystal)) if high]
 
 
 def component_containing(crystal: Crystal, node: str) -> Crystal:
@@ -338,8 +341,9 @@ def component_containing(crystal: Crystal, node: str) -> Crystal:
     return next(_restrict(crystal, g) for g in _component_positions(crystal) if p in g)
 
 
-def _traversal(crystal: Crystal, members: list[int]):
-    """Canonical traversal of one component from its unique highest node.
+def _traversal(crystal: Crystal, members: list[int], high: list[bool]):
+    """Canonical traversal of one component from its unique highest node,
+    high being the crystal's `_highest_flags`.
 
     Returns (certificate, ordered positions).  The certificate lists the
     weights, the eps, phi and lowering columns (targets as traversal
@@ -347,14 +351,14 @@ def _traversal(crystal: Crystal, members: list[int]):
     are isomorphic, and matching the traversals node by node gives the
     isomorphism.
     """
-    highs = _highest(crystal, members)
+    highs = [p for p in members if high[p]]
     if len(highs) != 1:
         raise ValueError(
             f"component with {len(highs)} highest nodes is not a normal "
             "crystal component; no certificate"
         )
     order = highs
-    index = {highs[0]: 0}
+    index = {highs[0]: 0, -1: -1}
     for b in order:
         for col in crystal.down:
             t = col[b]
@@ -369,10 +373,7 @@ def _traversal(crystal: Crystal, members: list[int]):
     cert = (
         tuple(map(crystal.wt.__getitem__, order)),
         tuple(tuple(map(col.__getitem__, order)) for col in crystal.eps + crystal.phi),
-        tuple(
-            tuple(-1 if t < 0 else index[t] for t in map(col.__getitem__, order))
-            for col in crystal.down
-        ),
+        tuple(tuple(map(index.__getitem__, map(col.__getitem__, order))) for col in crystal.down),
     )
     return cert, order
 
@@ -380,26 +381,27 @@ def _traversal(crystal: Crystal, members: list[int]):
 def _image_violations(source: Crystal, target: Crystal, image: list[int]) -> list[str]:
     """Defects of the bijection sending position b to image[b] as a strict
     isomorphism, node by node in source order; keys are read only to word a
-    defect."""
+    defect.  Whole columns are compared, source columns (edges pushed
+    through image) against target columns pulled back through it, and
+    only the positions where one differs are worded."""
+    tags = [("weight", "")] + [("eps", "")] * source.n + [("phi", "")] * source.n
+    ours = [list(col) for col in [source.wt, *source.eps, *source.phi]]
+    theirs = [target.wt, *target.eps, *target.phi]
+    for i, cols in enumerate(zip(source.up, source.down, target.up, target.down), 1):
+        tags += [("raising", f", direction {i}"), ("lowering", f", direction {i}")]
+        ours += [[-1 if s < 0 else image[s] for s in col] for col in cols[:2]]
+        theirs += cols[2:]
+    found: dict[int, dict] = {}
+    for tag, mine, col in zip(tags, ours, theirs):
+        pulled = [col[t] for t in image]
+        if mine != pulled:
+            for b, (x, y) in enumerate(zip(mine, pulled)):
+                if x != y:
+                    found.setdefault(b, {})[tag] = None
     bad = []
-    for b, t in enumerate(image):
-        found = []
-        if source.wt[b] != target.wt[t]:
-            found.append(("weight", ""))
-        for name, ours, theirs in (("eps", source.eps, target.eps), ("phi", source.phi, target.phi)):
-            if any(o[b] != th[t] for o, th in zip(ours, theirs)):
-                found.append((name, ""))
-        for i in range(source.n):
-            for name, ours, theirs in (
-                ("raising", source.up[i], target.up[i]),
-                ("lowering", source.down[i], target.down[i]),
-            ):
-                s = ours[b]
-                if (-1 if s < 0 else image[s]) != theirs[t]:
-                    found.append((name, f", direction {i + 1}"))
-        if found:
-            at = f"{source.nodes[b]} -> {target.nodes[t]}"
-            bad += [f"{name} mismatch at {at}{where}" for name, where in found]
+    for b in sorted(found):
+        at = f"{source.nodes[b]} -> {target.nodes[image[b]]}"
+        bad += [f"{name} mismatch at {at}{where}" for name, where in found[b]]
     return bad
 
 
@@ -437,7 +439,8 @@ def isomorphism_positions(left: Crystal, right: Crystal) -> Optional[list[int]]:
         return None
 
     def tagged(crystal, comps):
-        return sorted((_traversal(crystal, c) for c in comps), key=lambda t: t[0])
+        high = _highest_flags(crystal)
+        return sorted((_traversal(crystal, c, high) for c in comps), key=lambda t: t[0])
 
     image = [-1] * len(left)
     for (cert_l, order_l), (cert_r, order_r) in zip(

@@ -36,12 +36,8 @@ class Tableau:
     __slots__ = ("shape", "rows")
 
     def __init__(self, shape: tuple[int, ...], rows: tuple[Word, ...]) -> None:
-        shape = tuple(int(x) for x in shape)
+        shape = partition_shape(shape)
         rows = tuple(tuple(int(x) for x in row) for row in rows)
-        if any(x < 1 for x in shape):
-            raise ValueError(f"shape parts must be positive, got {shape}")
-        if any(a < b for a, b in zip(shape, shape[1:])):
-            raise ValueError(f"shape must be weakly decreasing, got {shape}")
         if len(rows) != len(shape):
             raise ValueError(f"{len(rows)} rows for shape {shape}")
         for r, (row, width) in enumerate(zip(rows, shape)):
@@ -91,8 +87,19 @@ class Tableau:
         )
 
 
+def partition_shape(shape) -> tuple[int, ...]:
+    """The shape as a tuple of ints, refused unless positive and weakly
+    decreasing; only its numbers are read, so any size is checked at once."""
+    shape = tuple(int(x) for x in shape)
+    if any(x < 1 for x in shape):
+        raise ValueError(f"shape parts must be positive, got {shape}")
+    if any(a < b for a, b in zip(shape, shape[1:])):
+        raise ValueError(f"shape must be weakly decreasing, got {shape}")
+    return shape
+
+
 def word_key(word: Word) -> str:
-    return "".join(str(x) for x in word)
+    return "".join(map(str, word))
 
 
 def filling_key(rows) -> str:
@@ -109,11 +116,6 @@ def signature_factors(word: Word, i: int) -> list[tuple[int, int]]:
     """(eps, phi) in direction i of each letter of word, read as one-box
     crystal factors: a letter i has eps 1, a letter i-1 has phi 1."""
     return [(1 if x == i else 0, 1 if x == i - 1 else 0) for x in word]
-
-
-def highest_tableau(shape) -> Tableau:
-    """Row r filled with the letter r."""
-    return Tableau(tuple(shape), tuple((r,) * w for r, w in enumerate(shape)))
 
 
 def _filling_crystal(n: int, fillings: list) -> Crystal:
@@ -172,53 +174,64 @@ def row_crystal(m: int, n: int, force: bool = False) -> Crystal:
 
 
 def ssyt_count(shape, n: int) -> int:
-    """The number of semistandard tableaux of a partition shape in the
-    letters 0..n, by the hook-content formula (Stanley, EC2 Thm 7.21.2):
-    the product over boxes of (n + 1 + content) / hook."""
-    columns = [
-        sum(1 for width in shape if width > c) for c in range(max(shape, default=0))
-    ]
+    """The number of semistandard tableaux of a partition shape l in the
+    letters 0..n by Weyl's dimension formula: the product over 0 <= i < j
+    <= n of (l_i - l_j + j - i) / (j - i), l padded with zeros.  Row i's
+    pairs with the r - 1 < j zero parts give C(l_i + n - i, l_i) / C(l_i +
+    r - 1 - i, l_i), so it takes O(r^2) steps for r rows."""
+    r = len(shape)
+    if r > n + 1:
+        return 0
     num = den = 1
-    for r, width in enumerate(shape):
-        for c in range(width):
-            num *= n + 1 + c - r
-            den *= (width - c) + (columns[c] - r) - 1
+    for i, a in enumerate(shape):
+        num *= comb(a + n - i, a)
+        den *= comb(a + r - 1 - i, a)
+        for j in range(i + 1, r):
+            num *= a - shape[j] + j - i
+            den *= j - i
     return num // den
+
+
+def _ssyt_rows(shape: tuple[int, ...], n: int) -> list[tuple[Word, ...]]:
+    """The rows of every semistandard tableau of the shape in the letters
+    0..n, by row-concatenated word, a row at a time.  Box (r, c) lies in
+    [(the box above) + 1, n - (boxes below)], every row within those bounds
+    completes, and the next row raises the rightmost box below its bound
+    and sets the boxes right of it as low as they go."""
+    if len(shape) > n + 1:
+        raise ValueError(
+            f"shape with {len(shape)} rows cannot be filled with letters 0..{n}"
+        )
+    height = [sum(w > c for w in shape) for c in range(max(shape, default=0))]
+
+    def fill(rows: tuple[Word, ...]):
+        r = len(rows)
+        if r == len(shape):
+            yield rows
+            return
+        lo = [x + 1 for x in rows[-1][: shape[r]]] if rows else [0] * shape[r]
+        hi = [n + 1 + r - h for h in height[: shape[r]]]
+        row = lo
+        while True:
+            yield from fill(rows + (tuple(row),))
+            c = next((c for c in reversed(range(len(row))) if row[c] < hi[c]), -1)
+            if c < 0:
+                return
+            row = row[:c] + [max(row[c] + 1, x) for x in lo[c:]]
+
+    return list(fill(()))
 
 
 def enumerate_ssyt(shape, n: int) -> list[Tableau]:
     """All semistandard tableaux of the shape with letters 0..n, ordered by
     their row-concatenated word."""
     shape = tuple(shape)
-    if len(shape) > n + 1:
-        raise ValueError(
-            f"shape with {len(shape)} rows cannot be filled with letters 0..{n}"
-        )
-    if not shape:
-        return [Tableau((), ())]
-    rows_out: list[Tableau] = []
-
-    def fill(rows: list[list[int]], r: int, c: int) -> None:
-        if r == len(shape):
-            rows_out.append(Tableau(shape, tuple(tuple(row) for row in rows)))
-            return
-        nr, nc = (r, c + 1) if c + 1 < shape[r] else (r + 1, 0)
-        lo = rows[r][c - 1] if c > 0 else 0
-        if r > 0 and c < shape[r - 1]:
-            lo = max(lo, rows[r - 1][c] + 1)
-        for x in range(lo, n + 1):
-            rows[r][c] = x
-            fill(rows, nr, nc)
-        rows[r][c] = 0
-
-    fill([[0] * w for w in shape], 0, 0)
-    return rows_out
+    return [Tableau(shape, rows) for rows in _ssyt_rows(shape, n)]
 
 
 @lru_cache(maxsize=None)
 def _ssyt_crystal(shape: tuple[int, ...], n: int) -> Crystal:
-    fillings = sorted((t.rows for t in enumerate_ssyt(shape, n)), key=filling_key)
-    return _filling_crystal(n, fillings)
+    return _filling_crystal(n, sorted(_ssyt_rows(shape, n), key=filling_key))
 
 
 def ssyt_crystal(shape, n: int, force: bool = False) -> Crystal:
@@ -227,12 +240,7 @@ def ssyt_crystal(shape, n: int, force: bool = False) -> Crystal:
     form.  That it is connected, with the highest tableau as its only
     highest node, is tested, not assumed.
     """
-    shape = tuple(int(x) for x in shape)
-    # constructor validates the shape
-    highest_tableau(shape)
-    if len(shape) > n + 1:
-        raise ValueError(
-            f"shape with {len(shape)} rows cannot be filled with letters 0..{n}"
-        )
+    shape = partition_shape(shape)
+    # a tall shape counts 0 and its enumeration refuses it
     ensure_nodes_within_cap(ssyt_count(shape, n), force)
     return _ssyt_crystal(shape, n)

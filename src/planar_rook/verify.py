@@ -444,7 +444,7 @@ def _verify_highest_component(max_m, max_n, pin_m, pin_n):
                 comp = cc.highest_component(shape, n)
                 tableaux = ssyt_crystal(shape, n)
                 checked += 1
-                # the hook-content count, independent of any enumeration
+                # Weyl's dimension formula, independent of any enumeration
                 expected = ssyt_count(shape, n)
                 if len(comp) != expected:
                     bad.append(

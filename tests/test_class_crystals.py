@@ -8,12 +8,12 @@ word, and the tuple crystal against iterated tensor products.
 from __future__ import annotations
 
 import itertools
-from math import comb
+from math import comb, prod
 
 import crystal_oracle as oracle
 import pytest
 from crystal_oracle import DictCrystal, as_dicts
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from planar_rook import class_crystals as cc
@@ -29,11 +29,13 @@ from planar_rook.class_crystals import (
     tuple_key,
 )
 from planar_rook.crystals import (
+    Crystal,
     are_isomorphic,
     check_axioms,
     components,
     highest_nodes,
     morphism_violations,
+    signature,
     signature_apply,
     tensor_all,
 )
@@ -302,6 +304,64 @@ def test_clear_caches_rebuilds_from_the_rules(monkeypatch):
         monkeypatch.undo()
         clear_caches()
     assert verify_target("thm4.5", max_m=3, max_n=1)["failed"] == 0
+
+
+def per_node_tensor_class_crystal(parts, n):
+    """The per-node builder that the one-factor-at-a-time fold replaced,
+    kept as an oracle: one `signature` call per node and direction over the
+    (eps, phi) pairs of all its factors, and the factor it picks moved by
+    that factor's table column, at position sum(k_j * stride[j])."""
+    tables = [cc._factor_table(p, n) for p in parts]
+    sizes = [len(t.keys) for t in tables]
+    strides = [prod(sizes[j + 1 :]) for j in range(len(parts))]
+
+    def targets(sigs, which, cols):
+        out = []
+        for at, sig in enumerate(sigs):
+            j = sig[which]
+            k = at // strides[j] % sizes[j] if j >= 0 else 0
+            out.append(-1 if j < 0 or cols[j][k] < 0 else at + (cols[j][k] - k) * strides[j])
+        return out
+
+    eps, phi, up, down = [], [], [], []
+    for d in range(n):
+        pairs = ([(c[d + 1], c[d]) for c in t.counts] for t in tables)
+        sigs = list(map(signature, itertools.product(*pairs)))
+        eps.append([sig[2] for sig in sigs])
+        phi.append([sig[3] for sig in sigs])
+        up.append(targets(sigs, 0, [t.up[d] for t in tables]))
+        down.append(targets(sigs, 1, [t.down[d] for t in tables]))
+    keys = ["×".join(ks) for ks in itertools.product(*(t.keys for t in tables))]
+    words = itertools.product(*(t.words for t in tables))
+    labels = [k + " ~ " + "×".join(ws) for k, ws in zip(keys, words)]
+    wt = [tuple(map(sum, zip(*cs))) for cs in itertools.product(*(t.counts for t in tables))]
+    return Crystal(n, wt, eps, phi, up, down, keys, labels)
+
+
+FOLD_CASES = [
+    (parts, n) for n in (1, 2, 3) for total in range(1, 6) for parts in compositions(total)
+]
+
+
+@pytest.mark.parametrize("parts,n", FOLD_CASES)
+def test_folded_builder_matches_the_per_node_builder(parts, n):
+    # columns, weights, keys and labels, compared as whole crystals
+    assert cc._tensor_class_crystal(parts, n) == per_node_tensor_class_crystal(parts, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=5), st.integers(1, 4))
+def test_folded_builder_matches_the_per_node_builder_random(parts, n):
+    parts = tuple(parts)
+    assume(cc.tuple_count(parts, n) <= 3000)
+    assert cc._tensor_class_crystal(parts, n) == per_node_tensor_class_crystal(parts, n)
+
+
+@pytest.mark.parametrize("m,n", [(0, 2), (3, 1), (2, 11), (12, 1), (3, 12)])
+def test_factor_table_words_are_the_canonical_words(m, n):
+    # built from the counts by repetition, letters >= 10 included
+    words = tuple(word_key(lab.canonical_word()) for lab in all_class_labels(m, n))
+    assert cc._factor_table(m, n).words == words
 
 
 def test_tensor_class_crystal_validation():

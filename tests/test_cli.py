@@ -529,6 +529,35 @@ def test_crystal_cap_and_overrides(capsys, monkeypatch):
     assert run(capsys, *argv) == (0, golden, "")
 
 
+def test_crystal_edge_commands_finish_quickly(capsys):
+    # the shape is checked and counted from its numbers before anything is
+    # allocated, and tableaux are filled a row at a time
+    for shape, n, want in (
+        ("99999999999999999999", "3", 166666666666666666671666666666666666666700000000000000000000),
+        ("100000", "3", 166676666850001),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "crystal", "ssyt", "--shape", shape, "--n", n, "--json", "-")
+        assert time.perf_counter() - start < 1, shape
+        assert (code, out) == (2, ""), shape
+        assert err == (
+            f"error: the crystal would have {want} nodes, over the cap 50000; "
+            "pass --force or set PLANAR_ROOK_FORCE=1 to override\n"
+        )
+    start = time.perf_counter()
+    code, out, err = run(capsys, "crystal", "ssyt", "--shape", "5000,5000", "--n", "1", "--json", "-")
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, "")
+    assert [node["key"] for node in json.loads(out)["nodes"]] == ["0" * 5000 + "/" + "1" * 5000]
+    # display words are built from the counts, not letter by letter (over
+    # ten seconds for this one before); the bytes stay the same
+    start = time.perf_counter()
+    code, out, err = run(capsys, "crystal", "cm", "--m", "8000", "--n", "1", "--dot", "-")
+    assert time.perf_counter() - start < 5
+    assert (code, err) == (0, "")
+    assert f'[label="8000|3,7997 ~ 000{"1" * 7997}\\nwt=(3, 7997)"]' in out
+
+
 def test_verify_tensor_cap_has_no_override(capsys, monkeypatch):
     # verify axioms builds box^2 (4 nodes) through crystals.tensor, which
     # checks the product's size before building it; verify has no --force

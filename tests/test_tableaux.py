@@ -10,13 +10,16 @@ the SSYT crystal's raising and lowering columns are checked against it.
 
 from __future__ import annotations
 
+import itertools
 import json
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planar_rook.crystals import (
+    CRYSTAL_NODE_CAP,
     are_isomorphic,
     check_axioms,
     component_containing,
@@ -25,12 +28,12 @@ from planar_rook.crystals import (
     signature_apply,
     tensor_all,
 )
+from planar_rook.diagrams import EnumerationCapError
 from planar_rook.tableaux import (
     Tableau,
     _filling_crystal,
     box_crystal,
     enumerate_ssyt,
-    highest_tableau,
     reading,
     row_crystal,
     signature_factors,
@@ -39,6 +42,11 @@ from planar_rook.tableaux import (
     weakly_increasing_words,
     word_key,
 )
+
+
+def highest_tableau(shape) -> Tableau:
+    """Row r filled with the letter r."""
+    return Tableau(tuple(shape), tuple((r,) * w for r, w in enumerate(shape)))
 
 
 def reading_positions(shape) -> list[tuple[int, int]]:
@@ -222,6 +230,81 @@ def test_ssyt_count_matches_enumeration():
         for n in range(1, 4):
             expected = len(enumerate_ssyt(shape, n)) if len(shape) <= n + 1 else 0
             assert ssyt_count(shape, n) == expected, (shape, n)
+
+
+def hook_content_count(shape, n):
+    """The count by the hook-content formula (Stanley, EC2 Thm 7.21.2), the
+    product over boxes of (n + 1 + content) / hook: the oracle for the Weyl
+    dimension formula `ssyt_count` uses."""
+    columns = [sum(1 for width in shape if width > c) for c in range(max(shape, default=0))]
+    num = den = 1
+    for r, width in enumerate(shape):
+        for c in range(width):
+            num *= n + 1 + c - r
+            den *= (width - c) + (columns[c] - r) - 1
+    return num // den
+
+
+def test_ssyt_count_matches_hook_content():
+    # every shape of size <= 8, tall ones included (both give 0)
+    for shape in [()] + partitions_up_to(8, 8):
+        for n in range(1, 5):
+            assert ssyt_count(shape, n) == hook_content_count(shape, n), (shape, n)
+    # many letters: the rows' pairs with the zero parts are binomials
+    for shape in partitions_up_to(5, 5):
+        for n in (9, 17, 40):
+            assert ssyt_count(shape, n) == hook_content_count(shape, n), (shape, n)
+
+
+def test_ssyt_count_is_cheap_for_huge_shapes_and_many_letters():
+    # one row of length a in the letters 0..n: C(a + n, n)
+    a = 99999999999999999999
+    assert ssyt_count((a,), 3) == comb(a + 3, 3)
+    assert ssyt_count((100000,), 3) == comb(100003, 3)
+    assert ssyt_count((1,), 100000) == 100001
+    # one column of height k: C(n + 1, k)
+    assert ssyt_count((1,) * 30, 1000) == comb(1001, 30)
+
+
+def brute_force_ssyt_rows(shape, n):
+    """Every filling of the shape in row-concatenated lexicographic order,
+    kept when rows weakly increase and columns strictly increase."""
+    out = []
+    for word in itertools.product(range(n + 1), repeat=sum(shape)):
+        rows, at = [], 0
+        for width in shape:
+            rows.append(word[at : at + width])
+            at += width
+        if all(a <= b for row in rows for a, b in zip(row, row[1:])) and all(
+            upper[c] < lower[c] for upper, lower in zip(rows, rows[1:]) for c in range(len(lower))
+        ):
+            out.append(tuple(rows))
+    return out
+
+
+def test_enumerate_ssyt_matches_brute_force_in_order():
+    for shape in partitions_up_to(6, 4):
+        for n in range(len(shape) - 1 or 1, 4):
+            got = [t.rows for t in enumerate_ssyt(shape, n)]
+            assert got == brute_force_ssyt_rows(shape, n), (shape, n)
+
+
+def test_enumerate_ssyt_recurses_once_per_row():
+    # 10,000 boxes and one filling: a box-by-box recursion overflows the stack
+    (only,) = enumerate_ssyt((5000, 5000), 1)
+    assert only.rows == ((0,) * 5000, (1,) * 5000)
+    assert len(ssyt_crystal((5000, 5000), 1)) == 1
+
+
+def test_ssyt_crystal_checks_the_shape_and_cap_from_the_numbers():
+    with pytest.raises(EnumerationCapError, match="166676666850001 nodes"):
+        ssyt_crystal((100000,), 3)
+    with pytest.raises(EnumerationCapError, match=f"over the cap {CRYSTAL_NODE_CAP}"):
+        ssyt_crystal((99999999999999999999,), 3)
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        ssyt_crystal((1, 99999999999999999999), 3)
+    with pytest.raises(ValueError, match="must be positive"):
+        ssyt_crystal((99999999999999999999, 0), 3)
 
 
 def test_enumerate_ssyt_is_sorted_and_valid():
