@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import re
 import sys
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import lcm
@@ -26,9 +27,11 @@ from .diagrams import (
     flip,
     juxtapose,
     multiply,
-    product_words,
     unit_diagram,
 )
+
+# the signs of orbit vectors, shared by all their terms
+_ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
 
 
 class Element:
@@ -36,14 +39,21 @@ class Element:
 
     Terms are stored canonically: zero coefficients dropped, diagrams in
     sorted order, coefficients coerced to Fraction.  Equality and hashing of
-    diagrams make the representation unique, so == on elements is exact.
+    diagrams make the representation unique, so == on elements is exact, and
+    elements are immutable by convention.
+
+    `Element(m, n, terms)` checks sizes and coerces coefficients.
+    `Element._trusted(m, n, terms)` only sorts; callers pass nonzero
+    Fractions on diagrams of size (m, n).  `_packed` caches the terms packed
+    for the product kernel (see `_packed_side`).
     """
 
-    __slots__ = ("m", "n", "terms")
+    __slots__ = ("m", "n", "terms", "_packed")
 
     def __init__(self, m: int, n: int, terms=None):
         self.m = m
         self.n = n
+        self._packed = None
         cleaned: dict[Diagram, Fraction] = {}
         for d, coeff in _sorted_terms(terms or {}):
             if (d.m, d.n) != (m, n):
@@ -54,6 +64,12 @@ class Element:
             if c:
                 cleaned[d] = c
         self.terms = cleaned
+
+    @classmethod
+    def _trusted(cls, m: int, n: int, terms: dict) -> Element:
+        e = object.__new__(cls)
+        e.m, e.n, e.terms, e._packed = m, n, dict(_sorted_terms(terms)), None
+        return e
 
     @classmethod
     def zero(cls, m: int, n: int) -> Element:
@@ -110,20 +126,61 @@ class Element:
         if isinstance(other, Element):
             # fraction-free: integer coefficients la*a and lb*b, one division
             self._check_compatible(other)
-            la, left = _integral_terms(self.terms)
-            lb, right = _integral_terms(other.terms)
-            # accumulate by word pair; build a Diagram per distinct product only
-            acc: dict[tuple, int] = {}
-            for d1, c1 in left:
-                for d2, c2 in right:
-                    words = product_words(d1, d2)
-                    acc[words] = acc.get(words, 0) + c1 * c2
-            den, m, n = la * lb, self.m, self.n
-            prods = {Diagram._trusted(m, n, *w): c for w, c in acc.items() if c}
-            return Element(m, n, {d: Fraction(c, den) for d, c in prods.items()})
+            la, left = self._packed_side(0)
+            lb, right = other._packed_side(1)
+            # a pair's product key is the OR of its surviving letters' bits
+            acc: dict[int, int] = defaultdict(int)
+            for survivors, c1 in left:
+                for above, below, c2 in right:
+                    key = 0
+                    for bits, c, k in survivors:
+                        if above[k] == c:
+                            key |= bits | below[k]
+                    acc[key] += c1 * c2
+            m, n, den = self.m, self.n, la * lb
+            w = n.bit_length()
+            mask, shifts = (1 << w) - 1, range(0, 2 * m * w, w)
+            prods = {}
+            for key, c in acc.items():
+                if c:
+                    letters = tuple([(key >> s) & mask for s in shifts])
+                    d = Diagram._trusted(m, n, letters[m:], letters[:m])
+                    prods[d] = Fraction(c, den)
+            return Element._trusted(m, n, prods)
         if isinstance(other, Diagram):
             return self * Element.from_diagram(other)
         return self.scale(other)
+
+    def _packed_side(self, side: int):
+        """(l, [(pack, l*c)]) for the product kernel, with l the lcm of the
+        denominators, so every scaled coefficient is an integer; built once
+        per side and element.
+
+        A product key holds w = n.bit_length() bits per letter: the bottom
+        word's letter at vertex p in bits w*p up, the top word's at w*(m+p).
+        As a left factor (side 0) a diagram packs, for each colored top
+        vertex, (its letter in the key's top half, its color, its middle
+        vertex); as a right factor (side 1), its top word and, for each
+        middle vertex, its bottom partner's letter in the key's bottom half
+        (0 if isolated).  The matching rule is read from `_matching`.
+        """
+        if self._packed is None:
+            self._packed = [None, None]
+        if self._packed[side] is None:
+            m, w = self.m, self.n.bit_length()
+            den = lcm(*(c.denominator for c in self.terms.values()))
+            packs = []
+            for d, c in self.terms.items():
+                c = c.numerator * (den // c.denominator)
+                down, word = d._matching()[0], d.top
+                if side:
+                    below = [x << w * down[k] if x else 0 for k, x in enumerate(word)]
+                    packs.append((word, below, c))
+                else:
+                    top = [(x << w * (m + t), x, down[t]) for t, x in enumerate(word) if x]
+                    packs.append((top, c))
+            self._packed[side] = den, packs
+        return self._packed[side]
 
     def __rmul__(self, other):
         if isinstance(other, Diagram):
@@ -177,13 +234,6 @@ class Element:
             d = Diagram.from_json_dict(t["diagram"])
             acc[d] = acc.get(d, Fraction(0)) + _json_coeff(t["coeff"], k)
         return cls(m, n, acc)
-
-
-def _integral_terms(terms: dict[Diagram, Fraction]):
-    """(l, [(d, l*c)]) with l the lcm of the denominators, so every scaled
-    coefficient is an integer."""
-    den = lcm(*(c.denominator for c in terms.values()))
-    return den, [(d, c.numerator * (den // c.denominator)) for d, c in terms.items()]
 
 
 def _json_coeff(x, k: int) -> Fraction:
@@ -251,10 +301,10 @@ def orbit_vector(d: Diagram) -> Element:
     """
     size = len(d.edges)
     terms = {
-        sub: Fraction(-1 if (size - len(sub.edges)) % 2 else 1)
+        sub: _MINUS_ONE if (size - len(sub.edges)) % 2 else _ONE
         for sub in subdiagrams(d)
     }
-    return Element(d.m, d.n, terms)
+    return Element._trusted(d.m, d.n, terms)
 
 
 def to_orbit_basis(a: Element) -> dict[Diagram, Fraction]:

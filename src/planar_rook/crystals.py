@@ -26,7 +26,7 @@ from functools import reduce
 from operator import add
 from typing import Optional
 
-from .diagrams import EnumerationCapError
+from .diagrams import EnumerationCapError, min_digits
 
 # Builders spend tens of microseconds per node, so a closed-form node count
 # is checked before anything is allocated.
@@ -35,8 +35,14 @@ CRYSTAL_NODE_CAP = 50_000
 
 def ensure_nodes_within_cap(nodes: int, force: bool = False) -> None:
     if not force and nodes > CRYSTAL_NODE_CAP:
+        # a closed-form count can be astronomical, and str() fails past
+        # sys.get_int_max_str_digits() digits: word a long one by its digits
+        if nodes.bit_length() > 256:
+            what = f"a number of nodes with at least {min_digits(nodes)} digits"
+        else:
+            what = f"{nodes} nodes"
         raise EnumerationCapError(
-            f"the crystal would have {nodes} nodes, over the cap "
+            f"the crystal would have {what}, over the cap "
             f"{CRYSTAL_NODE_CAP}; pass force=True to override"
         )
 

@@ -33,11 +33,21 @@ MAX_SIZE = 4096
 
 def brief(x) -> str:
     """repr(x), or for a long one its length and its two ends, so a message
-    quoting malformed input stays one short line."""
+    quoting malformed input stays one short line.  An integer past 256 bits
+    is worded by its digits, as repr fails past sys.get_int_max_str_digits()."""
+    if type(x) is int and x.bit_length() > 256:
+        return f"an integer with at least {min_digits(x)} digits"
     text = repr(x)
     if len(text) <= 40:
         return text
     return f"({len(text)} characters) {text[:24]}...{text[-12:]}"
+
+
+def min_digits(x: int) -> int:
+    """A lower bound on the decimal digits of x, read from its bit length
+    without converting it: |x| >= 2**(b-1) >= 10**floor((b-1) * log10(2)),
+    with log10(2) rounded down."""
+    return (abs(x).bit_length() - 1) * 30102999566 // 10**11 + 1
 
 
 def json_int(x, what: str) -> int:

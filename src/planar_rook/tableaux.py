@@ -118,12 +118,14 @@ def signature_factors(word: Word, i: int) -> list[tuple[int, int]]:
     return [(1 if x == i else 0, 1 if x == i - 1 else 0) for x in word]
 
 
-def _filling_crystal(n: int, fillings: list) -> Crystal:
+def _filling_crystal(n: int, fillings: list, keys=None) -> Crystal:
     """The crystal on the given fillings, in their order, keyed by
-    filling_key: per direction one signature call on each reading word
-    gives eps, phi and the letters raising and lowering move.  A moved word
-    that reads none of the fillings raises, naming the filling and the
-    direction."""
+    filling_key (or by `keys`, the fillings' keys when the caller has them):
+    per direction one signature call on each reading word gives eps, phi
+    and the letters raising and lowering move.  A moved word that reads
+    none of the fillings raises, naming the filling and the direction."""
+    if keys is None:
+        keys = list(map(filling_key, fillings))
     words = list(map(reading, fillings))
     index = {w: p for p, w in enumerate(words)}
 
@@ -135,7 +137,7 @@ def _filling_crystal(n: int, fillings: list) -> Crystal:
         if t is None:
             name = "raising" if step < 0 else "lowering"
             raise ValueError(
-                f"{name} {filling_key(fillings[p])} in direction {i} "
+                f"{name} {keys[p]} in direction {i} "
                 "leaves the given fillings"
             )
         return t
@@ -148,7 +150,7 @@ def _filling_crystal(n: int, fillings: list) -> Crystal:
         up.append([moved(p, s[0], -1, i) for p, s in enumerate(stats)])
         down.append([moved(p, s[1], 1, i) for p, s in enumerate(stats)])
     wt = [tuple(map(w.count, range(n + 1))) for w in words]
-    return Crystal(n, wt, eps, phi, up, down, tuple(map(filling_key, fillings)))
+    return Crystal(n, wt, eps, phi, up, down, keys)
 
 
 def box_crystal(n: int, force: bool = False) -> Crystal:
@@ -231,7 +233,10 @@ def enumerate_ssyt(shape, n: int) -> list[Tableau]:
 
 @lru_cache(maxsize=None)
 def _ssyt_crystal(shape: tuple[int, ...], n: int) -> Crystal:
-    return _filling_crystal(n, sorted(_ssyt_rows(shape, n), key=filling_key))
+    rows = _ssyt_rows(shape, n)
+    keys = list(map(filling_key, rows))
+    order = sorted(range(len(rows)), key=keys.__getitem__)
+    return _filling_crystal(n, [rows[p] for p in order], [keys[p] for p in order])
 
 
 def ssyt_crystal(shape, n: int, force: bool = False) -> Crystal:

@@ -11,6 +11,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +36,7 @@ from planar_rook.diagrams import (
     enumerate_diagrams,
     multiply,
     partial_identity,
+    product_words,
     unit_diagram,
 )
 
@@ -60,6 +62,33 @@ def naive_product(a: Element, b: Element) -> Element:
             prod = multiply(d1, d2)
             acc[prod] = acc.get(prod, Fraction(0)) + c1 * c2
     return Element(a.m, a.n, acc)
+
+
+def pairwise_product(a: Element, b: Element) -> Element:
+    """Oracle for the packed product kernel of Element * Element: the pair
+    loop it replaced, one `product_words` call per pair of terms, with
+    integer coefficients (scaled by the lcm of the denominators) summed by
+    word pair and one division per distinct product."""
+    la = lcm(*(c.denominator for c in a.terms.values()))
+    lb = lcm(*(c.denominator for c in b.terms.values()))
+    acc: dict[tuple, int] = {}
+    for d1, c1 in a.terms.items():
+        for d2, c2 in b.terms.items():
+            words = product_words(d1, d2)
+            x1 = c1.numerator * (la // c1.denominator)
+            x2 = c2.numerator * (lb // c2.denominator)
+            acc[words] = acc.get(words, 0) + x1 * x2
+    prods = {Diagram._trusted(a.m, a.n, *w): c for w, c in acc.items() if c}
+    return Element(a.m, a.n, {d: Fraction(c, la * lb) for d, c in prods.items()})
+
+
+def assert_same_element(got: Element, want: Element) -> None:
+    """Equal, hashing alike, with the same terms in the same order and
+    Fraction coefficients."""
+    assert got == want and hash(got) == hash(want)
+    assert (got.m, got.n) == (want.m, want.n)
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert all(type(c) is Fraction for c in got.terms.values())
 
 
 # ---------------------------------------------------------------- element basics
@@ -445,3 +474,136 @@ def test_element_json_round_trip_property(single):
         parsed = Element.from_json_dict(json.loads(blob))
         assert parsed == a
         assert list(parsed.terms.items()) == list(a.terms.items())
+
+
+# ---------------------------------------------------------------- product kernel
+
+
+@st.composite
+def diagrams_of(draw, m: int, n: int):
+    """A random (m, n) diagram: a bottom word and a rearrangement of it as
+    the top word, which fixes the crossingless matching."""
+    bottom = draw(st.lists(st.integers(0, n), min_size=m, max_size=m))
+    top = draw(st.permutations(bottom))
+    return Diagram._trusted(m, n, tuple(top), tuple(bottom))
+
+
+@st.composite
+def elements_of(draw, m: int, n: int, max_terms: int = 6):
+    terms = draw(st.dictionaries(diagrams_of(m, n), _coefficients, max_size=max_terms))
+    return Element(m, n, terms)
+
+
+@st.composite
+def kernel_pairs(draw):
+    """Two elements of one algebra, m <= 4 (0 included) and n at and around
+    the letter widths; either may be zero."""
+    m, n = draw(st.integers(0, 4)), draw(st.sampled_from((1, 2, 3, 4, 7, 8)))
+    return draw(elements_of(m, n)), draw(elements_of(m, n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_pairs())
+def test_product_kernel_matches_pairwise_oracle(pair):
+    a, b = pair
+    assert_same_element(a * b, pairwise_product(a, b))
+    assert_same_element(a * b, naive_product(a, b))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_product_kernel_cancellation(data):
+    # unit_0 * strand(n, i) = unit_0 - unit_0 = 0 for i >= 1, so the pairs of
+    # (a (x) unit_0) * (b (x) strand) all cancel, and those of
+    # (c (x) unit_i) * (b (x) strand) leave (c * b) (x) strand
+    m, n = data.draw(st.integers(0, 2)), data.draw(st.sampled_from((1, 2, 3, 4)))
+    i = data.draw(st.integers(1, n))
+    a, b, c = (data.draw(elements_of(m, n)) for _ in range(3))
+    isolated = Element.from_diagram(unit_diagram(n, 0))
+    left = a.tensor(isolated) + c.tensor(Element.from_diagram(unit_diagram(n, i)))
+    right = b.tensor(strand(n, i))
+    got = left * right
+    assert_same_element(got, pairwise_product(left, right))
+    assert_same_element(got, (c * b).tensor(strand(n, i)))
+    assert_same_element(a.tensor(isolated) * right, Element.zero(m + 1, n))
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 7, 8])
+def test_product_kernel_at_letter_widths(n):
+    # n = 1, 3, 7 fill their w = n.bit_length() bits with the letter n;
+    # n = 4, 8 are the first letters of a wider field
+    rng = random.Random(n)
+
+    def element(m: int) -> Element:
+        terms = {}
+        for _ in range(rng.randint(0, 8)):
+            bottom = [rng.choice((0, n, n, rng.randint(0, n))) for _ in range(m)]
+            top = rng.sample(bottom, m)
+            d = Diagram._trusted(m, n, tuple(top), tuple(bottom))
+            terms[d] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        return Element(m, n, terms)
+
+    for m in range(5):
+        for _ in range(20):
+            a, b = element(m), element(m)
+            assert_same_element(a * b, pairwise_product(a, b))
+
+
+def test_product_kernel_on_every_pair_of_diagrams():
+    diagrams = enumerate_diagrams(3, 2)
+    elements = [Element.from_diagram(d) for d in diagrams]
+    for d1, x in zip(diagrams, elements):
+        for d2, y in zip(diagrams, elements):
+            want = Element.from_diagram(Diagram._trusted(3, 2, *product_words(d1, d2)))
+            assert_same_element(x * y, want)
+    # and all of them at once, with distinct coefficients
+    a = Element(3, 2, {d: Fraction(k + 1, 7) for k, d in enumerate(diagrams)})
+    b = Element(3, 2, {d: Fraction(2 - k, 3) for k, d in enumerate(diagrams)})
+    assert_same_element(a * b, pairwise_product(a, b))
+
+
+def random_element(rng: random.Random, m: int, n: int, size: int) -> Element:
+    diagrams = enumerate_diagrams(m, n)
+    terms = {}
+    for _ in range(size):
+        terms[rng.choice(diagrams)] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return Element(m, n, terms)
+
+
+def test_trusted_elements_match_public_construction():
+    for m, n in ((0, 1), (1, 2), (2, 2), (3, 1), (3, 2)):
+        for d in enumerate_diagrams(m, n):
+            x = orbit_vector(d)
+            assert_same_element(x, Element(m, n, dict(x.terms)))
+            assert_same_element(Element(m, n, dict(x.terms)), x)
+    rng = random.Random(5)
+    for _ in range(30):
+        a, b = random_element(rng, 3, 2, 6), random_element(rng, 3, 2, 6)
+        p = a * b
+        assert_same_element(p, Element(3, 2, dict(reversed(p.terms.items()))))
+
+
+def test_packed_form_stays_with_its_element():
+    rng = random.Random(11)
+    unit = Element.from_diagram(enumerate_diagrams(2, 2)[3])
+    for _ in range(20):
+        a, b = random_element(rng, 2, 2, 5), random_element(rng, 2, 2, 5)
+        # pack both sides of both factors
+        assert_same_element(a * b, pairwise_product(a, b))
+        assert_same_element(b * a, pairwise_product(b, a))
+        derived = [
+            a.flip(),
+            a.tensor(b),
+            b.tensor(a),
+            a.scale(Fraction(-2, 3)),
+            a + b,
+            a - b,
+            -a,
+            unit * a,
+        ]
+        assert all(x._packed is None for x in derived)
+        for x in derived:
+            for y in (a, b.tensor(a), derived[1], x):
+                if (x.m, x.n) == (y.m, y.n):
+                    assert_same_element(x * y, pairwise_product(x, y))
+                    assert_same_element(y * x, pairwise_product(y, x))

@@ -544,6 +544,17 @@ def test_crystal_edge_commands_finish_quickly(capsys):
             f"error: the crystal would have {want} nodes, over the cap 50000; "
             "pass --force or set PLANAR_ROOK_FORCE=1 to override\n"
         )
+    # a count past 256 bits is worded by its digits: one short line, and no
+    # int-to-str conversion, which fails past 4,300 digits
+    for shape, digits in (("3000", 1805), ("9000", 5417)):
+        code, out, err = run(capsys, "crystal", "ssyt", "--shape", shape, "--n", shape)
+        assert (code, out) == (2, ""), shape
+        lines = [line for line in err.splitlines() if "error:" in line]
+        assert len(lines) == 1 and len(lines[0].encode()) < 300, shape
+        assert lines[0] == (
+            f"error: the crystal would have a number of nodes with at least {digits} "
+            "digits, over the cap 50000; pass --force or set PLANAR_ROOK_FORCE=1 to override"
+        )
     start = time.perf_counter()
     code, out, err = run(capsys, "crystal", "ssyt", "--shape", "5000,5000", "--n", "1", "--json", "-")
     assert time.perf_counter() - start < 1

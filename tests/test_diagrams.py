@@ -19,12 +19,14 @@ from planar_rook.algebra import subdiagrams
 from planar_rook.diagrams import (
     Diagram,
     EnumerationCapError,
+    brief,
     count_diagrams,
     covers,
     empty_diagram,
     enumerate_diagrams,
     flip,
     juxtapose,
+    min_digits,
     multiply,
     partial_identity,
     unit_diagram,
@@ -193,6 +195,12 @@ def test_out_of_range_rejected():
     with pytest.raises(ValueError, match="m <= 4096"):
         Diagram(4097, 1, ())
     assert Diagram(4096, 1, ((4096, 1, 1),)).edges == ((4096, 1, 1),)
+    # an integer too long for repr is worded by a lower bound on its digits
+    for m, digits in ((10**5000, 5000), (-(10**5000), 5000), (2**256, 78)):
+        with pytest.raises(ValueError) as info:
+            Diagram(m, 1, ())
+        assert f"got m=an integer with at least {digits} digits, n=1" in str(info.value)
+        assert len(str(info.value)) < 300
 
 
 @pytest.mark.parametrize(
@@ -211,6 +219,14 @@ def test_out_of_range_rejected():
 def test_non_integer_sizes_and_entries_rejected(m, n, edges):
     with pytest.raises(ValueError, match="must be an integer"):
         Diagram(m, n, edges)
+
+
+def test_min_digits_is_a_lower_bound_within_one():
+    for k in list(range(1, 400)) + [1000, 4299]:
+        for x in (10**k - 1, 10**k, 2**k, 2**k - 1, 3**k // 2 + 1):
+            for y in (x, -x):
+                assert 0 <= len(str(abs(y))) - min_digits(y) <= 1, y
+    assert brief(2**256 - 1) == "(78 characters) 115792089237316195423570...913129639935"
 
 
 def test_size_zero_allowed():

@@ -34,6 +34,7 @@ from planar_rook.tableaux import (
     _filling_crystal,
     box_crystal,
     enumerate_ssyt,
+    filling_key,
     reading,
     row_crystal,
     signature_factors,
@@ -360,6 +361,16 @@ def test_row_and_ssyt_node_orders_with_two_digit_letters():
     # rows are listed by their letters, tableaux by their key strings
     assert row_crystal(1, 10).nodes == tuple(str(j) for j in range(11))
     assert ssyt_crystal((1,), 10).nodes == ("0", "1", "10", *map(str, range(2, 10)))
+
+
+def test_ssyt_crystal_keys_each_tableau_once():
+    # the keys that order the tableaux are the node keys; the crystal is the
+    # one the builder makes from the sorted fillings and their own keys
+    for shape, n in (((2, 1), 2), ((3, 1), 3), ((2,), 10), ((3, 2, 1), 3)):
+        fillings = sorted((t.rows for t in enumerate_ssyt(shape, n)), key=filling_key)
+        assert ssyt_crystal(shape, n) == _filling_crystal(n, fillings), shape
+    with pytest.raises(ValueError, match="lowering k0 in direction 1 leaves"):
+        _filling_crystal(1, [((0,),)], ["k0"])
 
 
 def test_filling_builder_refuses_a_move_outside_the_fillings():
