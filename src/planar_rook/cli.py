@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from json.encoder import encode_basestring
 
 from .algebra import Element, orbit_basis_product
 from .class_crystals import class_crystal, tensor_class_crystal
@@ -50,7 +51,41 @@ def _env_force() -> bool:
 
 
 def _dump(obj) -> str:
-    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+    """obj as json.dumps(obj, indent=2, ensure_ascii=False) writes it, plus a
+    newline, without the pure-Python encoder that an indent sends json to."""
+    out: list[str] = []
+    _write(obj, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _write(obj, nl: str, put) -> None:
+    """Put the pieces of obj, nested at the newline-and-indent nl."""
+    if isinstance(obj, str):
+        put(encode_basestring(obj))
+    elif obj is None or obj is True or obj is False:
+        put(_LITERALS[obj])
+    elif isinstance(obj, int):
+        put(int.__repr__(obj))
+    elif isinstance(obj, dict):
+        inner, sep = nl + "  ", "{"
+        for key, value in obj.items():  # encode_basestring refuses a non-str key
+            put(f"{sep}{inner}{encode_basestring(key)}: ")
+            _write(value, inner, put)
+            sep = ","
+        put(nl + "}" if obj else "{}")
+    elif isinstance(obj, (list, tuple)):
+        inner, sep = nl + "  ", "["
+        for value in obj:
+            put(sep + inner)
+            _write(value, inner, put)
+            sep = ","
+        put(nl + "]" if obj else "[]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _emit(text: str, dest: str) -> None:
@@ -404,8 +439,28 @@ def main(argv=None) -> int:
         return 2
 
 
+def _hooked() -> bool:
+    """Whether a tracer or profiler (pdb, coverage, cProfile) is installed."""
+    mon = getattr(sys, "monitoring", None)  # where profilers hook in from Python 3.12
+    traced = sys.gettrace() is not None or sys.getprofile() is not None
+    return traced or (mon is not None and any(map(mon.get_tool, range(6))))
+
+
 def entry_point() -> None:
-    raise SystemExit(main(sys.argv[1:]))
+    """Run main, then end the process with os._exit once the output is
+    flushed: tearing the interpreter down only frees a heap the process drops
+    anyway.  Under a tracer or profiler, which write at exit, or when the
+    flush fails, the process exits normally."""
+    code = main(sys.argv[1:])
+    if not _hooked():
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        except (AttributeError, OSError, ValueError):
+            pass
+        else:
+            os._exit(code)
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,11 +16,12 @@ from hypothesis import strategies as st
 
 import planar_rook
 import planar_rook.class_crystals as cc
+import planar_rook.cli as cli
 from planar_rook import clear_caches
 import planar_rook.crystals as crystals
 from planar_rook.algebra import Element, identity_element
 from planar_rook.cli import main
-from planar_rook.diagrams import Diagram, flip, partial_identity
+from planar_rook.diagrams import Diagram, enumerate_diagrams, flip, partial_identity
 from planar_rook.modules import ClassLabel
 from planar_rook.verify import TARGETS
 
@@ -665,3 +667,186 @@ def test_cli_import_loads_no_introspection_modules():
     ).stdout.split()
     assert "planar_rook.cli" in out
     assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(out)
+
+
+# ------------------------------------------------- output writer and exit path
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON)
+def test_dump_writes_what_json_writes_with_an_indent(obj):
+    assert cli._dump(obj) == json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+
+
+def test_dump_writes_large_payloads_as_json_does():
+    diagrams = enumerate_diagrams(3, 1)
+    x = Element(3, 1, {d: Fraction(k - 9, 4) for k, d in enumerate(diagrams)})
+    payloads = (
+        (x * x).to_json_dict(),
+        crystals.to_json_dict(cc.tensor_class_crystal((2, 1), 2)),
+        {"text": "é一\U0001f600 \"quoted\" \\ \n\t\x00\x7f", "big": -(10**40)},
+    )
+    for obj in payloads:
+        assert cli._dump(obj) == json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+
+
+# json would write the float and the non-str keys; no payload holds them
+@pytest.mark.parametrize("obj", [1.5, {1: 2}, {"a": {None: 0}}, [set()], Fraction(1, 2)])
+def test_dump_refuses_values_outside_the_payload_types(obj):
+    with pytest.raises(TypeError):
+        cli._dump(obj)
+
+
+def cli_process(*argv, stdout=subprocess.PIPE, env=None):
+    """Run python with argv in a fresh process, the package importable and
+    stdout block-buffered, as it is in a pipe, unless env says otherwise."""
+    src = str(Path(planar_rook.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    base = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run(
+        [sys.executable, *argv],
+        env={**base, "PYTHONPATH": path, "COLUMNS": "80", **(env or {})},
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize("name", ["multiply-element", "crystal-clambda-dot", "verify-thm4.5"])
+def test_process_output_matches_golden(name):
+    done = cli_process("-m", "planar_rook.cli", *COMMANDS[name])
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def test_process_usage_error_and_help(monkeypatch):
+    done = cli_process("-m", "planar_rook.cli", "decompose", "--regular")
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr.decode().splitlines() == ["error: --regular needs --m and --n"]
+    done = cli_process("-m", "planar_rook.cli", "--help")
+    monkeypatch.setenv("COLUMNS", "80")
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout.decode() == cli.build_parser().format_help()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize(
+    "argv", [("simples", "--m", "1", "--n", "1"), ("enumerate", "--m", "3", "--n", "2")]
+)
+def test_process_never_exits_zero_when_stdout_is_full(argv, unbuffered):
+    # buffered, a small payload fails at the final flush and a large one in
+    # the write; unbuffered, every write fails
+    with open("/dev/full", "w") as full:
+        done = cli_process(
+            "-m", "planar_rook.cli", *argv, stdout=full, env={"PYTHONUNBUFFERED": unbuffered}
+        )
+    assert done.returncode != 0
+    assert b"No space left on device" in done.stderr
+
+
+def test_process_under_a_profiler_exits_normally(capsys, tmp_path):
+    # cProfile writes its file after the program returns, so the command must
+    # not end the process itself
+    argv = ("simples", "--m", "1", "--n", "1")
+    prof = tmp_path / "simples.prof"
+    done = cli_process("-m", "cProfile", "-o", str(prof), "-m", "planar_rook.cli", *argv)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout.decode() == run(capsys, *argv)[1]
+    assert prof.stat().st_size > 0
+
+
+class _Exited(Exception):
+    pass
+
+
+class _Stream(io.StringIO):
+    """A standard stream that logs its flushes, or fails them with error."""
+
+    def __init__(self, name, log, error=None):
+        super().__init__()
+        self.name, self.log, self.error = name, log, error
+
+    def flush(self):
+        if self.error is not None:
+            raise self.error
+        self.log.append(f"flush {self.name}: {self.getvalue()}")
+
+
+def _run_entry_point(monkeypatch, argv, stdout_error=None):
+    log = []
+
+    def fake_exit(code):
+        log.append(code)
+        raise _Exited
+
+    monkeypatch.setattr(sys, "argv", ["planar-rook", *argv])
+    monkeypatch.setattr(sys, "stdout", _Stream("stdout", log, stdout_error))
+    monkeypatch.setattr(sys, "stderr", _Stream("stderr", log))
+    monkeypatch.setattr(cli.os, "_exit", fake_exit)
+    return log
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("simples", "--m", "1", "--n", "1"), 0),
+        (("verify", "thm2.2", "--m", "1", "--n", "1"), 1),
+        (("decompose", "--regular"), 2),
+    ],
+)
+def test_entry_point_flushes_then_ends_the_process(monkeypatch, argv, code):
+    if cli._hooked():
+        pytest.skip("a tracer or profiler is installed, so the ordinary exit is taken")
+    if code == 1:
+        monkeypatch.setattr(
+            cli, "verify_target", lambda *a, **k: {"target": "thm2.2", "checked": 1, "failed": 1}
+        )
+    log = _run_entry_point(monkeypatch, argv)
+    with pytest.raises(_Exited):
+        cli.entry_point()
+    assert log == [
+        f"flush stdout: {sys.stdout.getvalue()}",
+        f"flush stderr: {sys.stderr.getvalue()}",
+        code,
+    ]
+    assert (sys.stdout.getvalue() != "") == (code != 2)
+
+
+@pytest.mark.parametrize("error", [OSError(28, "No space left on device"), ValueError("closed")])
+def test_entry_point_exits_normally_when_the_flush_fails(monkeypatch, error):
+    log = _run_entry_point(monkeypatch, ("simples", "--m", "1", "--n", "1"), error)
+    with pytest.raises(SystemExit) as exc:
+        cli.entry_point()
+    assert exc.value.code == 0
+    assert log == []
+
+
+def test_entry_point_exits_normally_without_a_stdout(monkeypatch):
+    log = _run_entry_point(monkeypatch, ("decompose", "--regular"))
+    monkeypatch.setattr(sys, "stdout", None)
+    with pytest.raises(SystemExit) as exc:
+        cli.entry_point()
+    assert exc.value.code == 2
+    assert log == []
+
+
+def test_entry_point_exits_normally_under_a_profiler(monkeypatch):
+    log = _run_entry_point(monkeypatch, ("simples", "--m", "1", "--n", "1"))
+    previous = sys.getprofile()
+    sys.setprofile(lambda frame, event, arg: None)
+    try:
+        with pytest.raises(SystemExit) as exc:
+            cli.entry_point()
+    finally:
+        sys.setprofile(previous)
+    assert exc.value.code == 0
+    assert log == []
