@@ -26,7 +26,6 @@ from .diagrams import (
     ensure_within_cap,
     flip,
     juxtapose,
-    multiply,
     unit_diagram,
 )
 
@@ -320,22 +319,11 @@ def to_orbit_basis(a: Element) -> dict[Diagram, Fraction]:
     return {d: c for d, c in _sorted_terms(coords) if c}
 
 
-def orbit_product(d1: Diagram, d2: Diagram) -> Element:
-    """Product of two orbit vectors without expanding either one.
-
-    It is the orbit vector of d1*d2 when the bottom word of d1 equals the
-    top word of d2, and zero otherwise.
-    """
-    if (d1.m, d1.n) != (d2.m, d2.n):
-        raise ValueError("diagrams live in different algebras")
-    if d1.bottom != d2.top:
-        return Element.zero(d1.m, d1.n)
-    return orbit_vector(multiply(d1, d2))
-
-
 def orbit_basis_product(a, b) -> dict[Diagram, Fraction]:
     """The product of two elements given by orbit coordinates, in orbit
-    coordinates: `orbit_product` extended bilinearly.
+    coordinates, by the matched-or-zero rule extended bilinearly: the orbit
+    vectors of d1 and d2 multiply to the orbit vector of d1*d2 when the
+    bottom word of d1 equals the top word of d2, and to zero otherwise.
 
     Only pairs whose boundaries match contribute, so b's terms are grouped
     by top word and each term of a meets just the group of its bottom word;

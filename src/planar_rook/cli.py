@@ -15,10 +15,11 @@ import json
 import os
 import sys
 from json.encoder import encode_basestring
+from math import comb
 
 from .algebra import Element, orbit_basis_product
 from .class_crystals import class_crystal, tensor_class_crystal
-from .crystals import to_dot, to_json_dict
+from .crystals import ensure_nodes_within_cap, to_dot, to_json_dict
 from .diagrams import (
     Diagram,
     EnumerationCapError,
@@ -198,6 +199,8 @@ def _cmd_multiply(args) -> int:
 
 
 def _cmd_simples(args) -> int:
+    # the classes are the nodes of crystal cm, so they share its cap
+    ensure_nodes_within_cap(comb(args.m + args.n, args.n))
     labels = all_class_labels(args.m, args.n)
     payload = [
         {
@@ -211,19 +214,6 @@ def _cmd_simples(args) -> int:
     return 0
 
 
-def _summands(m: int, n: int, dec: dict[ClassLabel, int]) -> list[dict]:
-    return [
-        {
-            "class": label.key,
-            "counts": list(label.counts),
-            "multiplicity": dec[label],
-            "dimension": class_dimension(label),
-        }
-        for label in all_class_labels(m, n)
-        if label in dec
-    ]
-
-
 def _cmd_decompose(args) -> int:
     force = args.force or _env_force()
     modes = sum(
@@ -234,52 +224,44 @@ def _cmd_decompose(args) -> int:
     if args.regular:
         if args.m is None or args.n is None:
             raise UsageError("--regular needs --m and --n")
+        module = f"regular(m={args.m},n={args.n})"
         dec = decompose(regular_module(args.m, args.n, force=force))
-        total = sum(mult * class_dimension(lab) for lab, mult in dec.items())
-        payload = {
-            "module": f"regular(m={args.m},n={args.n})",
-            "summands": _summands(args.m, args.n, dec),
-            "total_dimension": total,
-        }
-        sys.stdout.write(_dump(payload))
-        return 0
-    if args.klass is None:
-        raise UsageError("--restrict and --induce need --class")
-    label = _parse_class(args.klass)
-    if args.induce is not None:
-        i = args.induce
+    else:
+        if args.klass is None:
+            raise UsageError("--restrict and --induce need --class")
+        label = _parse_class(args.klass)
+        i = args.restrict if args.induce is None else args.induce
         if not 0 <= i <= label.n:
             raise UsageError(f"color {i} out of range 0..{label.n}")
-        induced = induce_class(i, label)
-        payload = {
-            "module": f"induce(i={i}) of {label.key}",
-            "summands": _summands(induced.m, induced.n, {induced: 1}),
-            "total_dimension": class_dimension(induced),
+        if args.induce is not None:
+            module = f"induce(i={i}) of {label.key}"
+            dec = {induce_class(i, label): 1}
+        else:
+            if label.m == 0:
+                raise UsageError("cannot restrict a size-0 class")
+            module = f"restrict(i={i}) of {label.key}"
+            dec = decompose(restrict(i, simple(label, force=force), force))
+            expected = restrict_class(i, label)
+            if dec != ({} if expected is None else {expected: 1}):
+                print(
+                    "restriction disagrees with the class arithmetic: "
+                    f"got {{{', '.join(k.key for k in dec)}}}, "
+                    f"expected {expected.key if expected else 'zero'}",
+                    file=sys.stderr,
+                )
+                return 1
+    # reverse label order is the all_class_labels order
+    summands = [
+        {
+            "class": lab.key,
+            "counts": list(lab.counts),
+            "multiplicity": dec[lab],
+            "dimension": class_dimension(lab),
         }
-        sys.stdout.write(_dump(payload))
-        return 0
-    i = args.restrict
-    if not 0 <= i <= label.n:
-        raise UsageError(f"color {i} out of range 0..{label.n}")
-    if label.m == 0:
-        raise UsageError("cannot restrict a size-0 class")
-    dec = decompose(restrict(i, simple(label, force=force)))
-    expected = restrict_class(i, label)
-    if dec != ({} if expected is None else {expected: 1}):
-        print(
-            "restriction disagrees with the class arithmetic: "
-            f"got {{{', '.join(k.key for k in dec)}}}, "
-            f"expected {expected.key if expected else 'zero'}",
-            file=sys.stderr,
-        )
-        return 1
-    payload = {
-        "module": f"restrict(i={i}) of {label.key}",
-        "summands": _summands(label.m - 1, label.n, dec),
-        "total_dimension": sum(
-            mult * class_dimension(lab) for lab, mult in dec.items()
-        ),
-    }
+        for lab in sorted(dec, reverse=True)
+    ]
+    total = sum(s["multiplicity"] * s["dimension"] for s in summands)
+    payload = {"module": module, "summands": summands, "total_dimension": total}
     sys.stdout.write(_dump(payload))
     return 0
 

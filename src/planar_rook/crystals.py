@@ -269,15 +269,6 @@ def signature(factors) -> tuple[int, int, int, int]:
     return rise, fall if plus else -1, minus, plus
 
 
-def signature_apply(kind: str, factors) -> Optional[int]:
-    """Which factor an operator acts on by the signature rule: raising for
-    kind 'e', lowering for kind 'f'; None when no sign survives."""
-    if kind not in ("e", "f"):
-        raise ValueError(f"kind must be 'e' or 'f', got {kind!r}")
-    pos = signature(factors)[0 if kind == "e" else 1]
-    return None if pos < 0 else pos
-
-
 def _component_positions(crystal: Crystal) -> list[list[int]]:
     """Positions of each connected component under both edge families, in
     node order, components ordered by their first node.  The union-find

@@ -307,20 +307,21 @@ def decompose(mod: ExplicitModule) -> dict[ClassLabel, int]:
     return out
 
 
-def restrict(i: int, mod: ExplicitModule) -> ExplicitModule:
+def restrict(i: int, mod: ExplicitModule, force: bool = False) -> ExplicitModule:
     """Cut mod by the color-i truncation idempotent and restrict the action.
 
     The result is a module one size down, with coordinates in a canonical
-    basis of the image of e = truncation_idempotent(m, n, i).  A diagram d
-    acts there as d ⊗ unit_i: since (d ⊗ unit_i)·e = e·(d ⊗ strand(n, i)),
-    the image is stable and this is the action of the extended element, one
-    matrix of mod per diagram.  A zero image gives a zero module.
+    basis of the image of e = truncation_idempotent(m, n, i), whose size cap
+    force overrides.  A diagram d acts there as d ⊗ unit_i: since
+    (d ⊗ unit_i)·e = e·(d ⊗ strand(n, i)), the image is stable and this is
+    the action of the extended element, one matrix of mod per diagram.  A
+    zero image gives a zero module.
     """
     m, n = mod.m, mod.n
     if m < 1:
         raise ValueError("cannot restrict a size-0 module")
     # truncation_idempotent refuses a color outside 0..n
-    projector = mod.matrix_of(truncation_idempotent(m, n, i))
+    projector = mod.matrix_of(truncation_idempotent(m, n, i, force))
     basis, pivots = column_space_basis(projector)
     last = unit_diagram(n, i)
 

@@ -17,7 +17,7 @@ from math import comb
 from . import class_crystals as cc
 from .algebra import (
     Element,
-    orbit_product,
+    orbit_basis_product,
     orbit_vector,
     strand,
     truncation_idempotent,
@@ -27,7 +27,7 @@ from .crystals import (
     ensure_nodes_within_cap,
     isomorphism_positions,
     morphism_violations,
-    signature_apply,
+    signature,
     tensor,
     tensor_all,
 )
@@ -202,7 +202,10 @@ def _verify_orbit_product_laws(max_m, max_n, pin_m, pin_n):
                 left_expected = prod_orbit if covers(dp.bottom, d.top) else zero
                 right = dp_orbit * Element.from_diagram(d)
                 right_expected = prod_orbit if covers(d.top, dp.bottom) else zero
-                both = orbit_product(dp, d)
+                # the matched-or-zero rule that multiply --x-basis runs,
+                # expanded back to the diagram basis
+                matched = orbit_basis_product({dp: 1}, {d: 1}).items()
+                both = sum((orbit_vector(x).scale(c) for x, c in matched), zero)
                 both_brute = dp_orbit * orbit_vector(d)
                 failures = []
                 if left != left_expected:
@@ -267,82 +270,48 @@ def _verify_truncation_lemmas(max_m, max_n, pin_m, pin_n):
     return checked, bad
 
 
-def _restriction_decompositions(m, n, colors):
-    """decompose(restrict(i, simple(N))) for every class N and i in colors."""
-    table = {}
-    for label in all_class_labels(m, n):
-        for i in colors:
-            table[(i, label)] = decompose(restrict(i, simple(label)))
-    return table
-
-
-def _check_restriction_formula(m, n, colors, checked, bad):
-    table = _restriction_decompositions(m, n, colors)
-    for (i, label), dec in table.items():
-        checked += 1
-        target = restrict_class(i, label)
-        expected = {} if target is None else {target: 1}
-        if dec != expected:
-            bad.append(
-                {
-                    "case": f"restrict(i={i}) of {label.key}",
-                    "expected": {k.key: v for k, v in expected.items()},
-                    "got": {k.key: v for k, v in dec.items()},
-                }
-            )
-    return table, checked
-
-
-def _check_induction_formula(m, n, colors, table, checked, bad):
-    # Frobenius reciprocity pins the induced module: inducing a class M one
-    # size up must land on exactly the classes whose restriction contains M.
-    big_labels = all_class_labels(m, n)
-    for small in all_class_labels(m - 1, n):
-        for i in colors:
-            induced = induce_class(i, small)
-            for big in big_labels:
+def _verify_functors(colors, induction, max_m, max_n, pin_m, pin_n):
+    """Theorems 3.2, 3.5 and 3.6: restricting each simple in each color of
+    range(n + 1)[colors] drops one vertex of that color; with induction,
+    inducing each class one size up lands where those restrictions say."""
+    checked = 0
+    bad = []
+    for m, n in _pairs(max_m, max_n, pin_m, pin_n, 4, 2):
+        labels, table = all_class_labels(m, n), {}
+        for label in labels:
+            for i in range(n + 1)[colors]:
+                dec = table[(i, label)] = decompose(restrict(i, simple(label)))
                 checked += 1
-                got = table[(i, big)].get(small, 0)
-                expected = 1 if big == induced else 0
-                if got != expected:
+                target = restrict_class(i, label)
+                expected = {} if target is None else {target: 1}
+                if dec != expected:
                     bad.append(
                         {
-                            "case": f"induce(i={i}) of {small.key}",
-                            "candidate": big.key,
-                            "expected": expected,
-                            "got": got,
+                            "case": f"restrict(i={i}) of {label.key}",
+                            "expected": {k.key: v for k, v in expected.items()},
+                            "got": {k.key: v for k, v in dec.items()},
                         }
                     )
-    return checked
-
-
-def _verify_restriction(max_m, max_n, pin_m, pin_n):
-    checked = 0
-    bad = []
-    for m, n in _pairs(max_m, max_n, pin_m, pin_n, 4, 2):
-        _, checked = _check_restriction_formula(
-            m, n, range(1, n + 1), checked, bad
-        )
-    return checked, bad
-
-
-def _verify_induction(max_m, max_n, pin_m, pin_n):
-    checked = 0
-    bad = []
-    for m, n in _pairs(max_m, max_n, pin_m, pin_n, 4, 2):
-        table, checked = _check_restriction_formula(
-            m, n, range(1, n + 1), checked, bad
-        )
-        checked = _check_induction_formula(m, n, range(1, n + 1), table, checked, bad)
-    return checked, bad
-
-
-def _verify_isolated_functors(max_m, max_n, pin_m, pin_n):
-    checked = 0
-    bad = []
-    for m, n in _pairs(max_m, max_n, pin_m, pin_n, 4, 2):
-        table, checked = _check_restriction_formula(m, n, (0,), checked, bad)
-        checked = _check_induction_formula(m, n, (0,), table, checked, bad)
+        if not induction:
+            continue
+        # Frobenius reciprocity pins the induced module: inducing a class M one
+        # size up must land on exactly the classes whose restriction contains M.
+        for small in all_class_labels(m - 1, n):
+            for i in range(n + 1)[colors]:
+                induced = induce_class(i, small)
+                for big in labels:
+                    checked += 1
+                    got = table[(i, big)].get(small, 0)
+                    expected = 1 if big == induced else 0
+                    if got != expected:
+                        bad.append(
+                            {
+                                "case": f"induce(i={i}) of {small.key}",
+                                "candidate": big.key,
+                                "expected": expected,
+                                "got": got,
+                            }
+                        )
     return checked, bad
 
 
@@ -466,45 +435,37 @@ def _verify_signature_equivalence(max_m, max_n, pin_m, pin_n):
     bad = []
     top_m, _, totals, ns = _sweep(max_m, max_n, pin_m, pin_n)
     for n in ns:
-        # box powers: the signature rule against the iterated binary rule
+        # box powers: the signature rule against the iterated binary rule,
+        # compared on positions; a word's position is its mixed-radix index,
+        # and raising or lowering factor j moves it by -/+ strides[j]
         power = box_crystal(n)
         for length in range(2, min(top_m, 4) + 1):
             power = tensor(power, box_crystal(n))
-            for word in itertools.product(range(n + 1), repeat=length):
-                key = "⊗".join(str(x) for x in word)
+            strides = [(n + 1) ** (length - 1 - j) for j in range(length)]
+            words = itertools.product(range(n + 1), repeat=length)
+            for b, word in enumerate(words):
                 for i in range(1, n + 1):
-                    factors = signature_factors(word, i)
-                    for kind in ("e", "f"):
+                    rise, fall, _, _ = signature(signature_factors(word, i))
+                    for kind, j, step, col in (
+                        ("e", rise, -1, power.up[i - 1]),
+                        ("f", fall, 1, power.down[i - 1]),
+                    ):
                         checked += 1
-                        target = (
-                            power.e(key, i) if kind == "e" else power.f(key, i)
-                        )
-                        pos = signature_apply(kind, factors)
-                        if (target is None) != (pos is None):
+                        t = col[b]
+                        if t != (-1 if j < 0 else b + step * strides[j]):
+                            # the factors the binary rule moved: t's digits
+                            moved = [
+                                k
+                                for k, s in enumerate(strides)
+                                if t // s % (n + 1) != word[k]
+                            ]
                             bad.append(
                                 {
                                     "case": f"{kind}_{i} on word {word}, n={n}",
-                                    "binary": target,
-                                    "signature": pos,
+                                    "binary": None if t < 0 else moved,
+                                    "signature": None if j < 0 else j,
                                 }
                             )
-                            continue
-                        if target is not None:
-                            moved = [
-                                j
-                                for j, (a, b) in enumerate(
-                                    zip(word, target.split("⊗"))
-                                )
-                                if str(a) != b
-                            ]
-                            if moved != [pos]:
-                                bad.append(
-                                    {
-                                        "case": f"{kind}_{i} on word {word}, n={n}",
-                                        "binary": moved,
-                                        "signature": pos,
-                                    }
-                                )
         # tuple crystals: signature arrows against the tensor of class crystals,
         # compared on positions through the key rewrite a×b -> a⊗b; a tuple
         # key with no partner in the product is a counterexample of its own
@@ -567,9 +528,10 @@ TARGETS = {
     "thm2.2": _verify_regular_decomposition,
     "prop2.1": _verify_orbit_product_laws,
     "lemmas3": _verify_truncation_lemmas,
-    "thm3.2": _verify_restriction,
-    "thm3.5": _verify_induction,
-    "thm3.6": _verify_isolated_functors,
+    # colors 1..n, or color 0 alone, as a slice of range(n + 1)
+    "thm3.2": partial(_verify_functors, slice(1, None), False),
+    "thm3.5": partial(_verify_functors, slice(1, None), True),
+    "thm3.6": partial(_verify_functors, slice(0, 1), True),
     "adjunction": _verify_adjunction,
     "thm4.3": _verify_class_crystal_is_row_crystal,
     "thm4.5": _verify_tuple_crystal_factorizes,

@@ -36,7 +36,6 @@ from planar_rook.crystals import (
     highest_nodes,
     morphism_violations,
     signature,
-    signature_apply,
     tensor_all,
 )
 from planar_rook.modules import ClassLabel, all_class_labels
@@ -224,8 +223,8 @@ def reference_tensor_class_crystal(parts, n):
                 ("e", raise_label, e_edges),
                 ("f", lower_label, f_edges),
             ):
-                pos = signature_apply(kind, factors)
-                if pos is not None:
+                pos = signature(factors)[0 if kind == "e" else 1]
+                if pos >= 0:
                     moved = rule(i, labels[pos])
                     edges[(k, i)] = tuple_key(
                         labels[:pos] + (moved,) + labels[pos + 1 :]

@@ -411,6 +411,49 @@ def test_decompose_induce(capsys):
     assert [s["class"] for s in json.loads(out)["summands"]] == ["3|1,1,1"]
 
 
+def test_decompose_induce_orders_one_label_without_listing_its_size(capsys):
+    # forty colors: listing every class of size 41 would never finish
+    spec = "40,40:" + ",".join(["1"] * 40 + ["0"])
+    start = time.perf_counter()
+    code, out, err = run(capsys, "decompose", "--induce", "1", "--class", spec)
+    assert time.perf_counter() - start < 5
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert [s["class"] for s in payload["summands"]] == [
+        "41|" + ",".join(["1", "2"] + ["1"] * 38 + ["0"])
+    ]
+    assert payload["total_dimension"] == payload["summands"][0]["dimension"]
+
+
+def test_decompose_restrict_honours_force(capsys, monkeypatch):
+    # m=10 is over the one-color cap 8, for the simple and for its truncation
+    argv = ("decompose", "--restrict", "1", "--class", "10,1:9,1")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "pass --force or set PLANAR_ROOK_FORCE=1 to override" in err
+    for extra in (("--force",), ()):
+        if not extra:
+            monkeypatch.setenv("PLANAR_ROOK_FORCE", "1")
+        code, out, err = run(capsys, *argv, *extra)
+        assert (code, err) == (0, ""), extra
+        payload = json.loads(out)
+        assert [(s["class"], s["multiplicity"]) for s in payload["summands"]] == [
+            ("9|9,0", 1)
+        ]
+
+
+def test_simples_refuses_over_the_crystal_cap(capsys):
+    # C(80, 40) classes, about 10^23: refused before any is listed
+    start = time.perf_counter()
+    code, out, err = run(capsys, "simples", "--m", "40", "--n", "40")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: the crystal would have 107507208733336176461620 nodes, "
+        "over the cap 50000; simples has no override\n"
+    )
+
+
 def test_decompose_usage_errors(capsys):
     cases = [
         ("decompose", "--restrict", "1", "--class", "2,1:bad"),

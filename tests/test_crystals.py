@@ -27,7 +27,6 @@ from planar_rook.crystals import (
     highest_nodes,
     morphism_violations,
     signature,
-    signature_apply,
     tensor,
     tensor_all,
     to_dot,
@@ -291,15 +290,11 @@ def test_signature_examples():
     assert signature([]) == (-1, -1, 0, 0)
 
 
-def test_signature_apply_examples():
-    assert signature_apply("f", [(0, 1), (0, 1)]) == 0
-    assert signature_apply("e", [(0, 1), (0, 1)]) is None
-    assert signature_apply("e", [(1, 0), (0, 1)]) == 0
-    assert signature_apply("f", [(1, 0), (0, 1)]) == 1
-    assert signature_apply("e", [(0, 1), (1, 0)]) is None
-    assert signature_apply("f", [(0, 1), (1, 0)]) is None
-    with pytest.raises(ValueError):
-        signature_apply("g", [(0, 1)])
+def test_signature_acting_factor_examples():
+    # (raising factor, lowering factor), -1 where the operator kills the tensor
+    assert signature([(0, 1), (0, 1)])[:2] == (-1, 0)
+    assert signature([(1, 0), (0, 1)])[:2] == (0, 1)
+    assert signature([(0, 1), (1, 0)])[:2] == (-1, -1)
 
 
 def _word_nodes(n, length):
@@ -318,9 +313,9 @@ def test_signature_matches_iterated_binary_rule(n, length):
             ]
             for kind in ("e", "f"):
                 target = power.e(key, i) if kind == "e" else power.f(key, i)
-                pos = signature_apply(kind, factors)
+                pos = signature(factors)[0 if kind == "e" else 1]
                 if target is None:
-                    assert pos is None
+                    assert pos == -1
                 else:
                     changed = [
                         j
@@ -548,8 +543,6 @@ def test_signature_matches_stack_oracle(factors):
     rise = minus[-1] if minus else -1
     fall = plus[0] if plus else -1
     assert signature(factors) == (rise, fall, len(minus), len(plus))
-    assert signature_apply("e", factors) == (minus[-1] if minus else None)
-    assert signature_apply("f", factors) == (plus[0] if plus else None)
 
 
 compositions_st = st.lists(st.integers(1, 3), min_size=1, max_size=4).filter(

@@ -25,7 +25,7 @@ from planar_rook.crystals import (
     component_containing,
     components,
     highest_nodes,
-    signature_apply,
+    signature,
     tensor_all,
 )
 from planar_rook.diagrams import EnumerationCapError
@@ -68,8 +68,9 @@ def tableau_op(kind: str, i: int, t: Tableau) -> Tableau | None:
     """
     if i < 1:
         raise ValueError(f"direction must be >= 1, got {i}")
-    pos = signature_apply(kind, signature_factors(reading(t.rows), i))
-    if pos is None:
+    rise, fall, _, _ = signature(signature_factors(reading(t.rows), i))
+    pos = rise if kind == "e" else fall
+    if pos < 0:
         return None
     r, c = reading_positions(t.shape)[pos]
     new_rows = [list(row) for row in t.rows]

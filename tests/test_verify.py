@@ -108,16 +108,30 @@ def test_tensor_products_of_shared_prefixes_are_built_once(monkeypatch, target, 
     assert len(built) == calls
 
 
-def test_signature_equivalence_reports_a_wrong_tuple_rule(monkeypatch):
-    # raising on the leftmost surviving minus instead of the rightmost moves
-    # the wrong factor wherever two factors keep a minus
-    def leftmost_minus(factors):
-        rise, fall, eps, phi = signature(factors)
-        owners = [j for j, (m, _) in enumerate(factors) if m]
-        return (owners[0] if rise >= 0 else -1), fall, eps, phi
+def _leftmost_minus(factors):
+    """A wrong signature rule: raising on the leftmost factor with a minus
+    instead of the rightmost surviving minus moves the wrong factor
+    wherever two factors keep a minus."""
+    rise, fall, eps, phi = signature(factors)
+    owners = [j for j, (m, _) in enumerate(factors) if m]
+    return (owners[0] if rise >= 0 else -1), fall, eps, phi
 
+
+def test_signature_equivalence_reports_a_wrong_box_power_rule(monkeypatch):
+    monkeypatch.setattr(verify, "signature", _leftmost_minus)
+    report = verify_target("signature-equivalence", max_m=3, max_n=1)
+    assert report["failed"] > 0
+    # the binary rule raises the right-hand 1 of 1⊗1, the wrong rule the left
+    assert report["counterexamples"][0] == {
+        "case": "e_1 on word (1, 1), n=1",
+        "binary": [1],
+        "signature": 0,
+    }
+
+
+def test_signature_equivalence_reports_a_wrong_tuple_rule(monkeypatch):
     clear_caches()
-    monkeypatch.setattr(cc, "signature", leftmost_minus)
+    monkeypatch.setattr(cc, "signature", _leftmost_minus)
     try:
         report = verify_target("signature-equivalence", max_m=3, max_n=1)
     finally:
