@@ -34,7 +34,6 @@ from .modules import (
     decompose,
     induce_class,
     regular_module,
-    restrict,
     restrict_class,
     simple,
 )
@@ -240,7 +239,7 @@ def _cmd_decompose(args) -> int:
             if label.m == 0:
                 raise UsageError("cannot restrict a size-0 class")
             module = f"restrict(i={i}) of {label.key}"
-            dec = decompose(restrict(i, simple(label, force=force), force))
+            dec = decompose(simple(label, force=force).restrict(i))
             expected = restrict_class(i, label)
             if dec != ({} if expected is None else {expected: 1}):
                 print(

@@ -10,7 +10,9 @@ labeled by count vectors.  Restriction to one size down is implemented
 concretely: cut by the truncation idempotent e = id ⊗ strand(n, i) and let a
 smaller diagram d act as d ⊗ unit_i.  On the image of e this is the action of
 d ⊗ strand(n, i), because (d ⊗ unit_i)·e = e·(d ⊗ strand(n, i)): for i >= 1
-the unit_0 term of the strand gives d ⊗ unit_0·strand(n, i) = 0.
+the unit_0 term of the strand gives d ⊗ unit_0·strand(n, i) = 0.  On a simple
+module e fixes the orbit basis vectors whose top word ends in i and kills the
+rest, so `SimpleModule.restrict` keeps those vectors and needs no projector.
 """
 
 from __future__ import annotations
@@ -236,6 +238,25 @@ class SimpleModule(ExplicitModule):
             out[j] = self.index[product_words(d, self.basis[j])[0]]
         return out
 
+    def restrict(self, i: int) -> ExplicitModule:
+        """restrict(i, self), read off the orbit basis: e fixes the basis
+        vectors whose top word ends in i and kills the rest, so the reduced
+        echelon basis of its image is those vectors, in basis order.  A
+        diagram d acts on them as d ⊗ unit_i, which keeps that last letter."""
+        if self.m < 1:
+            raise ValueError("cannot restrict a size-0 module")
+        if not 0 <= i <= self.n:
+            raise ValueError(f"color {i} outside 0..{self.n}")
+        kept = [j for j, b in enumerate(self.basis) if b.top[-1] == i]
+        where = {j: k for k, j in enumerate(kept)}
+        last = unit_diagram(self.n, i)
+
+        def action(d: Diagram):
+            moved = self.targets(juxtapose(d, last))
+            return _matrix_of_targets([where.get(moved[j]) for j in kept])
+
+        return ExplicitModule._trusted(self.m - 1, self.n, len(kept), action)
+
     def __repr__(self) -> str:
         return f"SimpleModule({self.label.key}, dim={self.dimension})"
 
@@ -372,4 +393,4 @@ def adjunction_check(i: int, small: ClassLabel, big: ClassLabel) -> tuple[int, i
 
 @lru_cache(maxsize=None)
 def _restricted_simple(i: int, big: ClassLabel) -> ExplicitModule:
-    return restrict(i, simple(big))
+    return simple(big).restrict(i)

@@ -15,6 +15,9 @@ from math import comb
 
 import pytest
 
+import planar_rook
+import planar_rook.cli as cli
+import planar_rook.modules as modules
 from planar_rook.algebra import (
     Element,
     identity_element,
@@ -46,6 +49,7 @@ from planar_rook.modules import (
     restrict_class,
     simple,
 )
+from planar_rook.verify import verify_target
 
 
 def label(n, *counts):
@@ -460,6 +464,51 @@ def test_restrict_is_a_module_action():
 
 
 # ---------------------------------------------------------------- class maps
+
+
+# every class and color at these sizes, against every diagram one size down
+ORBIT_ROUTE_SIZES = [(m, n) for n in (1, 2) for m in range(1, 5)] + [(5, 1), (3, 3)]
+
+
+def test_simple_restrict_matches_the_projector_route():
+    # the orbit-basis route keeps the basis vectors whose top word ends in i;
+    # the projector route echelons the matrix of the truncation idempotent
+    for m, n in ORBIT_ROUTE_SIZES:
+        smaller = enumerate_diagrams(m - 1, n)
+        for lab in all_class_labels(m, n):
+            sm = simple(lab)
+            for i in range(n + 1):
+                fast, oracle = sm.restrict(i), restrict(i, sm)
+                assert fast.dimension == oracle.dimension, (lab, i)
+                for d in smaller:
+                    assert fast.matrix(d) == oracle.matrix(d), (lab, i, d)
+
+
+def test_simple_restrict_validates():
+    sm = simple(label(1, 1, 1))
+    for i in (2, -1):
+        with pytest.raises(ValueError, match="outside 0..1"):
+            sm.restrict(i)
+    with pytest.raises(ValueError, match="size-0"):
+        simple(label(1, 0, 0)).restrict(0)
+    with pytest.raises(ValueError, match="cannot act"):
+        sm.restrict(1).matrix(empty_diagram(2, 1))
+
+
+def test_simple_restrict_builds_no_idempotent(monkeypatch, capsys):
+    # decompose --restrict and the adjunction read the cut off the orbit
+    # basis; the thm3.x targets keep the projector route as their oracle
+    def refuse(*args, **kwargs):
+        raise AssertionError("truncation idempotent built")
+
+    planar_rook.clear_caches()
+    monkeypatch.setattr(modules, "truncation_idempotent", refuse)
+    assert cli.main(["decompose", "--restrict", "1", "--class", "3,2:1,1,1"]) == 0
+    assert '"class": "2|1,0,1"' in capsys.readouterr().out
+    assert adjunction_check(2, label(2, 1, 1, 0), label(2, 1, 1, 1)) == (1, 1)
+    assert adjunction_check(0, label(2, 1, 1, 0), label(2, 1, 1, 1)) == (0, 0)
+    with pytest.raises(AssertionError, match="idempotent built"):
+        verify_target("thm3.2", m=2, n=1)
 
 
 def test_restrict_class_arithmetic():
