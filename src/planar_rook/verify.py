@@ -191,22 +191,24 @@ def _verify_orbit_product_laws(max_m, max_n, pin_m, pin_n):
     bad = []
     for m, n in cases:
         diagrams = enumerate_diagrams(m, n)
+        # every product of two diagrams is a diagram of the sweep
+        orbit = {d: orbit_vector(d) for d in diagrams}
+        single = {d: Element.from_diagram(d) for d in diagrams}
+        zero = Element.zero(m, n)
         for dp in diagrams:
-            dp_elt = Element.from_diagram(dp)
-            dp_orbit = orbit_vector(dp)
+            dp_elt, dp_orbit = single[dp], orbit[dp]
             for d in diagrams:
                 checked += 1
-                prod_orbit = orbit_vector(multiply(dp, d))
-                zero = Element.zero(m, n)
-                left = dp_elt * orbit_vector(d)
+                prod_orbit = orbit[multiply(dp, d)]
+                left = dp_elt * orbit[d]
                 left_expected = prod_orbit if covers(dp.bottom, d.top) else zero
-                right = dp_orbit * Element.from_diagram(d)
+                right = dp_orbit * single[d]
                 right_expected = prod_orbit if covers(d.top, dp.bottom) else zero
                 # the matched-or-zero rule that multiply --x-basis runs,
                 # expanded back to the diagram basis
                 matched = orbit_basis_product({dp: 1}, {d: 1}).items()
-                both = sum((orbit_vector(x).scale(c) for x, c in matched), zero)
-                both_brute = dp_orbit * orbit_vector(d)
+                both = sum((orbit[x].scale(c) for x, c in matched), zero)
+                both_brute = dp_orbit * orbit[d]
                 failures = []
                 if left != left_expected:
                     failures.append("left law")
@@ -231,14 +233,18 @@ def _verify_truncation_lemmas(max_m, max_n, pin_m, pin_n):
     for m, n in _pairs(max_m, max_n, pin_m, pin_n, 3, 2):
         diagrams = enumerate_diagrams(m, n)
         smaller = enumerate_diagrams(m - 1, n) if m >= 1 else ()
+        # every extension of a smaller diagram is a diagram of the sweep
+        orbit = {d: orbit_vector(d) for d in diagrams}
+        small_orbit = {d: orbit_vector(d) for d in smaller}
+        zero = Element.zero(m, n)
         for i in range(n + 1):
             trunc = truncation_idempotent(m, n, i)
             for d in diagrams:
                 checked += 1
-                x = orbit_vector(d)
+                x = orbit[d]
                 got = trunc * x
                 keep = d.top[m - 1] == i
-                if got != (x if keep else Element.zero(m, n)):
+                if got != (x if keep else zero):
                     bad.append(
                         {
                             "case": f"left cut m={m},n={n},i={i}",
@@ -248,7 +254,7 @@ def _verify_truncation_lemmas(max_m, max_n, pin_m, pin_n):
                 checked += 1
                 got = x * trunc
                 keep = d.bottom[m - 1] == i
-                if got != (x if keep else Element.zero(m, n)):
+                if got != (x if keep else zero):
                     bad.append(
                         {
                             "case": f"right cut m={m},n={n},i={i}",
@@ -256,11 +262,11 @@ def _verify_truncation_lemmas(max_m, max_n, pin_m, pin_n):
                         }
                     )
             # appending a strand commutes with taking orbit vectors
-            last = strand(n, i)
+            last, unit = strand(n, i), unit_diagram(n, i)
             for d in smaller:
                 checked += 1
-                extended = orbit_vector(juxtapose(d, unit_diagram(n, i)))
-                if orbit_vector(d).tensor(last) != extended:
+                extended = orbit[juxtapose(d, unit)]
+                if small_orbit[d].tensor(last) != extended:
                     bad.append(
                         {
                             "case": f"extension m={m},n={n},i={i}",
