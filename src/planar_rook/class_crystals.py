@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import comb, prod
+from math import prod
 from operator import add
 from typing import NamedTuple
 
 from .crystals import (
     Crystal,
+    capped_binomial,
     component_containing,
     ensure_nodes_within_cap,
     signature,
@@ -78,7 +79,7 @@ def class_crystal(m: int, n: int, force: bool = False) -> Crystal:
     """
     if m < 0 or n < 1:
         raise ValueError(f"bad class crystal parameters m={m}, n={n}")
-    ensure_nodes_within_cap(comb(m + n, n), force)
+    ensure_nodes_within_cap(capped_binomial(m + n, n), force)
     return _tensor_class_crystal((m,), n)
 
 
@@ -143,8 +144,9 @@ def tensor_class_crystal(
 
 
 def tuple_count(parts, n: int) -> int:
-    """Nodes of the tuple crystal: the product of the C(part+n, n)."""
-    return prod(comb(p + n, n) for p in parts)
+    """Nodes of the tuple crystal: the product of the C(part+n, n), exact
+    below 2**256 and past it a lower bound (see capped_binomial)."""
+    return prod(capped_binomial(p + n, n) for p in parts)
 
 
 @lru_cache(maxsize=None)

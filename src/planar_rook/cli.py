@@ -11,15 +11,12 @@ capped.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from json.encoder import encode_basestring
-from math import comb
 
 from .algebra import Element, orbit_basis_product
 from .class_crystals import class_crystal, tensor_class_crystal
-from .crystals import ensure_nodes_within_cap, to_dot, to_json_dict
+from .crystals import capped_binomial, ensure_nodes_within_cap, to_dot, to_json_dict
 from .diagrams import (
     Diagram,
     EnumerationCapError,
@@ -52,7 +49,8 @@ def _env_force() -> bool:
 
 def _dump(obj) -> str:
     """obj as json.dumps(obj, indent=2, ensure_ascii=False) writes it, plus a
-    newline, without the pure-Python encoder that an indent sends json to."""
+    newline, without the pure-Python encoder that an indent sends json to,
+    and without importing json, which every command would pay for."""
     out: list[str] = []
     _write(obj, "\n", out.append)
     out.append("\n")
@@ -61,19 +59,33 @@ def _dump(obj) -> str:
 
 _LITERALS = {None: "null", True: "true", False: "false"}
 
+# the escapes of json's encode_basestring, which keeps every other character
+_ESCAPES = {c: f"\\u{c:04x}" for c in range(0x20)}
+_ESCAPES.update({ord(c): "\\" + e for c, e in zip('"\\\b\f\n\r\t', '"\\bfnrt')})
+
+
+def _quote(text: str) -> str:
+    """text as a JSON string literal, as json writes it with ensure_ascii
+    off; a printable text with no quote or backslash needs no escape."""
+    if not (text.isprintable() and '"' not in text and "\\" not in text):
+        text = text.translate(_ESCAPES)
+    return '"' + text + '"'
+
 
 def _write(obj, nl: str, put) -> None:
     """Put the pieces of obj, nested at the newline-and-indent nl."""
     if isinstance(obj, str):
-        put(encode_basestring(obj))
+        put(_quote(obj))
     elif obj is None or obj is True or obj is False:
         put(_LITERALS[obj])
     elif isinstance(obj, int):
         put(int.__repr__(obj))
     elif isinstance(obj, dict):
         inner, sep = nl + "  ", "{"
-        for key, value in obj.items():  # encode_basestring refuses a non-str key
-            put(f"{sep}{inner}{encode_basestring(key)}: ")
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            put(f"{sep}{inner}{_quote(key)}: ")
             _write(value, inner, put)
             sep = ","
         put(nl + "}" if obj else "{}")
@@ -97,6 +109,8 @@ def _emit(text: str, dest: str) -> None:
 
 
 def _read_json(path: str):
+    import json  # only multiply reads JSON, so other commands skip the import
+
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
@@ -199,7 +213,7 @@ def _cmd_multiply(args) -> int:
 
 def _cmd_simples(args) -> int:
     # the classes are the nodes of crystal cm, so they share its cap
-    ensure_nodes_within_cap(comb(args.m + args.n, args.n))
+    ensure_nodes_within_cap(capped_binomial(args.m + args.n, args.n))
     labels = all_class_labels(args.m, args.n)
     payload = [
         {

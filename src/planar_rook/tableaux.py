@@ -19,7 +19,7 @@ import itertools
 from functools import lru_cache, total_ordering
 from math import comb
 
-from .crystals import Crystal, ensure_nodes_within_cap, signature
+from .crystals import Crystal, capped_binomial, ensure_nodes_within_cap, signature
 from .diagrams import json_int
 
 Word = tuple[int, ...]
@@ -171,7 +171,7 @@ def row_crystal(m: int, n: int, force: bool = False) -> Crystal:
     of i-1.  It has C(m+n, n) nodes."""
     if m < 0 or n < 1:
         raise ValueError(f"bad row crystal parameters m={m}, n={n}")
-    ensure_nodes_within_cap(comb(m + n, n), force)
+    ensure_nodes_within_cap(capped_binomial(m + n, n), force)
     return _filling_crystal(n, [(w,) for w in weakly_increasing_words(m, n)])
 
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -454,6 +455,32 @@ def test_simples_refuses_over_the_crystal_cap(capsys):
     )
 
 
+@pytest.mark.parametrize("size", ["1000000", "10000000"])
+@pytest.mark.parametrize("command", [("simples",), ("crystal", "cm")])
+def test_class_counts_past_2_256_are_refused_at_once(capsys, command, size):
+    # the binomial stops once it passes 2**256 and is worded by its digits,
+    # instead of computing C(2 * 10**7, 10**7) exactly first
+    start = time.perf_counter()
+    code, out, err = run(capsys, *command, "--m", size, "--n", size)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: the crystal would have a number of nodes with at least ")
+    # C(2N, N) < 4**N has fewer than 2N log10(2) + 1 digits
+    digits = int(err.split("at least ")[1].split()[0])
+    assert 77 <= digits < 2 * int(size) * 0.30103 + 1
+
+
+def test_capped_binomial_is_exact_below_2_256_and_a_lower_bound_past_it():
+    for total in range(0, 300, 7):
+        for k in range(total + 1):
+            exact, capped = comb(total, k), crystals.capped_binomial(total, k)
+            if exact.bit_length() <= 256:
+                assert capped == exact, (total, k)
+            else:
+                assert 2**256 <= capped <= exact, (total, k)
+
+
 def test_decompose_usage_errors(capsys):
     cases = [
         ("decompose", "--restrict", "1", "--class", "2,1:bad"),
@@ -710,6 +737,8 @@ def test_cli_import_loads_no_introspection_modules():
     ).stdout.split()
     assert "planar_rook.cli" in out
     assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(out)
+    # the output writer escapes strings itself; only multiply imports json
+    assert "json" not in out
 
 
 # ------------------------------------------------- output writer and exit path
@@ -738,6 +767,13 @@ def test_dump_writes_large_payloads_as_json_does():
         {"text": "é一\U0001f600 \"quoted\" \\ \n\t\x00\x7f", "big": -(10**40)},
     )
     for obj in payloads:
+        assert cli._dump(obj) == json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+
+
+def test_dump_escapes_strings_as_json_does():
+    texts = [chr(c) for c in range(0x80)] + ["⊗", "×", "\ud800", "a\udfffb"]
+    texts.append("".join(texts))
+    for obj in (texts, {t: t for t in texts}):
         assert cli._dump(obj) == json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
 
 
