@@ -49,8 +49,7 @@ def _env_force() -> bool:
 
 def _dump(obj) -> str:
     """obj as json.dumps(obj, indent=2, ensure_ascii=False) writes it, plus a
-    newline, without the pure-Python encoder that an indent sends json to,
-    and without importing json, which every command would pay for."""
+    newline, without importing json, whose indent runs a pure-Python encoder."""
     out: list[str] = []
     _write(obj, "\n", out.append)
     out.append("\n")

@@ -48,11 +48,9 @@ def ensure_nodes_within_cap(nodes: int, force: bool = False) -> None:
 
 
 def capped_binomial(total: int, k: int) -> int:
-    """comb(total, k), for 0 <= k <= total, when it is below 2**256, and
-    otherwise a lower bound at or past 2**256, which ensure_nodes_within_cap
-    words by its digits.  It multiplies the running binomial
-    comb(total - k + j, j) up j by j and stops once that passes 2**256, so an
-    astronomical count costs a few hundred steps, not an exact binomial."""
+    """comb(total, k), 0 <= k <= total, built as the running binomial
+    comb(total - k + j, j) and cut short once that passes 2**256: exact
+    below it, a lower bound past it, in a few hundred steps either way."""
     k, out = min(k, total - k), 1
     for j in range(1, k + 1):
         if out.bit_length() > 256:
