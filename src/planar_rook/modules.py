@@ -336,7 +336,8 @@ def restrict(i: int, mod: ExplicitModule, force: bool = False) -> ExplicitModule
     force overrides.  A diagram d acts there as d ⊗ unit_i: since
     (d ⊗ unit_i)·e = e·(d ⊗ strand(n, i)), the image is stable and this is
     the action of the extended element, one matrix of mod per diagram.  A
-    zero image gives a zero module.
+    zero image gives a zero module.  SimpleModule.restrict builds the same
+    module of a simple without the projector.
     """
     m, n = mod.m, mod.n
     if m < 1:
