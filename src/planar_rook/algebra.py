@@ -26,7 +26,6 @@ from .diagrams import (
     ensure_within_cap,
     flip,
     juxtapose,
-    unit_diagram,
 )
 
 # the signs of orbit vectors, shared by all their terms
@@ -346,19 +345,17 @@ def orbit_basis_product(a, b) -> dict[Diagram, Fraction]:
 def _identity(m: int, n: int) -> Element:
     if m == 0:
         return Element.from_diagram(empty_diagram(0, n))
-    one = Element.zero(1, n)
-    for i in range(1, n + 1):
-        one = one + Element.from_diagram(unit_diagram(n, i))
-    one = one - Element.from_diagram(unit_diagram(n, 0)).scale(n - 1)
+    one = sum((strand(n, i) for i in range(n + 1)), Element.zero(1, n))
     return reduce(lambda acc, _: acc.tensor(one), range(m - 1), one)
 
 
 def identity_element(m: int, n: int, force: bool = False) -> Element:
     """The multiplicative identity of the size-m algebra.
 
-    The size-1 identity is the sum of the one-edge diagrams in every color
-    minus (n-1) times the edgeless diagram; larger identities are its tensor
-    powers.  Term count grows like (n+1)^m for n > 1, hence the size cap.
+    The size-1 identity is the sum of the strands of every color: the
+    one-edge diagrams minus (n-1) times the edgeless diagram.  Larger
+    identities are its tensor powers.  Term count grows like (n+1)^m for
+    n > 1, hence the size cap.
     """
     ensure_within_cap(m, n, force)
     return _identity(m, n)

@@ -149,7 +149,7 @@ def tuple_count(parts, n: int) -> int:
     return prod(capped_binomial(p + n, n) for p in parts)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _tensor_class_crystal(parts: tuple[int, ...], n: int) -> Crystal:
     """Build the columns one factor at a time, over the prefixes of
     itertools.product of one factor table per part: prefix node a followed

@@ -102,9 +102,12 @@ def _write(obj, nl: str, put) -> None:
 def _emit(text: str, dest: str) -> None:
     if dest == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(dest, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {dest}: {exc}") from None
 
 
 def _read_json(path: str):

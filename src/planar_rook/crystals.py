@@ -5,10 +5,10 @@ position 0..N-1 with weight wt[b] in Z^(n+1); for each direction i in 1..n
 the columns eps[i-1] and phi[i-1] hold the statistics eps_i and phi_i, and
 up[i-1] and down[i-1] hold the positions that raising and lowering send b
 to, with -1 where the operator sends b to zero.  The node key strings sit
-beside the columns and are read only by export, by the keyed accessors and
-by the node maps handed back to callers.  Every crystal built here is
-seminormal, so eps_i and phi_i are the lengths of the raising and lowering
-i-strings through the node, never minus infinity.  The axioms
+beside the columns and are read only by export and by the node maps handed
+back to callers.  Every crystal built here is seminormal, so eps_i and phi_i
+are the lengths of the raising and lowering i-strings through the node,
+never minus infinity.  The axioms
 (weight/statistics compatibility, weight shifts along edges, raising and
 lowering being mutually inverse, and the statistics measuring the string
 lengths) are checked by `check_axioms`, which returns violations as data
@@ -69,18 +69,17 @@ class Crystal:
     of its raising and lowering targets, or -1 when the operator kills it.
     The columns are lists that nobody mutates once the crystal is built.
     nodes[b] is the node's key and labels[b], when labels are given, its
-    DOT label.  Crystals are equal when their columns, keys and labels are;
-    they are unhashable, and the key index `position` fills is not compared.
+    DOT label.  Crystals are equal when their columns, keys and labels are,
+    and they are unhashable.
     """
 
-    __slots__ = ("n", "wt", "eps", "phi", "up", "down", "nodes", "labels", "_index")
+    __slots__ = ("n", "wt", "eps", "phi", "up", "down", "nodes", "labels")
     __hash__ = None
 
     def __init__(self, n: int, wt, eps, phi, up, down, nodes, labels=None) -> None:
         self.n, self.wt, self.eps, self.phi, self.up, self.down = n, wt, eps, phi, up, down
         self.nodes = tuple(nodes)
         self.labels = None if labels is None else tuple(labels)
-        self._index = None
 
     def _fields(self) -> tuple:
         return self.n, self.wt, self.eps, self.phi, self.up, self.down, self.nodes, self.labels
@@ -96,6 +95,7 @@ class Crystal:
             f"up={self.up!r}, down={self.down!r}, nodes={self.nodes!r}, labels={self.labels!r})"
         )
 
+    # outside the tests only perfbench/tracer.py reads this (crystals.edges)
     @property
     def f_edges(self) -> dict[tuple[str, int], str]:
         """The lowering edges keyed as {(key, i): target key}."""
@@ -106,29 +106,6 @@ class Crystal:
             for b, t in enumerate(col)
             if t >= 0
         }
-
-    def position(self, b: str) -> int:
-        """The position of the node with key b (KeyError if there is none)."""
-        if self._index is None:
-            self._index = {k: p for p, k in enumerate(self.nodes)}
-        return self._index[b]
-
-    def weight(self, b: str) -> Weight:
-        return self.wt[self.position(b)]
-
-    def eps_i(self, b: str, i: int) -> int:
-        return self.eps[i - 1][self.position(b)]
-
-    def phi_i(self, b: str, i: int) -> int:
-        return self.phi[i - 1][self.position(b)]
-
-    def e(self, b: str, i: int) -> Optional[str]:
-        t = self.up[i - 1][self.position(b)]
-        return None if t < 0 else self.nodes[t]
-
-    def f(self, b: str, i: int) -> Optional[str]:
-        t = self.down[i - 1][self.position(b)]
-        return None if t < 0 else self.nodes[t]
 
     def __len__(self) -> int:
         return len(self.wt)
@@ -338,15 +315,10 @@ def _highest_flags(crystal: Crystal) -> list[bool]:
     return flags
 
 
-def highest_nodes(crystal: Crystal) -> list[str]:
-    """Nodes killed by every raising operator."""
-    return [k for k, high in zip(crystal.nodes, _highest_flags(crystal)) if high]
-
-
 def component_containing(crystal: Crystal, node: str) -> Crystal:
     if node not in crystal.nodes:
         raise ValueError(f"node {node!r} not in the crystal")
-    p = crystal.position(node)
+    p = crystal.nodes.index(node)
     return next(_restrict(crystal, g) for g in _component_positions(crystal) if p in g)
 
 
@@ -427,7 +399,8 @@ def morphism_violations(source: Crystal, target: Crystal, mapping) -> list[str]:
         return ["mapping does not cover the source nodes exactly"]
     if sorted(mapping.values()) != sorted(target.nodes):
         return ["mapping is not a bijection onto the target nodes"]
-    image = [target.position(mapping[b]) for b in source.nodes]
+    index = {k: p for p, k in enumerate(target.nodes)}
+    image = [index[mapping[b]] for b in source.nodes]
     return _image_violations(source, target, image)
 
 

@@ -16,75 +16,11 @@ cancel: lowering bumps the rightmost i-1 and raising the leftmost i.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache, total_ordering
 from math import comb
 
 from .crystals import Crystal, capped_binomial, ensure_nodes_within_cap, signature
-from .diagrams import json_int
 
 Word = tuple[int, ...]
-
-
-@total_ordering
-class Tableau:
-    """A semistandard filling of a partition shape with letters >= 0.
-
-    Tableaux compare, hash and sort by (shape, rows) and are immutable by
-    convention.
-    """
-
-    __slots__ = ("shape", "rows")
-
-    def __init__(self, shape: tuple[int, ...], rows: tuple[Word, ...]) -> None:
-        shape = partition_shape(shape)
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
-        if len(rows) != len(shape):
-            raise ValueError(f"{len(rows)} rows for shape {shape}")
-        for r, (row, width) in enumerate(zip(rows, shape)):
-            if len(row) != width:
-                raise ValueError(f"row {r} has length {len(row)}, expected {width}")
-            if any(x < 0 for x in row):
-                raise ValueError(f"negative letter in row {r}")
-            if any(a > b for a, b in zip(row, row[1:])):
-                raise ValueError(f"row {r} is not weakly increasing: {row}")
-        for r in range(1, len(rows)):
-            upper, lower = rows[r - 1], rows[r]
-            if any(upper[c] >= lower[c] for c in range(len(lower))):
-                raise ValueError(f"column not strictly increasing between rows {r-1},{r}")
-        self.shape, self.rows = shape, rows
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not Tableau:
-            return NotImplemented
-        return (self.shape, self.rows) == (other.shape, other.rows)
-
-    def __lt__(self, other) -> bool:
-        if type(other) is not Tableau:
-            return NotImplemented
-        return (self.shape, self.rows) < (other.shape, other.rows)
-
-    def __hash__(self) -> int:
-        return hash((self.shape, self.rows))
-
-    def __repr__(self) -> str:
-        return f"Tableau(shape={self.shape!r}, rows={self.rows!r})"
-
-    @property
-    def size(self) -> int:
-        return sum(self.shape)
-
-    def key(self) -> str:
-        return filling_key(self.rows)
-
-    def to_json_dict(self) -> dict:
-        return {"shape": list(self.shape), "rows": [list(r) for r in self.rows]}
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> Tableau:
-        return cls(
-            tuple(json_int(x, "shape part") for x in obj["shape"]),
-            tuple(tuple(json_int(x, "tableau entry") for x in r) for r in obj["rows"]),
-        )
 
 
 def partition_shape(shape) -> tuple[int, ...]:
@@ -154,11 +90,10 @@ def _filling_crystal(n: int, fillings: list, keys=None) -> Crystal:
 
 
 def box_crystal(n: int, force: bool = False) -> Crystal:
-    """The chain crystal on the letters 0..n."""
+    """The chain crystal on the letters 0..n: the row crystal of length 1."""
     if n < 1:
         raise ValueError("need at least one direction")
-    ensure_nodes_within_cap(n + 1, force)
-    return _filling_crystal(n, [((j,),) for j in range(n + 1)])
+    return row_crystal(1, n, force)
 
 
 def weakly_increasing_words(m: int, n: int) -> list[Word]:
@@ -224,21 +159,6 @@ def _ssyt_rows(shape: tuple[int, ...], n: int) -> list[tuple[Word, ...]]:
     return list(fill(()))
 
 
-def enumerate_ssyt(shape, n: int) -> list[Tableau]:
-    """All semistandard tableaux of the shape with letters 0..n, ordered by
-    their row-concatenated word."""
-    shape = tuple(shape)
-    return [Tableau(shape, rows) for rows in _ssyt_rows(shape, n)]
-
-
-@lru_cache(maxsize=None)
-def _ssyt_crystal(shape: tuple[int, ...], n: int) -> Crystal:
-    rows = _ssyt_rows(shape, n)
-    keys = list(map(filling_key, rows))
-    order = sorted(range(len(rows)), key=keys.__getitem__)
-    return _filling_crystal(n, [rows[p] for p in order], [keys[p] for p in order])
-
-
 def ssyt_crystal(shape, n: int, force: bool = False) -> Crystal:
     """The crystal on every semistandard tableau of the shape, keyed by rows
     joined with '/' and in key order; ssyt_count gives its size in closed
@@ -248,4 +168,7 @@ def ssyt_crystal(shape, n: int, force: bool = False) -> Crystal:
     shape = partition_shape(shape)
     # a tall shape counts 0 and its enumeration refuses it
     ensure_nodes_within_cap(ssyt_count(shape, n), force)
-    return _ssyt_crystal(shape, n)
+    rows = _ssyt_rows(shape, n)
+    keys = list(map(filling_key, rows))
+    order = sorted(range(len(rows)), key=keys.__getitem__)
+    return _filling_crystal(n, [rows[p] for p in order], [keys[p] for p in order])

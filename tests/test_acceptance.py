@@ -18,7 +18,7 @@ from planar_rook.modules import (
     decompose,
     regular_module,
 )
-from planar_rook.tableaux import enumerate_ssyt
+from planar_rook.tableaux import ssyt_crystal
 from planar_rook.verify import TARGETS, verify_target
 
 
@@ -120,7 +120,7 @@ def test_criterion_9_highest_components_are_tableau_crystals():
     with criterion(9, "highest components realize tableau crystals"):
         assert passed(verify_target("component-blambda", max_m=5, max_n=2))
         assert len(highest_component((2, 1), 2)) == 8
-        assert len(enumerate_ssyt((2, 1), 2)) == 8
+        assert len(ssyt_crystal((2, 1), 2)) == 8
 
 
 def test_criterion_10_cli_determinism_and_default_verification(capsys):

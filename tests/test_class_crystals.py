@@ -33,7 +33,6 @@ from planar_rook.crystals import (
     are_isomorphic,
     check_axioms,
     components,
-    highest_nodes,
     morphism_violations,
     signature,
     tensor_all,
@@ -111,16 +110,17 @@ def test_class_crystal_small():
     c = class_crystal(2, 2)
     assert len(c) == comb(2 + 2, 2) == 6
     assert check_axioms(c) == []
+    d = as_dicts(c)
     # raising moves a vertex from color 1 to isolated
-    assert c.e("2|1,1,0", 1) == "2|2,0,0"
-    assert c.f("2|0,0,2", 1) is None
-    assert c.f("2|1,1,0", 2) == "2|1,0,1"
-    assert c.weight("2|1,1,0") == (1, 1, 0)
+    assert d.e("2|1,1,0", 1) == "2|2,0,0"
+    assert d.f("2|0,0,2", 1) is None
+    assert d.f("2|1,1,0", 2) == "2|1,0,1"
+    assert d.weight("2|1,1,0") == (1, 1, 0)
 
 
 def test_class_crystal_display_shows_words():
     c = class_crystal(2, 1)
-    assert c.labels[c.position("2|1,1")] == "2|1,1 ~ 01"
+    assert as_dicts(c).display["2|1,1"] == "2|1,1 ~ 01"
 
 
 @pytest.mark.parametrize("m,n", [(0, 1), (0, 2), (1, 1), (2, 1), (3, 2), (4, 3)])
@@ -164,7 +164,7 @@ def test_class_crystal_matches_row_crystal_via_word(m, n):
 def test_class_crystal_connected_with_unique_top():
     c = class_crystal(3, 2)
     assert len(components(c)) == 1
-    assert highest_nodes(c) == ["3|3,0,0"]
+    assert oracle.highest_nodes(as_dicts(c)) == ["3|3,0,0"]
 
 
 # ---------------------------------------------------------------- tuple crystal
@@ -177,7 +177,7 @@ def test_tensor_class_crystal_node_count():
 
 
 def test_tensor_class_crystal_example_arrows():
-    c = tensor_class_crystal((2, 1), 1)
+    c = as_dicts(tensor_class_crystal((2, 1), 1))
     node = tuple_key((label(1, 1, 1), label(1, 1, 0)))
     assert c.e(node, 1) == tuple_key((label(1, 2, 0), label(1, 1, 0)))
     assert c.f(node, 1) == tuple_key((label(1, 0, 2), label(1, 1, 0)))
@@ -290,6 +290,13 @@ def test_tensor_class_crystal_stats_are_string_lengths(n):
             assert c.phi == oracle.string_lengths(c.nodes, c.f_edges, n), parts
 
 
+def test_tuple_crystal_memo_is_bounded():
+    # a sweep of more compositions than the memo holds keeps at most 128
+    clear_caches()
+    assert verify_target("axioms", max_m=9, max_n=1)["failed"] == 0
+    assert cc._tensor_class_crystal.cache_info().currsize <= 128
+
+
 def test_clear_caches_rebuilds_from_the_rules(monkeypatch):
     # the factor tables read lower_label when they are built, so a broken
     # rule shows up once the memo is cleared
@@ -389,8 +396,7 @@ def test_highest_component_single_part_is_whole_crystal():
 def test_highest_component_column_is_single_node():
     comp = highest_component((1, 1), 1)
     assert len(comp) == 1
-    node = comp.nodes[0]
-    assert comp.weight(node) == (1, 1)
+    assert comp.wt == [(1, 1)]
 
 
 def test_highest_component_hook():
@@ -399,7 +405,7 @@ def test_highest_component_hook():
     ok, _ = are_isomorphic(comp, ssyt_crystal((2, 1), 2))
     assert ok
     # the straight-line node is the unique highest node
-    assert highest_nodes(comp) == [tuple_key(straight_line_tuple((2, 1), 2))]
+    assert oracle.highest_nodes(as_dicts(comp)) == [tuple_key(straight_line_tuple((2, 1), 2))]
 
 
 def test_highest_component_validation():

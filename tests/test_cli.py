@@ -542,6 +542,16 @@ def test_crystal_writes_files(capsys, tmp_path):
     assert len(json.loads(target.read_text(encoding="utf-8"))["nodes"]) == 6
 
 
+def test_crystal_unwritable_destinations_are_usage_errors(capsys, tmp_path):
+    # a directory and a path under a missing directory: one line, exit 2
+    for flag, dest in (("--json", tmp_path), ("--dot", tmp_path / "missing" / "x.dot")):
+        code, out, err = run(capsys, "crystal", "box", "--n", "1", flag, str(dest))
+        assert code == 2, flag
+        assert out == ""
+        assert err.startswith(f"error: cannot write {dest}: "), err
+        assert err.count("\n") == 1, err
+
+
 def test_crystal_node_counts(capsys):
     code, out, _ = run(capsys, "crystal", "cm", "--m", "2", "--n", "2", "--json", "-")
     assert code == 0

@@ -1,22 +1,23 @@
 """Tableau and word crystal tests.
 
-The tableau operators are validated two independent ways: against the
-curated small examples, and against the iterated binary tensor rule through
-the reading-word embedding (the signature rule and the binary rule must pick
-the same box).  `tableau_op` below is the box-by-box oracle: it changes one
-box of a `Tableau` and rebuilds it through the validating constructor, and
-the SSYT crystal's raising and lowering columns are checked against it.
+A tableau is its rows, a tuple of row tuples.  The tableau operators are
+validated two independent ways: against the curated small examples, and
+against the iterated binary tensor rule through the reading-word embedding
+(the signature rule and the binary rule must pick the same box).
+`tableau_op` below is the box-by-box oracle: it changes one box of a
+tableau and refuses a result that is not semistandard, and the SSYT
+crystal's raising and lowering columns are checked against it.  Keyed
+reads go through the dict oracle in `crystal_oracle`.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from math import comb
 
+import crystal_oracle as oracle
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from crystal_oracle import as_dicts
 
 from planar_rook.crystals import (
     CRYSTAL_NODE_CAP,
@@ -24,16 +25,14 @@ from planar_rook.crystals import (
     check_axioms,
     component_containing,
     components,
-    highest_nodes,
     signature,
     tensor_all,
 )
 from planar_rook.diagrams import EnumerationCapError
 from planar_rook.tableaux import (
-    Tableau,
     _filling_crystal,
+    _ssyt_rows,
     box_crystal,
-    enumerate_ssyt,
     filling_key,
     reading,
     row_crystal,
@@ -45,9 +44,20 @@ from planar_rook.tableaux import (
 )
 
 
-def highest_tableau(shape) -> Tableau:
+def highest_tableau(shape):
     """Row r filled with the letter r."""
-    return Tableau(tuple(shape), tuple((r,) * w for r, w in enumerate(shape)))
+    return tuple((r,) * w for r, w in enumerate(shape))
+
+
+def is_semistandard(rows) -> bool:
+    """Letters >= 0, row lengths weakly decreasing, rows weakly increasing
+    and columns strictly increasing."""
+    return (
+        all(x >= 0 for row in rows for x in row)
+        and all(len(a) >= len(b) for a, b in zip(rows, rows[1:]))
+        and all(a <= b for row in rows for a, b in zip(row, row[1:]))
+        and all(x < y for upper, lower in zip(rows, rows[1:]) for x, y in zip(upper, lower))
+    )
 
 
 def reading_positions(shape) -> list[tuple[int, int]]:
@@ -58,24 +68,26 @@ def reading_positions(shape) -> list[tuple[int, int]]:
     return out
 
 
-def tableau_op(kind: str, i: int, t: Tableau) -> Tableau | None:
+def tableau_op(kind: str, i: int, rows):
     """Apply a raising (kind 'e') or lowering (kind 'f') operator to a tableau.
 
     The signature rule over the reading word chooses the box; raising turns an
     i into i-1, lowering an i-1 into i.  None when the operator vanishes.
-    The changed filling is rebuilt through the validating constructor, so a
-    result outside the semistandard family would raise rather than pass.
+    A result outside the semistandard family raises rather than passes.
     """
     if i < 1:
         raise ValueError(f"direction must be >= 1, got {i}")
-    rise, fall, _, _ = signature(signature_factors(reading(t.rows), i))
+    rise, fall, _, _ = signature(signature_factors(reading(rows), i))
     pos = rise if kind == "e" else fall
     if pos < 0:
         return None
-    r, c = reading_positions(t.shape)[pos]
-    new_rows = [list(row) for row in t.rows]
+    r, c = reading_positions(tuple(map(len, rows)))[pos]
+    new_rows = [list(row) for row in rows]
     new_rows[r][c] += -1 if kind == "e" else 1
-    return Tableau(t.shape, tuple(tuple(row) for row in new_rows))
+    moved = tuple(map(tuple, new_rows))
+    if not is_semistandard(moved):
+        raise ValueError(f"{kind}_{i} of {rows} is not semistandard: {moved}")
+    return moved
 
 
 def partitions_up_to(total, max_parts):
@@ -101,15 +113,16 @@ def partitions_up_to(total, max_parts):
 
 def test_box_crystal_structure():
     b = box_crystal(3)
+    d = as_dicts(b)
     assert b.nodes == ("0", "1", "2", "3")
-    assert b.weight("2") == (0, 0, 1, 0)
-    assert [b.eps_i("2", i) for i in (1, 2, 3)] == [0, 1, 0]
-    assert [b.phi_i("2", i) for i in (1, 2, 3)] == [0, 0, 1]
+    assert d.weight("2") == (0, 0, 1, 0)
+    assert d.eps["2"] == (0, 1, 0)
+    assert d.phi["2"] == (0, 0, 1)
     for j in range(3):
-        assert b.f(str(j), j + 1) == str(j + 1)
-    assert b.f("1", 1) is None
+        assert d.f(str(j), j + 1) == str(j + 1)
+    assert d.f("1", 1) is None
     assert check_axioms(b) == []
-    assert highest_nodes(b) == ["0"]
+    assert oracle.highest_nodes(d) == ["0"]
 
 
 def test_box_equals_length_one_row():
@@ -122,25 +135,26 @@ def test_box_equals_length_one_row():
 
 def test_row_crystal_chain():
     r = row_crystal(2, 1)
+    d = as_dicts(r)
     assert r.nodes == ("00", "01", "11")
-    assert r.f("00", 1) == "01"
-    assert r.f("01", 1) == "11"
-    assert r.f("11", 1) is None
-    assert r.e("01", 1) == "00"
+    assert d.f("00", 1) == "01"
+    assert d.f("01", 1) == "11"
+    assert d.f("11", 1) is None
+    assert d.e("01", 1) == "00"
     assert check_axioms(r) == []
 
 
 def test_row_lowering_changes_rightmost():
-    r = row_crystal(3, 2)
+    r = as_dicts(row_crystal(3, 2))
     assert r.f("011", 1) == "111"
     assert r.f("012", 2) == "022"
     assert r.e("012", 1) == "002"
 
 
 def test_row_stats_count_letters():
-    r = row_crystal(4, 2)
-    assert [r.eps_i("0112", i) for i in (1, 2)] == [2, 1]
-    assert [r.phi_i("0112", i) for i in (1, 2)] == [1, 2]
+    r = as_dicts(row_crystal(4, 2))
+    assert r.eps["0112"] == (2, 1)
+    assert r.phi["0112"] == (1, 2)
     assert r.weight("0112") == (1, 2, 1)
 
 
@@ -149,7 +163,7 @@ def test_row_crystal_axioms_and_size(m, n):
     r = row_crystal(m, n)
     assert len(r) == len(weakly_increasing_words(m, n))
     assert check_axioms(r) == []
-    assert highest_nodes(r) == ["0" * m]
+    assert oracle.highest_nodes(as_dicts(r)) == ["0" * m]
 
 
 @pytest.mark.parametrize("m,n", [(2, 1), (3, 1), (2, 2), (3, 2)])
@@ -167,32 +181,29 @@ def test_row_crystal_is_component_of_box_power(m, n):
 # ---------------------------------------------------------------- tableaux
 
 
-def test_tableau_validation():
-    Tableau((2, 1), ((0, 0), (1,)))
-    with pytest.raises(ValueError):
-        Tableau((2, 1), ((1, 0), (2,)))  # row decreasing
-    with pytest.raises(ValueError):
-        Tableau((2, 1), ((0, 0), (0,)))  # column not strict
-    with pytest.raises(ValueError):
-        Tableau((1, 2), ((0,), (1, 1)))  # shape not a partition
-    with pytest.raises(ValueError):
-        Tableau((2,), ((0,),))  # row length mismatch
-    with pytest.raises(ValueError):
-        Tableau((1,), ((-1,),))
-
-
 def test_reading_order():
-    t = Tableau((4, 2, 1), ((0, 1, 1, 3), (2, 3), (3,)))
-    assert reading(t.rows) == (3, 1, 1, 0, 3, 2, 3)
+    assert reading(((0, 1, 1, 3), (2, 3), (3,))) == (3, 1, 1, 0, 3, 2, 3)
     assert reading_positions((2, 1)) == [(0, 1), (0, 0), (1, 0)]
 
 
 def test_tableau_op_on_rows():
-    t = Tableau((2,), ((0, 0),))
+    t = ((0, 0),)
     lowered = tableau_op("f", 1, t)
-    assert lowered == Tableau((2,), ((0, 1),))
+    assert lowered == ((0, 1),)
     assert tableau_op("e", 1, lowered) == t
     assert tableau_op("e", 1, t) is None
+
+
+def test_tableau_op_refuses_a_move_outside_the_family():
+    assert is_semistandard(((0, 0), (1,)))
+    assert not is_semistandard(((1, 0), (2,)))  # row decreasing
+    assert not is_semistandard(((0, 0), (0,)))  # column not strict
+    assert not is_semistandard(((0,), (1, 1)))  # shape not a partition
+    assert not is_semistandard(((-1,),))
+    # on a tableau the signature rule never leaves the family; on the
+    # column (1, 1) raising picks the lower box and makes it (1, 0)
+    with pytest.raises(ValueError, match="not semistandard"):
+        tableau_op("e", 1, ((1,), (1,)))
 
 
 def test_highest_tableau_is_highest():
@@ -210,27 +221,27 @@ def test_tableau_op_validates_direction():
 def test_tableau_op_example_hook_shape():
     t = highest_tableau((2, 1))  # rows 00 / 1
     down1 = tableau_op("f", 1, t)
-    assert down1 == Tableau((2, 1), ((0, 1), (1,)))
+    assert down1 == ((0, 1), (1,))
     down2 = tableau_op("f", 2, t)
-    assert down2 == Tableau((2, 1), ((0, 0), (2,)))
+    assert down2 == ((0, 0), (2,))
 
 
 # ---------------------------------------------------------------- ssyt
 
 
 def test_enumerate_ssyt_counts():
-    assert len(enumerate_ssyt((2, 1), 2)) == 8
-    assert len(enumerate_ssyt((1, 1, 1), 2)) == 1
-    assert len(enumerate_ssyt((2, 2), 1)) == 1
-    assert len(enumerate_ssyt((2,), 1)) == 3
-    assert len(enumerate_ssyt((3, 1), 2)) == 15
+    assert len(_ssyt_rows((2, 1), 2)) == 8
+    assert len(_ssyt_rows((1, 1, 1), 2)) == 1
+    assert len(_ssyt_rows((2, 2), 1)) == 1
+    assert len(_ssyt_rows((2,), 1)) == 3
+    assert len(_ssyt_rows((3, 1), 2)) == 15
 
 
 def test_ssyt_count_matches_enumeration():
     # the hook-content formula against brute-force filling, tall shapes give 0
     for shape in partitions_up_to(7, 5):
         for n in range(1, 4):
-            expected = len(enumerate_ssyt(shape, n)) if len(shape) <= n + 1 else 0
+            expected = len(_ssyt_rows(shape, n)) if len(shape) <= n + 1 else 0
             assert ssyt_count(shape, n) == expected, (shape, n)
 
 
@@ -287,14 +298,13 @@ def brute_force_ssyt_rows(shape, n):
 def test_enumerate_ssyt_matches_brute_force_in_order():
     for shape in partitions_up_to(6, 4):
         for n in range(len(shape) - 1 or 1, 4):
-            got = [t.rows for t in enumerate_ssyt(shape, n)]
-            assert got == brute_force_ssyt_rows(shape, n), (shape, n)
+            assert _ssyt_rows(shape, n) == brute_force_ssyt_rows(shape, n), (shape, n)
 
 
 def test_enumerate_ssyt_recurses_once_per_row():
     # 10,000 boxes and one filling: a box-by-box recursion overflows the stack
-    (only,) = enumerate_ssyt((5000, 5000), 1)
-    assert only.rows == ((0,) * 5000, (1,) * 5000)
+    (only,) = _ssyt_rows((5000, 5000), 1)
+    assert only == ((0,) * 5000, (1,) * 5000)
     assert len(ssyt_crystal((5000, 5000), 1)) == 1
 
 
@@ -310,16 +320,17 @@ def test_ssyt_crystal_checks_the_shape_and_cap_from_the_numbers():
 
 
 def test_enumerate_ssyt_is_sorted_and_valid():
-    tableaux = enumerate_ssyt((2, 1), 2)
-    keys = [t.key() for t in tableaux]
-    words = [sum((t.rows[r] for r in range(len(t.rows))), ()) for t in tableaux]
+    tableaux = _ssyt_rows((2, 1), 2)
+    keys = list(map(filling_key, tableaux))
+    words = [sum(rows, ()) for rows in tableaux]
     assert words == sorted(words)
     assert len(set(keys)) == len(keys)
+    assert all(map(is_semistandard, tableaux))
 
 
 def test_enumerate_ssyt_rejects_tall_shapes():
     with pytest.raises(ValueError):
-        enumerate_ssyt((1, 1, 1), 1)
+        _ssyt_rows((1, 1, 1), 1)
     with pytest.raises(ValueError):
         ssyt_crystal((1, 1, 1), 1)
 
@@ -330,9 +341,9 @@ def test_enumerate_ssyt_rejects_tall_shapes():
 )
 def test_ssyt_crystal_nodes_match_enumeration(shape, n):
     crystal = ssyt_crystal(shape, n)
-    assert sorted(crystal.nodes) == sorted(t.key() for t in enumerate_ssyt(shape, n))
+    assert sorted(crystal.nodes) == sorted(map(filling_key, _ssyt_rows(shape, n)))
     assert check_axioms(crystal) == []
-    assert highest_nodes(crystal) == [highest_tableau(shape).key()]
+    assert oracle.highest_nodes(as_dicts(crystal)) == [filling_key(highest_tableau(shape))]
     assert len(components(crystal)) == 1
 
 
@@ -340,13 +351,13 @@ def test_ssyt_crystal_nodes_match_enumeration(shape, n):
 def test_ssyt_columns_match_tableau_op(n):
     # the builder's raising and lowering columns against the box-by-box oracle
     for shape in partitions_up_to(5, n + 1):
-        crystal = ssyt_crystal(shape, n)
-        for t in enumerate_ssyt(shape, n):
+        crystal = as_dicts(ssyt_crystal(shape, n))
+        for t in _ssyt_rows(shape, n):
             for i in range(1, n + 1):
                 for kind, move in (("e", crystal.e), ("f", crystal.f)):
                     moved = tableau_op(kind, i, t)
-                    expected = None if moved is None else moved.key()
-                    assert move(t.key(), i) == expected, (t, kind, i)
+                    expected = None if moved is None else filling_key(moved)
+                    assert move(filling_key(t), i) == expected, (t, kind, i)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -355,7 +366,8 @@ def test_ssyt_crystal_is_connected_from_the_highest_tableau(n):
     for shape in partitions_up_to(6, n + 1):
         crystal = ssyt_crystal(shape, n)
         assert len(components(crystal)) == 1, shape
-        assert highest_nodes(crystal) == [highest_tableau(shape).key()], shape
+        highest = oracle.highest_nodes(as_dicts(crystal))
+        assert highest == [filling_key(highest_tableau(shape))], shape
 
 
 def test_row_and_ssyt_node_orders_with_two_digit_letters():
@@ -368,7 +380,7 @@ def test_ssyt_crystal_keys_each_tableau_once():
     # the keys that order the tableaux are the node keys; the crystal is the
     # one the builder makes from the sorted fillings and their own keys
     for shape, n in (((2, 1), 2), ((3, 1), 3), ((2,), 10), ((3, 2, 1), 3)):
-        fillings = sorted((t.rows for t in enumerate_ssyt(shape, n)), key=filling_key)
+        fillings = sorted(_ssyt_rows(shape, n), key=filling_key)
         assert ssyt_crystal(shape, n) == _filling_crystal(n, fillings), shape
     with pytest.raises(ValueError, match="lowering k0 in direction 1 leaves"):
         _filling_crystal(1, [((0,),)], ["k0"])
@@ -384,16 +396,16 @@ def test_filling_builder_refuses_a_move_outside_the_fillings():
 
 
 def test_ssyt_crystal_small_example():
-    crystal = ssyt_crystal((2, 1), 2)
+    crystal = as_dicts(ssyt_crystal((2, 1), 2))
     assert len(crystal) == 8
-    top = highest_tableau((2, 1)).key()
+    top = filling_key(highest_tableau((2, 1)))
     assert crystal.f(top, 1) == "01/1"
     assert crystal.f(top, 2) == "00/2"
     assert crystal.weight("01/1") == (1, 2, 0)
 
 
 def test_ssyt_ops_are_mutually_inverse():
-    crystal = ssyt_crystal((2, 1), 2)
+    crystal = as_dicts(ssyt_crystal((2, 1), 2))
     for key in crystal.nodes:
         for i in (1, 2):
             down = crystal.f(key, i)
@@ -409,11 +421,11 @@ def test_reading_intertwines_tableau_and_tensor_operators(n):
     # every tableau operator must agree with the iterated binary rule applied
     # to the reading word inside the box tensor power
     for shape in partitions_up_to(4, n + 1):
-        tableaux = enumerate_ssyt(shape, n)
+        tableaux = _ssyt_rows(shape, n)
         size = sum(shape)
-        power = tensor_all([box_crystal(n)] * size)
+        power = as_dicts(tensor_all([box_crystal(n)] * size))
         for t in tableaux:
-            word = reading(t.rows)
+            word = reading(t)
             key = "⊗".join(str(x) for x in word)
             for i in range(1, n + 1):
                 for kind in ("e", "f"):
@@ -425,46 +437,5 @@ def test_reading_intertwines_tableau_and_tensor_operators(n):
                         assert target is None
                     else:
                         assert target == "⊗".join(
-                            str(x) for x in reading(moved.rows)
+                            str(x) for x in reading(moved)
                         )
-
-
-def test_tableau_json_round_trip():
-    t = Tableau((2, 1), ((0, 2), (1,)))
-    assert Tableau.from_json_dict(t.to_json_dict()) == t
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_tableau_json_round_trip_property(data):
-    n = data.draw(st.sampled_from([1, 2, 3, 10]))
-    shape = data.draw(st.sampled_from(partitions_up_to(4 if n < 10 else 2, n + 1)))
-    t = data.draw(st.sampled_from(enumerate_ssyt(shape, n)))
-    text = json.dumps(t.to_json_dict())
-    back = Tableau.from_json_dict(json.loads(text))
-    assert back == t and back.key() == t.key()
-    assert json.dumps(back.to_json_dict()) == text
-
-
-def test_tableau_json_rejects_floats():
-    # JSON floats and booleans are refused, never truncated into a shape or letter
-    for obj in (
-        {"shape": [2.5], "rows": [[0.9, 1.7]]},
-        {"shape": [2.0], "rows": [[0, 1]]},
-        {"shape": [2], "rows": [[0, 1.0]]},
-        {"shape": [2], "rows": [[False, 1]]},
-    ):
-        with pytest.raises(ValueError):
-            Tableau.from_json_dict(obj)
-
-
-def test_tableau_value_semantics():
-    t = Tableau((2, 1), ((0, 1), (1,)))
-    assert repr(t) == "Tableau(shape=(2, 1), rows=((0, 1), (1,)))"
-    assert t == Tableau([2, 1], [[0, 1], [1]])
-    assert hash(t) == hash(((2, 1), ((0, 1), (1,))))
-    assert t != ((2, 1), ((0, 1), (1,))) and not t == ((2, 1), ((0, 1), (1,)))
-    # ordered by (shape, rows)
-    tableaux = enumerate_ssyt((2, 1), 2) + enumerate_ssyt((3,), 1) + enumerate_ssyt((1, 1), 2)
-    assert sorted(tableaux) == sorted(tableaux, key=lambda x: (x.shape, x.rows))
-    assert Tableau((1,), ((2,),)) < Tableau((1, 1), ((0,), (1,))) < t
