@@ -20,7 +20,7 @@ from .tableaux import row_crystal, ssyt_crystal
 
 def clear_caches() -> None:
     """Drop every memoized result: diagram enumerations and words, identity
-    and truncation elements, simple and regular modules, and crystals."""
+    and truncation elements, multiplicity probes, and crystals."""
     for module in (algebra, class_crystals, diagrams, modules, tableaux):
         for memo in vars(module).values():
             if hasattr(memo, "cache_clear"):

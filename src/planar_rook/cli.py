@@ -42,11 +42,6 @@ class UsageError(Exception):
     """Raised by command handlers for problems that warrant exit code 2."""
 
 
-def _env_force() -> bool:
-    value = os.environ.get("PLANAR_ROOK_FORCE", "")
-    return value.strip().lower() not in {"", "0", "false", "no"}
-
-
 def _dump(obj) -> str:
     """obj as json.dumps(obj, indent=2, ensure_ascii=False) writes it, plus a
     newline, without importing json, whose indent runs a pure-Python encoder."""
@@ -162,8 +157,7 @@ def _parse_int_tuple(spec: str, what: str) -> tuple[int, ...]:
 
 
 def _cmd_enumerate(args) -> int:
-    force = args.force or _env_force()
-    diagrams = enumerate_diagrams(args.m, args.n, force=force)
+    diagrams = enumerate_diagrams(args.m, args.n, force=args.force)
     expected = count_diagrams(args.m, args.n)
     if len(diagrams) != expected:
         print(
@@ -230,7 +224,6 @@ def _cmd_simples(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    force = args.force or _env_force()
     modes = sum(
         1 for x in (args.regular, args.restrict is not None, args.induce is not None) if x
     )
@@ -240,7 +233,7 @@ def _cmd_decompose(args) -> int:
         if args.m is None or args.n is None:
             raise UsageError("--regular needs --m and --n")
         module = f"regular(m={args.m},n={args.n})"
-        dec = decompose(regular_module(args.m, args.n, force=force))
+        dec = decompose(regular_module(args.m, args.n, force=args.force))
     else:
         if args.klass is None:
             raise UsageError("--restrict and --induce need --class")
@@ -255,7 +248,7 @@ def _cmd_decompose(args) -> int:
             if label.m == 0:
                 raise UsageError("cannot restrict a size-0 class")
             module = f"restrict(i={i}) of {label.key}"
-            dec = decompose(simple(label, force=force).restrict(i))
+            dec = decompose(simple(label, force=args.force).restrict(i))
             expected = restrict_class(i, label)
             if dec != ({} if expected is None else {expected: 1}):
                 print(
@@ -282,30 +275,29 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_crystal(args) -> int:
-    force = args.force or _env_force()
     try:
         if args.kind == "box":
             if args.n is None:
                 raise UsageError("crystal box needs --n")
-            crystal = box_crystal(args.n, force)
+            crystal = box_crystal(args.n, args.force)
         elif args.kind == "row":
             if args.m is None or args.n is None:
                 raise UsageError("crystal row needs --m and --n")
-            crystal = row_crystal(args.m, args.n, force)
+            crystal = row_crystal(args.m, args.n, args.force)
         elif args.kind == "ssyt":
             if args.shape is None or args.n is None:
                 raise UsageError("crystal ssyt needs --shape and --n")
             shape = _parse_int_tuple(args.shape, "shape")
-            crystal = ssyt_crystal(shape, args.n, force)
+            crystal = ssyt_crystal(shape, args.n, args.force)
         elif args.kind == "cm":
             if args.m is None or args.n is None:
                 raise UsageError("crystal cm needs --m and --n")
-            crystal = class_crystal(args.m, args.n, force)
+            crystal = class_crystal(args.m, args.n, args.force)
         else:
             if args.parts is None or args.n is None:
                 raise UsageError("crystal clambda needs --parts and --n")
             parts = _parse_int_tuple(args.parts, "composition")
-            crystal = tensor_class_crystal(parts, args.n, force)
+            crystal = tensor_class_crystal(parts, args.n, args.force)
     except EnumerationCapError:
         raise
     except ValueError as exc:
@@ -419,6 +411,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # the subcommands with a --force flag also take PLANAR_ROOK_FORCE
+    if "force" in vars(args):
+        env = os.environ.get("PLANAR_ROOK_FORCE", "").strip().lower()
+        args.force = args.force or env not in {"", "0", "false", "no"}
     try:
         return args.fn(args)
     except UsageError as exc:

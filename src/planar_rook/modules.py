@@ -261,31 +261,20 @@ class SimpleModule(ExplicitModule):
         return f"SimpleModule({self.label.key}, dim={self.dimension})"
 
 
-@lru_cache(maxsize=None)
-def _simple(label: ClassLabel) -> SimpleModule:
+def simple(label: ClassLabel, force: bool = False) -> SimpleModule:
+    ensure_within_cap(label.m, label.n, force)
     return SimpleModule(label)
 
 
-def simple(label: ClassLabel, force: bool = False) -> SimpleModule:
-    ensure_within_cap(label.m, label.n, force)
-    return _simple(label)
-
-
-@lru_cache(maxsize=None)
-def _regular(m: int, n: int) -> ExplicitModule:
-    basis = enumerate_diagrams(m, n, force=True)
+def regular_module(m: int, n: int, force: bool = False) -> ExplicitModule:
+    """The algebra acting on itself by left multiplication, in the diagram basis."""
+    basis = enumerate_diagrams(m, n, force)
     index = {(d.top, d.bottom): j for j, d in enumerate(basis)}
 
     def action(d: Diagram):
         return _matrix_of_targets([index[product_words(d, b)] for b in basis])
 
     return ExplicitModule._trusted(m, n, len(basis), action)
-
-
-def regular_module(m: int, n: int, force: bool = False) -> ExplicitModule:
-    """The algebra acting on itself by left multiplication, in the diagram basis."""
-    ensure_within_cap(m, n, force)
-    return _regular(m, n)
 
 
 def multiplicity(mod: ExplicitModule, label: ClassLabel) -> int:
@@ -375,23 +364,3 @@ def induce_class(i: int, label: ClassLabel) -> ClassLabel:
     counts = list(label.counts)
     counts[i] += 1
     return ClassLabel._trusted(label.n, tuple(counts))
-
-
-def adjunction_check(i: int, small: ClassLabel, big: ClassLabel) -> tuple[int, int]:
-    """Both sides of the induction/restriction adjunction on simples.
-
-    Returns (hom after inducing small, hom after restricting big); the first
-    is 1 exactly when inducing small gives big, the second is the multiplicity
-    of small in the concrete restriction of big.  Agreement for all pairs is
-    the adjunction on dimensions.
-    """
-    if small.n != big.n or small.m + 1 != big.m:
-        raise ValueError("labels must sit at adjacent sizes with equal colors")
-    left = 1 if induce_class(i, small) == big else 0
-    right = multiplicity(_restricted_simple(i, big), small)
-    return left, right
-
-
-@lru_cache(maxsize=None)
-def _restricted_simple(i: int, big: ClassLabel) -> ExplicitModule:
-    return simple(big).restrict(i)

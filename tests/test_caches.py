@@ -13,12 +13,7 @@ BUILDERS = {
     "words": lambda: diagrams.words_with_counts((1, 2, 1)),
     "identity": lambda: algebra.identity_element(2, 2),
     "truncation": lambda: algebra.truncation_idempotent(2, 2, 1),
-    "simple": lambda: modules.simple(ClassLabel(2, (1, 1, 1))).basis,
-    "regular": lambda: modules.decompose(modules.regular_module(2, 1)),
     "probe": lambda: modules._probe(ClassLabel(2, (1, 1, 0))),
-    "restricted": lambda: modules.decompose(
-        modules._restricted_simple(1, ClassLabel(2, (1, 1, 1)))
-    ),
     "ssyt": lambda: tableaux.ssyt_crystal((2, 1), 2),
     "classes": lambda: class_crystals.class_crystal(2, 2),
     "tuples": lambda: class_crystals.tensor_class_crystal((1, 2), 2),

@@ -38,7 +38,6 @@ from planar_rook.modules import (
     ClassLabel,
     ExplicitModule,
     SimpleModule,
-    adjunction_check,
     all_class_labels,
     class_dimension,
     decompose,
@@ -505,8 +504,12 @@ def test_simple_restrict_builds_no_idempotent(monkeypatch, capsys):
     monkeypatch.setattr(modules, "truncation_idempotent", refuse)
     assert cli.main(["decompose", "--restrict", "1", "--class", "3,2:1,1,1"]) == 0
     assert '"class": "2|1,0,1"' in capsys.readouterr().out
-    assert adjunction_check(2, label(2, 1, 1, 0), label(2, 1, 1, 1)) == (1, 1)
-    assert adjunction_check(0, label(2, 1, 1, 0), label(2, 1, 1, 1)) == (0, 0)
+    # 3 colors x 3 classes at size 1 x 6 classes at size 2
+    assert verify_target("adjunction", m=2, n=2) == {
+        "target": "adjunction",
+        "checked": 54,
+        "failed": 0,
+    }
     with pytest.raises(AssertionError, match="idempotent built"):
         verify_target("thm3.2", m=2, n=1)
 
@@ -536,27 +539,33 @@ def test_induce_then_restrict_round_trip():
 # ---------------------------------------------------------------- adjunction
 
 
+def restricted_hom(i, small, big):
+    """dim Hom(S_small, Res_i S_big), read off the orbit-basis restriction."""
+    return multiplicity(simple(big).restrict(i), small)
+
+
 def test_adjunction_examples():
-    assert adjunction_check(1, label(1, 1, 0), label(1, 1, 1)) == (1, 1)
-    assert adjunction_check(1, label(1, 1, 0), label(1, 2, 0)) == (0, 0)
-    assert adjunction_check(0, label(1, 0, 1), label(1, 1, 1)) == (1, 1)
+    assert restricted_hom(1, label(1, 1, 0), label(1, 1, 1)) == 1
+    assert restricted_hom(1, label(1, 1, 0), label(1, 2, 0)) == 0
+    assert restricted_hom(0, label(1, 0, 1), label(1, 1, 1)) == 1
 
 
 def test_adjunction_validates():
-    with pytest.raises(ValueError):
-        adjunction_check(1, label(1, 1, 0), label(1, 3, 0))
-    with pytest.raises(ValueError):
-        adjunction_check(1, label(1, 1, 0), label(2, 1, 1, 0))
+    with pytest.raises(ValueError, match="different sizes"):
+        restricted_hom(1, label(1, 1, 0), label(1, 3, 0))
+    with pytest.raises(ValueError, match="different sizes"):
+        restricted_hom(1, label(1, 1, 0), label(2, 1, 1, 0))
 
 
 def test_adjunction_exhaustive_small():
+    # Frobenius reciprocity: Hom(Ind_i S_small, S_big) = Hom(S_small, Res_i S_big)
     for m in [1, 2]:
         for n in [1, 2]:
             for i in range(n + 1):
                 for small in all_class_labels(m - 1, n):
                     for big in all_class_labels(m, n):
-                        left, right = adjunction_check(i, small, big)
-                        assert left == right
+                        induced = 1 if induce_class(i, small) == big else 0
+                        assert restricted_hom(i, small, big) == induced
 
 
 def test_class_label_value_semantics():

@@ -1,5 +1,6 @@
 """Verification targets: defaults pass, pins shape the sweep, mutations caught."""
 
+import gc
 from functools import partial
 
 import pytest
@@ -8,6 +9,7 @@ import planar_rook.class_crystals as cc
 import planar_rook.verify as verify
 from planar_rook import clear_caches
 from planar_rook.crystals import Crystal, signature
+from planar_rook.modules import ExplicitModule, SimpleModule
 from planar_rook.tableaux import row_crystal
 from planar_rook.verify import TARGETS, compositions, partitions, verify_target
 
@@ -169,3 +171,56 @@ def test_signature_equivalence_reports_tuple_keys_missing_from_the_product(monke
     assert report["failed"] > 0
     case = report["counterexamples"][0]
     assert "+" in case["signature"] and case["binary"] is None
+
+
+def test_functors_report_a_restriction_that_is_not_a_module(monkeypatch):
+    # a one-dimensional module on which every diagram acts by zero fails
+    # decompose's dimension audit; the target reports it instead of raising
+    def zero(i, mod):
+        return ExplicitModule(mod.m - 1, mod.n, 1, lambda d: [{}])
+
+    monkeypatch.setattr(verify, "restrict", zero)
+    report = verify_target("thm3.2", max_m=2, max_n=1)
+    # one restriction per class at m=1 (2) and m=2 (3), in the one color
+    assert report["checked"] == report["failed"] == 5
+    first = report["counterexamples"][0]
+    assert first["case"] == "restrict(i=1) of 1|1,0"
+    assert first["error"].startswith("dimension accounting failed")
+
+
+def test_functors_catch_a_wrong_restriction_rule(monkeypatch):
+    # a rule that keeps every vertex: restriction must drop one
+    monkeypatch.setattr(verify, "restrict_class", lambda i, label: label)
+    report = verify_target("thm3.2", max_m=2, max_n=1)
+    assert report["failed"] == report["checked"] == 5
+    assert report["counterexamples"][0]["expected"] == {"1|1,0": 1}
+
+
+def test_adjunction_catches_a_wrong_simple_restriction(monkeypatch):
+    # keep the top words ending in i - 1 instead of i
+    restrict = SimpleModule.restrict
+
+    def shifted(self, i):
+        return restrict(self, (i - 1) % (self.n + 1))
+
+    monkeypatch.setattr(SimpleModule, "restrict", shifted)
+    report = verify_target("adjunction", max_m=2, max_n=1)
+    assert report["failed"] > 0
+    sample = report["counterexamples"][0]
+    assert sample["induced side"] != sample["restricted side"]
+
+
+def test_module_sweeps_keep_no_module_alive():
+    # the sweeps hold their modules for one case and release them at the end
+    clear_caches()
+    gc.collect()
+    before = {id(o) for o in gc.get_objects() if isinstance(o, ExplicitModule)}
+    assert verify_target("thm3.5", max_m=3, max_n=2)["failed"] == 0
+    assert verify_target("adjunction", max_m=3, max_n=2)["failed"] == 0
+    gc.collect()
+    left = [
+        o
+        for o in gc.get_objects()
+        if isinstance(o, ExplicitModule) and id(o) not in before
+    ]
+    assert left == []
