@@ -12,8 +12,8 @@ generated by the straight-line tuple of a partition.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
+from itertools import chain
 from math import prod
 from operator import add
 from typing import NamedTuple
@@ -134,8 +134,8 @@ def tensor_class_crystal(
     from the edges, so `check_axioms` compares them with the string lengths
     as an independent check.
     """
-    parts = tuple(int(p) for p in parts)
-    if not parts or any(p < 1 for p in parts):
+    parts = tuple(parts)
+    if not parts or any(type(p) is not int or p < 1 for p in parts):
         raise ValueError(f"parts must be positive integers, got {parts}")
     if n < 1:
         raise ValueError(f"need at least one color, got n={n}")
@@ -151,61 +151,61 @@ def tuple_count(parts, n: int) -> int:
 
 @lru_cache(maxsize=128)
 def _tensor_class_crystal(parts: tuple[int, ...], n: int) -> Crystal:
-    """Build the columns one factor at a time, over the prefixes of
-    itertools.product of one factor table per part: prefix node a followed
-    by class k of a factor of s classes sits at a * s + k.
+    """One part's table as a crystal (eps and phi are the counts, edges the
+    table's moves), else the crystal of parts[:-1], from this memo so that
+    compositions sharing a prefix share it, extended by the last table."""
+    t = _factor_table(parts[-1], n)
+    if len(parts) > 1:
+        return _extend(_tensor_class_crystal(parts[:-1], n), t)
+    eps, phi = ([[c[d + j] for c in t.counts] for d in range(n)] for j in (1, 0))
+    up, down = ([*map(list, cols)] for cols in (t.up, t.down))
+    labels = [k + " ~ " + w for k, w in zip(t.keys, t.words)]
+    return Crystal(n, list(t.counts), eps, phi, up, down, t.keys, labels)
 
-    Per direction a prefix node holds its surviving (eps, phi) and its
-    raising and lowering targets; on one factor these are the class's
-    counts and table moves.  Appending class k is the signature rule
-    on two factors, the prefix's (eps, phi) and the class's, memoized per
-    (eps, phi, m, p) for the build: where it picks the prefix, target t
-    moves to t * s + k; where it picks the class, to a * s + col[k] by the
-    class's table column.  A target the rules left as -1 (which a correct
-    rule never does where a sign survives) leaves the edge out.  Weights
-    add a factor at a time; keys and labels join the tables' strings.
-    """
-    tables = [_factor_table(p, n) for p in parts]
+
+def _extend(prefix: Crystal, t: FactorTable) -> Crystal:
+    """One factor step: prefix tensored with the classes of t, prefix node a
+    followed by class k of t's s classes at a * s + k.  Appending class k is
+    the signature rule on a's (eps, phi) and the class's, memoized per (eps,
+    phi, m, p) for the step: where it picks the prefix, a's target x moves to
+    x * s + k; where it picks the class, to a * s + col[k] by t's column.  A
+    target left as -1 (which a correct rule never does where a sign
+    survives) leaves the edge out.  Weights are summed once per distinct
+    prefix weight; keys and labels extend the prefix's, which has labels."""
+    s, ks = len(t.keys), range(len(t.keys))
     memo: dict = {}
     eps, phi, up, down = [], [], [], []
-    for d in range(n):
-        first = tables[0]
-        e_col, p_col = [c[d + 1] for c in first.counts], [c[d] for c in first.counts]
-        u_col, d_col = list(first.up[d]), list(first.down[d])
-        for t in tables[1:]:
-            s, ks = len(t.keys), range(len(t.keys))
-            pairs = [(c[d + 1], c[d]) for c in t.counts]
-            # per prefix (eps, phi), over the classes: the factor raising
-            # and lowering pick, and the surviving (eps, phi)
-            rows = {}
-            for ep in set(zip(e_col, p_col)):
-                sigs = memo.setdefault(ep, {})
-                for mq in set(pairs) - sigs.keys():
-                    sigs[mq] = signature((ep, mq))
-                rows[ep] = list(zip(*map(sigs.get, pairs)))
-            per = list(map(rows.__getitem__, zip(e_col, p_col)))
-            e_col = list(itertools.chain.from_iterable(row[2] for row in per))
-            p_col = list(itertools.chain.from_iterable(row[3] for row in per))
-            u_col, d_col = (
-                [
-                    (x * s + k if x >= 0 else -1) if r == 0 else (a * s + c if r == 1 and c >= 0 else -1)
-                    for a, (row, x) in enumerate(zip(per, targets))
-                    for k, r, c in zip(ks, row[which], col)
-                ]
-                for which, targets, col in ((0, u_col, t.up[d]), (1, d_col, t.down[d]))
-            )
-        eps.append(e_col)
-        phi.append(p_col)
-        up.append(u_col)
-        down.append(d_col)
-
-    wt = list(tables[0].counts)
-    for t in tables[1:]:
-        wt = [tuple(map(add, w, c)) for w in wt for c in t.counts]
-    keys = ["×".join(ks) for ks in itertools.product(*(t.keys for t in tables))]
-    words = itertools.product(*(t.words for t in tables))
-    labels = [k + " ~ " + "×".join(ws) for k, ws in zip(keys, words)]
-    return Crystal(n, wt, eps, phi, up, down, keys, labels)
+    for d in range(prefix.n):
+        pairs = [(c[d + 1], c[d]) for c in t.counts]
+        # per prefix (eps, phi), over the classes: the factor raising
+        # and lowering pick, and the surviving (eps, phi)
+        rows = {}
+        for ep in set(zip(prefix.eps[d], prefix.phi[d])):
+            sigs = memo.setdefault(ep, {})
+            for mq in set(pairs) - sigs.keys():
+                sigs[mq] = signature((ep, mq))
+            rise, fall, e, p = zip(*map(sigs.get, pairs))
+            rows[ep] = e, p, [*zip(ks, rise, t.up[d])], [*zip(ks, fall, t.down[d])]
+        per = list(map(rows.__getitem__, zip(prefix.eps[d], prefix.phi[d])))
+        eps.append(list(chain.from_iterable(row[0] for row in per)))
+        phi.append(list(chain.from_iterable(row[1] for row in per)))
+        up_col, down_col = (
+            [
+                (x * s + k if x >= 0 else -1) if r == 0 else (a * s + c if r == 1 and c >= 0 else -1)
+                for a, (row, x) in enumerate(zip(per, targets))
+                for k, r, c in row[which]
+            ]
+            for which, targets in ((2, prefix.up[d]), (3, prefix.down[d]))
+        )
+        up.append(up_col)
+        down.append(down_col)
+    sums = {w: [tuple(map(add, w, c)) for c in t.counts] for w in set(prefix.wt)}
+    wt = list(chain.from_iterable(map(sums.__getitem__, prefix.wt)))
+    keys = [k + "×" + tk for k in prefix.nodes for tk in t.keys]
+    # a label is "key ~ words", so the prefix's words follow its key and " ~ "
+    tails = [lab[len(k) + 3 :] for k, lab in zip(prefix.nodes, prefix.labels)]
+    words = [ws + "×" + w for ws in tails for w in t.words]
+    return Crystal(prefix.n, wt, eps, phi, up, down, keys, map(" ~ ".join, zip(keys, words)))
 
 
 def straight_line_tuple(partition: tuple[int, ...], n: int) -> tuple[ClassLabel, ...]:
@@ -224,10 +224,13 @@ def highest_component(partition, n: int) -> Crystal:
     The partition must be weakly decreasing with at most n+1 parts; that is
     exactly when the straight-line tuple is killed by every raising operator
     (the minuses of part j+1 all cancel against the pluses of part j).
+    Operators act factor by factor, so the component of u1⊗…⊗uk lies in
+    comp(u1⊗…⊗u(k-1)) ⊗ (classes of part k): it is grown a part at a time,
+    never building the whole tuple crystal, with the same nodes in order.
     """
-    partition = tuple(int(p) for p in partition)
-    if not partition or any(p < 1 for p in partition):
-        raise ValueError(f"partition parts must be positive, got {partition}")
+    partition = tuple(partition)
+    if not partition or any(type(p) is not int or p < 1 for p in partition):
+        raise ValueError(f"partition parts must be positive integers, got {partition}")
     if any(a < b for a, b in zip(partition, partition[1:])):
         raise ValueError(f"partition must be weakly decreasing, got {partition}")
     if len(partition) > n + 1:
@@ -235,5 +238,10 @@ def highest_component(partition, n: int) -> Crystal:
             f"partition with {len(partition)} parts needs at least "
             f"{len(partition) - 1} colors, have n={n}"
         )
-    crystal = tensor_class_crystal(partition, n)
-    return component_containing(crystal, tuple_key(straight_line_tuple(partition, n)))
+    ensure_nodes_within_cap(tuple_count(partition, n))
+    line = straight_line_tuple(partition, n)
+    comp = component_containing(_tensor_class_crystal(partition[:1], n), line[0].key)
+    for j in range(1, len(partition)):
+        grown = _extend(comp, _factor_table(partition[j], n))
+        comp = component_containing(grown, tuple_key(line[: j + 1]))
+    return comp

@@ -23,6 +23,7 @@ rule.
 from __future__ import annotations
 
 from functools import reduce
+from itertools import chain
 from operator import add
 from typing import Optional
 
@@ -186,38 +187,50 @@ def tensor(left: Crystal, right: Crystal) -> Crystal:
     otherwise on the right.  Weights add; eps and phi combine by the standard
     max formulas.  The pair (a, b) sits at position a * len(right) + b, with
     key a⊗b.  The product's node count is checked against the cap before
-    anything is built.
+    anything is built.  Each column is built whole: an edge column by one
+    comprehension over the pairs, an eps, phi or weight row once per
+    distinct value of the left node that it reads, then chained.  `verify`
+    holds the signature rule against this binary rule, so it never calls
+    `signature`.
     """
     if left.n != right.n:
         raise ValueError("cannot tensor crystals with different color counts")
     ensure_nodes_within_cap(len(left) * len(right))
     size = len(right)
-    positions = range(size)
+    bases = range(0, len(left) * size, size)
     eps, phi, up, down = [], [], [], []
     for d in range(left.n):
-        e2s, p2s, u2s, d2s = right.eps[d], right.phi[d], right.up[d], right.down[d]
-        pair2 = [w[d] - w[d + 1] for w in right.wt]
-        e_col, p_col, u_col, d_col = [], [], [], []
-        for a, (w1, e1, p1, u1, d1) in enumerate(
-            zip(left.wt, left.eps[d], left.phi[d], left.up[d], left.down[d])
-        ):
-            base, pair1 = a * size, w1[d] - w1[d + 1]
-            lu, ld = u1 * size if u1 >= 0 else -1, d1 * size if d1 >= 0 else -1
-            e_col += [e1 if e1 >= e2 - pair1 else e2 - pair1 for e2 in e2s]
-            p_col += [p2 if p2 >= p1 + q2 else p1 + q2 for p2, q2 in zip(p2s, pair2)]
-            u_col += [
+        e1s, p1s, e2s = left.eps[d], left.phi[d], right.eps[d]
+        pair1s, pair2 = ([w[d] - w[d + 1] for w in c.wt] for c in (left, right))
+        # (position, eps, target) of the right nodes, zipped once for every left node
+        ups, downs = (list(zip(range(size), e2s, col)) for col in (right.up[d], right.down[d]))
+        e_rows = {
+            (e1, pair1): [e1 if e1 >= e2 - pair1 else e2 - pair1 for e2 in e2s]
+            for e1, pair1 in set(zip(e1s, pair1s))
+        }
+        p_rows = {
+            p1: [p2 if p2 >= p1 + q2 else p1 + q2 for p2, q2 in zip(right.phi[d], pair2)]
+            for p1 in set(p1s)
+        }
+        eps.append(list(chain.from_iterable(map(e_rows.__getitem__, zip(e1s, pair1s)))))
+        phi.append(list(chain.from_iterable(map(p_rows.__getitem__, p1s))))
+        lus, lds = ([t * size if t >= 0 else -1 for t in col] for col in (left.up[d], left.down[d]))
+        up.append(
+            [
                 (lu + b if lu >= 0 else -1) if p1 >= e2 else (base + u2 if u2 >= 0 else -1)
-                for b, e2, u2 in zip(positions, e2s, u2s)
+                for base, p1, lu in zip(bases, p1s, lus)
+                for b, e2, u2 in ups
             ]
-            d_col += [
+        )
+        down.append(
+            [
                 (ld + b if ld >= 0 else -1) if p1 > e2 else (base + d2 if d2 >= 0 else -1)
-                for b, e2, d2 in zip(positions, e2s, d2s)
+                for base, p1, ld in zip(bases, p1s, lds)
+                for b, e2, d2 in downs
             ]
-        eps.append(e_col)
-        phi.append(p_col)
-        up.append(u_col)
-        down.append(d_col)
-    wt = [tuple(map(add, w1, w2)) for w1 in left.wt for w2 in right.wt]
+        )
+    sums = {w1: [tuple(map(add, w1, w2)) for w2 in right.wt] for w1 in set(left.wt)}
+    wt = list(chain.from_iterable(map(sums.__getitem__, left.wt)))
     keys = [f"{b1}⊗{b2}" for b1 in left.nodes for b2 in right.nodes]
     return Crystal(left.n, wt, eps, phi, up, down, keys)
 

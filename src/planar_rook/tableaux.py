@@ -26,7 +26,9 @@ Word = tuple[int, ...]
 def partition_shape(shape) -> tuple[int, ...]:
     """The shape as a tuple of ints, refused unless positive and weakly
     decreasing; only its numbers are read, so any size is checked at once."""
-    shape = tuple(int(x) for x in shape)
+    shape = tuple(shape)
+    if any(type(x) is not int for x in shape):
+        raise ValueError(f"shape parts must be integers, got {shape}")
     if any(x < 1 for x in shape):
         raise ValueError(f"shape parts must be positive, got {shape}")
     if any(a < b for a, b in zip(shape, shape[1:])):
@@ -48,10 +50,14 @@ def reading(rows) -> Word:
     return tuple(x for row in rows for x in reversed(row))
 
 
+def letter_factors(n: int, i: int) -> tuple[tuple[int, int], ...]:
+    """(eps, phi) in direction i of the one-box letters 0..n: i has eps 1, i-1 phi 1."""
+    return tuple((int(x == i), int(x == i - 1)) for x in range(n + 1))
+
+
 def signature_factors(word: Word, i: int) -> list[tuple[int, int]]:
-    """(eps, phi) in direction i of each letter of word, read as one-box
-    crystal factors: a letter i has eps 1, a letter i-1 has phi 1."""
-    return [(1 if x == i else 0, 1 if x == i - 1 else 0) for x in word]
+    """(eps, phi) in direction i of each letter of word, by letter_factors."""
+    return list(map(letter_factors(max(word, default=0), i).__getitem__, word))
 
 
 def _filling_crystal(n: int, fillings: list, keys=None) -> Crystal:
@@ -80,7 +86,8 @@ def _filling_crystal(n: int, fillings: list, keys=None) -> Crystal:
 
     eps, phi, up, down = [], [], [], []
     for i in range(1, n + 1):
-        stats = [signature(signature_factors(w, i)) for w in words]
+        factor = letter_factors(n, i)
+        stats = [signature(map(factor.__getitem__, w)) for w in words]
         eps.append([s[2] for s in stats])
         phi.append([s[3] for s in stats])
         up.append([moved(p, s[0], -1, i) for p, s in enumerate(stats)])

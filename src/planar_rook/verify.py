@@ -508,11 +508,13 @@ def _verify_signature_equivalence(max_m, max_n, pin_m, pin_n):
                 ):
                     for i, (col, other) in enumerate(zip(ours, theirs), 1):
                         checked += len(col)
-                        for b, t in enumerate(col):
-                            if there[b] < 0:
-                                continue
-                            got, want = -1 if t < 0 else there[t], other[there[b]]
-                            if got != want:
+                        # whole columns first; walk only one that differs
+                        mapped = [-1 if t < 0 else there[t] for t in col]
+                        pulled = [other[p] for p in there]
+                        if mapped == pulled:
+                            continue
+                        for b, (got, want) in enumerate(zip(mapped, pulled)):
+                            if there[b] >= 0 and got != want:
                                 bad.append(
                                     {
                                         "case": f"{kind}_{i} on {tuples.nodes[b]}, "

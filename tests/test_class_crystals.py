@@ -8,6 +8,7 @@ word, and the tuple crystal against iterated tensor products.
 from __future__ import annotations
 
 import itertools
+import re
 from math import comb, prod
 
 import crystal_oracle as oracle
@@ -32,6 +33,7 @@ from planar_rook.crystals import (
     Crystal,
     are_isomorphic,
     check_axioms,
+    component_containing,
     components,
     morphism_violations,
     signature,
@@ -39,7 +41,7 @@ from planar_rook.crystals import (
 )
 from planar_rook.modules import ClassLabel, all_class_labels
 from planar_rook.tableaux import row_crystal, ssyt_crystal, word_key
-from planar_rook.verify import compositions, verify_target
+from planar_rook.verify import compositions, partitions, verify_target
 
 
 def label(n, *counts):
@@ -377,6 +379,25 @@ def test_tensor_class_crystal_validation():
         tensor_class_crystal((0, 1), 1)
 
 
+@pytest.mark.parametrize(
+    "build,parts,n,named",
+    [
+        (tensor_class_crystal, (2.7,), 1, "2.7"),
+        (tensor_class_crystal, ("2",), 1, "'2'"),
+        (tensor_class_crystal, (1, True), 1, "True"),
+        (highest_component, (2.9, 1.2), 2, "2.9"),
+        (highest_component, (2, 1.0), 2, "1.0"),
+        (ssyt_crystal, (2.5,), 1, "2.5"),
+        (ssyt_crystal, (2, "1"), 2, "'1'"),
+    ],
+)
+def test_a_part_that_is_not_an_int_is_refused(build, parts, n, named):
+    # no part is truncated or parsed: the error names the parts
+    pattern = f"parts must be (positive )?integers, got .*{re.escape(named)}"
+    with pytest.raises(ValueError, match=pattern):
+        build(parts, n)
+
+
 # ---------------------------------------------------------------- highest component
 
 
@@ -406,6 +427,33 @@ def test_highest_component_hook():
     assert ok
     # the straight-line node is the unique highest node
     assert oracle.highest_nodes(as_dicts(comp)) == [tuple_key(straight_line_tuple((2, 1), 2))]
+
+
+def cut_highest_component(partition, n):
+    """The highest component cut from the whole tuple crystal, as
+    `highest_component` found it before it grew the component a part at a
+    time, kept as an oracle."""
+    crystal = tensor_class_crystal(partition, n)
+    return component_containing(crystal, tuple_key(straight_line_tuple(partition, n)))
+
+
+HIGHEST_CASES = [
+    (shape, n) for n in (1, 2, 3) for total in range(1, 7) for shape in partitions(total, n + 1)
+]
+
+
+@pytest.mark.parametrize("shape,n", HIGHEST_CASES)
+def test_grown_highest_component_matches_the_cut_component(shape, n):
+    # node order, columns, keys and labels, compared as whole crystals
+    assert highest_component(shape, n) == cut_highest_component(shape, n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=5), st.integers(1, 4))
+def test_grown_highest_component_matches_the_cut_component_random(parts, n):
+    shape = tuple(sorted(parts, reverse=True))
+    assume(len(shape) <= n + 1 and cc.tuple_count(shape, n) <= 5000)
+    assert highest_component(shape, n) == cut_highest_component(shape, n)
 
 
 def test_highest_component_validation():

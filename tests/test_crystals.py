@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import replace
+from math import prod
 
 import crystal_oracle as oracle
 import pytest
@@ -208,6 +209,79 @@ def test_tensor_checks_the_cap_before_building():
     big = row_crystal(4, 8)  # 495 nodes
     with pytest.raises(EnumerationCapError, match="would have 245025 nodes"):
         tensor(big, big)
+
+
+def per_node_tensor(left: Crystal, right: Crystal) -> Crystal:
+    """The tensor product built one list per left node and per column, as
+    `tensor` was before it built whole columns, kept as an oracle: the same
+    max formulas and the same rule for which factor moves."""
+    size = len(right)
+    positions = range(size)
+    eps, phi, up, down = [], [], [], []
+    for d in range(left.n):
+        e2s, p2s, u2s, d2s = right.eps[d], right.phi[d], right.up[d], right.down[d]
+        pair2 = [w[d] - w[d + 1] for w in right.wt]
+        e_col, p_col, u_col, d_col = [], [], [], []
+        for a, (w1, e1, p1, u1, d1) in enumerate(
+            zip(left.wt, left.eps[d], left.phi[d], left.up[d], left.down[d])
+        ):
+            base, pair1 = a * size, w1[d] - w1[d + 1]
+            lu, ld = u1 * size if u1 >= 0 else -1, d1 * size if d1 >= 0 else -1
+            e_col += [e1 if e1 >= e2 - pair1 else e2 - pair1 for e2 in e2s]
+            p_col += [p2 if p2 >= p1 + q2 else p1 + q2 for p2, q2 in zip(p2s, pair2)]
+            u_col += [
+                (lu + b if lu >= 0 else -1) if p1 >= e2 else (base + u2 if u2 >= 0 else -1)
+                for b, e2, u2 in zip(positions, e2s, u2s)
+            ]
+            d_col += [
+                (ld + b if ld >= 0 else -1) if p1 > e2 else (base + d2 if d2 >= 0 else -1)
+                for b, e2, d2 in zip(positions, e2s, d2s)
+            ]
+        eps.append(e_col)
+        phi.append(p_col)
+        up.append(u_col)
+        down.append(d_col)
+    wt = [tuple(x + y for x, y in zip(w1, w2)) for w1 in left.wt for w2 in right.wt]
+    keys = [f"{b1}⊗{b2}" for b1 in left.nodes for b2 in right.nodes]
+    return Crystal(left.n, wt, eps, phi, up, down, keys)
+
+
+def tensor_factor(kind: str, m: int, n: int) -> Crystal:
+    """A box, row, class or SSYT crystal; m sizes the last three."""
+    if kind == "box":
+        return box_crystal(n)
+    if kind == "row":
+        return row_crystal(m, n)
+    if kind == "class":
+        return class_crystal(m, n)
+    return ssyt_crystal((m, 1), n)
+
+
+TENSOR_KINDS = ("box", "row", "class", "ssyt")
+
+
+@pytest.mark.parametrize("left,right", itertools.product(TENSOR_KINDS, repeat=2))
+def test_tensor_matches_the_per_node_tensor(left, right):
+    # columns, weights and keys, compared as whole crystals
+    for m, n in ((1, 1), (2, 2), (2, 3)):
+        a, b = tensor_factor(left, m, n), tensor_factor(right, m, n)
+        assert tensor(a, b) == per_node_tensor(a, b), (m, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from(TENSOR_KINDS), st.integers(1, 3)), min_size=2, max_size=4),
+    st.integers(1, 3),
+)
+def test_tensor_matches_the_per_node_tensor_random(factors, n):
+    # every step of a left-associated product of at most 5,000 nodes
+    crystals = [tensor_factor(kind, m, n) for kind, m in factors]
+    assume(prod(map(len, crystals)) <= 5000)
+    product = crystals[0]
+    for right in crystals[1:]:
+        step = tensor(product, right)
+        assert step == per_node_tensor(product, right)
+        product = step
 
 
 def components_by_rescan(crystal: DictCrystal) -> list[DictCrystal]:

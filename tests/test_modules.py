@@ -8,7 +8,6 @@ truncated subspace) rather than against the formulas used in the code.
 
 from __future__ import annotations
 
-import itertools
 import random
 from fractions import Fraction
 from math import comb
@@ -21,7 +20,6 @@ import planar_rook.modules as modules
 from planar_rook.algebra import (
     Element,
     identity_element,
-    orbit_vector,
     strand,
     truncation_idempotent,
 )
