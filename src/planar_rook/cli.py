@@ -258,7 +258,6 @@ def _cmd_decompose(args) -> int:
                     file=sys.stderr,
                 )
                 return 1
-    # reverse label order is the all_class_labels order
     summands = [
         {
             "class": lab.key,
@@ -266,7 +265,7 @@ def _cmd_decompose(args) -> int:
             "multiplicity": dec[lab],
             "dimension": class_dimension(lab),
         }
-        for lab in sorted(dec, reverse=True)
+        for lab in dec
     ]
     total = sum(s["multiplicity"] * s["dimension"] for s in summands)
     payload = {"module": module, "summands": summands, "total_dimension": total}

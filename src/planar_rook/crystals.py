@@ -315,11 +315,6 @@ def _restrict(crystal: Crystal, members: list[int]) -> Crystal:
     )
 
 
-def components(crystal: Crystal) -> list[Crystal]:
-    """Connected components (under both edge directions), in node order."""
-    return [_restrict(crystal, group) for group in _component_positions(crystal)]
-
-
 def _highest_flags(crystal: Crystal) -> list[bool]:
     """flags[b]: whether every raising operator kills position b."""
     flags = [True] * len(crystal)

@@ -297,7 +297,7 @@ def _probe(label: ClassLabel) -> Element:
 
 
 def decompose(mod: ExplicitModule) -> dict[ClassLabel, int]:
-    """Multiplicity of every class, with a dimension audit.
+    """Multiplicity of every class present, in all_class_labels order.
 
     Raises if the multiplicities do not account for the full dimension, which
     catches callbacks that are not actually module actions.

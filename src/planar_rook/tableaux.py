@@ -55,11 +55,6 @@ def letter_factors(n: int, i: int) -> tuple[tuple[int, int], ...]:
     return tuple((int(x == i), int(x == i - 1)) for x in range(n + 1))
 
 
-def signature_factors(word: Word, i: int) -> list[tuple[int, int]]:
-    """(eps, phi) in direction i of each letter of word, by letter_factors."""
-    return list(map(letter_factors(max(word, default=0), i).__getitem__, word))
-
-
 def _filling_crystal(n: int, fillings: list, keys=None) -> Crystal:
     """The crystal on the given fillings, in their order, keyed by
     filling_key (or by `keys`, the fillings' keys when the caller has them):

@@ -27,7 +27,6 @@ from .crystals import (
     ensure_nodes_within_cap,
     isomorphism_positions,
     morphism_violations,
-    signature,
     tensor,
     tensor_all,
 )
@@ -44,9 +43,9 @@ from .modules import (
     simple,
 )
 from .tableaux import (
+    _filling_crystal,
     box_crystal,
     row_crystal,
-    signature_factors,
     ssyt_count,
     ssyt_crystal,
     word_key,
@@ -355,6 +354,19 @@ def _verify_adjunction(max_m, max_n, pin_m, pin_n):
     return checked, bad
 
 
+def _isomorphism_defects(case, left, right):
+    """[] when left and right are isomorphic, else one counterexample whose
+    detail says that no isomorphism exists or names the component of either
+    side that is not normal."""
+    try:
+        if isomorphism_positions(left, right) is not None:
+            return []
+        detail = "no isomorphism found"
+    except ValueError as exc:
+        detail = str(exc)
+    return [{"case": case, "detail": detail}]
+
+
 def _verify_class_crystal_is_row_crystal(max_m, max_n, pin_m, pin_n):
     checked = 0
     bad = []
@@ -392,12 +404,7 @@ def _verify_class_crystal_is_row_crystal(max_m, max_n, pin_m, pin_n):
         if defects:
             bad.append({"case": f"m={m},n={n}", "witness defects": defects[:3]})
         checked += 1
-        try:
-            if isomorphism_positions(classes, rows) is None:
-                bad.append({"case": f"m={m},n={n}", "detail": "no isomorphism found"})
-        except ValueError as exc:
-            # a class crystal whose components are not normal
-            bad.append({"case": f"m={m},n={n}", "detail": str(exc)})
+        bad += _isomorphism_defects(f"m={m},n={n}", classes, rows)
     return checked, bad
 
 
@@ -412,14 +419,7 @@ def _verify_tuple_crystal_factorizes(max_m, max_n, pin_m, pin_n):
                 checked += 1
                 tuples = cc.tensor_class_crystal(parts, n)
                 rows = row_products(parts)
-                try:
-                    image = isomorphism_positions(tuples, rows)
-                except ValueError as exc:
-                    # a tuple crystal whose components are not normal
-                    bad.append({"case": f"parts={parts}, n={n}", "detail": str(exc)})
-                    continue
-                if image is None:
-                    bad.append({"case": f"parts={parts}, n={n}"})
+                bad += _isomorphism_defects(f"parts={parts}, n={n}", tuples, rows)
     return checked, bad
 
 
@@ -445,85 +445,71 @@ def _verify_highest_component(max_m, max_n, pin_m, pin_n):
                         }
                     )
                 checked += 1
-                if isomorphism_positions(comp, tableaux) is None:
-                    bad.append({"case": f"shape={shape}, n={n}"})
+                bad += _isomorphism_defects(f"shape={shape}, n={n}", comp, tableaux)
     return checked, bad
 
 
 def _verify_signature_equivalence(max_m, max_n, pin_m, pin_n):
+    """The signature rule against the iterated binary rule on box powers and
+    tuple crystals.  A box power's signature side is the filling builder over
+    one-box rows, reading each word as itself in the power's position order."""
     checked = 0
     bad = []
     top_m, _, totals, ns = _sweep(max_m, max_n, pin_m, pin_n)
     for n in ns:
-        # box powers: the signature rule against the iterated binary rule,
-        # compared on positions; a word's position is its mixed-radix index,
-        # and raising or lowering factor j moves it by -/+ strides[j]
         power = box_crystal(n)
         for length in range(2, min(top_m, 4) + 1):
             power = tensor(power, box_crystal(n))
-            strides = [(n + 1) ** (length - 1 - j) for j in range(length)]
+            where = f"length={length}, n={n}"
             words = itertools.product(range(n + 1), repeat=length)
-            for b, word in enumerate(words):
-                for i in range(1, n + 1):
-                    rise, fall, _, _ = signature(signature_factors(word, i))
-                    for kind, j, step, col in (
-                        ("e", rise, -1, power.up[i - 1]),
-                        ("f", fall, 1, power.down[i - 1]),
-                    ):
-                        checked += 1
-                        t = col[b]
-                        if t != (-1 if j < 0 else b + step * strides[j]):
-                            # the factors the binary rule moved: t's digits
-                            moved = [
-                                k
-                                for k, s in enumerate(strides)
-                                if t // s % (n + 1) != word[k]
-                            ]
-                            bad.append(
-                                {
-                                    "case": f"{kind}_{i} on word {word}, n={n}",
-                                    "binary": None if t < 0 else moved,
-                                    "signature": None if j < 0 else j,
-                                }
-                            )
-        # tuple crystals: signature arrows against the tensor of class crystals,
-        # compared on positions through the key rewrite a×b -> a⊗b; a tuple
-        # key with no partner in the product is a counterexample of its own
+            try:
+                ours = _filling_crystal(n, [tuple((x,) for x in w) for w in words])
+            except ValueError as exc:
+                # a rule that moves a letter out of 0..n; its arrows still count
+                checked += 2 * n * len(power)
+                bad.append({"case": where, "detail": str(exc)})
+                continue
+            checked += _arrow_defects(bad, ours, "/", power, where)
         class_products = _left_products(partial(cc.class_crystal, n=n), top_m)
         for total in totals:
             for parts in compositions(total):
                 tuples = cc.tensor_class_crystal(parts, n)
-                product = class_products(parts)
-                keys = product.nodes
-                index = {k: p for p, k in enumerate(keys)}
-                there = [index.get(k.replace("×", "⊗"), -1) for k in tuples.nodes]
-                bad += [
-                    {"case": f"{k}, parts={parts}, n={n}", "signature": k, "binary": None}
-                    for k, p in zip(tuples.nodes, there)
-                    if p < 0
-                ]
-                for kind, ours, theirs in (
-                    ("e", tuples.up, product.up),
-                    ("f", tuples.down, product.down),
-                ):
-                    for i, (col, other) in enumerate(zip(ours, theirs), 1):
-                        checked += len(col)
-                        # whole columns first; walk only one that differs
-                        mapped = [-1 if t < 0 else there[t] for t in col]
-                        pulled = [other[p] for p in there]
-                        if mapped == pulled:
-                            continue
-                        for b, (got, want) in enumerate(zip(mapped, pulled)):
-                            if there[b] >= 0 and got != want:
-                                bad.append(
-                                    {
-                                        "case": f"{kind}_{i} on {tuples.nodes[b]}, "
-                                        f"parts={parts}, n={n}",
-                                        "signature": None if got < 0 else keys[got],
-                                        "binary": None if want < 0 else keys[want],
-                                    }
-                                )
+                where = f"parts={parts}, n={n}"
+                checked += _arrow_defects(bad, tuples, "×", class_products(parts), where)
     return checked, bad
+
+
+def _arrow_defects(bad, ours, sep, product, where):
+    """Append to bad the arrows of the signature-rule crystal ours that the
+    binary product disagrees with, and return the number of arrows compared.
+    Nodes are matched through the key rewrite sep -> ⊗; a key of ours with
+    no partner in the product is a counterexample of its own.  Whole
+    columns are compared first, and only a column that differs is walked
+    node by node."""
+    keys = product.nodes
+    index = {k: p for p, k in enumerate(keys)}
+    there = [index.get(k.replace(sep, "⊗"), -1) for k in ours.nodes]
+    bad += [
+        {"case": f"{k}, {where}", "signature": k, "binary": None}
+        for k, p in zip(ours.nodes, there)
+        if p < 0
+    ]
+    for kind, mine, theirs in (("e", ours.up, product.up), ("f", ours.down, product.down)):
+        for i, (col, other) in enumerate(zip(mine, theirs), 1):
+            mapped = [-1 if t < 0 else there[t] for t in col]
+            pulled = [other[p] for p in there]
+            if mapped == pulled:
+                continue
+            for b, (got, want) in enumerate(zip(mapped, pulled)):
+                if there[b] >= 0 and got != want:
+                    bad.append(
+                        {
+                            "case": f"{kind}_{i} on {ours.nodes[b]}, {where}",
+                            "signature": None if got < 0 else keys[got],
+                            "binary": None if want < 0 else keys[want],
+                        }
+                    )
+    return 2 * ours.n * len(ours)
 
 
 def _left_products(build, top):

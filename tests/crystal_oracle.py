@@ -6,6 +6,8 @@ lowering maps as {(key, i): key} dictionaries.  `as_dicts` reads a column
 crystal into this form and `from_dicts` builds a column crystal from it, so
 tests can compare the two implementations field by field and hand-build
 broken crystals (edges that are not mutually inverse, say) for the checkers.
+`column_components` cuts a column crystal into its components with the
+package's own union-find.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Mapping, Optional
 
-from planar_rook.crystals import Crystal
+from planar_rook.crystals import Crystal, _component_positions, _restrict
 
 
 @dataclass(frozen=True)
@@ -274,6 +276,12 @@ def components(crystal: DictCrystal) -> list[DictCrystal]:
         )
         for c, nodes in enumerate(groups)
     ]
+
+
+def column_components(crystal: Crystal) -> list[Crystal]:
+    """The column crystal's connected components under both edge families,
+    in node order, cut out by the package's own union-find."""
+    return [_restrict(crystal, group) for group in _component_positions(crystal)]
 
 
 def highest_nodes(crystal: DictCrystal) -> list[str]:

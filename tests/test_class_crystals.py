@@ -13,7 +13,7 @@ from math import comb, prod
 
 import crystal_oracle as oracle
 import pytest
-from crystal_oracle import DictCrystal, as_dicts
+from crystal_oracle import DictCrystal, as_dicts, column_components
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -34,7 +34,6 @@ from planar_rook.crystals import (
     are_isomorphic,
     check_axioms,
     component_containing,
-    components,
     morphism_violations,
     signature,
     tensor_all,
@@ -165,7 +164,7 @@ def test_class_crystal_matches_row_crystal_via_word(m, n):
 
 def test_class_crystal_connected_with_unique_top():
     c = class_crystal(3, 2)
-    assert len(components(c)) == 1
+    assert len(column_components(c)) == 1
     assert oracle.highest_nodes(as_dicts(c)) == ["3|3,0,0"]
 
 

@@ -9,7 +9,7 @@ from math import prod
 
 import crystal_oracle as oracle
 import pytest
-from crystal_oracle import DictCrystal, as_dicts, from_dicts
+from crystal_oracle import DictCrystal, as_dicts, column_components, from_dicts
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +24,6 @@ from planar_rook.crystals import (
     are_isomorphic,
     check_axioms,
     component_containing,
-    components,
     morphism_violations,
     signature,
     tensor,
@@ -161,7 +160,7 @@ def test_tensor_rule_on_boxes():
 
 def test_tensor_components_sizes():
     b = box_crystal(1)
-    comps = components(tensor(b, b))
+    comps = column_components(tensor(b, b))
     assert sorted(len(c) for c in comps) == [1, 3]
     assert check_axioms(tensor(box_crystal(2), box_crystal(2))) == []
 
@@ -335,7 +334,7 @@ CORPUS = {
 
 @pytest.mark.parametrize("crystal", [build() for build in CORPUS.values()], ids=list(CORPUS))
 def test_components_match_rescanning_oracle(crystal):
-    ours = [as_dicts(c) for c in components(crystal)]
+    ours = [as_dicts(c) for c in column_components(crystal)]
     rescanned = components_by_rescan(as_dicts(crystal))
     assert ours == rescanned == oracle.components(as_dicts(crystal))
     for a, b in zip(ours, rescanned):
@@ -407,7 +406,7 @@ def test_signature_matches_iterated_binary_rule(n, length):
 
 def test_components_partition_nodes():
     t = tensor(box_crystal(2), box_crystal(2))
-    comps = components(t)
+    comps = column_components(t)
     assert sorted(b for c in comps for b in c.nodes) == sorted(t.nodes)
     assert sum(len(c) for c in comps) == len(t)
     for comp in comps:
@@ -531,7 +530,7 @@ def test_column_core_matches_dict_oracle(name):
     d = as_dicts(c)
     assert from_dicts(d) == c
     assert check_axioms(c) == oracle.check_axioms(d) == []
-    assert [as_dicts(x) for x in components(c)] == oracle.components(d)
+    assert [as_dicts(x) for x in column_components(c)] == oracle.components(d)
     assert c.f_edges == d.f_edges and len(c.f_edges) == len(d.f_edges)
     ok, witness = are_isomorphic(c, c)
     assert (ok, witness) == oracle.are_isomorphic(d, d)
@@ -597,7 +596,7 @@ def test_checkers_match_dict_oracle_on_broken_crystals(name, data):
     )
     d, good = as_dicts(broken), as_dicts(c)
     assert check_axioms(broken) == oracle.check_axioms(d) != []
-    assert [as_dicts(x) for x in components(broken)] == oracle.components(d)
+    assert [as_dicts(x) for x in column_components(broken)] == oracle.components(d)
     identity = {k: k for k in c.nodes}
     assert morphism_violations(broken, c, identity) == oracle.morphism_violations(
         d, good, identity

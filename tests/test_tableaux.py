@@ -17,14 +17,13 @@ from math import comb
 
 import crystal_oracle as oracle
 import pytest
-from crystal_oracle import as_dicts
+from crystal_oracle import as_dicts, column_components
 
 from planar_rook.crystals import (
     CRYSTAL_NODE_CAP,
     are_isomorphic,
     check_axioms,
     component_containing,
-    components,
     signature,
     tensor_all,
 )
@@ -34,14 +33,19 @@ from planar_rook.tableaux import (
     _ssyt_rows,
     box_crystal,
     filling_key,
+    letter_factors,
     reading,
     row_crystal,
-    signature_factors,
     ssyt_count,
     ssyt_crystal,
     weakly_increasing_words,
     word_key,
 )
+
+
+def signature_factors(word, i):
+    """(eps, phi) in direction i of each letter of word, by letter_factors."""
+    return list(map(letter_factors(max(word, default=0), i).__getitem__, word))
 
 
 def highest_tableau(shape):
@@ -344,7 +348,7 @@ def test_ssyt_crystal_nodes_match_enumeration(shape, n):
     assert sorted(crystal.nodes) == sorted(map(filling_key, _ssyt_rows(shape, n)))
     assert check_axioms(crystal) == []
     assert oracle.highest_nodes(as_dicts(crystal)) == [filling_key(highest_tableau(shape))]
-    assert len(components(crystal)) == 1
+    assert len(column_components(crystal)) == 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -365,7 +369,7 @@ def test_ssyt_crystal_is_connected_from_the_highest_tableau(n):
     # the nodes are all tableaux, so connectivity is a property to check
     for shape in partitions_up_to(6, n + 1):
         crystal = ssyt_crystal(shape, n)
-        assert len(components(crystal)) == 1, shape
+        assert len(column_components(crystal)) == 1, shape
         highest = oracle.highest_nodes(as_dicts(crystal))
         assert highest == [filling_key(highest_tableau(shape))], shape
 

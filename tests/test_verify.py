@@ -6,6 +6,7 @@ from functools import partial
 import pytest
 
 import planar_rook.class_crystals as cc
+import planar_rook.tableaux as tableaux
 import planar_rook.verify as verify
 from planar_rook import clear_caches
 from planar_rook.crystals import Crystal, signature
@@ -114,21 +115,60 @@ def _leftmost_minus(factors):
     """A wrong signature rule: raising on the leftmost factor with a minus
     instead of the rightmost surviving minus moves the wrong factor
     wherever two factors keep a minus."""
+    factors = list(factors)
     rise, fall, eps, phi = signature(factors)
     owners = [j for j, (m, _) in enumerate(factors) if m]
     return (owners[0] if rise >= 0 else -1), fall, eps, phi
 
 
+def _first_factor(factors):
+    """A wrong signature rule that raises factor 0 whenever anything rises;
+    one-box crystals stay right, but in 0/1/1 it raises the letter 0 to -1,
+    out of the alphabet."""
+    rise, fall, eps, phi = signature(factors)
+    return (0 if rise >= 0 else -1), fall, eps, phi
+
+
 def test_signature_equivalence_reports_a_wrong_box_power_rule(monkeypatch):
-    monkeypatch.setattr(verify, "signature", _leftmost_minus)
+    monkeypatch.setattr(tableaux, "signature", _leftmost_minus)
     report = verify_target("signature-equivalence", max_m=3, max_n=1)
     assert report["failed"] > 0
     # the binary rule raises the right-hand 1 of 1⊗1, the wrong rule the left
     assert report["counterexamples"][0] == {
-        "case": "e_1 on word (1, 1), n=1",
-        "binary": [1],
-        "signature": 0,
+        "case": "e_1 on 1/1, length=2, n=1",
+        "signature": "0⊗1",
+        "binary": "1⊗0",
     }
+
+
+def test_signature_equivalence_reports_a_rule_that_leaves_the_alphabet(monkeypatch):
+    expected = verify_target("signature-equivalence", max_m=3, max_n=1)["checked"]
+    monkeypatch.setattr(tableaux, "signature", _first_factor)
+    report = verify_target("signature-equivalence", max_m=3, max_n=1)
+    assert report["failed"] > 0
+    # the arrows the failed build would have compared still count
+    assert report["checked"] == expected
+    cases = {case["case"]: case for case in report["counterexamples"]}
+    assert "leaves the given fillings" in cases["length=3, n=1"]["detail"]
+
+
+def test_component_blambda_reports_a_component_that_is_not_normal(monkeypatch):
+    # at n=1 a node whose one raising edge is dropped is a second highest node
+    build = cc.highest_component
+
+    def dropped(shape, n):
+        c = build(shape, n)
+        up = [list(col) for col in c.up]
+        live = [b for b, t in enumerate(up[0]) if t >= 0]
+        if live:
+            up[0][live[0]] = -1
+        return Crystal(c.n, c.wt, c.eps, c.phi, up, c.down, c.nodes, c.labels)
+
+    monkeypatch.setattr(verify.cc, "highest_component", dropped)
+    report = verify_target("component-blambda", max_m=2, max_n=1)
+    assert report["failed"] > 0
+    details = [case.get("detail", "") for case in report["counterexamples"]]
+    assert all("not a normal crystal component" in d for d in details)
 
 
 def test_signature_equivalence_reports_a_wrong_tuple_rule(monkeypatch):
