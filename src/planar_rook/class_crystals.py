@@ -16,12 +16,11 @@ from functools import lru_cache
 from itertools import chain
 from math import prod
 from operator import add
-from typing import NamedTuple
 
 from .crystals import (
     Crystal,
+    _restrict,
     capped_binomial,
-    component_containing,
     ensure_nodes_within_cap,
     signature,
 )
@@ -83,40 +82,6 @@ def class_crystal(m: int, n: int, force: bool = False) -> Crystal:
     return _tensor_class_crystal((m,), n)
 
 
-class FactorTable(NamedTuple):
-    """The classes of one size, indexed in `all_class_labels` order.
-
-    keys, words and counts hold each class's label key, weakly increasing
-    word and count vector.  up[i-1][j] and down[i-1][j] are the indices of
-    raise_label(i, class j) and lower_label(i, class j), or -1.
-    """
-
-    keys: tuple[str, ...]
-    words: tuple[str, ...]
-    counts: tuple[tuple[int, ...], ...]
-    up: list[list[int]]
-    down: list[list[int]]
-
-
-@lru_cache(maxsize=None)
-def _factor_table(p: int, n: int) -> FactorTable:
-    labels = all_class_labels(p, n)
-    index = {label.counts: j for j, label in enumerate(labels)}
-
-    def column(rule, i):
-        moved = (rule(i, label) for label in labels)
-        return [-1 if x is None else index[x.counts] for x in moved]
-
-    return FactorTable(
-        tuple(label.key for label in labels),
-        # the weakly increasing word from the counts, a run per letter
-        tuple("".join(str(j) * c for j, c in enumerate(label.counts)) for label in labels),
-        tuple(label.counts for label in labels),
-        [column(raise_label, i) for i in range(1, n + 1)],
-        [column(lower_label, i) for i in range(1, n + 1)],
-    )
-
-
 def tuple_key(labels) -> str:
     return "×".join(label.key for label in labels)
 
@@ -151,32 +116,44 @@ def tuple_count(parts, n: int) -> int:
 
 @lru_cache(maxsize=128)
 def _tensor_class_crystal(parts: tuple[int, ...], n: int) -> Crystal:
-    """One part's table as a crystal (eps and phi are the counts, edges the
-    table's moves), else the crystal of parts[:-1], from this memo so that
-    compositions sharing a prefix share it, extended by the last table."""
-    t = _factor_table(parts[-1], n)
+    """The crystal of parts[:-1], from this memo so that compositions
+    sharing a prefix share it, extended by the one-part crystal of the last
+    part.  A one-part crystal has the classes of its size as nodes, in
+    `all_class_labels` order: eps and phi are their counts, the edges
+    raise_label and lower_label, and a label is the key, " ~ " and the
+    weakly increasing word."""
     if len(parts) > 1:
-        return _extend(_tensor_class_crystal(parts[:-1], n), t)
-    eps, phi = ([[c[d + j] for c in t.counts] for d in range(n)] for j in (1, 0))
-    up, down = ([*map(list, cols)] for cols in (t.up, t.down))
-    labels = [k + " ~ " + w for k, w in zip(t.keys, t.words)]
-    return Crystal(n, list(t.counts), eps, phi, up, down, t.keys, labels)
+        return _extend(_tensor_class_crystal(parts[:-1], n), _tensor_class_crystal(parts[-1:], n))
+    labels = all_class_labels(parts[0], n)
+    counts = [label.counts for label in labels]
+    index = {c: j for j, c in enumerate(counts)}
+
+    def column(rule, i):
+        return [-1 if (x := rule(i, label)) is None else index[x.counts] for label in labels]
+
+    eps, phi = ([[c[d + j] for c in counts] for d in range(n)] for j in (1, 0))
+    up, down = ([column(rule, i) for i in range(1, n + 1)] for rule in (raise_label, lower_label))
+    keys = [label.key for label in labels]
+    # the weakly increasing word from the counts, a run per letter
+    words = ("".join(str(j) * k for j, k in enumerate(c)) for c in counts)
+    return Crystal(n, counts, eps, phi, up, down, keys, map(" ~ ".join, zip(keys, words)))
 
 
-def _extend(prefix: Crystal, t: FactorTable) -> Crystal:
-    """One factor step: prefix tensored with the classes of t, prefix node a
-    followed by class k of t's s classes at a * s + k.  Appending class k is
-    the signature rule on a's (eps, phi) and the class's, memoized per (eps,
-    phi, m, p) for the step: where it picks the prefix, a's target x moves to
-    x * s + k; where it picks the class, to a * s + col[k] by t's column.  A
-    target left as -1 (which a correct rule never does where a sign
-    survives) leaves the edge out.  Weights are summed once per distinct
-    prefix weight; keys and labels extend the prefix's, which has labels."""
-    s, ks = len(t.keys), range(len(t.keys))
+def _extend(prefix: Crystal, factor: Crystal) -> Crystal:
+    """One factor step: prefix tensored with the one-part crystal factor,
+    prefix node a followed by class k of factor's s classes at a * s + k.
+    Appending class k is the signature rule on a's (eps, phi) and the
+    class's, memoized per (eps, phi, m, p) for the step: where it picks the
+    prefix, a's target x moves to x * s + k; where it picks the class, to
+    a * s + col[k] by factor's column.  A target left as -1 (which a correct
+    rule never does where a sign survives) leaves the edge out.  Weights
+    are summed once per distinct prefix weight; keys and labels extend the
+    prefix's, which has labels."""
+    s, ks = len(factor), range(len(factor))
     memo: dict = {}
     eps, phi, up, down = [], [], [], []
     for d in range(prefix.n):
-        pairs = [(c[d + 1], c[d]) for c in t.counts]
+        pairs = list(zip(factor.eps[d], factor.phi[d]))
         # per prefix (eps, phi), over the classes: the factor raising
         # and lowering pick, and the surviving (eps, phi)
         rows = {}
@@ -185,7 +162,7 @@ def _extend(prefix: Crystal, t: FactorTable) -> Crystal:
             for mq in set(pairs) - sigs.keys():
                 sigs[mq] = signature((ep, mq))
             rise, fall, e, p = zip(*map(sigs.get, pairs))
-            rows[ep] = e, p, [*zip(ks, rise, t.up[d])], [*zip(ks, fall, t.down[d])]
+            rows[ep] = e, p, [*zip(ks, rise, factor.up[d])], [*zip(ks, fall, factor.down[d])]
         per = list(map(rows.__getitem__, zip(prefix.eps[d], prefix.phi[d])))
         eps.append(list(chain.from_iterable(row[0] for row in per)))
         phi.append(list(chain.from_iterable(row[1] for row in per)))
@@ -199,12 +176,12 @@ def _extend(prefix: Crystal, t: FactorTable) -> Crystal:
         )
         up.append(up_col)
         down.append(down_col)
-    sums = {w: [tuple(map(add, w, c)) for c in t.counts] for w in set(prefix.wt)}
+    sums = {w: [tuple(map(add, w, c)) for c in factor.wt] for w in set(prefix.wt)}
     wt = list(chain.from_iterable(map(sums.__getitem__, prefix.wt)))
-    keys = [k + "×" + tk for k in prefix.nodes for tk in t.keys]
-    # a label is "key ~ words", so the prefix's words follow its key and " ~ "
-    tails = [lab[len(k) + 3 :] for k, lab in zip(prefix.nodes, prefix.labels)]
-    words = [ws + "×" + w for ws in tails for w in t.words]
+    keys = [k + "×" + tk for k in prefix.nodes for tk in factor.nodes]
+    # a label is "key ~ words", so its words follow the key and " ~ "
+    pre, post = ([lab[len(k) + 3 :] for k, lab in zip(c.nodes, c.labels)] for c in (prefix, factor))
+    words = [ws + "×" + w for ws in pre for w in post]
     return Crystal(prefix.n, wt, eps, phi, up, down, keys, map(" ~ ".join, zip(keys, words)))
 
 
@@ -227,6 +204,8 @@ def highest_component(partition, n: int) -> Crystal:
     Operators act factor by factor, so the component of u1⊗…⊗uk lies in
     comp(u1⊗…⊗u(k-1)) ⊗ (classes of part k): it is grown a part at a time,
     never building the whole tuple crystal, with the same nodes in order.
+    Each step keeps what raising and lowering reach from the straight-line
+    prefix, the component's highest node.
     """
     partition = tuple(partition)
     if not partition or any(type(p) is not int or p < 1 for p in partition):
@@ -240,8 +219,21 @@ def highest_component(partition, n: int) -> Crystal:
         )
     ensure_nodes_within_cap(tuple_count(partition, n))
     line = straight_line_tuple(partition, n)
-    comp = component_containing(_tensor_class_crystal(partition[:1], n), line[0].key)
-    for j in range(1, len(partition)):
-        grown = _extend(comp, _factor_table(partition[j], n))
-        comp = component_containing(grown, tuple_key(line[: j + 1]))
+    comp = None
+    for j in range(len(partition)):
+        factor = _tensor_class_crystal(partition[j : j + 1], n)
+        grown = factor if comp is None else _extend(comp, factor)
+        start = grown.nodes.index(tuple_key(line[: j + 1]))
+        comp = _restrict(grown, _reached(grown, start))
     return comp
+
+
+def _reached(crystal: Crystal, start: int) -> list[int]:
+    """The positions that raising and lowering reach from start, ascending."""
+    columns, seen, todo = crystal.up + crystal.down, {start}, [start]
+    while todo:
+        b = todo.pop()
+        fresh = {col[b] for col in columns} - seen - {-1}
+        seen |= fresh
+        todo += fresh
+    return sorted(seen)

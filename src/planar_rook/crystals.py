@@ -323,13 +323,6 @@ def _highest_flags(crystal: Crystal) -> list[bool]:
     return flags
 
 
-def component_containing(crystal: Crystal, node: str) -> Crystal:
-    if node not in crystal.nodes:
-        raise ValueError(f"node {node!r} not in the crystal")
-    p = crystal.nodes.index(node)
-    return next(_restrict(crystal, g) for g in _component_positions(crystal) if p in g)
-
-
 def _traversal(crystal: Crystal, members: list[int], high: list[bool]):
     """Canonical traversal of one component from its unique highest node,
     high being the crystal's `_highest_flags`.

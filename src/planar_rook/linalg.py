@@ -1,16 +1,16 @@
 """Sparse exact linear algebra on columns.
 
 A column is a dict from row index to a nonzero exact coefficient (an int or
-a Fraction); a matrix is a sequence of columns.  Ranks come from
-fraction-free elimination over the integers: each column is scaled to
-coprime integers, and a pivot is removed with v <- a*v - b*u followed by
-division by the gcd of the result, so no Fraction is built while
-eliminating.
+a Fraction); a matrix is a sequence of columns.  Column spaces, which the
+generic restriction of a module needs, come from fraction-free elimination
+over the integers: each column is scaled to coprime integers, and a pivot is
+removed with v <- a*v - b*u followed by division by the gcd of the result,
+so no Fraction is built while eliminating.
 
 Everything here is deterministic: a pivot vector is keyed by its lowest row
 index and the column space gets its reduced echelon basis, which is unique,
-so ranks and extracted bases never depend on dict ordering or floating
-point.
+so extracted bases and their pivots never depend on dict ordering or
+floating point.
 """
 
 from __future__ import annotations
@@ -59,10 +59,6 @@ def _echelon(columns) -> dict[int, dict]:
                 break
             v = _eliminate(v, u, p)
     return pivots
-
-
-def rank(columns) -> int:
-    return len(_echelon(columns))
 
 
 def _exact(num: int, den: int):

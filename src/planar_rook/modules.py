@@ -13,6 +13,8 @@ d ⊗ strand(n, i), because (d ⊗ unit_i)·e = e·(d ⊗ strand(n, i)): for i >
 the unit_0 term of the strand gives d ⊗ unit_0·strand(n, i) = 0.  On a simple
 module e fixes the orbit basis vectors whose top word ends in i and kills the
 rest, so `SimpleModule.restrict` keeps those vectors and needs no projector.
+A class's multiplicity in a module is the trace of its probe, an idempotent
+of the algebra, so decomposing a module needs no elimination.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .diagrams import (
     weak_compositions,
     words_with_counts,
 )
-from .linalg import apply, column_space_basis, coordinates_in_basis, rank
+from .linalg import apply, column_space_basis, coordinates_in_basis
 
 
 @total_ordering
@@ -54,8 +56,8 @@ class ClassLabel:
         counts = tuple(counts)
         if any(type(c) is not int for c in counts):
             raise ValueError(f"counts must be integers, got {brief(counts)}")
-        if n < 1:
-            raise ValueError(f"need at least one color, got n={brief(n)}")
+        if type(n) is not int or n < 1:
+            raise ValueError(f"the number of colors must be a positive integer, got n={brief(n)}")
         if len(counts) != n + 1:
             raise ValueError(
                 f"expected {n + 1} counts (isolated plus one per color), "
@@ -277,35 +279,42 @@ def regular_module(m: int, n: int, force: bool = False) -> ExplicitModule:
     return ExplicitModule._trusted(m, n, len(basis), action)
 
 
-def multiplicity(mod: ExplicitModule, label: ClassLabel) -> int:
+def multiplicity(mod: ExplicitModule, label: ClassLabel) -> int | Fraction:
     """Multiplicity of the labeled simple module inside mod.
 
     Probe with the orbit vector of the partial identity on the canonical
-    word: on a simple module it acts with rank 1 when the classes match
-    (it fixes the single basis vector whose top word is the canonical word and
-    kills the rest) and rank 0 otherwise, so on a semisimple module its rank
-    counts copies.
+    word: on a simple module it fixes the basis vector whose top word is the
+    canonical word when the classes match, and kills the rest.  It is an
+    idempotent (Prop. 2.1), so its rank on a module, which counts copies, is
+    its trace, read off the diagonals of the cached diagram matrices.
     """
     if (mod.m, mod.n) != (label.m, label.n):
         raise ValueError("module and class label live at different sizes")
-    return rank(mod.matrix_of(_probe(label)))
+    probe = _probe(label).items()
+    trace = sum(c * sum(col.get(j, 0) for j, col in enumerate(mod.matrix(d))) for d, c in probe)
+    return trace.numerator if trace.denominator == 1 else trace
 
 
 @lru_cache(maxsize=None)
-def _probe(label: ClassLabel) -> Element:
-    return orbit_vector(partial_identity(label.n, label.canonical_word()))
+def _probe(label: ClassLabel) -> dict[Diagram, int]:
+    """The probe's terms, whose coefficients are ±1, as ints."""
+    probe = orbit_vector(partial_identity(label.n, label.canonical_word()))
+    return {d: int(c) for d, c in probe.terms.items()}
 
 
 def decompose(mod: ExplicitModule) -> dict[ClassLabel, int]:
     """Multiplicity of every class present, in all_class_labels order.
 
-    Raises if the multiplicities do not account for the full dimension, which
-    catches callbacks that are not actually module actions.
+    Raises if a probe's trace is not a count, or if the multiplicities do not
+    account for the full dimension, which catches callbacks that are not
+    actually module actions.
     """
     out: dict[ClassLabel, int] = {}
     covered = 0
     for label in all_class_labels(mod.m, mod.n):
         k = multiplicity(mod, label)
+        if k < 0 or type(k) is not int:
+            raise ValueError(f"dimension accounting failed: the probe of {label.key} has trace {k}")
         if k:
             out[label] = k
             covered += k * class_dimension(label)

@@ -6,7 +6,8 @@ lowering maps as {(key, i): key} dictionaries.  `as_dicts` reads a column
 crystal into this form and `from_dicts` builds a column crystal from it, so
 tests can compare the two implementations field by field and hand-build
 broken crystals (edges that are not mutually inverse, say) for the checkers.
-`column_components` cuts a column crystal into its components with the
+`column_components` cuts a column crystal into its components, and
+`component_containing` cuts out the one that holds a node, with the
 package's own union-find.
 """
 
@@ -282,6 +283,15 @@ def column_components(crystal: Crystal) -> list[Crystal]:
     """The column crystal's connected components under both edge families,
     in node order, cut out by the package's own union-find."""
     return [_restrict(crystal, group) for group in _component_positions(crystal)]
+
+
+def component_containing(crystal: Crystal, node: str) -> Crystal:
+    """The column crystal's connected component that holds the node, cut
+    out by the package's own union-find."""
+    if node not in crystal.nodes:
+        raise ValueError(f"node {node!r} not in the crystal")
+    p = crystal.nodes.index(node)
+    return next(_restrict(crystal, g) for g in _component_positions(crystal) if p in g)
 
 
 def highest_nodes(crystal: DictCrystal) -> list[str]:

@@ -13,7 +13,7 @@ from math import comb, prod
 
 import crystal_oracle as oracle
 import pytest
-from crystal_oracle import DictCrystal, as_dicts, column_components
+from crystal_oracle import DictCrystal, as_dicts, column_components, component_containing
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -33,7 +33,6 @@ from planar_rook.crystals import (
     Crystal,
     are_isomorphic,
     check_axioms,
-    component_containing,
     morphism_violations,
     signature,
     tensor_all,
@@ -299,8 +298,8 @@ def test_tuple_crystal_memo_is_bounded():
 
 
 def test_clear_caches_rebuilds_from_the_rules(monkeypatch):
-    # the factor tables read lower_label when they are built, so a broken
-    # rule shows up once the memo is cleared
+    # the one-part crystals read lower_label when they are built, so a
+    # broken rule shows up once the memo is cleared
     clear_caches()
     monkeypatch.setattr(cc, "lower_label", lambda i, label: None)
     try:
@@ -317,9 +316,9 @@ def per_node_tensor_class_crystal(parts, n):
     """The per-node builder that the one-factor-at-a-time fold replaced,
     kept as an oracle: one `signature` call per node and direction over the
     (eps, phi) pairs of all its factors, and the factor it picks moved by
-    that factor's table column, at position sum(k_j * stride[j])."""
-    tables = [cc._factor_table(p, n) for p in parts]
-    sizes = [len(t.keys) for t in tables]
+    that factor's one-part crystal column, at position sum(k_j * stride[j])."""
+    factors = [cc._tensor_class_crystal((p,), n) for p in parts]
+    sizes = list(map(len, factors))
     strides = [prod(sizes[j + 1 :]) for j in range(len(parts))]
 
     def targets(sigs, which, cols):
@@ -332,17 +331,22 @@ def per_node_tensor_class_crystal(parts, n):
 
     eps, phi, up, down = [], [], [], []
     for d in range(n):
-        pairs = ([(c[d + 1], c[d]) for c in t.counts] for t in tables)
+        pairs = (list(zip(f.eps[d], f.phi[d])) for f in factors)
         sigs = list(map(signature, itertools.product(*pairs)))
         eps.append([sig[2] for sig in sigs])
         phi.append([sig[3] for sig in sigs])
-        up.append(targets(sigs, 0, [t.up[d] for t in tables]))
-        down.append(targets(sigs, 1, [t.down[d] for t in tables]))
-    keys = ["×".join(ks) for ks in itertools.product(*(t.keys for t in tables))]
-    words = itertools.product(*(t.words for t in tables))
+        up.append(targets(sigs, 0, [f.up[d] for f in factors]))
+        down.append(targets(sigs, 1, [f.down[d] for f in factors]))
+    keys = ["×".join(ks) for ks in itertools.product(*(f.nodes for f in factors))]
+    words = itertools.product(*map(label_words, factors))
     labels = [k + " ~ " + "×".join(ws) for k, ws in zip(keys, words)]
-    wt = [tuple(map(sum, zip(*cs))) for cs in itertools.product(*(t.counts for t in tables))]
+    wt = [tuple(map(sum, zip(*cs))) for cs in itertools.product(*(f.wt for f in factors))]
     return Crystal(n, wt, eps, phi, up, down, keys, labels)
+
+
+def label_words(crystal):
+    """The words after " ~ " in a class crystal's labels."""
+    return [lab.split(" ~ ", 1)[1] for lab in crystal.labels]
 
 
 FOLD_CASES = [
@@ -366,9 +370,10 @@ def test_folded_builder_matches_the_per_node_builder_random(parts, n):
 
 @pytest.mark.parametrize("m,n", [(0, 2), (3, 1), (2, 11), (12, 1), (3, 12)])
 def test_factor_table_words_are_the_canonical_words(m, n):
-    # built from the counts by repetition, letters >= 10 included
-    words = tuple(word_key(lab.canonical_word()) for lab in all_class_labels(m, n))
-    assert cc._factor_table(m, n).words == words
+    # a factor is its one-part crystal, whose label words are built from the
+    # counts by repetition, letters >= 10 included
+    words = [word_key(lab.canonical_word()) for lab in all_class_labels(m, n)]
+    assert label_words(cc._tensor_class_crystal((m,), n)) == words
 
 
 def test_tensor_class_crystal_validation():
@@ -438,6 +443,14 @@ def cut_highest_component(partition, n):
 
 HIGHEST_CASES = [
     (shape, n) for n in (1, 2, 3) for total in range(1, 7) for shape in partitions(total, n + 1)
+]
+# the cases with n = 4 or total 7 follow, so the ones above keep their ids
+HIGHEST_CASES += [
+    (shape, n)
+    for n in (1, 2, 3, 4)
+    for total in range(1, 8)
+    for shape in partitions(total, n + 1)
+    if n == 4 or total == 7
 ]
 
 

@@ -9,7 +9,13 @@ from math import prod
 
 import crystal_oracle as oracle
 import pytest
-from crystal_oracle import DictCrystal, as_dicts, column_components, from_dicts
+from crystal_oracle import (
+    DictCrystal,
+    as_dicts,
+    column_components,
+    component_containing,
+    from_dicts,
+)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +29,6 @@ from planar_rook.crystals import (
     Crystal,
     are_isomorphic,
     check_axioms,
-    component_containing,
     morphism_violations,
     signature,
     tensor,

@@ -20,6 +20,7 @@ import planar_rook.modules as modules
 from planar_rook.algebra import (
     Element,
     identity_element,
+    orbit_vector,
     strand,
     truncation_idempotent,
 )
@@ -28,6 +29,7 @@ from planar_rook.diagrams import (
     covers,
     empty_diagram,
     enumerate_diagrams,
+    partial_identity,
     product_words,
     unit_diagram,
 )
@@ -95,6 +97,14 @@ def test_class_label_validation():
     for counts in ((1.9, 0.2), (1, 1.0), (True, 1), ("1", 1)):
         with pytest.raises(ValueError):
             ClassLabel(1, counts)
+
+
+@pytest.mark.parametrize("n", [1.0, True, "1", None])
+def test_class_label_refuses_a_number_of_colors_that_is_not_an_int(n):
+    # a float n would build a label, and a simple module on it that fails
+    # only later, inside decompose
+    with pytest.raises(ValueError, match="number of colors must be a positive integer"):
+        ClassLabel(n, (0, 1))
 
 
 def test_all_class_labels():
@@ -326,6 +336,44 @@ def test_decompose_flags_non_module():
 def test_decompose_zero_module():
     zero = ExplicitModule(1, 1, 0, lambda d: [])
     assert decompose(zero) == {}
+
+
+def test_decompose_refuses_a_probe_trace_that_is_not_an_integer():
+    # every diagram acting by 1/2 is no module action: the probe of 1|1,0 is
+    # the edgeless diagram, whose trace is 1/2 although its rank is 1
+    half = ExplicitModule(1, 1, 1, lambda d: [{0: Fraction(1, 2)}])
+    assert multiplicity(half, label(1, 1, 0)) == Fraction(1, 2)
+    with pytest.raises(ValueError, match="^dimension accounting failed"):
+        decompose(half)
+
+
+def probe_rank(mod, lab):
+    """The rank of the class probe's matrix, by elimination: the oracle for
+    the trace that multiplicity reads."""
+    probe = orbit_vector(partial_identity(lab.n, lab.canonical_word()))
+    return len(column_space_basis(mod.matrix_of(probe))[1])
+
+
+def trace_cases():
+    for m, n in [(m, 1) for m in range(6)] + [(2, 2), (3, 2), (4, 2), (2, 3)]:
+        yield f"regular-{m}-{n}", regular_module(m, n)
+    for m, n in [(m, 1) for m in range(1, 7)] + [(m, 2) for m in range(1, 5)] + [(3, 3)]:
+        for lab in all_class_labels(m, n):
+            sm = simple(lab)
+            for i in range(n + 1):
+                yield f"{lab.key} orbit route {i}", sm.restrict(i)
+                yield f"{lab.key} projector route {i}", restrict(i, sm)
+
+
+def test_multiplicity_is_the_rank_of_the_probe():
+    # the probe is an idempotent, so its trace, which multiplicity reads, is
+    # its rank: on regular modules and on both routes of every restriction
+    checked = 0
+    for case, mod in trace_cases():
+        for lab in all_class_labels(mod.m, mod.n):
+            assert multiplicity(mod, lab) == probe_rank(mod, lab), (case, lab)
+            checked += 1
+    assert checked == 3496
 
 
 # ---------------------------------------------------------------- restriction

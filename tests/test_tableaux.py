@@ -17,13 +17,12 @@ from math import comb
 
 import crystal_oracle as oracle
 import pytest
-from crystal_oracle import as_dicts, column_components
+from crystal_oracle import as_dicts, column_components, component_containing
 
 from planar_rook.crystals import (
     CRYSTAL_NODE_CAP,
     are_isomorphic,
     check_axioms,
-    component_containing,
     signature,
     tensor_all,
 )
