@@ -25,6 +25,7 @@ from .diagrams import (
     empty_diagram,
     ensure_within_cap,
     flip,
+    json_int,
     juxtapose,
 )
 
@@ -79,9 +80,6 @@ class Element:
 
     def coefficient(self, d: Diagram) -> Fraction:
         return self.terms.get(d, Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -357,6 +355,7 @@ def identity_element(m: int, n: int, force: bool = False) -> Element:
     identities are its tensor powers.  Term count grows like (n+1)^m for
     n > 1, hence the size cap.
     """
+    m, n = json_int(m, "m"), json_int(n, "n")
     ensure_within_cap(m, n, force)
     return _identity(m, n)
 
@@ -383,6 +382,7 @@ def _truncation(m: int, n: int, i: int) -> Element:
 def truncation_idempotent(m: int, n: int, i: int, force: bool = False) -> Element:
     """Idempotent cutting to the part of a module where vertex m is colored i:
     identity(m-1) tensor strand(n, i), memoized like the identity."""
+    m, n, i = json_int(m, "m"), json_int(n, "n"), json_int(i, "color")
     if m < 1:
         raise ValueError("truncation idempotents need m >= 1")
     ensure_within_cap(m - 1, n, force)

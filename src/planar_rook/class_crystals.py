@@ -19,11 +19,13 @@ from operator import add
 
 from .crystals import (
     Crystal,
+    _lowered,
     _restrict,
     capped_binomial,
     ensure_nodes_within_cap,
     signature,
 )
+from .diagrams import json_int
 from .modules import ClassLabel, all_class_labels, induce_class, restrict_class
 
 
@@ -76,7 +78,7 @@ def class_crystal(m: int, n: int, force: bool = False) -> Crystal:
     weakly increasing word.  It is the tuple crystal of the one-part
     composition (m,): with a single factor nothing cancels.
     """
-    if m < 0 or n < 1:
+    if json_int(m, "m") < 0 or json_int(n, "n") < 1:
         raise ValueError(f"bad class crystal parameters m={m}, n={n}")
     ensure_nodes_within_cap(capped_binomial(m + n, n), force)
     return _tensor_class_crystal((m,), n)
@@ -102,7 +104,7 @@ def tensor_class_crystal(
     parts = tuple(parts)
     if not parts or any(type(p) is not int or p < 1 for p in parts):
         raise ValueError(f"parts must be positive integers, got {parts}")
-    if n < 1:
+    if json_int(n, "n") < 1:
         raise ValueError(f"need at least one color, got n={n}")
     ensure_nodes_within_cap(tuple_count(parts, n), force)
     return _tensor_class_crystal(parts, n)
@@ -204,15 +206,15 @@ def highest_component(partition, n: int) -> Crystal:
     Operators act factor by factor, so the component of u1⊗…⊗uk lies in
     comp(u1⊗…⊗u(k-1)) ⊗ (classes of part k): it is grown a part at a time,
     never building the whole tuple crystal, with the same nodes in order.
-    Each step keeps what raising and lowering reach from the straight-line
-    prefix, the component's highest node.
+    Each step keeps, in position order, what lowering reaches from the
+    straight-line prefix, the one highest node of its component.
     """
     partition = tuple(partition)
     if not partition or any(type(p) is not int or p < 1 for p in partition):
         raise ValueError(f"partition parts must be positive integers, got {partition}")
     if any(a < b for a, b in zip(partition, partition[1:])):
         raise ValueError(f"partition must be weakly decreasing, got {partition}")
-    if len(partition) > n + 1:
+    if len(partition) > json_int(n, "n") + 1:
         raise ValueError(
             f"partition with {len(partition)} parts needs at least "
             f"{len(partition) - 1} colors, have n={n}"
@@ -224,16 +226,6 @@ def highest_component(partition, n: int) -> Crystal:
         factor = _tensor_class_crystal(partition[j : j + 1], n)
         grown = factor if comp is None else _extend(comp, factor)
         start = grown.nodes.index(tuple_key(line[: j + 1]))
-        comp = _restrict(grown, _reached(grown, start))
+        comp = _restrict(grown, sorted(_lowered(grown, start)))
     return comp
 
-
-def _reached(crystal: Crystal, start: int) -> list[int]:
-    """The positions that raising and lowering reach from start, ascending."""
-    columns, seen, todo = crystal.up + crystal.down, {start}, [start]
-    while todo:
-        b = todo.pop()
-        fresh = {col[b] for col in columns} - seen - {-1}
-        seen |= fresh
-        todo += fresh
-    return sorted(seen)

@@ -23,7 +23,7 @@ rule.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import chain
+from itertools import chain, compress
 from operator import add
 from typing import Optional
 
@@ -271,30 +271,6 @@ def signature(factors) -> tuple[int, int, int, int]:
     return rise, fall if plus else -1, minus, plus
 
 
-def _component_positions(crystal: Crystal) -> list[list[int]]:
-    """Positions of each connected component under both edge families, in
-    node order, components ordered by their first node.  The union-find
-    keeps the smaller position as the root, so root[b] <= b; a lowering
-    edge that raising inverts was joined by the raising pass."""
-    root = list(range(len(crystal)))
-    for col, back in [(col, None) for col in crystal.up] + list(zip(crystal.down, crystal.up)):
-        for b, t in enumerate(col):
-            if t >= 0 and (back is None or back[t] != b):
-                while root[b] != b:
-                    root[b] = b = root[root[b]]
-                while root[t] != t:
-                    root[t] = t = root[root[t]]
-                if b < t:
-                    root[t] = b
-                elif t < b:
-                    root[b] = t
-    groups: dict[int, list[int]] = {}
-    for b, r in enumerate(root):
-        root[b] = r = root[r]
-        groups.setdefault(r, []).append(b)
-    return list(groups.values())
-
-
 def _restrict(crystal: Crystal, members: list[int]) -> Crystal:
     """The sub-crystal on the given positions, renumbered in their order."""
     new = [-1] * len(crystal)
@@ -315,49 +291,65 @@ def _restrict(crystal: Crystal, members: list[int]) -> Crystal:
     )
 
 
-def _highest_flags(crystal: Crystal) -> list[bool]:
-    """flags[b]: whether every raising operator kills position b."""
-    flags = [True] * len(crystal)
-    for col in crystal.up:
-        flags = [f and t < 0 for f, t in zip(flags, col)]
-    return flags
-
-
-def _traversal(crystal: Crystal, members: list[int], high: list[bool]):
-    """Canonical traversal of one component from its unique highest node,
-    high being the crystal's `_highest_flags`.
-
-    Returns (certificate, ordered positions).  The certificate lists the
-    weights, the eps, phi and lowering columns (targets as traversal
-    indices) in traversal order; equal certificates mean the components
-    are isomorphic, and matching the traversals node by node gives the
-    isomorphism.
-    """
-    highs = [p for p in members if high[p]]
-    if len(highs) != 1:
-        raise ValueError(
-            f"component with {len(highs)} highest nodes is not a normal "
-            "crystal component; no certificate"
-        )
-    order = highs
-    index = {highs[0]: 0, -1: -1}
+def _lowered(crystal: Crystal, start: int) -> list[int]:
+    """What lowering reaches from start, breadth first, directions in order."""
+    order, seen = [start], {start}
     for b in order:
         for col in crystal.down:
             t = col[b]
-            if t >= 0 and t not in index:
-                index[t] = len(order)
+            if t >= 0 and t not in seen:
+                seen.add(t)
                 order.append(t)
-    if len(order) != len(members):
-        raise ValueError(
-            "component is not generated by lowering from its highest node; "
-            "not a normal crystal component"
+    return order
+
+
+def _traversals(crystal: Crystal) -> list[tuple]:
+    """(certificate, first position, order) for each highest node in
+    position order, order being `_lowered` from the node.  The certificate
+    lists the weights, the eps, phi and lowering columns (targets as
+    indices into order) along order: equal certificates mean isomorphic
+    components, and matching the orders gives the isomorphism.
+
+    Raises ValueError unless each component has one highest node and is
+    generated by lowering from it, checked in this order: a node that a
+    later traversal meets again, a node that none meets, and a raising
+    edge (by direction, then position) that leaves its traversal.
+    """
+    size, keys = len(crystal), crystal.nodes
+    high = [True] * size
+    for col in crystal.up:
+        high = [h and t < 0 for h, t in zip(high, col)]
+    owner = [-1] * size
+    # rank[p] is p's index in its order; rank[-1] stays -1 for a killed edge
+    rank = [-1] * (size + 1)
+    found = []
+    for h in compress(range(size), high):
+        order = _lowered(crystal, h)
+        for j, p in enumerate(order):
+            if owner[p] >= 0:
+                raise ValueError(
+                    f"lowering reaches {keys[p]} from the highest nodes "
+                    f"{keys[owner[p]]} and {keys[h]}; not a normal crystal component"
+                )
+            owner[p], rank[p] = h, j
+        targets = (map(col.__getitem__, order) for col in crystal.down)
+        cert = (
+            tuple(map(crystal.wt.__getitem__, order)),
+            tuple(tuple(map(col.__getitem__, order)) for col in crystal.eps + crystal.phi),
+            tuple(tuple(map(rank.__getitem__, ts)) for ts in targets),
         )
-    cert = (
-        tuple(map(crystal.wt.__getitem__, order)),
-        tuple(tuple(map(col.__getitem__, order)) for col in crystal.eps + crystal.phi),
-        tuple(tuple(map(index.__getitem__, map(col.__getitem__, order))) for col in crystal.down),
-    )
-    return cert, order
+        found.append((cert, min(order), order))
+    if -1 in owner:
+        fault = f"lowering reaches {keys[owner.index(-1)]} from no highest node"
+        raise ValueError(f"{fault}; not a normal crystal component")
+    for i, col in enumerate(crystal.up, 1):
+        for b, (t, h) in enumerate(zip(col, owner)):
+            if t >= 0 and owner[t] != h:
+                raise ValueError(
+                    f"raising {keys[b]} in direction {i} leaves what lowering "
+                    f"reaches from {keys[h]}; not a normal crystal component"
+                )
+    return found
 
 
 def _image_violations(source: Crystal, target: Crystal, image: list[int]) -> list[str]:
@@ -409,35 +401,27 @@ def isomorphism_positions(left: Crystal, right: Crystal) -> Optional[list[int]]:
     """image[b], the position of right that left's position b goes to under
     an isomorphism, or None when the crystals are not isomorphic.
 
-    Both crystals must decompose into components with unique highest nodes
-    reachable by lowering (anything else raises).  Components are matched by
-    canonical traversal certificates, and the witness is verified edge by
-    edge before it is returned.
+    Each crystal, left first, is cut into one lowering traversal per
+    highest node by `_traversals`, which raises ValueError on a crystal
+    that is not normal.  The traversals are sorted by certificate, equal
+    ones by first position, and matched in that order: None when their
+    numbers or the sorted certificates differ.  The witness is verified
+    edge by edge before it is returned.
     """
     if left.n != right.n:
         raise ValueError("crystals have different color counts")
-    comps_left = _component_positions(left)
-    comps_right = _component_positions(right)
-    if len(comps_left) != len(comps_right):
+    found_left, found_right = _traversals(left), _traversals(right)
+    if len(found_left) != len(found_right):
         return None
-
-    def tagged(crystal, comps):
-        high = _highest_flags(crystal)
-        return sorted((_traversal(crystal, c, high) for c in comps), key=lambda t: t[0])
-
     image = [-1] * len(left)
-    for (cert_l, order_l), (cert_r, order_r) in zip(
-        tagged(left, comps_left), tagged(right, comps_right)
-    ):
+    for (cert_l, _, order_l), (cert_r, _, order_r) in zip(sorted(found_left), sorted(found_right)):
         if cert_l != cert_r:
             return None
         for p, q in zip(order_l, order_r):
             image[p] = q
     defects = _image_violations(left, right, image)
     if defects:
-        raise AssertionError(
-            f"certificate matching produced a defective witness: {defects[:3]}"
-        )
+        raise AssertionError(f"certificate matching produced a defective witness: {defects[:3]}")
     return image
 
 

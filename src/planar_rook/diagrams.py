@@ -289,6 +289,7 @@ def _enumerate(m: int, n: int) -> tuple[Diagram, ...]:
 def enumerate_diagrams(m: int, n: int, force: bool = False) -> tuple[Diagram, ...]:
     """All diagrams of size m with n colors: every pair of words with equal
     color counts, ordered lexicographically by (bottom word, top word)."""
+    m, n = json_int(m, "m"), json_int(n, "n")
     ensure_within_cap(m, n, force)
     return _enumerate(m, n)
 

@@ -30,6 +30,7 @@ from .diagrams import (
     brief,
     ensure_within_cap,
     enumerate_diagrams,
+    json_int,
     juxtapose,
     multinomial,
     partial_identity,
@@ -106,7 +107,8 @@ class ClassLabel:
 def all_class_labels(m: int, n: int) -> list[ClassLabel]:
     """Every class at size m, ordered so that earlier labels have more
     isolated vertices (reverse lexicographic count vectors)."""
-    if n < 1:
+    json_int(m, "m")
+    if json_int(n, "n") < 1:
         raise ValueError(f"need at least one color, got n={brief(n)}")
     return [
         ClassLabel._trusted(n, counts)

@@ -7,8 +7,13 @@ crystal into this form and `from_dicts` builds a column crystal from it, so
 tests can compare the two implementations field by field and hand-build
 broken crystals (edges that are not mutually inverse, say) for the checkers.
 `column_components` cuts a column crystal into its components, and
-`component_containing` cuts out the one that holds a node, with the
-package's own union-find.
+`component_containing` cuts out the one that holds a node, with a
+union-find over both edge families that the package itself no longer
+needs: it finds components by lowering from each highest node.
+`are_isomorphic` keeps the package's contract over dicts: one lowering
+traversal per highest node, the same refusals of a crystal that is not
+normal, in the same order and words, and the same matching of equal
+certificates, with certificates built node by node rather than by column.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Mapping, Optional
 
-from planar_rook.crystals import Crystal, _component_positions, _restrict
+from planar_rook.crystals import Crystal, _restrict
 
 
 @dataclass(frozen=True)
@@ -279,19 +284,43 @@ def components(crystal: DictCrystal) -> list[DictCrystal]:
     ]
 
 
+def component_positions(crystal: Crystal) -> list[list[int]]:
+    """Positions of each connected component of a column crystal under both
+    edge families, in node order, components ordered by their first node.
+    The union-find keeps the smaller position as the root, so root[b] <= b;
+    a lowering edge that raising inverts was joined by the raising pass."""
+    root = list(range(len(crystal)))
+    for col, back in [(col, None) for col in crystal.up] + list(zip(crystal.down, crystal.up)):
+        for b, t in enumerate(col):
+            if t >= 0 and (back is None or back[t] != b):
+                while root[b] != b:
+                    root[b] = b = root[root[b]]
+                while root[t] != t:
+                    root[t] = t = root[root[t]]
+                if b < t:
+                    root[t] = b
+                elif t < b:
+                    root[b] = t
+    groups: dict[int, list[int]] = {}
+    for b, r in enumerate(root):
+        root[b] = r = root[r]
+        groups.setdefault(r, []).append(b)
+    return list(groups.values())
+
+
 def column_components(crystal: Crystal) -> list[Crystal]:
     """The column crystal's connected components under both edge families,
-    in node order, cut out by the package's own union-find."""
-    return [_restrict(crystal, group) for group in _component_positions(crystal)]
+    in node order, cut out by `component_positions`."""
+    return [_restrict(crystal, group) for group in component_positions(crystal)]
 
 
 def component_containing(crystal: Crystal, node: str) -> Crystal:
     """The column crystal's connected component that holds the node, cut
-    out by the package's own union-find."""
+    out by `component_positions`."""
     if node not in crystal.nodes:
         raise ValueError(f"node {node!r} not in the crystal")
     p = crystal.nodes.index(node)
-    return next(_restrict(crystal, g) for g in _component_positions(crystal) if p in g)
+    return next(_restrict(crystal, g) for g in component_positions(crystal) if p in g)
 
 
 def highest_nodes(crystal: DictCrystal) -> list[str]:
@@ -302,42 +331,66 @@ def highest_nodes(crystal: DictCrystal) -> list[str]:
     ]
 
 
-def _traversal(comp: DictCrystal):
-    highs = highest_nodes(comp)
-    if len(highs) != 1:
-        raise ValueError(
-            f"component with {len(highs)} highest nodes is not a normal "
-            "crystal component; no certificate"
-        )
-    order = [highs[0]]
-    position = {highs[0]: 0}
+def _lowered(crystal: DictCrystal, start: str) -> list[str]:
+    """What lowering reaches from start: start, then each reached node's
+    targets in directions 1..n, first come first listed."""
+    order = [start]
     cursor = 0
     while cursor < len(order):
         b = order[cursor]
         cursor += 1
-        for i in range(1, comp.n + 1):
-            target = comp.f(b, i)
-            if target is not None and target not in position:
-                position[target] = len(order)
+        for i in range(1, crystal.n + 1):
+            target = crystal.f(b, i)
+            if target is not None and target not in order:
                 order.append(target)
-    if len(order) != len(comp.nodes):
-        raise ValueError(
-            "component is not generated by lowering from its highest node; "
-            "not a normal crystal component"
+    return order
+
+
+def _traversals(crystal: DictCrystal) -> list[tuple[tuple, list[str]]]:
+    """(certificate, order) per highest node in node order, order being what
+    lowering reaches from it.  Refuses, in this order, the first node that
+    a later traversal meets again, the first node that no traversal meets,
+    and the first raising edge (by direction, then node) whose ends lie in
+    different traversals."""
+    owner: dict[str, str] = {}
+    found = []
+    for top in highest_nodes(crystal):
+        order = _lowered(crystal, top)
+        for b in order:
+            if b in owner:
+                raise ValueError(
+                    f"lowering reaches {b} from the highest nodes {owner[b]} and {top}; "
+                    "not a normal crystal component"
+                )
+            owner[b] = top
+        position = {b: j for j, b in enumerate(order)}
+        cert = tuple(
+            (
+                crystal.weight(b),
+                tuple(crystal.eps[b]),
+                tuple(crystal.phi[b]),
+                tuple(
+                    position[crystal.f(b, i)] if crystal.f(b, i) is not None else -1
+                    for i in range(1, crystal.n + 1)
+                ),
+            )
+            for b in order
         )
-    cert = tuple(
-        (
-            comp.weight(b),
-            tuple(comp.eps[b]),
-            tuple(comp.phi[b]),
-            tuple(
-                position[comp.f(b, i)] if comp.f(b, i) is not None else -1
-                for i in range(1, comp.n + 1)
-            ),
-        )
-        for b in order
-    )
-    return cert, order
+        found.append((cert, order))
+    for b in crystal.nodes:
+        if b not in owner:
+            raise ValueError(
+                f"lowering reaches {b} from no highest node; not a normal crystal component"
+            )
+    for i in range(1, crystal.n + 1):
+        for b in crystal.nodes:
+            up = crystal.e(b, i)
+            if up is not None and owner[up] != owner[b]:
+                raise ValueError(
+                    f"raising {b} in direction {i} leaves what lowering reaches from "
+                    f"{owner[b]}; not a normal crystal component"
+                )
+    return found
 
 
 def morphism_violations(source: DictCrystal, target: DictCrystal, mapping) -> list[str]:
@@ -370,12 +423,12 @@ def morphism_violations(source: DictCrystal, target: DictCrystal, mapping) -> li
 def are_isomorphic(left: DictCrystal, right: DictCrystal):
     if left.n != right.n:
         raise ValueError("crystals have different color counts")
-    comps_left = components(left)
-    comps_right = components(right)
-    if len(comps_left) != len(comps_right):
+    found_left, found_right = _traversals(left), _traversals(right)
+    if len(found_left) != len(found_right):
         return False, None
-    tagged_left = sorted((_traversal(c) for c in comps_left), key=lambda t: t[0])
-    tagged_right = sorted((_traversal(c) for c in comps_right), key=lambda t: t[0])
+    # equal certificates are matched in the order of their components' first nodes
+    tagged_left = sorted(found_left, key=lambda t: (t[0], min(map(left.nodes.index, t[1]))))
+    tagged_right = sorted(found_right, key=lambda t: (t[0], min(map(right.nodes.index, t[1]))))
     mapping: dict[str, str] = {}
     for (cert_l, order_l), (cert_r, order_r) in zip(tagged_left, tagged_right):
         if cert_l != cert_r:

@@ -1,8 +1,10 @@
 """`planar_rook.clear_caches` empties every memo in the package, and every
 cached builder returns an equal result afterwards."""
 
+import pytest
+
 import planar_rook
-from planar_rook import algebra, class_crystals, diagrams, modules, tableaux
+from planar_rook import algebra, class_crystals, cli, diagrams, modules, tableaux
 from planar_rook.modules import ClassLabel
 
 PACKAGE_MODULES = (algebra, class_crystals, diagrams, modules, tableaux)
@@ -41,3 +43,40 @@ def test_clear_caches_empties_every_memo_and_rebuilds_equal_results():
     }
     after = {name: build() for name, build in BUILDERS.items()}
     assert after == before
+
+
+# A bool hashes and compares equal to an int, so a memo keyed by a bool size
+# would serve its result to later callers that pass the int; a float would
+# fail deep inside the builders.  Every public entry refuses both first.
+NON_INT_CALLS = {
+    "enumerate bool": lambda: diagrams.enumerate_diagrams(2, True),
+    "enumerate float": lambda: diagrams.enumerate_diagrams(2.0, 1),
+    "labels": lambda: modules.all_class_labels(2, 1.0),
+    "labels size": lambda: modules.all_class_labels(True, 1),
+    "classes bool": lambda: class_crystals.class_crystal(2, True),
+    "classes float": lambda: class_crystals.class_crystal(2.0, 1),
+    "tuples": lambda: class_crystals.tensor_class_crystal((2,), 1.0),
+    "highest": lambda: class_crystals.highest_component((2, 1), 1.0),
+    "regular": lambda: modules.regular_module(2, True),
+    "identity": lambda: algebra.identity_element(2, True),
+    "truncation": lambda: algebra.truncation_idempotent(2, 1.0, 1),
+    "truncation color": lambda: algebra.truncation_idempotent(2, 1, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_INT_CALLS))
+def test_non_int_sizes_are_refused_before_any_memo(name):
+    planar_rook.clear_caches()
+    with pytest.raises(ValueError, match="must be an integer"):
+        NON_INT_CALLS[name]()
+    assert {n: f.cache_info().currsize for n, f in memos().items()} == {n: 0 for n in memos()}
+
+
+def test_a_refused_bool_size_leaves_later_int_callers_alone(capsys):
+    planar_rook.clear_caches()
+    for refused in ("classes bool", "enumerate bool"):
+        with pytest.raises(ValueError):
+            NON_INT_CALLS[refused]()
+    assert type(diagrams.enumerate_diagrams(2, 1)[0].to_json_dict()["n"]) is int
+    assert cli.main(["crystal", "cm", "--m", "2", "--n", "1", "--json", "-"]) == 0
+    assert '"n": 1,' in capsys.readouterr().out

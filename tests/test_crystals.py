@@ -29,6 +29,7 @@ from planar_rook.crystals import (
     Crystal,
     are_isomorphic,
     check_axioms,
+    isomorphism_positions,
     morphism_violations,
     signature,
     tensor,
@@ -457,6 +458,76 @@ def test_are_isomorphic_rejects_non_normal():
     looped = from_dicts(_looped())
     with pytest.raises(ValueError, match="not a normal"):
         are_isomorphic(looped, looped)
+
+
+def _flat(nodes, e_edges, f_edges):
+    """A two-color crystal with zero weights and statistics, which the
+    traversal contract never reads."""
+    zero = {b: (0, 0) for b in nodes}
+    return DictCrystal(2, nodes, {b: (0, 0, 0) for b in nodes}, zero, zero, e_edges, f_edges)
+
+
+NOT_NORMAL = {
+    # two lowering chains a -> b and c -> d, joined only by a raising edge
+    # from d that no lowering edge inverts
+    "raising edge across chains": (
+        _flat(
+            ("a", "b", "c", "d"),
+            {("b", 1): "a", ("d", 1): "c", ("d", 2): "a"},
+            {("a", 1): "b", ("c", 1): "d"},
+        ),
+        "raising d in direction 2 leaves what lowering reaches from c; "
+        "not a normal crystal component",
+    ),
+    # a and b are both highest and both lower onto the chain c -> d
+    "two highest nodes": (
+        _flat(
+            ("a", "b", "c", "d"),
+            {("c", 1): "a", ("c", 2): "b", ("d", 1): "c"},
+            {("a", 1): "c", ("b", 2): "c", ("c", 1): "d"},
+        ),
+        "lowering reaches c from the highest nodes a and b; not a normal crystal component",
+    ),
+    "no highest node": (
+        _looped(),
+        "lowering reaches a from no highest node; not a normal crystal component",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_NORMAL))
+def test_isomorphism_refuses_a_crystal_that_is_not_normal(name):
+    d, message = NOT_NORMAL[name]
+    c, good = from_dicts(d), box_crystal(d.n)
+    for left, right in ((c, c), (c, good), (good, c)):
+        with pytest.raises(ValueError) as exc:
+            isomorphism_positions(left, right)
+        assert str(exc.value) == message
+        refused = (ValueError, message)
+        assert _outcome(oracle.are_isomorphic, as_dicts(left), as_dicts(right)) == refused
+
+
+def test_isomorphism_checks_the_left_crystal_first():
+    chains, message = NOT_NORMAL["raising edge across chains"]
+    tops, _ = NOT_NORMAL["two highest nodes"]
+    outcome = (ValueError, message)
+    assert _outcome(isomorphism_positions, from_dicts(chains), from_dicts(tops)) == outcome
+    assert _outcome(oracle.are_isomorphic, chains, tops) == outcome
+
+
+# recorded images: isomorphic components are matched in the order of their
+# first positions, whichever of their nodes is highest
+PARENT_IMAGES = {
+    "box^4(n=1)": [15, 14, 13, 10, 11, 12, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0],
+    "rows(2,1)": list(range(17, -1, -1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARENT_IMAGES))
+def test_isomorphism_images_are_unchanged(name):
+    c = ORACLE_CORPUS[name]()
+    assert isomorphism_positions(c, c) == list(range(len(c)))
+    assert isomorphism_positions(c, _reversed(c)) == PARENT_IMAGES[name]
 
 
 def test_morphism_violations():
