@@ -355,7 +355,7 @@ def identity_element(m: int, n: int, force: bool = False) -> Element:
     identities are its tensor powers.  Term count grows like (n+1)^m for
     n > 1, hence the size cap.
     """
-    m, n = json_int(m, "m"), json_int(n, "n")
+    m, n = json_int(m, "m", 0), json_int(n, "n", 1)
     ensure_within_cap(m, n, force)
     return _identity(m, n)
 
@@ -382,8 +382,6 @@ def _truncation(m: int, n: int, i: int) -> Element:
 def truncation_idempotent(m: int, n: int, i: int, force: bool = False) -> Element:
     """Idempotent cutting to the part of a module where vertex m is colored i:
     identity(m-1) tensor strand(n, i), memoized like the identity."""
-    m, n, i = json_int(m, "m"), json_int(n, "n"), json_int(i, "color")
-    if m < 1:
-        raise ValueError("truncation idempotents need m >= 1")
+    m, n, i = json_int(m, "m", 1), json_int(n, "n", 1), json_int(i, "color")
     ensure_within_cap(m - 1, n, force)
     return _truncation(m, n, i)

@@ -30,7 +30,7 @@ from .modules import (
     class_dimension,
     decompose,
     induce_class,
-    regular_module,
+    regular_decomposition,
     restrict_class,
     simple,
 )
@@ -233,7 +233,7 @@ def _cmd_decompose(args) -> int:
         if args.m is None or args.n is None:
             raise UsageError("--regular needs --m and --n")
         module = f"regular(m={args.m},n={args.n})"
-        dec = decompose(regular_module(args.m, args.n, force=args.force))
+        dec = regular_decomposition(args.m, args.n, force=args.force)
     else:
         if args.klass is None:
             raise UsageError("--restrict and --induce need --class")

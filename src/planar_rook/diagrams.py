@@ -50,11 +50,14 @@ def min_digits(x: int) -> int:
     return (abs(x).bit_length() - 1) * 30102999566 // 10**11 + 1
 
 
-def json_int(x, what: str) -> int:
-    """x itself when it is a JSON integer.  Floats and booleans are refused,
-    so no binary fraction is silently truncated into a size or a color."""
+def json_int(x, what: str, least: int | None = None) -> int:
+    """x itself when it is a JSON integer, and not below `least` if given.
+    Floats and booleans are refused, so no binary fraction is silently
+    truncated into a size or a color."""
     if type(x) is not int:
         raise ValueError(f"{what} must be an integer, got {brief(x)}")
+    if least is not None and x < least:
+        raise ValueError(f"{what} must be at least {least}, got {brief(x)}")
     return x
 
 
@@ -289,7 +292,7 @@ def _enumerate(m: int, n: int) -> tuple[Diagram, ...]:
 def enumerate_diagrams(m: int, n: int, force: bool = False) -> tuple[Diagram, ...]:
     """All diagrams of size m with n colors: every pair of words with equal
     color counts, ordered lexicographically by (bottom word, top word)."""
-    m, n = json_int(m, "m"), json_int(n, "n")
+    m, n = json_int(m, "m", 0), json_int(n, "n", 1)
     ensure_within_cap(m, n, force)
     return _enumerate(m, n)
 

@@ -14,7 +14,8 @@ the unit_0 term of the strand gives d ⊗ unit_0·strand(n, i) = 0.  On a simple
 module e fixes the orbit basis vectors whose top word ends in i and kills the
 rest, so `SimpleModule.restrict` keeps those vectors and needs no projector.
 A class's multiplicity in a module is the trace of its probe, an idempotent
-of the algebra, so decomposing a module needs no elimination.
+of the algebra, so decomposing a module needs no elimination; on the regular
+module a diagram's trace counts fixed top words, so it needs no module either.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .algebra import Element, orbit_vector, truncation_idempotent
 from .diagrams import (
     Diagram,
     brief,
+    count_diagrams,
     ensure_within_cap,
     enumerate_diagrams,
     json_int,
@@ -311,19 +313,46 @@ def decompose(mod: ExplicitModule) -> dict[ClassLabel, int]:
     account for the full dimension, which catches callbacks that are not
     actually module actions.
     """
+    return _tally(mod.m, mod.n, mod.dimension, lambda label: multiplicity(mod, label))
+
+
+def regular_decomposition(m: int, n: int, force: bool = False) -> dict[ClassLabel, int]:
+    """decompose(regular_module(m, n, force)) without building the module."""
+    m, n = json_int(m, "m", 0), json_int(n, "n", 1)
+    ensure_within_cap(m, n, force)
+    return _tally(
+        m, n, count_diagrams(m, n),
+        lambda label: sum(c * _regular_trace(d) for d, c in _probe(label).items()),
+    )
+
+
+def _regular_trace(d: Diagram) -> int:
+    """The trace of d on the regular module: d fixes a basis diagram exactly
+    when each colored letter of its top word τ lies on a straight strand
+    p → p of d of that color, so it fixes all multinomial(counts τ) or none."""
+    straight = [d.top[p] for p, q in enumerate(d._matching()[0]) if q == p]
+    return sum(
+        multinomial([d.m - r, *map(kept.count, range(1, d.n + 1))])
+        for r in range(len(straight) + 1)
+        for kept in itertools.combinations(straight, r)
+    )
+
+
+def _tally(m: int, n: int, dimension: int, trace) -> dict[ClassLabel, int]:
+    """decompose's result and audit, from trace(label), the probe's trace."""
     out: dict[ClassLabel, int] = {}
     covered = 0
-    for label in all_class_labels(mod.m, mod.n):
-        k = multiplicity(mod, label)
+    for label in all_class_labels(m, n):
+        k = trace(label)
         if k < 0 or type(k) is not int:
             raise ValueError(f"dimension accounting failed: the probe of {label.key} has trace {k}")
         if k:
             out[label] = k
             covered += k * class_dimension(label)
-    if covered != mod.dimension:
+    if covered != dimension:
         raise ValueError(
             f"dimension accounting failed: simple pieces cover {covered} "
-            f"of {mod.dimension}; the input is not a module action"
+            f"of {dimension}; the input is not a module action"
         )
     return out
 

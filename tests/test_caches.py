@@ -58,6 +58,7 @@ NON_INT_CALLS = {
     "tuples": lambda: class_crystals.tensor_class_crystal((2,), 1.0),
     "highest": lambda: class_crystals.highest_component((2, 1), 1.0),
     "regular": lambda: modules.regular_module(2, True),
+    "regular decomposition": lambda: modules.regular_decomposition(2.0, 1),
     "identity": lambda: algebra.identity_element(2, True),
     "truncation": lambda: algebra.truncation_idempotent(2, 1.0, 1),
     "truncation color": lambda: algebra.truncation_idempotent(2, 1, True),
@@ -69,6 +70,29 @@ def test_non_int_sizes_are_refused_before_any_memo(name):
     planar_rook.clear_caches()
     with pytest.raises(ValueError, match="must be an integer"):
         NON_INT_CALLS[name]()
+    assert {n: f.cache_info().currsize for n, f in memos().items()} == {n: 0 for n in memos()}
+
+
+# A negative size or a missing color is refused in one line before any memo
+# too, not built as a module with n = 0 or failed inside itertools.
+OUT_OF_RANGE_CALLS = {
+    "enumerate no colors": lambda: diagrams.enumerate_diagrams(2, 0),
+    "enumerate negative": lambda: diagrams.enumerate_diagrams(-1, 1),
+    "identity no colors": lambda: algebra.identity_element(2, 0),
+    "identity negative": lambda: algebra.identity_element(-2, 1),
+    "truncation no colors": lambda: algebra.truncation_idempotent(2, 0, 0),
+    "truncation size 0": lambda: algebra.truncation_idempotent(0, 1, 0),
+    "regular no colors": lambda: modules.regular_module(2, 0),
+    "regular decomposition no colors": lambda: modules.regular_decomposition(2, 0),
+    "regular decomposition negative": lambda: modules.regular_decomposition(-1, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUT_OF_RANGE_CALLS))
+def test_out_of_range_sizes_are_refused_before_any_memo(name):
+    planar_rook.clear_caches()
+    with pytest.raises(ValueError, match=r"^[mn] must be at least [01], got -?\d+$"):
+        OUT_OF_RANGE_CALLS[name]()
     assert {n: f.cache_info().currsize for n, f in memos().items()} == {n: 0 for n in memos()}
 
 

@@ -20,6 +20,8 @@ import planar_rook.class_crystals as cc
 import planar_rook.cli as cli
 from planar_rook import clear_caches
 import planar_rook.crystals as crystals
+import planar_rook.diagrams as diagrams
+import planar_rook.modules as modules
 from planar_rook.algebra import Element, identity_element
 from planar_rook.cli import main
 from planar_rook.diagrams import Diagram, enumerate_diagrams, flip, partial_identity
@@ -37,6 +39,8 @@ COMMANDS = {
     "simples-3-2": ("simples", "--m", "3", "--n", "2"),
     "decompose-regular-3-1": ("decompose", "--regular", "--m", "3", "--n", "1"),
     "decompose-regular-2-2": ("decompose", "--regular", "--m", "2", "--n", "2"),
+    "decompose-regular-5-1": ("decompose", "--regular", "--m", "5", "--n", "1"),
+    "decompose-regular-2-3": ("decompose", "--regular", "--m", "2", "--n", "3"),
     "decompose-restrict-1": ("decompose", "--restrict", "1", "--class", "3,2:1,1,1"),
     "decompose-restrict-0": ("decompose", "--restrict", "0", "--class", "3,2:1,2,0"),
     "decompose-restrict-zero": ("decompose", "--restrict", "2", "--class", "2,2:1,1,0"),
@@ -382,6 +386,30 @@ def test_decompose_regular(capsys):
     payload = json.loads(out)
     assert [s["multiplicity"] for s in payload["summands"]] == [1, 2, 1]
     assert payload["total_dimension"] == 6
+
+
+def test_decompose_regular_builds_no_module_and_enumerates_no_diagram(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("decompose --regular built the regular module")
+
+    monkeypatch.setattr(modules, "regular_module", refuse)
+    monkeypatch.setattr(modules.ExplicitModule, "_adopt", refuse)
+    monkeypatch.setattr(diagrams, "_enumerate", refuse)
+    for name in ("decompose-regular-5-1", "decompose-regular-2-3"):
+        code, out, err = run(capsys, *COMMANDS[name])
+        assert (code, err) == (0, "")
+        assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
+
+
+@pytest.mark.parametrize("m, n", [("9", "1"), ("7", "2")])
+def test_decompose_regular_keeps_the_cap(capsys, m, n):
+    cap = 8 if n == "1" else 6
+    assert run(capsys, "decompose", "--regular", "--m", m, "--n", n) == (
+        2,
+        "",
+        f"error: size m={m} exceeds the enumeration cap {cap} for n={n} colors; "
+        "pass --force or set PLANAR_ROOK_FORCE=1 to override\n",
+    )
 
 
 def test_decompose_restrict(capsys):

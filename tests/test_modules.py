@@ -26,6 +26,8 @@ from planar_rook.algebra import (
 )
 from planar_rook.diagrams import (
     Diagram,
+    EnumerationCapError,
+    count_diagrams,
     covers,
     empty_diagram,
     enumerate_diagrams,
@@ -43,6 +45,7 @@ from planar_rook.modules import (
     decompose,
     induce_class,
     multiplicity,
+    regular_decomposition,
     regular_module,
     restrict,
     restrict_class,
@@ -322,6 +325,54 @@ def test_decompose_regular_multiplicity_equals_dimension():
         assert sum(k * class_dimension(lab) for lab, k in dec.items()) == len(
             enumerate_diagrams(m, n)
         )
+
+
+REGULAR_SIZES = [(m, 1) for m in range(7)] + [
+    (1, 2), (2, 2), (3, 2), (4, 2), (1, 3), (2, 3), (3, 3), (1, 4), (2, 4)
+]
+
+
+@pytest.mark.parametrize("m, n", REGULAR_SIZES)
+def test_regular_decomposition_is_the_built_module_decomposition(m, n):
+    got, built = regular_decomposition(m, n), decompose(regular_module(m, n))
+    assert list(got.items()) == list(built.items())
+    assert all(type(k) is int for k in got.values())
+
+
+def test_regular_trace_is_the_diagonal_of_the_built_module():
+    # the straight strands come from the matching: top 110 over bottom 011
+    # has the letter 1 above and below vertex 2 but joins 1-2 and 2-3, so it
+    # fixes only the basis diagram with top word 000
+    assert modules._regular_trace(Diagram(3, 1, [(1, 2, 1), (2, 3, 1)])) == 1
+    checked = 0
+    for m, n in [(m, 1) for m in range(1, 5)] + [(2, 2), (3, 2), (2, 3)]:
+        mod = regular_module(m, n)
+        for d in enumerate_diagrams(m, n):
+            diagonal = sum(col.get(j, 0) for j, col in enumerate(mod.matrix(d)))
+            assert modules._regular_trace(d) == diagonal, d
+            checked += 1
+    assert checked == 234
+
+
+def test_regular_decomposition_keeps_the_audit(monkeypatch):
+    monkeypatch.setattr(modules, "count_diagrams", lambda m, n: 1)
+    with pytest.raises(ValueError, match="^dimension accounting failed: simple pieces cover 6 of 1;"):
+        regular_decomposition(2, 1)
+    monkeypatch.undo()
+    for bad in (Fraction(1, 2), -1):
+        monkeypatch.setattr(modules, "_regular_trace", lambda d, bad=bad: bad)
+        with pytest.raises(ValueError, match="^dimension accounting failed: the probe of 2|2,0"):
+            regular_decomposition(2, 1)
+
+
+def test_regular_decomposition_keeps_the_cap():
+    with pytest.raises(EnumerationCapError, match="^size m=9 exceeds the enumeration cap 8"):
+        regular_decomposition(9, 1)
+    with pytest.raises(EnumerationCapError, match="^size m=7 exceeds the enumeration cap 6"):
+        regular_decomposition(7, 2)
+    dec = regular_decomposition(9, 1, force=True)
+    assert all(k == class_dimension(lab) for lab, k in dec.items())
+    assert sum(k * k for k in dec.values()) == count_diagrams(9, 1)
 
 
 def test_decompose_flags_non_module():
