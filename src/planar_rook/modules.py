@@ -109,7 +109,7 @@ class ClassLabel:
 def all_class_labels(m: int, n: int) -> list[ClassLabel]:
     """Every class at size m, ordered so that earlier labels have more
     isolated vertices (reverse lexicographic count vectors)."""
-    json_int(m, "m")
+    json_int(m, "m", 0)
     if json_int(n, "n") < 1:
         raise ValueError(f"need at least one color, got n={brief(n)}")
     return [

@@ -78,6 +78,7 @@ def test_non_int_sizes_are_refused_before_any_memo(name):
 OUT_OF_RANGE_CALLS = {
     "enumerate no colors": lambda: diagrams.enumerate_diagrams(2, 0),
     "enumerate negative": lambda: diagrams.enumerate_diagrams(-1, 1),
+    "labels negative": lambda: modules.all_class_labels(-1, 1),
     "identity no colors": lambda: algebra.identity_element(2, 0),
     "identity negative": lambda: algebra.identity_element(-2, 1),
     "truncation no colors": lambda: algebra.truncation_idempotent(2, 0, 0),
