@@ -19,7 +19,7 @@ from .tableaux import row_crystal, ssyt_crystal
 
 
 def clear_caches() -> None:
-    """Drop every memoized result: diagram enumerations and words, identity
+    """Drop every memoized result: words and matchings of diagrams, identity
     and truncation elements, multiplicity probes, and crystals."""
     for module in (algebra, class_crystals, diagrams, modules, tableaux):
         for memo in vars(module).values():

@@ -27,6 +27,7 @@ from .crystals import (
 )
 from .diagrams import json_int
 from .modules import ClassLabel, all_class_labels, induce_class, restrict_class
+from .tableaux import partition_shape
 
 
 def raise_label(i: int, label: ClassLabel) -> ClassLabel | None:
@@ -209,12 +210,10 @@ def highest_component(partition, n: int) -> Crystal:
     Each step keeps, in position order, what lowering reaches from the
     straight-line prefix, the one highest node of its component.
     """
-    partition = tuple(partition)
-    if not partition or any(type(p) is not int or p < 1 for p in partition):
-        raise ValueError(f"partition parts must be positive integers, got {partition}")
-    if any(a < b for a, b in zip(partition, partition[1:])):
-        raise ValueError(f"partition must be weakly decreasing, got {partition}")
-    if len(partition) > json_int(n, "n") + 1:
+    partition = partition_shape(partition)
+    if not partition:
+        raise ValueError("partition must have at least one part")
+    if len(partition) > json_int(n, "n", 1) + 1:
         raise ValueError(
             f"partition with {len(partition)} parts needs at least "
             f"{len(partition) - 1} colors, have n={n}"

@@ -279,7 +279,6 @@ def words_with_counts(counts: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         out.append(tuple(word))
 
 
-@lru_cache(maxsize=None)
 def _enumerate(m: int, n: int) -> tuple[Diagram, ...]:
     trusted, letters = Diagram._trusted, range(n + 1)
     return tuple(

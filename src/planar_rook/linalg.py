@@ -2,10 +2,9 @@
 
 A column is a dict from row index to a nonzero exact coefficient (an int or
 a Fraction); a matrix is a sequence of columns.  Column spaces, which the
-generic restriction of a module needs, come from fraction-free elimination
-over the integers: each column is scaled to coprime integers, and a pivot is
-removed with v <- a*v - b*u followed by division by the gcd of the result,
-so no Fraction is built while eliminating.
+generic restriction of a module needs, come from one Gauss–Jordan pass over
+the rationals: each column is cleared of the pivots found so far, its own
+pivot is scaled to 1, and that pivot is cleared from the earlier vectors.
 
 Everything here is deterministic: a pivot vector is keyed by its lowest row
 index and the column space gets its reduced echelon basis, which is unique,
@@ -16,54 +15,16 @@ floating point.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 
 
-def _primitive(vec: dict) -> dict:
-    """An integer vector with the same span as vec: cleared of denominators
-    by their lcm and divided by the gcd of its entries."""
-    den = lcm(*(x.denominator for x in vec.values()))
-    out = {r: int(x * den) for r, x in vec.items() if x}
-    g = gcd(*out.values())
-    if g > 1:
-        out = {r: x // g for r, x in out.items()}
-    return out
-
-
-def _eliminate(v: dict, u: dict, p: int) -> dict:
-    """a*v - b*u with the entry at p cancelled, divided by its content."""
-    a, b = u[p], v[p]
-    g = gcd(a, b)
-    a, b = a // g, b // g
-    w = {r: a * x for r, x in v.items()}
+def _subtract(v: dict, c, u: dict) -> None:
+    """v <- v - c*u in place, dropping the entries that cancel."""
     for r, x in u.items():
-        y = w.get(r, 0) - b * x
+        y = v.get(r, 0) - c * x
         if y:
-            w[r] = y
+            v[r] = y
         else:
-            del w[r]
-    g = gcd(*w.values())
-    return {r: x // g for r, x in w.items()} if g > 1 else w
-
-
-def _echelon(columns) -> dict[int, dict]:
-    """Integer pivot vectors spanning the columns, keyed by lowest row index."""
-    pivots: dict[int, dict] = {}
-    for col in columns:
-        v = _primitive(col)
-        while v:
-            p = min(v)
-            u = pivots.get(p)
-            if u is None:
-                pivots[p] = v
-                break
-            v = _eliminate(v, u, p)
-    return pivots
-
-
-def _exact(num: int, den: int):
-    q = Fraction(num, den)
-    return q.numerator if q.denominator == 1 else q
+            del v[r]
 
 
 def column_space_basis(columns) -> tuple[list[dict], list[int]]:
@@ -72,22 +33,30 @@ def column_space_basis(columns) -> tuple[list[dict], list[int]]:
     Returns (basis, pivots) with pivots ascending, where basis[k] has a 1 at
     pivots[k], zeros at the other pivots and nothing above pivots[k], so the
     coordinates of any vector v in the span are simply (v[p] for p in
-    pivots).
+    pivots).  Every integral entry is an int.
     """
-    echelon = _echelon(columns)
-    pivots = sorted(echelon)
     reduced: dict[int, dict] = {}
-    for p in reversed(pivots):
-        v = echelon[p]
-        # clear the later pivots, which are already reduced, staying integral
-        for q in sorted(r for r in v if r in reduced):
-            v = _eliminate(v, reduced[q], q)
-        reduced[p] = v
-    basis = []
-    for p in pivots:
-        v = reduced[p]
-        lead = v[p]
-        basis.append({r: _exact(x, lead) for r, x in v.items()})
+    for col in columns:
+        v = {r: x for r, x in col.items() if x}
+        # each reduced vector is zero at the other pivots, so one subtraction
+        # per pivot clears them all
+        for p in [r for r in v if r in reduced]:
+            _subtract(v, v[p], reduced[p])
+        if not v:
+            continue
+        q = min(v)
+        if v[q] != 1:
+            lead = Fraction(v[q])
+            v = {r: x / lead for r, x in v.items()}
+        for u in reduced.values():
+            if q in u:
+                _subtract(u, u[q], v)
+        reduced[q] = v
+    pivots = sorted(reduced)
+    basis = [
+        {r: x.numerator if x.denominator == 1 else x for r, x in reduced[p].items()}
+        for p in pivots
+    ]
     return basis, pivots
 
 

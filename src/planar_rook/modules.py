@@ -148,8 +148,8 @@ class ExplicitModule:
     """
 
     def __init__(self, m: int, n: int, dimension: int, diagram_action):
-        if m < 0 or n < 1 or dimension < 0:
-            raise ValueError(f"bad module shape m={m}, n={n}, dim={dimension}")
+        m, n = json_int(m, "m", 0), json_int(n, "n", 1)
+        dimension = json_int(dimension, "dimension", 0)
         self._adopt(m, n, dimension, lambda d: map(self._checked, diagram_action(d)))
 
     @classmethod

@@ -19,6 +19,7 @@ import itertools
 from math import comb
 
 from .crystals import Crystal, capped_binomial, ensure_nodes_within_cap, signature
+from .diagrams import json_int
 
 Word = tuple[int, ...]
 
@@ -93,8 +94,6 @@ def _filling_crystal(n: int, fillings: list, keys=None) -> Crystal:
 
 def box_crystal(n: int, force: bool = False) -> Crystal:
     """The chain crystal on the letters 0..n: the row crystal of length 1."""
-    if n < 1:
-        raise ValueError("need at least one direction")
     return row_crystal(1, n, force)
 
 
@@ -106,8 +105,7 @@ def row_crystal(m: int, n: int, force: bool = False) -> Crystal:
     """Crystal on weakly increasing words of length m in the letters 0..n,
     in lexicographic order; eps counts the copies of i and phi the copies
     of i-1.  It has C(m+n, n) nodes."""
-    if m < 0 or n < 1:
-        raise ValueError(f"bad row crystal parameters m={m}, n={n}")
+    m, n = json_int(m, "m", 0), json_int(n, "n", 1)
     ensure_nodes_within_cap(capped_binomial(m + n, n), force)
     return _filling_crystal(n, [(w,) for w in weakly_increasing_words(m, n)])
 
@@ -167,7 +165,7 @@ def ssyt_crystal(shape, n: int, force: bool = False) -> Crystal:
     form.  That it is connected, with the highest tableau as its only
     highest node, is tested, not assumed.
     """
-    shape = partition_shape(shape)
+    shape, n = partition_shape(shape), json_int(n, "n", 1)
     # a tall shape counts 0 and its enumeration refuses it
     ensure_nodes_within_cap(ssyt_count(shape, n), force)
     rows = _ssyt_rows(shape, n)

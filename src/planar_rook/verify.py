@@ -146,9 +146,10 @@ def _verify_regular_decomposition(max_m, max_n, pin_m, pin_n):
     checked = 0
     bad = []
     for m, n in _pairs(max_m, max_n, pin_m, pin_n, 3, 2):
-        total = len(enumerate_diagrams(m, n))
+        regular = regular_module(m, n)
+        total = regular.dimension
         try:
-            dec = decompose(regular_module(m, n))
+            dec = decompose(regular)
         except ValueError as exc:
             bad.append({"case": f"m={m},n={n}", "error": str(exc)})
             continue

@@ -62,6 +62,10 @@ NON_INT_CALLS = {
     "identity": lambda: algebra.identity_element(2, True),
     "truncation": lambda: algebra.truncation_idempotent(2, 1.0, 1),
     "truncation color": lambda: algebra.truncation_idempotent(2, 1, True),
+    "row bool": lambda: tableaux.row_crystal(2, True),
+    "row float": lambda: tableaux.row_crystal(2.0, 1),
+    "box float": lambda: tableaux.box_crystal(1.5),
+    "ssyt bool": lambda: tableaux.ssyt_crystal((2, 1), True),
 }
 
 
@@ -86,6 +90,11 @@ OUT_OF_RANGE_CALLS = {
     "regular no colors": lambda: modules.regular_module(2, 0),
     "regular decomposition no colors": lambda: modules.regular_decomposition(2, 0),
     "regular decomposition negative": lambda: modules.regular_decomposition(-1, 1),
+    "row negative": lambda: tableaux.row_crystal(-1, 1),
+    "row no colors": lambda: tableaux.row_crystal(2, 0),
+    "box no colors": lambda: tableaux.box_crystal(0),
+    "ssyt no colors": lambda: tableaux.ssyt_crystal((1,), 0),
+    "highest negative colors": lambda: class_crystals.highest_component((1,), -1),
 }
 
 

@@ -1,8 +1,8 @@
 """Sparse exact linear algebra, checked against a dense Fraction oracle.
 
 The oracle is the textbook reduced row echelon form over the rationals; the
-library's fraction-free sparse kernel must agree with it exactly on ranks,
-canonical column-space bases and coordinates.
+library's one-pass sparse Gauss–Jordan kernel must agree with it exactly on
+ranks, canonical column-space bases and coordinates.
 """
 
 from __future__ import annotations
@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from planar_rook.algebra import truncation_idempotent
 from planar_rook.linalg import apply, column_space_basis, coordinates_in_basis
+from planar_rook.modules import regular_module
 
 
 def F(x):
@@ -161,6 +163,20 @@ def test_sparse_kernel_stays_exact():
     assert pivots == [0]
     assert basis == [{0: 1, 1: Fraction(1, 2)}]
     assert all(type(x) in (int, Fraction) for v in basis for x in v.values())
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (3, 2), (2, 3)])
+def test_column_space_basis_of_truncation_projectors_matches_oracle(m, n):
+    # the generic restriction's input beyond simples: the truncation
+    # idempotent acting on a regular module is no 0/1 diagonal
+    mod = regular_module(m, n)
+    for i in range(n + 1):
+        cols = mod.matrix_of(truncation_idempotent(m, n, i))
+        basis, pivots = column_space_basis(cols)
+        reduced, oracle_pivots = rref([dense(c, mod.dimension) for c in cols])
+        assert pivots == oracle_pivots
+        assert [dense(v, mod.dimension) for v in basis] == reduced[: len(pivots)]
+        assert all(type(x) is int for v in basis for x in v.values())
 
 
 # ------------------------------------------------------------ properties

@@ -9,6 +9,7 @@ truncated subspace) rather than against the formulas used in the code.
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from math import comb
 
@@ -238,6 +239,23 @@ def test_explicit_module_validates():
         bad = ExplicitModule(1, 1, 2, lambda d, cols=columns: cols)
         with pytest.raises(ValueError):
             bad.matrix(unit_diagram(1, 1))
+
+
+@pytest.mark.parametrize(
+    "shape,message",
+    [
+        ((2, True, 1), "n must be an integer, got True"),
+        ((2, 1, 1.5), "dimension must be an integer, got 1.5"),
+        ((2.0, 1, 1), "m must be an integer, got 2.0"),
+        ((-1, 1, 1), "m must be at least 0, got -1"),
+        ((2, 0, 1), "n must be at least 1, got 0"),
+        ((2, 1, -1), "dimension must be at least 0, got -1"),
+    ],
+)
+def test_explicit_module_refuses_a_shape_that_is_not_a_sized_int(shape, message):
+    # a bool would be stored as n and written out as `true`
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ExplicitModule(*shape, lambda d: [{}] * shape[2])
 
 
 def targets_by_covering(mod: SimpleModule, d: Diagram) -> list[int | None]:
