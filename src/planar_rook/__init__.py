@@ -20,7 +20,8 @@ from .tableaux import row_crystal, ssyt_crystal
 
 def clear_caches() -> None:
     """Drop every memoized result: words and matchings of diagrams, identity
-    and truncation elements, multiplicity probes, and crystals."""
+    and truncation elements, and crystals.  The memos of words, identity
+    elements and truncation elements have no bound."""
     for module in (algebra, class_crystals, diagrams, modules, tableaux):
         for memo in vars(module).values():
             if hasattr(memo, "cache_clear"):

@@ -79,8 +79,7 @@ def class_crystal(m: int, n: int, force: bool = False) -> Crystal:
     weakly increasing word.  It is the tuple crystal of the one-part
     composition (m,): with a single factor nothing cancels.
     """
-    if json_int(m, "m") < 0 or json_int(n, "n") < 1:
-        raise ValueError(f"bad class crystal parameters m={m}, n={n}")
+    m, n = json_int(m, "m", 0), json_int(n, "n", 1)
     ensure_nodes_within_cap(capped_binomial(m + n, n), force)
     return _tensor_class_crystal((m,), n)
 
@@ -105,8 +104,7 @@ def tensor_class_crystal(
     parts = tuple(parts)
     if not parts or any(type(p) is not int or p < 1 for p in parts):
         raise ValueError(f"parts must be positive integers, got {parts}")
-    if json_int(n, "n") < 1:
-        raise ValueError(f"need at least one color, got n={n}")
+    json_int(n, "n", 1)
     ensure_nodes_within_cap(tuple_count(parts, n), force)
     return _tensor_class_crystal(parts, n)
 

@@ -421,13 +421,15 @@ def main(argv=None) -> int:
         return 2
     except EnumerationCapError as exc:
         # the library's own hint names force=True; name the CLI's overrides,
-        # which only the subcommands with a --force flag honour
-        reason = str(exc).partition(";")[0]
-        if "force" in vars(args):
-            hint = "pass --force or set PLANAR_ROOK_FORCE=1 to override"
-        else:
-            hint = f"{args.command} has no override"
-        print(f"error: {reason}; {hint}", file=sys.stderr)
+        # which only the subcommands with a --force flag honour.  A bound
+        # that force does not lift (diagrams.MAX_SIZE) comes with no hint.
+        reason, overridable, _ = str(exc).partition(";")
+        hint = ""
+        if overridable and "force" in vars(args):
+            hint = "; pass --force or set PLANAR_ROOK_FORCE=1 to override"
+        elif overridable:
+            hint = f"; {args.command} has no override"
+        print(f"error: {reason}{hint}", file=sys.stderr)
         return 2
 
 

@@ -62,6 +62,9 @@ def json_int(x, what: str, least: int | None = None) -> int:
 
 
 def ensure_within_cap(m: int, n: int, force: bool = False) -> None:
+    if m > MAX_SIZE:
+        # no diagram is that large, so force does not lift this bound
+        raise EnumerationCapError(f"size m={brief(m)} exceeds the largest size {MAX_SIZE}")
     cap = SIZE_CAP_ONE_COLOR if n == 1 else SIZE_CAP_MULTI_COLOR
     if m > cap and not force:
         raise EnumerationCapError(

@@ -13,19 +13,21 @@ d ⊗ strand(n, i), because (d ⊗ unit_i)·e = e·(d ⊗ strand(n, i)): for i >
 the unit_0 term of the strand gives d ⊗ unit_0·strand(n, i) = 0.  On a simple
 module e fixes the orbit basis vectors whose top word ends in i and kills the
 rest, so `SimpleModule.restrict` keeps those vectors and needs no projector.
-A class's multiplicity in a module is the trace of its probe, an idempotent
-of the algebra, so decomposing a module needs no elimination; on the regular
-module a diagram's trace counts fixed top words, so it needs no module either.
+A class's multiplicity is the trace of its probe, an idempotent, read off one
+partial identity per count vector with no elimination; on the regular module a
+diagram's trace counts fixed top words, so it needs no module either.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from collections.abc import Mapping
 from fractions import Fraction
-from functools import lru_cache, total_ordering
+from functools import total_ordering
+from math import comb, prod
 
-from .algebra import Element, orbit_vector, truncation_idempotent
+from .algebra import Element, truncation_idempotent
 from .diagrams import (
     Diagram,
     brief,
@@ -35,7 +37,6 @@ from .diagrams import (
     json_int,
     juxtapose,
     multinomial,
-    partial_identity,
     product_words,
     unit_diagram,
     weak_compositions,
@@ -112,6 +113,8 @@ def all_class_labels(m: int, n: int) -> list[ClassLabel]:
     json_int(m, "m", 0)
     if json_int(n, "n") < 1:
         raise ValueError(f"need at least one color, got n={brief(n)}")
+    if m + n > sys.maxsize:  # weak_compositions indexes range(m + n)
+        raise ValueError(f"size m={brief(m)} is too large to index")
     return [
         ClassLabel._trusted(n, counts)
         for counts in sorted(weak_compositions(m, n + 1), reverse=True)
@@ -290,20 +293,29 @@ def multiplicity(mod: ExplicitModule, label: ClassLabel) -> int | Fraction:
     word: on a simple module it fixes the basis vector whose top word is the
     canonical word when the classes match, and kills the rest.  It is an
     idempotent (Prop. 2.1), so its rank on a module, which counts copies, is
-    its trace, read off the diagonals of the cached diagram matrices.
-    """
+    its trace, which _invert reads off one diagram matrix per count vector."""
     if (mod.m, mod.n) != (label.m, label.n):
         raise ValueError("module and class label live at different sizes")
-    probe = _probe(label).items()
-    trace = sum(c * sum(col.get(j, 0) for j, col in enumerate(mod.matrix(d))) for d, c in probe)
-    return trace.numerator if trace.denominator == 1 else trace
+    return _invert(label, lambda word: _trace(mod, word))
 
 
-@lru_cache(maxsize=None)
-def _probe(label: ClassLabel) -> dict[Diagram, int]:
-    """The probe's terms, whose coefficients are ±1, as ints."""
-    probe = orbit_vector(partial_identity(label.n, label.canonical_word()))
-    return {d: int(c) for d, c in probe.terms.items()}
+def _trace(mod: ExplicitModule, word: tuple[int, ...]) -> int | Fraction:
+    """The trace on mod of the partial identity on word."""
+    d = Diagram._trusted(mod.m, mod.n, word, word)
+    return sum(col.get(j, 0) for j, col in enumerate(mod.matrix(d)))
+
+
+def _invert(label: ClassLabel, t) -> int | Fraction:
+    """The trace of label's probe from t(w), the trace of the partial identity
+    on a block word w.  Of the probe's ±1 terms, prod_{c>=1} C(label_c, k_c)
+    have w's color counts k and share w's trace: for words w', w'' with equal
+    counts, the planar a joining the j-th letter of each color in w' to the
+    j-th in w'' gives id_w' = a·flip(a), id_w'' = flip(a)·a; tr(xy) = tr(yx)."""
+    colored, total = label.counts[1:], 0
+    for ks in itertools.product(*(range(c + 1) for c in colored)):
+        word = ClassLabel._trusted(label.n, (label.m - sum(ks), *ks)).canonical_word()
+        total += (-1) ** (sum(colored) - sum(ks)) * prod(map(comb, colored, ks)) * t(word)
+    return total.numerator if total.denominator == 1 else total
 
 
 def decompose(mod: ExplicitModule) -> dict[ClassLabel, int]:
@@ -313,17 +325,14 @@ def decompose(mod: ExplicitModule) -> dict[ClassLabel, int]:
     account for the full dimension, which catches callbacks that are not
     actually module actions.
     """
-    return _tally(mod.m, mod.n, mod.dimension, lambda label: multiplicity(mod, label))
+    return _tally(mod.m, mod.n, mod.dimension, lambda word: _trace(mod, word))
 
 
 def regular_decomposition(m: int, n: int, force: bool = False) -> dict[ClassLabel, int]:
     """decompose(regular_module(m, n, force)) without building the module."""
     m, n = json_int(m, "m", 0), json_int(n, "n", 1)
     ensure_within_cap(m, n, force)
-    return _tally(
-        m, n, count_diagrams(m, n),
-        lambda label: sum(c * _regular_trace(d) for d, c in _probe(label).items()),
-    )
+    return _tally(m, n, count_diagrams(m, n), lambda w: _regular_trace(Diagram._trusted(m, n, w, w)))
 
 
 def _regular_trace(d: Diagram) -> int:
@@ -339,11 +348,12 @@ def _regular_trace(d: Diagram) -> int:
 
 
 def _tally(m: int, n: int, dimension: int, trace) -> dict[ClassLabel, int]:
-    """decompose's result and audit, from trace(label), the probe's trace."""
-    out: dict[ClassLabel, int] = {}
-    covered = 0
-    for label in all_class_labels(m, n):
-        k = trace(label)
+    """decompose's result and audit, from trace(w) on each class's block word."""
+    labels = all_class_labels(m, n)
+    table = {w: trace(w) for w in map(ClassLabel.canonical_word, labels)}
+    out, covered = {}, 0
+    for label in labels:
+        k = _invert(label, table.__getitem__)
         if k < 0 or type(k) is not int:
             raise ValueError(f"dimension accounting failed: the probe of {label.key} has trace {k}")
         if k:

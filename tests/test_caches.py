@@ -5,7 +5,6 @@ import pytest
 
 import planar_rook
 from planar_rook import algebra, class_crystals, cli, diagrams, modules, tableaux
-from planar_rook.modules import ClassLabel
 
 PACKAGE_MODULES = (algebra, class_crystals, diagrams, modules, tableaux)
 
@@ -15,7 +14,6 @@ BUILDERS = {
     "words": lambda: diagrams.words_with_counts((1, 2, 1)),
     "identity": lambda: algebra.identity_element(2, 2),
     "truncation": lambda: algebra.truncation_idempotent(2, 2, 1),
-    "probe": lambda: modules._probe(ClassLabel(2, (1, 1, 0))),
     "ssyt": lambda: tableaux.ssyt_crystal((2, 1), 2),
     "classes": lambda: class_crystals.class_crystal(2, 2),
     "tuples": lambda: class_crystals.tensor_class_crystal((1, 2), 2),
@@ -95,6 +93,9 @@ OUT_OF_RANGE_CALLS = {
     "box no colors": lambda: tableaux.box_crystal(0),
     "ssyt no colors": lambda: tableaux.ssyt_crystal((1,), 0),
     "highest negative colors": lambda: class_crystals.highest_component((1,), -1),
+    "classes no colors": lambda: class_crystals.class_crystal(2, 0),
+    "classes negative": lambda: class_crystals.class_crystal(-1, 1),
+    "tuples no colors": lambda: class_crystals.tensor_class_crystal((1,), 0),
 }
 
 

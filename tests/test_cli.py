@@ -126,6 +126,26 @@ def test_enumerate_cap_and_overrides(capsys, monkeypatch):
     assert "force" not in err.lower()
 
 
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (
+            ("enumerate", "--m", "9999999999999999999", "--n", "2", "--force", "--count-only"),
+            "exceeds the largest size 4096",
+        ),
+        (
+            ("crystal", "clambda", "--parts", "9999999999999999999", "--n", "3", "--force", "--json", "-"),
+            "is too large to index",
+        ),
+    ],
+)
+def test_a_forced_size_past_what_can_be_built_is_a_usage_error(capsys, argv, reason):
+    # no diagram has more than MAX_SIZE vertices a row, and no list of
+    # classes more than sys.maxsize entries; force lifts neither bound, so
+    # the one-line refusal names no override
+    assert run(capsys, *argv) == (2, "", f"error: size m=9999999999999999999 {reason}\n")
+
+
 def test_multiply_diagram_basis(capsys, tmp_path):
     d = Diagram(2, 1, ((1, 2, 1),))
     f1 = write_json(tmp_path / "e.json", identity_element(2, 1).to_json_dict())

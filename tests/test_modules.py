@@ -35,6 +35,7 @@ from planar_rook.diagrams import (
     partial_identity,
     product_words,
     unit_diagram,
+    words_with_counts,
 )
 from planar_rook.linalg import apply, column_space_basis, coordinates_in_basis
 from planar_rook.modules import (
@@ -443,6 +444,25 @@ def test_multiplicity_is_the_rank_of_the_probe():
             assert multiplicity(mod, lab) == probe_rank(mod, lab), (case, lab)
             checked += 1
     assert checked == 3496
+
+
+def test_partial_identities_with_equal_counts_have_equal_traces():
+    # multiplicity reads one partial identity per count vector: id_w' and
+    # id_w'' are a·flip(a) and flip(a)·a for a planar a, so tr(xy) = tr(yx)
+    for case, mod in trace_cases():
+        for lab in all_class_labels(mod.m, mod.n):
+            traces = {
+                sum(col.get(j, 0) for j, col in enumerate(mod.matrix(partial_identity(mod.n, w))))
+                for w in words_with_counts(lab.counts)
+            }
+            assert len(traces) == 1, (case, lab, traces)
+
+
+@pytest.mark.parametrize("m, n", [(3, 2), (4, 2)])
+def test_decompose_reads_one_matrix_per_class(m, n):
+    mod = regular_module(m, n)
+    decompose(mod)
+    assert len(mod._cache) == len(all_class_labels(m, n))
 
 
 # ---------------------------------------------------------------- restriction
