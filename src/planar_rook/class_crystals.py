@@ -17,6 +17,13 @@ from itertools import chain
 from math import prod
 from operator import add
 
+from .classes import (
+    ClassLabel,
+    all_class_labels,
+    ensure_indexable,
+    induce_class,
+    restrict_class,
+)
 from .crystals import (
     Crystal,
     _lowered,
@@ -26,7 +33,6 @@ from .crystals import (
     signature,
 )
 from .diagrams import json_int
-from .modules import ClassLabel, all_class_labels, induce_class, restrict_class
 from .tableaux import partition_shape
 
 
@@ -80,6 +86,8 @@ def class_crystal(m: int, n: int, force: bool = False) -> Crystal:
     composition (m,): with a single factor nothing cancels.
     """
     m, n = json_int(m, "m", 0), json_int(n, "n", 1)
+    if force:  # force lifts the node cap, not the bound on listing classes
+        ensure_indexable(m, n)
     ensure_nodes_within_cap(capped_binomial(m + n, n), force)
     return _tensor_class_crystal((m,), n)
 
@@ -105,6 +113,8 @@ def tensor_class_crystal(
     if not parts or any(type(p) is not int or p < 1 for p in parts):
         raise ValueError(f"parts must be positive integers, got {parts}")
     json_int(n, "n", 1)
+    if force:  # force lifts the node cap, not the bound on listing classes
+        ensure_indexable(max(parts), n)
     ensure_nodes_within_cap(tuple_count(parts, n), force)
     return _tensor_class_crystal(parts, n)
 

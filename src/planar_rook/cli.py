@@ -14,28 +14,8 @@ import argparse
 import os
 import sys
 
-from .algebra import Element, orbit_basis_product
-from .class_crystals import class_crystal, tensor_class_crystal
-from .crystals import capped_binomial, ensure_nodes_within_cap, to_dot, to_json_dict
-from .diagrams import (
-    Diagram,
-    EnumerationCapError,
-    brief,
-    count_diagrams,
-    enumerate_diagrams,
-)
-from .modules import (
-    ClassLabel,
-    all_class_labels,
-    class_dimension,
-    decompose,
-    induce_class,
-    regular_decomposition,
-    restrict_class,
-    simple,
-)
-from .tableaux import box_crystal, row_crystal, ssyt_crystal
-from .verify import TARGETS, verify_target
+# each command imports the layers it runs, so it loads no other
+from .diagrams import EnumerationCapError, brief
 
 
 class UsageError(Exception):
@@ -122,6 +102,8 @@ def _read_json(path: str):
 
 def _parse_class(spec: str) -> ClassLabel:
     """Parse 'm,n:c0,c1,...,cn' into a class label."""
+    from .classes import ClassLabel
+
     head, sep, tail = spec.partition(":")
     if not sep:
         raise UsageError(f"malformed class {brief(spec)}; expected 'm,n:c0,...,cn'")
@@ -157,6 +139,8 @@ def _parse_int_tuple(spec: str, what: str) -> tuple[int, ...]:
 
 
 def _cmd_enumerate(args) -> int:
+    from .diagrams import count_diagrams, enumerate_diagrams
+
     diagrams = enumerate_diagrams(args.m, args.n, force=args.force)
     expected = count_diagrams(args.m, args.n)
     if len(diagrams) != expected:
@@ -179,6 +163,9 @@ _MALFORMED = (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError)
 
 
 def _element_from_obj(obj, path: str) -> Element:
+    from .algebra import Element
+    from .diagrams import Diagram
+
     if not isinstance(obj, dict):
         raise UsageError(f"{path}: expected a JSON object")
     try:
@@ -192,6 +179,8 @@ def _element_from_obj(obj, path: str) -> Element:
 def _cmd_multiply(args) -> int:
     """Multiply two elements; with --x-basis both inputs and the product are
     orbit coordinates, multiplied by the matched-or-zero rule."""
+    from .algebra import Element, orbit_basis_product
+
     a = _element_from_obj(_read_json(args.file1), args.file1)
     b = _element_from_obj(_read_json(args.file2), args.file2)
     try:
@@ -208,6 +197,9 @@ def _cmd_multiply(args) -> int:
 
 
 def _cmd_simples(args) -> int:
+    from .classes import all_class_labels, class_dimension
+    from .crystals import capped_binomial, ensure_nodes_within_cap
+
     # the classes are the nodes of crystal cm, so they share its cap
     ensure_nodes_within_cap(capped_binomial(args.m + args.n, args.n))
     labels = all_class_labels(args.m, args.n)
@@ -224,6 +216,8 @@ def _cmd_simples(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    from .classes import class_dimension, induce_class, regular_decomposition, restrict_class
+
     modes = sum(
         1 for x in (args.regular, args.restrict is not None, args.induce is not None) if x
     )
@@ -247,6 +241,8 @@ def _cmd_decompose(args) -> int:
         else:
             if label.m == 0:
                 raise UsageError("cannot restrict a size-0 class")
+            from .modules import decompose, simple
+
             module = f"restrict(i={i}) of {label.key}"
             dec = decompose(simple(label, force=args.force).restrict(i))
             expected = restrict_class(i, label)
@@ -274,6 +270,10 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_crystal(args) -> int:
+    from .class_crystals import class_crystal, tensor_class_crystal
+    from .crystals import to_dot, to_json_dict
+    from .tableaux import box_crystal, row_crystal, ssyt_crystal
+
     try:
         if args.kind == "box":
             if args.n is None:
@@ -311,6 +311,8 @@ def _cmd_crystal(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import verify_target
+
     report = verify_target(
         args.target, max_m=args.max_m, max_n=args.max_n, m=args.m, n=args.n
     )
@@ -338,21 +340,15 @@ def _at_least(least: int):
 _nonneg, _positive = _at_least(0), _at_least(1)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="planar-rook",
-        description="Colored planar rook diagrams, their algebra, and crystals.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("enumerate", help="list diagrams of a given size")
+def _enumerate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m", type=_nonneg, required=True, help="number of vertices per row")
     p.add_argument("--n", type=_positive, required=True, help="number of colors")
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--force", action="store_true", help="override size caps")
     p.set_defaults(fn=_cmd_enumerate)
 
-    p = sub.add_parser("multiply", help="multiply two elements from JSON files")
+
+def _multiply_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("file1")
     p.add_argument("file2")
     p.add_argument(
@@ -362,12 +358,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(fn=_cmd_multiply)
 
-    p = sub.add_parser("simples", help="tabulate simple modules and dimensions")
+
+def _simples_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m", type=_nonneg, required=True)
     p.add_argument("--n", type=_positive, required=True)
     p.set_defaults(fn=_cmd_simples)
 
-    p = sub.add_parser("decompose", help="decompose a module into simples")
+
+def _decompose_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--regular", action="store_true", help="regular module at --m --n")
     p.add_argument("--restrict", type=_nonneg, metavar="I", help="restrict a class in color I")
     p.add_argument("--induce", type=_nonneg, metavar="I", help="induce a class in color I")
@@ -382,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force", action="store_true", help="override size caps")
     p.set_defaults(fn=_cmd_decompose)
 
-    p = sub.add_parser("crystal", help="build a crystal and export it")
+
+def _crystal_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("kind", choices=["box", "row", "ssyt", "cm", "clambda"])
     p.add_argument("--m", type=_nonneg)
     p.add_argument("--n", type=_positive)
@@ -393,7 +392,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force", action="store_true", help="override size caps")
     p.set_defaults(fn=_cmd_crystal)
 
-    p = sub.add_parser("verify", help="check a structural fact on small instances")
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
+    from .verify import TARGETS
+
     p.add_argument("target", choices=sorted(TARGETS))
     p.add_argument("--max-m", type=_nonneg, help="extend the size sweep")
     p.add_argument("--max-n", type=_positive, help="extend the color sweep")
@@ -401,13 +403,49 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive, help="pin a single color count")
     p.set_defaults(fn=_cmd_verify)
 
+
+# each subcommand's help line and the function that adds its arguments
+_SUBCOMMANDS = {
+    "enumerate": ("list diagrams of a given size", _enumerate_arguments),
+    "multiply": ("multiply two elements from JSON files", _multiply_arguments),
+    "simples": ("tabulate simple modules and dimensions", _simples_arguments),
+    "decompose": ("decompose a module into simples", _decompose_arguments),
+    "crystal": ("build a crystal and export it", _crystal_arguments),
+    "verify": ("check a structural fact on small instances", _verify_arguments),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="planar-rook",
+        description="Colored planar rook diagrams, their algebra, and crystals.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments) in _SUBCOMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_line))
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv), building only one subcommand's
+    parser when argv starts with its name: the whole parser would hand that
+    parser the rest of argv unchanged, and its help and errors are its own.
+    Words it leaves over, top-level help and a bad or missing command go to
+    the whole parser, which words the error."""
+    if argv and argv[0] in _SUBCOMMANDS:
+        parser = argparse.ArgumentParser(prog=f"planar-rook {argv[0]}")
+        _, add_arguments = _SUBCOMMANDS[argv[0]]
+        add_arguments(parser)
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     # the subcommands with a --force flag also take PLANAR_ROOK_FORCE

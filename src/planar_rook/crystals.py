@@ -22,6 +22,7 @@ rule.
 
 from __future__ import annotations
 
+import sys
 from functools import reduce
 from itertools import chain, compress
 from operator import add
@@ -35,17 +36,24 @@ CRYSTAL_NODE_CAP = 50_000
 
 
 def ensure_nodes_within_cap(nodes: int, force: bool = False) -> None:
+    """Refuse a closed-form node count over the cap unless forced, and one
+    past sys.maxsize, which no list can index, even when forced."""
     if not force and nodes > CRYSTAL_NODE_CAP:
-        # a closed-form count can be astronomical, and str() fails past
-        # sys.get_int_max_str_digits() digits: word a long one by its digits
-        if nodes.bit_length() > 256:
-            what = f"a number of nodes with at least {min_digits(nodes)} digits"
-        else:
-            what = f"{nodes} nodes"
         raise EnumerationCapError(
-            f"the crystal would have {what}, over the cap "
+            f"the crystal would have {_nodes(nodes)}, over the cap "
             f"{CRYSTAL_NODE_CAP}; pass force=True to override"
         )
+    if nodes > sys.maxsize:
+        # no ";": force does not lift this bound, so there is no override to name
+        raise EnumerationCapError(f"the crystal would have {_nodes(nodes)}, too large to index")
+
+
+def _nodes(count: int) -> str:
+    """count nodes, worded by its digits past 256 bits: a closed-form count
+    can be astronomical, and str() fails past sys.get_int_max_str_digits()."""
+    if count.bit_length() > 256:
+        return f"a number of nodes with at least {min_digits(count)} digits"
+    return f"{count} nodes"
 
 
 def capped_binomial(total: int, k: int) -> int:

@@ -14,117 +14,44 @@ the unit_0 term of the strand gives d ⊗ unit_0·strand(n, i) = 0.  On a simple
 module e fixes the orbit basis vectors whose top word ends in i and kills the
 rest, so `SimpleModule.restrict` keeps those vectors and needs no projector.
 A class's multiplicity is the trace of its probe, an idempotent, read off one
-partial identity per count vector with no elimination; on the regular module a
-diagram's trace counts fixed top words, so it needs no module either.
+partial identity per count vector with no elimination.  The class labels and
+their arithmetic (dimensions, restriction and induction of labels, the trace
+inversion and the regular decomposition, which needs no module) live in
+`classes`, which loads no rational or linear algebra; they are importable
+from here too.
 """
 
 from __future__ import annotations
 
 import itertools
-import sys
 from collections.abc import Mapping
 from fractions import Fraction
-from functools import total_ordering
-from math import comb, prod
 
 from .algebra import Element, truncation_idempotent
+
+# the class arithmetic lives in classes; its names stay importable from here
+from .classes import (  # noqa: F401
+    ClassLabel,
+    _invert,
+    _regular_trace,
+    _tally,
+    all_class_labels,
+    class_dimension,
+    induce_class,
+    regular_decomposition,
+    restrict_class,
+)
 from .diagrams import (
     Diagram,
-    brief,
-    count_diagrams,
     ensure_within_cap,
     enumerate_diagrams,
     json_int,
     juxtapose,
-    multinomial,
     product_words,
     unit_diagram,
-    weak_compositions,
     words_with_counts,
 )
 from .linalg import apply, column_space_basis, coordinates_in_basis
-
-
-@total_ordering
-class ClassLabel:
-    """Isomorphism class of a simple module: how many vertices of each color.
-
-    counts[0] counts isolated vertices, counts[i] the color-i vertices; the
-    total is the size m.  Labels compare, hash and sort by (n, counts) and
-    are immutable by convention.
-    """
-
-    __slots__ = ("n", "counts")
-
-    def __init__(self, n: int, counts: tuple[int, ...]) -> None:
-        counts = tuple(counts)
-        if any(type(c) is not int for c in counts):
-            raise ValueError(f"counts must be integers, got {brief(counts)}")
-        if type(n) is not int or n < 1:
-            raise ValueError(f"the number of colors must be a positive integer, got n={brief(n)}")
-        if len(counts) != n + 1:
-            raise ValueError(
-                f"expected {n + 1} counts (isolated plus one per color), "
-                f"got {len(counts)}"
-            )
-        if any(c < 0 for c in counts):
-            raise ValueError(f"negative count in {brief(counts)}")
-        self.n, self.counts = n, counts
-
-    @classmethod
-    def _trusted(cls, n: int, counts: tuple[int, ...]) -> ClassLabel:
-        """A label whose counts the caller knows to be valid."""
-        label = object.__new__(cls)
-        label.n, label.counts = n, counts
-        return label
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not ClassLabel:
-            return NotImplemented
-        return (self.n, self.counts) == (other.n, other.counts)
-
-    def __lt__(self, other) -> bool:
-        if type(other) is not ClassLabel:
-            return NotImplemented
-        return (self.n, self.counts) < (other.n, other.counts)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.counts))
-
-    def __repr__(self) -> str:
-        return f"ClassLabel(n={self.n!r}, counts={self.counts!r})"
-
-    @property
-    def m(self) -> int:
-        return sum(self.counts)
-
-    @property
-    def key(self) -> str:
-        return f"{self.m}|{','.join(str(c) for c in self.counts)}"
-
-    def canonical_word(self) -> tuple[int, ...]:
-        """The block word 0..0 1..1 2..2 with the prescribed counts."""
-        return tuple(color for color, c in enumerate(self.counts) for _ in range(c))
-
-
-def all_class_labels(m: int, n: int) -> list[ClassLabel]:
-    """Every class at size m, ordered so that earlier labels have more
-    isolated vertices (reverse lexicographic count vectors)."""
-    json_int(m, "m", 0)
-    if json_int(n, "n") < 1:
-        raise ValueError(f"need at least one color, got n={brief(n)}")
-    if m + n > sys.maxsize:  # weak_compositions indexes range(m + n)
-        raise ValueError(f"size m={brief(m)} is too large to index")
-    return [
-        ClassLabel._trusted(n, counts)
-        for counts in sorted(weak_compositions(m, n + 1), reverse=True)
-    ]
-
-
-def class_dimension(label: ClassLabel) -> int:
-    """Multinomial coefficient m! / (counts_0! ... counts_n!)."""
-    return multinomial(label.counts)
-
 
 def _matrix_of_targets(targets) -> tuple[dict, ...]:
     """The sparse columns sending basis vector j to basis vector targets[j],
@@ -305,19 +232,6 @@ def _trace(mod: ExplicitModule, word: tuple[int, ...]) -> int | Fraction:
     return sum(col.get(j, 0) for j, col in enumerate(mod.matrix(d)))
 
 
-def _invert(label: ClassLabel, t) -> int | Fraction:
-    """The trace of label's probe from t(w), the trace of the partial identity
-    on a block word w.  Of the probe's ±1 terms, prod_{c>=1} C(label_c, k_c)
-    have w's color counts k and share w's trace: for words w', w'' with equal
-    counts, the planar a joining the j-th letter of each color in w' to the
-    j-th in w'' gives id_w' = a·flip(a), id_w'' = flip(a)·a; tr(xy) = tr(yx)."""
-    colored, total = label.counts[1:], 0
-    for ks in itertools.product(*(range(c + 1) for c in colored)):
-        word = ClassLabel._trusted(label.n, (label.m - sum(ks), *ks)).canonical_word()
-        total += (-1) ** (sum(colored) - sum(ks)) * prod(map(comb, colored, ks)) * t(word)
-    return total.numerator if total.denominator == 1 else total
-
-
 def decompose(mod: ExplicitModule) -> dict[ClassLabel, int]:
     """Multiplicity of every class present, in all_class_labels order.
 
@@ -326,45 +240,6 @@ def decompose(mod: ExplicitModule) -> dict[ClassLabel, int]:
     actually module actions.
     """
     return _tally(mod.m, mod.n, mod.dimension, lambda word: _trace(mod, word))
-
-
-def regular_decomposition(m: int, n: int, force: bool = False) -> dict[ClassLabel, int]:
-    """decompose(regular_module(m, n, force)) without building the module."""
-    m, n = json_int(m, "m", 0), json_int(n, "n", 1)
-    ensure_within_cap(m, n, force)
-    return _tally(m, n, count_diagrams(m, n), lambda w: _regular_trace(Diagram._trusted(m, n, w, w)))
-
-
-def _regular_trace(d: Diagram) -> int:
-    """The trace of d on the regular module: d fixes a basis diagram exactly
-    when each colored letter of its top word τ lies on a straight strand
-    p → p of d of that color, so it fixes all multinomial(counts τ) or none."""
-    straight = [d.top[p] for p, q in enumerate(d._matching()[0]) if q == p]
-    return sum(
-        multinomial([d.m - r, *map(kept.count, range(1, d.n + 1))])
-        for r in range(len(straight) + 1)
-        for kept in itertools.combinations(straight, r)
-    )
-
-
-def _tally(m: int, n: int, dimension: int, trace) -> dict[ClassLabel, int]:
-    """decompose's result and audit, from trace(w) on each class's block word."""
-    labels = all_class_labels(m, n)
-    table = {w: trace(w) for w in map(ClassLabel.canonical_word, labels)}
-    out, covered = {}, 0
-    for label in labels:
-        k = _invert(label, table.__getitem__)
-        if k < 0 or type(k) is not int:
-            raise ValueError(f"dimension accounting failed: the probe of {label.key} has trace {k}")
-        if k:
-            out[label] = k
-            covered += k * class_dimension(label)
-    if covered != dimension:
-        raise ValueError(
-            f"dimension accounting failed: simple pieces cover {covered} "
-            f"of {dimension}; the input is not a module action"
-        )
-    return out
 
 
 def restrict(i: int, mod: ExplicitModule, force: bool = False) -> ExplicitModule:
@@ -391,26 +266,3 @@ def restrict(i: int, mod: ExplicitModule, force: bool = False) -> ExplicitModule
         return [coordinates_in_basis(apply(big, b), basis, pivots) for b in basis]
 
     return ExplicitModule._trusted(m - 1, n, len(pivots), action)
-
-
-def restrict_class(i: int, label: ClassLabel) -> ClassLabel | None:
-    """Where restriction sends a class: drop one vertex of color i.
-
-    None when the class has no color-i vertex (the restriction vanishes).
-    """
-    if not (0 <= i <= label.n):
-        raise ValueError(f"color {i} outside 0..{label.n}")
-    if label.counts[i] == 0:
-        return None
-    counts = list(label.counts)
-    counts[i] -= 1
-    return ClassLabel._trusted(label.n, tuple(counts))
-
-
-def induce_class(i: int, label: ClassLabel) -> ClassLabel:
-    """Where induction sends a class: add one vertex of color i."""
-    if not (0 <= i <= label.n):
-        raise ValueError(f"color {i} outside 0..{label.n}")
-    counts = list(label.counts)
-    counts[i] += 1
-    return ClassLabel._trusted(label.n, tuple(counts))

@@ -22,6 +22,7 @@ from .algebra import (
     strand,
     truncation_idempotent,
 )
+from .classes import all_class_labels, class_dimension, induce_class, restrict_class
 from .crystals import (
     check_axioms,
     ensure_nodes_within_cap,
@@ -31,17 +32,7 @@ from .crystals import (
     tensor_all,
 )
 from .diagrams import covers, enumerate_diagrams, juxtapose, multiply, unit_diagram
-from .modules import (
-    all_class_labels,
-    class_dimension,
-    decompose,
-    induce_class,
-    multiplicity,
-    regular_module,
-    restrict,
-    restrict_class,
-    simple,
-)
+from .modules import decompose, multiplicity, regular_module, restrict, simple
 from .tableaux import (
     _filling_crystal,
     box_crystal,
@@ -66,9 +57,11 @@ def _sweep(max_m, max_n, pin_m, pin_n, default_m=4, default_n=2, lo_m=1):
 
 
 def _pairs(max_m, max_n, pin_m, pin_n, default_m, default_n, lo_m=1):
-    """Case list of (m, n) pairs honoring pins, explicit maxima, or defaults."""
+    """The (m, n) cases honoring pins, explicit maxima, or defaults, each
+    size for the first color count, then for the next.  They come one at a
+    time, so a sweep meets its size cap before it lists a huge range."""
     _, _, ms, ns = _sweep(max_m, max_n, pin_m, pin_n, default_m, default_n, lo_m)
-    return [(m, n) for n in ns for m in ms]
+    return ((m, n) for n in ns for m in ms)
 
 
 def compositions(total: int) -> list[tuple[int, ...]]:
@@ -184,7 +177,7 @@ def _verify_regular_decomposition(max_m, max_n, pin_m, pin_n):
 def _verify_orbit_product_laws(max_m, max_n, pin_m, pin_n):
     if pin_m is None and pin_n is None:
         base = _pairs(max_m, max_n, pin_m, pin_n, 3, 2)
-        cases = [(m, n) for m, n in base if n == 1 or m <= 2]
+        cases = ((m, n) for m, n in base if n == 1 or m <= 2)
     else:
         cases = _pairs(max_m, max_n, pin_m, pin_n, 3, 2)
     checked = 0

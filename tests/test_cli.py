@@ -22,6 +22,7 @@ from planar_rook import clear_caches
 import planar_rook.crystals as crystals
 import planar_rook.diagrams as diagrams
 import planar_rook.modules as modules
+import planar_rook.verify as verify
 from planar_rook.algebra import Element, identity_element
 from planar_rook.cli import main
 from planar_rook.diagrams import Diagram, enumerate_diagrams, flip, partial_identity
@@ -144,6 +145,39 @@ def test_a_forced_size_past_what_can_be_built_is_a_usage_error(capsys, argv, rea
     # classes more than sys.maxsize entries; force lifts neither bound, so
     # the one-line refusal names no override
     assert run(capsys, *argv) == (2, "", f"error: size m=9999999999999999999 {reason}\n")
+
+
+HUGE = 9999999999999999999  # past sys.maxsize on a 64-bit build
+
+
+@pytest.mark.parametrize(
+    "argv, nodes",
+    [
+        (("row", "--m", str(HUGE), "--n", "2"), comb(HUGE + 2, 2)),
+        (("box", "--n", str(HUGE)), HUGE + 1),
+        (("ssyt", "--shape", str(HUGE), "--n", "3"), comb(HUGE + 3, 3)),
+    ],
+)
+def test_a_forced_crystal_too_large_to_index_is_refused_at_once(argv, nodes):
+    # force lifts the node cap but no list holds more than sys.maxsize
+    # nodes, so the refusal names no override; a subprocess, since these
+    # ended in an OverflowError or ran for minutes
+    done = cli_process("-m", "planar_rook.cli", "crystal", *argv, "--force", "--json", "-", timeout=10)
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr.decode() == f"error: the crystal would have {nodes} nodes, too large to index\n"
+
+
+@pytest.mark.parametrize("target", ["thm3.2", "thm3.5", "thm3.6", "adjunction", "thm2.2"])
+def test_a_huge_module_sweep_stops_at_the_cap(target):
+    # the cases come one at a time, so the sweep meets the cap at m=9
+    # instead of listing the whole range first
+    done = cli_process(
+        "-m", "planar_rook.cli", "verify", target, "--max-m", str(HUGE), "--max-n", "2", timeout=10
+    )
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr.decode() == (
+        "error: size m=9 exceeds the enumeration cap 8 for n=1 colors; verify has no override\n"
+    )
 
 
 def test_multiply_diagram_basis(capsys, tmp_path):
@@ -799,6 +833,62 @@ def test_cli_import_loads_no_introspection_modules():
     assert "json" not in out
 
 
+# what a command loads beside planar_rook and planar_rook.cli: the layers it
+# runs, and of the heavier standard modules only what multiply needs
+_CRYSTAL_LAYERS = {"diagrams", "crystals", "classes", "tableaux", "class_crystals"}
+LOADS = {
+    ("decompose", "--regular", "--m", "3", "--n", "1"): {"diagrams", "classes"},
+    ("decompose", "--induce", "2", "--class", "2,2:1,1,0"): {"diagrams", "classes"},
+    ("simples", "--m", "3", "--n", "2"): {"diagrams", "classes", "crystals"},
+    ("enumerate", "--m", "2", "--n", "2"): {"diagrams"},
+    **{argv: _CRYSTAL_LAYERS for name, argv in COMMANDS.items() if name.startswith("crystal-")},
+    COMMANDS["multiply-element"]: {"diagrams", "algebra", "fractions", "decimal", "json"},
+}
+
+
+@pytest.mark.parametrize("argv", list(LOADS), ids=lambda argv: " ".join(Path(a).name for a in argv))
+def test_a_command_loads_only_the_layers_it_runs(argv):
+    probe = (
+        "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
+        "import planar_rook.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = planar_rook.cli.main(sys.argv[1:])\n"
+        "print(code, *sorted(set(sys.modules) - before))\n"
+    )
+    done = cli_process("-c", probe, *argv)
+    assert done.returncode == 0, done.stderr
+    code, *loaded = done.stdout.decode().split()
+    assert code == "0"
+    layers = {name.split(".", 1)[1] for name in loaded if name.startswith("planar_rook.")}
+    heavy = {"fractions", "decimal", "json"} & set(loaded)
+    assert layers | heavy == LOADS[argv] | {"cli"}
+
+
+# argparse's own texts, recorded with COLUMNS=80 while every command built
+# the whole parser: (argv, exit code, golden file of stdout or stderr)
+PARSER_TEXTS = [
+    (("--help",), 0, "help.out"),
+    *(
+        ((name, "--help"), 0, f"help-{name}.out")
+        for name in ("enumerate", "multiply", "simples", "decompose", "crystal", "verify")
+    ),
+    (("nosuch",), 2, "error-nosuch.err"),
+    (("verify", "nosuch"), 2, "error-verify-nosuch.err"),
+    (("decompose", "--m", "x"), 2, "error-decompose-m-x.err"),
+    (("decompose", "--regular", "--m", "3", "--n", "1", "extra"), 2, "error-unrecognized.err"),
+]
+
+
+@pytest.mark.parametrize("argv, code, golden", PARSER_TEXTS, ids=[t[2] for t in PARSER_TEXTS])
+def test_help_and_parse_errors_match_golden(capsys, monkeypatch, argv, code, golden):
+    monkeypatch.setenv("COLUMNS", "80")
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    assert (out if code == 0 else err).encode("utf-8") == (GOLDEN / golden).read_bytes()
+    assert (err if code == 0 else out) == ""
+
+
 # ------------------------------------------------- output writer and exit path
 
 _JSON = st.recursive(
@@ -842,7 +932,7 @@ def test_dump_refuses_values_outside_the_payload_types(obj):
         cli._dump(obj)
 
 
-def cli_process(*argv, stdout=subprocess.PIPE, env=None):
+def cli_process(*argv, stdout=subprocess.PIPE, env=None, timeout=120):
     """Run python with argv in a fresh process, the package importable and
     stdout block-buffered, as it is in a pipe, unless env says otherwise."""
     src = str(Path(planar_rook.__file__).resolve().parents[1])
@@ -853,7 +943,7 @@ def cli_process(*argv, stdout=subprocess.PIPE, env=None):
         env={**base, "PYTHONPATH": path, "COLUMNS": "80", **(env or {})},
         stdout=stdout,
         stderr=subprocess.PIPE,
-        timeout=120,
+        timeout=timeout,
     )
 
 
@@ -945,7 +1035,7 @@ def test_entry_point_flushes_then_ends_the_process(monkeypatch, argv, code):
         pytest.skip("a tracer or profiler is installed, so the ordinary exit is taken")
     if code == 1:
         monkeypatch.setattr(
-            cli, "verify_target", lambda *a, **k: {"target": "thm2.2", "checked": 1, "failed": 1}
+            verify, "verify_target", lambda *a, **k: {"target": "thm2.2", "checked": 1, "failed": 1}
         )
     log = _run_entry_point(monkeypatch, argv)
     with pytest.raises(_Exited):

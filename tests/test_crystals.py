@@ -4,6 +4,7 @@ components, and the isomorphism certificate machinery."""
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import replace
 from math import prod
 
@@ -29,6 +30,7 @@ from planar_rook.crystals import (
     Crystal,
     are_isomorphic,
     check_axioms,
+    ensure_nodes_within_cap,
     isomorphism_positions,
     morphism_violations,
     signature,
@@ -214,6 +216,16 @@ def test_tensor_checks_the_cap_before_building():
     big = row_crystal(4, 8)  # 495 nodes
     with pytest.raises(EnumerationCapError, match="would have 245025 nodes"):
         tensor(big, big)
+
+
+def test_force_lifts_the_node_cap_but_not_the_index_bound():
+    ensure_nodes_within_cap(sys.maxsize, force=True)
+    # no ";" before a reason force cannot lift, so callers add no override hint
+    for nodes, what in ((sys.maxsize + 1, f"{sys.maxsize + 1} nodes"), (10**100, "at least 100 digits")):
+        with pytest.raises(EnumerationCapError, match=f"{what}, too large to index$"):
+            ensure_nodes_within_cap(nodes, force=True)
+        with pytest.raises(EnumerationCapError, match="; pass force=True to override$"):
+            ensure_nodes_within_cap(nodes)
 
 
 def per_node_tensor(left: Crystal, right: Crystal) -> Crystal:

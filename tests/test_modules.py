@@ -16,6 +16,7 @@ from math import comb
 import pytest
 
 import planar_rook
+import planar_rook.classes as classes
 import planar_rook.cli as cli
 import planar_rook.modules as modules
 from planar_rook.algebra import (
@@ -374,12 +375,12 @@ def test_regular_trace_is_the_diagonal_of_the_built_module():
 
 
 def test_regular_decomposition_keeps_the_audit(monkeypatch):
-    monkeypatch.setattr(modules, "count_diagrams", lambda m, n: 1)
+    monkeypatch.setattr(classes, "count_diagrams", lambda m, n: 1)
     with pytest.raises(ValueError, match="^dimension accounting failed: simple pieces cover 6 of 1;"):
         regular_decomposition(2, 1)
     monkeypatch.undo()
     for bad in (Fraction(1, 2), -1):
-        monkeypatch.setattr(modules, "_regular_trace", lambda d, bad=bad: bad)
+        monkeypatch.setattr(classes, "_regular_trace", lambda d, bad=bad: bad)
         with pytest.raises(ValueError, match="^dimension accounting failed: the probe of 2|2,0"):
             regular_decomposition(2, 1)
 
