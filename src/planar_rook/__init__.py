@@ -47,34 +47,11 @@ def clear_caches() -> None:
     and truncation elements, and crystals.  The memos of words, identity
     elements and truncation elements have no bound.  A submodule that is not
     loaded holds no memo, so only the loaded ones are cleared."""
-    for name in ("algebra", "class_crystals", "diagrams", "modules", "tableaux"):
+    for name in _SUBMODULES:
         module = sys.modules.get(f"{__name__}.{name}")
         for memo in vars(module).values() if module else ():
             if hasattr(memo, "cache_clear"):
                 memo.cache_clear()
 
 
-__all__ = [
-    "ClassLabel",
-    "Diagram",
-    "are_isomorphic",
-    "check_axioms",
-    "class_crystal",
-    "clear_caches",
-    "count_diagrams",
-    "decompose",
-    "enumerate_diagrams",
-    "flip",
-    "highest_component",
-    "identity_element",
-    "multiply",
-    "orbit_vector",
-    "regular_module",
-    "restrict",
-    "row_crystal",
-    "simple",
-    "ssyt_crystal",
-    "to_dot",
-    "to_orbit_basis",
-    "__version__",
-]
+__all__ = [*_HOME, "clear_caches", "__version__"]

@@ -17,8 +17,7 @@ A class's multiplicity is the trace of its probe, an idempotent, read off one
 partial identity per count vector with no elimination.  The class labels and
 their arithmetic (dimensions, restriction and induction of labels, the trace
 inversion and the regular decomposition, which needs no module) live in
-`classes`, which loads no rational or linear algebra; they are importable
-from here too.
+`classes`, which loads no rational or linear algebra.
 """
 
 from __future__ import annotations
@@ -28,19 +27,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 
 from .algebra import Element, truncation_idempotent
-
-# the class arithmetic lives in classes; its names stay importable from here
-from .classes import (  # noqa: F401
-    ClassLabel,
-    _invert,
-    _regular_trace,
-    _tally,
-    all_class_labels,
-    class_dimension,
-    induce_class,
-    regular_decomposition,
-    restrict_class,
-)
+from .classes import ClassLabel, _invert, _tally
 from .diagrams import (
     Diagram,
     ensure_within_cap,

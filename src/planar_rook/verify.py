@@ -11,6 +11,7 @@ render it and exit nonzero.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from functools import partial
 from math import comb
 
@@ -64,15 +65,14 @@ def _pairs(max_m, max_n, pin_m, pin_n, default_m, default_n, lo_m=1):
     return ((m, n) for n in ns for m in ms)
 
 
-def compositions(total: int) -> list[tuple[int, ...]]:
-    """All ordered tuples of positive integers with the given sum."""
+def compositions(total: int) -> Iterator[tuple[int, ...]]:
+    """All ordered tuples of positive integers with the given sum, one at a
+    time in lexicographic order."""
     if total == 0:
-        return [()]
-    out = []
+        yield ()
     for head in range(1, total + 1):
         for rest in compositions(total - head):
-            out.append((head,) + rest)
-    return out
+            yield (head,) + rest
 
 
 def partitions(total: int, max_parts: int) -> list[tuple[int, ...]]:
@@ -99,36 +99,37 @@ def partitions(total: int, max_parts: int) -> list[tuple[int, ...]]:
 def _verify_axioms(max_m, max_n, pin_m, pin_n):
     # a pin caps this sweep rather than replacing it
     top_m, top_n, _, _ = _sweep(max_m, max_n, pin_m, pin_n)
-    suite = []  # (name, closed-form node count, builder)
-
-    def add(name, size, build, *args):
-        suite.append((name, size, partial(build, *args)))
-
-    for n in range(1, top_n + 1):
-        add(f"box(n={n})", n + 1, box_crystal, n)
-        for m in range(1, top_m + 1):
-            add(f"row(m={m},n={n})", comb(m + n, n), row_crystal, m, n)
-            add(f"classes(m={m},n={n})", comb(m + n, n), cc.class_crystal, m, n)
-        for k in range(2, min(top_m, 5) + 1):
-            add(f"box^{k}(n={n})", (n + 1) ** k, _box_power, n, k)
-        for total in range(1, top_m + 1):
-            for shape in partitions(total, n + 1):
-                size = ssyt_count(shape, n)
-                add(f"ssyt({shape},n={n})", size, ssyt_crystal, shape, n)
-                size = cc.tuple_count(shape, n)
-                add(f"highest({shape},n={n})", size, cc.highest_component, shape, n)
-            for parts in compositions(total):
-                size = cc.tuple_count(parts, n)
-                add(f"classes{parts}(n={n})", size, cc.tensor_class_crystal, parts, n)
     # refuse an over-cap sweep before building any crystal, then hold one at a time
-    for _, size, _ in suite:
+    checked = 0
+    for _, size, _ in _axioms_suite(top_m, top_n):
         ensure_nodes_within_cap(size)
+        checked += 1
     bad = []
-    for name, _, build in suite:
+    for name, _, build in _axioms_suite(top_m, top_n):
         violations = check_axioms(build())
         if violations:
             bad.append({"crystal": name, "violations": violations[:3]})
-    return len(suite), bad
+    return checked, bad
+
+
+def _axioms_suite(top_m, top_n):
+    """(name, closed-form node count, builder) for each crystal of the
+    axioms sweep, one at a time, so a huge range meets the cap first."""
+    for n in range(1, top_n + 1):
+        yield f"box(n={n})", n + 1, partial(box_crystal, n)
+        for m in range(1, top_m + 1):
+            yield f"row(m={m},n={n})", comb(m + n, n), partial(row_crystal, m, n)
+            yield f"classes(m={m},n={n})", comb(m + n, n), partial(cc.class_crystal, m, n)
+        for k in range(2, min(top_m, 5) + 1):
+            yield f"box^{k}(n={n})", (n + 1) ** k, partial(_box_power, n, k)
+        for total in range(1, top_m + 1):
+            for shape in partitions(total, n + 1):
+                yield f"ssyt({shape},n={n})", ssyt_count(shape, n), partial(ssyt_crystal, shape, n)
+                size = cc.tuple_count(shape, n)
+                yield f"highest({shape},n={n})", size, partial(cc.highest_component, shape, n)
+            for parts in compositions(total):
+                size = cc.tuple_count(parts, n)
+                yield f"classes{parts}(n={n})", size, partial(cc.tensor_class_crystal, parts, n)
 
 
 def _box_power(n, k):
@@ -233,27 +234,13 @@ def _verify_truncation_lemmas(max_m, max_n, pin_m, pin_n):
         for i in range(n + 1):
             trunc = truncation_idempotent(m, n, i)
             for d in diagrams:
-                checked += 1
                 x = orbit[d]
-                got = trunc * x
-                keep = d.top[m - 1] == i
-                if got != (x if keep else zero):
-                    bad.append(
-                        {
-                            "case": f"left cut m={m},n={n},i={i}",
-                            "diagram": list(d.edges),
-                        }
-                    )
-                checked += 1
-                got = x * trunc
-                keep = d.bottom[m - 1] == i
-                if got != (x if keep else zero):
-                    bad.append(
-                        {
-                            "case": f"right cut m={m},n={n},i={i}",
-                            "diagram": list(d.edges),
-                        }
-                    )
+                for side, got, word in (("left", trunc * x, d.top), ("right", x * trunc, d.bottom)):
+                    checked += 1
+                    if got != (x if word[m - 1] == i else zero):
+                        bad.append(
+                            {"case": f"{side} cut m={m},n={n},i={i}", "diagram": list(d.edges)}
+                        )
             # appending a strand commutes with taking orbit vectors
             last, unit = strand(n, i), unit_diagram(n, i)
             for d in smaller:

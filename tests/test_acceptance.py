@@ -11,13 +11,9 @@ from contextlib import contextmanager
 
 from planar_rook.cli import main
 from planar_rook.class_crystals import highest_component
+from planar_rook.classes import all_class_labels, class_dimension
 from planar_rook.diagrams import count_diagrams, enumerate_diagrams
-from planar_rook.modules import (
-    all_class_labels,
-    class_dimension,
-    decompose,
-    regular_module,
-)
+from planar_rook.modules import decompose, regular_module
 from planar_rook.tableaux import ssyt_crystal
 from planar_rook.verify import TARGETS, verify_target
 

@@ -1,12 +1,12 @@
 """`planar_rook.clear_caches` empties every memo in the package, and every
 cached builder returns an equal result afterwards."""
 
+from importlib import import_module
+
 import pytest
 
 import planar_rook
-from planar_rook import algebra, class_crystals, cli, diagrams, modules, tableaux
-
-PACKAGE_MODULES = (algebra, class_crystals, diagrams, modules, tableaux)
+from planar_rook import algebra, class_crystals, classes, cli, diagrams, modules, tableaux
 
 # one call per memo; each returns something comparable with ==
 BUILDERS = {
@@ -24,7 +24,7 @@ def memos():
     """Every lru_cache defined in the package's modules, by qualified name."""
     return {
         f"{mod.__name__}.{name}": fn
-        for mod in PACKAGE_MODULES
+        for mod in (import_module(f"planar_rook.{sub}") for sub in planar_rook._SUBMODULES)
         for name, fn in vars(mod).items()
         if hasattr(fn, "cache_clear") and fn.__module__ == mod.__name__
     }
@@ -49,14 +49,14 @@ def test_clear_caches_empties_every_memo_and_rebuilds_equal_results():
 NON_INT_CALLS = {
     "enumerate bool": lambda: diagrams.enumerate_diagrams(2, True),
     "enumerate float": lambda: diagrams.enumerate_diagrams(2.0, 1),
-    "labels": lambda: modules.all_class_labels(2, 1.0),
-    "labels size": lambda: modules.all_class_labels(True, 1),
+    "labels": lambda: classes.all_class_labels(2, 1.0),
+    "labels size": lambda: classes.all_class_labels(True, 1),
     "classes bool": lambda: class_crystals.class_crystal(2, True),
     "classes float": lambda: class_crystals.class_crystal(2.0, 1),
     "tuples": lambda: class_crystals.tensor_class_crystal((2,), 1.0),
     "highest": lambda: class_crystals.highest_component((2, 1), 1.0),
     "regular": lambda: modules.regular_module(2, True),
-    "regular decomposition": lambda: modules.regular_decomposition(2.0, 1),
+    "regular decomposition": lambda: classes.regular_decomposition(2.0, 1),
     "identity": lambda: algebra.identity_element(2, True),
     "truncation": lambda: algebra.truncation_idempotent(2, 1.0, 1),
     "truncation color": lambda: algebra.truncation_idempotent(2, 1, True),
@@ -80,14 +80,14 @@ def test_non_int_sizes_are_refused_before_any_memo(name):
 OUT_OF_RANGE_CALLS = {
     "enumerate no colors": lambda: diagrams.enumerate_diagrams(2, 0),
     "enumerate negative": lambda: diagrams.enumerate_diagrams(-1, 1),
-    "labels negative": lambda: modules.all_class_labels(-1, 1),
+    "labels negative": lambda: classes.all_class_labels(-1, 1),
     "identity no colors": lambda: algebra.identity_element(2, 0),
     "identity negative": lambda: algebra.identity_element(-2, 1),
     "truncation no colors": lambda: algebra.truncation_idempotent(2, 0, 0),
     "truncation size 0": lambda: algebra.truncation_idempotent(0, 1, 0),
     "regular no colors": lambda: modules.regular_module(2, 0),
-    "regular decomposition no colors": lambda: modules.regular_decomposition(2, 0),
-    "regular decomposition negative": lambda: modules.regular_decomposition(-1, 1),
+    "regular decomposition no colors": lambda: classes.regular_decomposition(2, 0),
+    "regular decomposition negative": lambda: classes.regular_decomposition(-1, 1),
     "row negative": lambda: tableaux.row_crystal(-1, 1),
     "row no colors": lambda: tableaux.row_crystal(2, 0),
     "box no colors": lambda: tableaux.box_crystal(0),

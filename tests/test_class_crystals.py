@@ -29,6 +29,7 @@ from planar_rook.class_crystals import (
     tensor_class_crystal,
     tuple_key,
 )
+from planar_rook.classes import ClassLabel, all_class_labels
 from planar_rook.crystals import (
     Crystal,
     are_isomorphic,
@@ -37,7 +38,6 @@ from planar_rook.crystals import (
     signature,
     tensor_all,
 )
-from planar_rook.modules import ClassLabel, all_class_labels
 from planar_rook.tableaux import row_crystal, ssyt_crystal, word_key
 from planar_rook.verify import compositions, partitions, verify_target
 

@@ -24,9 +24,9 @@ import planar_rook.diagrams as diagrams
 import planar_rook.modules as modules
 import planar_rook.verify as verify
 from planar_rook.algebra import Element, identity_element
+from planar_rook.classes import ClassLabel
 from planar_rook.cli import main
 from planar_rook.diagrams import Diagram, enumerate_diagrams, flip, partial_identity
-from planar_rook.modules import ClassLabel
 from planar_rook.verify import TARGETS
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -177,6 +177,16 @@ def test_a_huge_module_sweep_stops_at_the_cap(target):
     assert (done.returncode, done.stdout) == (2, b"")
     assert done.stderr.decode() == (
         "error: size m=9 exceeds the enumeration cap 8 for n=1 colors; verify has no override\n"
+    )
+
+
+def test_a_huge_axioms_sweep_stops_at_the_cap():
+    # the crystals of the sweep come one at a time, so the 2^15 compositions
+    # of 16 are not all listed before the first over-cap size is refused
+    done = cli_process("-m", "planar_rook.cli", "verify", "axioms", "--max-m", "60", timeout=10)
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr.decode() == (
+        "error: the crystal would have 65536 nodes, over the cap 50000; verify has no override\n"
     )
 
 

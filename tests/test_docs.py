@@ -1,4 +1,5 @@
-"""The README's library tour runs, and the package exports exactly its names."""
+"""The README's library tour runs, the package exports exactly its names, and
+each name has one home."""
 
 import ast
 import contextlib
@@ -45,13 +46,36 @@ def fresh_python(code: str) -> subprocess.CompletedProcess:
     )
 
 
-SUBMODULES = (
-    "algebra", "class_crystals", "classes", "cli", "crystals",
-    "diagrams", "linalg", "modules", "tableaux", "verify",
-)
+PACKAGE = Path(planar_rook.__file__).resolve().parent
+SUBMODULES = tuple(sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__"))
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names a module imports and never reads."""
+    tree = ast.parse(source)
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # each name has one home: a module imports only what it runs, so no
+    # module re-exports another's names
+    unused = {
+        sub: unused_imports((PACKAGE / f"{sub}.py").read_text(encoding="utf-8"))
+        for sub in ("__init__",) + SUBMODULES
+    }
+    assert {sub: names for sub, names in unused.items() if names} == {}
 
 
 def test_the_package_resolves_its_names_on_first_use():
+    assert planar_rook._SUBMODULES == SUBMODULES
     # in a fresh process, so that no other test has loaded a submodule yet
     probe = f"""
 import sys

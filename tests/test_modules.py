@@ -26,6 +26,14 @@ from planar_rook.algebra import (
     strand,
     truncation_idempotent,
 )
+from planar_rook.classes import (
+    ClassLabel,
+    all_class_labels,
+    class_dimension,
+    induce_class,
+    regular_decomposition,
+    restrict_class,
+)
 from planar_rook.diagrams import (
     Diagram,
     EnumerationCapError,
@@ -40,18 +48,12 @@ from planar_rook.diagrams import (
 )
 from planar_rook.linalg import apply, column_space_basis, coordinates_in_basis
 from planar_rook.modules import (
-    ClassLabel,
     ExplicitModule,
     SimpleModule,
-    all_class_labels,
-    class_dimension,
     decompose,
-    induce_class,
     multiplicity,
-    regular_decomposition,
     regular_module,
     restrict,
-    restrict_class,
     simple,
 )
 from planar_rook.verify import verify_target
@@ -363,13 +365,13 @@ def test_regular_trace_is_the_diagonal_of_the_built_module():
     # the straight strands come from the matching: top 110 over bottom 011
     # has the letter 1 above and below vertex 2 but joins 1-2 and 2-3, so it
     # fixes only the basis diagram with top word 000
-    assert modules._regular_trace(Diagram(3, 1, [(1, 2, 1), (2, 3, 1)])) == 1
+    assert classes._regular_trace(Diagram(3, 1, [(1, 2, 1), (2, 3, 1)])) == 1
     checked = 0
     for m, n in [(m, 1) for m in range(1, 5)] + [(2, 2), (3, 2), (2, 3)]:
         mod = regular_module(m, n)
         for d in enumerate_diagrams(m, n):
             diagonal = sum(col.get(j, 0) for j, col in enumerate(mod.matrix(d)))
-            assert modules._regular_trace(d) == diagonal, d
+            assert classes._regular_trace(d) == diagonal, d
             checked += 1
     assert checked == 234
 

@@ -44,8 +44,8 @@ def test_max_flags_extend_the_sweep():
 
 
 def test_composition_and_partition_helpers():
-    assert compositions(0) == [()]
-    assert compositions(3) == [(1, 1, 1), (1, 2), (2, 1), (3,)]
+    assert list(compositions(0)) == [()]
+    assert list(compositions(3)) == [(1, 1, 1), (1, 2), (2, 1), (3,)]
     assert partitions(4, 2) == [(4,), (3, 1), (2, 2)]
     assert partitions(3, 3) == [(3,), (2, 1), (1, 1, 1)]
 
