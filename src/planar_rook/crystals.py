@@ -451,16 +451,15 @@ def to_dot(crystal: Crystal) -> str:
     lines = ["digraph crystal {", "  rankdir=TB;", "  node [shape=box];"]
     keys = [_dot_escape(k) for k in crystal.nodes]
     labels = crystal.labels or crystal.nodes
+    wts = {w: ", ".join(map(str, w)) for w in set(crystal.wt)}
     for k, label, w in zip(keys, labels, crystal.wt):
-        wt = ", ".join(str(x) for x in w)
-        lines.append(f'  "{k}" [label="{_dot_escape(label)}\\nwt=({wt})"];')
+        lines.append(f'  "{k}" [label="{_dot_escape(label)}\\nwt=({wts[w]})"];')
+    style = '" [label="{}", colorscheme=set19, color={}];'
+    ends = [style.format(i, (i - 1) % 9 + 1) for i in range(1, len(crystal.down) + 1)]
     for b, k in enumerate(keys):
-        for i, col in enumerate(crystal.down, 1):
+        for col, end in zip(crystal.down, ends):
             if col[b] >= 0:
-                lines.append(
-                    f'  "{k}" -> "{keys[col[b]]}" '
-                    f'[label="{i}", colorscheme=set19, color={(i - 1) % 9 + 1}];'
-                )
+                lines.append(f'  "{k}" -> "{keys[col[b]]}{end}')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -16,24 +16,16 @@ from functools import partial
 from math import comb
 
 from . import class_crystals as cc
-from .algebra import (
-    Element,
-    orbit_basis_product,
-    orbit_vector,
-    strand,
-    truncation_idempotent,
-)
 from .classes import all_class_labels, class_dimension, induce_class, restrict_class
 from .crystals import (
+    _image_violations,
     check_axioms,
     ensure_nodes_within_cap,
     isomorphism_positions,
     morphism_violations,
     tensor,
-    tensor_all,
 )
 from .diagrams import covers, enumerate_diagrams, juxtapose, multiply, unit_diagram
-from .modules import decompose, multiplicity, regular_module, restrict, simple
 from .tableaux import (
     _filling_crystal,
     box_crystal,
@@ -99,17 +91,22 @@ def partitions(total: int, max_parts: int) -> list[tuple[int, ...]]:
 def _verify_axioms(max_m, max_n, pin_m, pin_n):
     # a pin caps this sweep rather than replacing it
     top_m, top_n, _, _ = _sweep(max_m, max_n, pin_m, pin_n)
-    # refuse an over-cap sweep before building any crystal, then hold one at a time
     checked = 0
-    for _, size, _ in _axioms_suite(top_m, top_n):
-        ensure_nodes_within_cap(size)
-        checked += 1
     bad = []
-    for name, _, build in _axioms_suite(top_m, top_n):
+    for name, _, build in _capped(partial(_axioms_suite, top_m, top_n)):
+        checked += 1
         violations = check_axioms(build())
         if violations:
             bad.append({"crystal": name, "violations": violations[:3]})
     return checked, bad
+
+
+def _capped(suite):
+    """suite(), a sweep's (name, closed-form node count, builder) items, after
+    a first read refused the first count over the cap before any build."""
+    for _, size, _ in suite():
+        ensure_nodes_within_cap(size)
+    return suite()
 
 
 def _axioms_suite(top_m, top_n):
@@ -120,8 +117,9 @@ def _axioms_suite(top_m, top_n):
         for m in range(1, top_m + 1):
             yield f"row(m={m},n={n})", comb(m + n, n), partial(row_crystal, m, n)
             yield f"classes(m={m},n={n})", comb(m + n, n), partial(cc.class_crystal, m, n)
+        powers = _left_products(partial(row_crystal, n=n), min(top_m, 5))
         for k in range(2, min(top_m, 5) + 1):
-            yield f"box^{k}(n={n})", (n + 1) ** k, partial(_box_power, n, k)
+            yield f"box^{k}(n={n})", (n + 1) ** k, partial(powers, (1,) * k)
         for total in range(1, top_m + 1):
             for shape in partitions(total, n + 1):
                 yield f"ssyt({shape},n={n})", ssyt_count(shape, n), partial(ssyt_crystal, shape, n)
@@ -132,11 +130,9 @@ def _axioms_suite(top_m, top_n):
                 yield f"classes{parts}(n={n})", size, partial(cc.tensor_class_crystal, parts, n)
 
 
-def _box_power(n, k):
-    return tensor_all([box_crystal(n)] * k)
-
-
 def _verify_regular_decomposition(max_m, max_n, pin_m, pin_n):
+    from .modules import decompose, regular_module
+
     checked = 0
     bad = []
     for m, n in _pairs(max_m, max_n, pin_m, pin_n, 3, 2):
@@ -176,6 +172,8 @@ def _verify_regular_decomposition(max_m, max_n, pin_m, pin_n):
 
 
 def _verify_orbit_product_laws(max_m, max_n, pin_m, pin_n):
+    from .algebra import Element, orbit_basis_product, orbit_vector
+
     if pin_m is None and pin_n is None:
         base = _pairs(max_m, max_n, pin_m, pin_n, 3, 2)
         cases = ((m, n) for m, n in base if n == 1 or m <= 2)
@@ -222,6 +220,8 @@ def _verify_orbit_product_laws(max_m, max_n, pin_m, pin_n):
 
 
 def _verify_truncation_lemmas(max_m, max_n, pin_m, pin_n):
+    from .algebra import Element, orbit_vector, strand, truncation_idempotent
+
     checked = 0
     bad = []
     for m, n in _pairs(max_m, max_n, pin_m, pin_n, 3, 2):
@@ -261,6 +261,8 @@ def _verify_functors(colors, induction, max_m, max_n, pin_m, pin_n):
     range(n + 1)[colors] drops one vertex of that color; with induction,
     inducing each class one size up lands where those restrictions say.  A
     restriction that is not a module action is reported and counts as zero."""
+    from .modules import decompose, restrict, simple
+
     checked = 0
     bad = []
     for m, n in _pairs(max_m, max_n, pin_m, pin_n, 4, 2):
@@ -311,6 +313,8 @@ def _verify_functors(colors, induction, max_m, max_n, pin_m, pin_n):
 
 
 def _verify_adjunction(max_m, max_n, pin_m, pin_n):
+    from .modules import multiplicity, simple
+
     checked = 0
     bad = []
     for m, n in _pairs(max_m, max_n, pin_m, pin_n, 3, 2):
@@ -335,10 +339,14 @@ def _verify_adjunction(max_m, max_n, pin_m, pin_n):
     return checked, bad
 
 
-def _isomorphism_defects(case, left, right):
+def _isomorphism_defects(case, left, right, witness=None):
     """[] when left and right are isomorphic, else one counterexample whose
     detail says that no isomorphism exists or names the component of either
-    side that is not normal."""
+    side that is not normal.  A witness (a permutation sending left's b to
+    witness[b]) that is a strict isomorphism settles it without a search."""
+    fits = witness is not None and (len(left), left.n) == (len(right), right.n)
+    if fits and not _image_violations(left, right, witness):
+        return []
     try:
         if isomorphism_positions(left, right) is not None:
             return []
@@ -354,110 +362,133 @@ def _verify_class_crystal_is_row_crystal(max_m, max_n, pin_m, pin_n):
     for m, n in _pairs(max_m, max_n, pin_m, pin_n, 4, 2, lo_m=0):
         classes = cc.class_crystal(m, n)
         rows = row_crystal(m, n)
-        mapping = {
-            label.key: word_key(label.canonical_word())
-            for label in all_class_labels(m, n)
-        }
-        # the closed-form moves against the functor composites come first,
-        # so a broken move is reported at its source before its crystal
-        for label in all_class_labels(m, n):
-            for i in range(1, n + 1):
-                for kind in ("e", "f"):
+        # the class crystal's nodes are these labels in order, so its columns
+        # are the closed-form moves; checked first, a broken move is
+        # reported at its source before its crystal
+        labels = all_class_labels(m, n)
+        for p, label in enumerate(labels):
+            for i, up, down in zip(range(1, n + 1), classes.up, classes.down):
+                for kind, col in (("e", up), ("f", down)):
                     checked += 1
-                    closed = (
-                        cc.raise_label(i, label)
-                        if kind == "e"
-                        else cc.lower_label(i, label)
-                    )
+                    closed = None if col[p] < 0 else labels[col[p]]
                     functorial = cc.class_operator_via_functors(kind, i, label)
                     if closed != functorial:
                         bad.append(
                             {
                                 "case": f"{kind} at i={i} on {label.key}",
                                 "closed form": None if closed is None else closed.key,
-                                "via functors": None
-                                if functorial is None
-                                else functorial.key,
+                                "via functors": None if functorial is None else functorial.key,
                             }
                         )
         checked += 1
+        mapping = {label.key: word_key(label.canonical_word()) for label in labels}
         defects = morphism_violations(classes, rows, mapping)
         if defects:
             bad.append({"case": f"m={m},n={n}", "witness defects": defects[:3]})
         checked += 1
-        bad += _isomorphism_defects(f"m={m},n={n}", classes, rows)
+        # the identity is that mapping in positions
+        bad += _isomorphism_defects(f"m={m},n={n}", classes, rows, list(range(len(labels))))
     return checked, bad
 
 
 def _verify_tuple_crystal_factorizes(max_m, max_n, pin_m, pin_n):
+    top_m, _, totals, ns = _sweep(max_m, max_n, pin_m, pin_n)
     checked = 0
     bad = []
-    top_m, _, totals, ns = _sweep(max_m, max_n, pin_m, pin_n)
+    for where, _, build in _capped(partial(_tuple_suite, row_crystal, top_m, totals, ns)):
+        checked += 1
+        rows, _, tuple_crystal = build()
+        tuples = tuple_crystal()
+        # the identity: a factor's classes in label order are its row's words
+        bad += _isomorphism_defects(where, tuples, rows, list(range(len(tuples))))
+    return checked, bad
+
+
+def _tuple_suite(factor, top_m, totals, ns):
+    """(case, closed-form node count, builder) for each tuple crystal, in
+    build order.  A builder returns the product of factor's crystals over
+    the parts, the tuple keys' separator for ⊗, and the tuple builder."""
     for n in ns:
-        row_products = _left_products(partial(row_crystal, n=n), top_m)
+        products = _left_products(partial(factor, n=n), top_m)
         for total in totals:
             for parts in compositions(total):
-                checked += 1
-                tuples = cc.tensor_class_crystal(parts, n)
-                rows = row_products(parts)
-                bad += _isomorphism_defects(f"parts={parts}, n={n}", tuples, rows)
-    return checked, bad
+                build = partial(_tuple_pair, products, parts, n)
+                yield f"parts={parts}, n={n}", cc.tuple_count(parts, n), build
+
+
+def _tuple_pair(products, parts, n):
+    return products(parts), "×", partial(cc.tensor_class_crystal, parts, n)
 
 
 def _verify_highest_component(max_m, max_n, pin_m, pin_n):
+    _, _, totals, ns = _sweep(max_m, max_n, pin_m, pin_n)
     checked = 0
     bad = []
-    _, _, totals, ns = _sweep(max_m, max_n, pin_m, pin_n)
+    items = _capped(partial(_component_suite, totals, ns))
+    # a shape's two crystals come in a row; the second's count is expected
+    for (where, _, component), (_, expected, tableaux) in zip(items, items):
+        comp = component()
+        checked += 1
+        if len(comp) != expected:
+            bad.append(
+                {
+                    "case": where,
+                    "detail": "component size vs tableau count",
+                    "expected": expected,
+                    "got": len(comp),
+                }
+            )
+        checked += 1
+        bad += _isomorphism_defects(where, comp, tableaux())
+    return checked, bad
+
+
+def _component_suite(totals, ns):
+    """(case, closed-form node count, builder) for each highest component, then
+    its tableau crystal, counted by Weyl's formula, independent of any listing."""
     for n in ns:
         for total in totals:
             for shape in partitions(total, n + 1):
-                comp = cc.highest_component(shape, n)
-                tableaux = ssyt_crystal(shape, n)
-                checked += 1
-                # Weyl's dimension formula, independent of any enumeration
-                expected = ssyt_count(shape, n)
-                if len(comp) != expected:
-                    bad.append(
-                        {
-                            "case": f"shape={shape}, n={n}",
-                            "detail": "component size vs tableau count",
-                            "expected": expected,
-                            "got": len(comp),
-                        }
-                    )
-                checked += 1
-                bad += _isomorphism_defects(f"shape={shape}, n={n}", comp, tableaux)
-    return checked, bad
+                where = f"shape={shape}, n={n}"
+                yield where, cc.tuple_count(shape, n), partial(cc.highest_component, shape, n)
+                yield where, ssyt_count(shape, n), partial(ssyt_crystal, shape, n)
 
 
 def _verify_signature_equivalence(max_m, max_n, pin_m, pin_n):
     """The signature rule against the iterated binary rule on box powers and
     tuple crystals.  A box power's signature side is the filling builder over
     one-box rows, reading each word as itself in the power's position order."""
+    top_m, _, totals, ns = _sweep(max_m, max_n, pin_m, pin_n)
     checked = 0
     bad = []
-    top_m, _, totals, ns = _sweep(max_m, max_n, pin_m, pin_n)
-    for n in ns:
-        power = box_crystal(n)
-        for length in range(2, min(top_m, 4) + 1):
-            power = tensor(power, box_crystal(n))
-            where = f"length={length}, n={n}"
-            words = itertools.product(range(n + 1), repeat=length)
-            try:
-                ours = _filling_crystal(n, [tuple((x,) for x in w) for w in words])
-            except ValueError as exc:
-                # a rule that moves a letter out of 0..n; its arrows still count
-                checked += 2 * n * len(power)
-                bad.append({"case": where, "detail": str(exc)})
-                continue
-            checked += _arrow_defects(bad, ours, "/", power, where)
-        class_products = _left_products(partial(cc.class_crystal, n=n), top_m)
-        for total in totals:
-            for parts in compositions(total):
-                tuples = cc.tensor_class_crystal(parts, n)
-                where = f"parts={parts}, n={n}"
-                checked += _arrow_defects(bad, tuples, "×", class_products(parts), where)
+    for where, _, build in _capped(partial(_signature_suite, top_m, totals, ns)):
+        product, sep, signed = build()
+        try:
+            ours = signed()
+        except ValueError as exc:
+            # a rule that moves a letter out of 0..n; its arrows still count
+            checked += 2 * product.n * len(product)
+            bad.append({"case": where, "detail": str(exc)})
+            continue
+        checked += _arrow_defects(bad, ours, sep, product, where)
     return checked, bad
+
+
+def _signature_suite(top_m, totals, ns):
+    """_tuple_suite over class crystals, after the box squares, cubes and
+    fourth powers at each n, whose builders return the same three things."""
+    for n in ns:
+        # a box is the row of length 1, so a power is a product of rows
+        boxes = _left_products(partial(row_crystal, n=n), min(top_m, 4))
+        for length in range(2, min(top_m, 4) + 1):
+            build = partial(_box_power_pair, boxes, n, length)
+            yield f"length={length}, n={n}", (n + 1) ** length, build
+        yield from _tuple_suite(cc.class_crystal, top_m, totals, [n])
+
+
+def _box_power_pair(boxes, n, length):
+    fillings = [tuple((x,) for x in w) for w in itertools.product(range(n + 1), repeat=length)]
+    return boxes((1,) * length), "/", partial(_filling_crystal, n, fillings)
 
 
 def _arrow_defects(bad, ours, sep, product, where):
@@ -495,16 +526,16 @@ def _arrow_defects(bad, ours, sep, product, where):
 
 def _left_products(build, top):
     """tensor_all of build(p) over the parts of a tuple.  The returned
-    function keeps the products of part sum below top in a table it holds,
-    so compositions that share a left prefix share its product; a product
-    of sum top is never a prefix of another, so it is not kept."""
+    function keeps the products of part sum below top, one-part ones among
+    them, so compositions share each left prefix and each factor is built
+    once; a product of sum top is never a prefix or a factor, so not kept."""
     table = {}
 
     def product(parts):
         if parts in table:
             return table[parts]
-        last = build(parts[-1])
-        out = last if len(parts) == 1 else tensor(product(parts[:-1]), last)
+        one = len(parts) == 1
+        out = build(parts[0]) if one else tensor(product(parts[:-1]), product(parts[-1:]))
         if sum(parts) < top:
             table[parts] = out
         return out

@@ -190,6 +190,22 @@ def test_a_huge_axioms_sweep_stops_at_the_cap():
     )
 
 
+@pytest.mark.parametrize(
+    "target, nodes",
+    # the first sizes past the cap: the tuple crystal of the all-ones
+    # composition of 16 at n=1, and that of the shape (10, 6, 6) at n=2
+    [("thm4.5", 65536), ("signature-equivalence", 65536), ("component-blambda", 51744)],
+)
+def test_a_huge_crystal_sweep_stops_at_the_cap(target, nodes):
+    # every closed-form size is checked before anything is built, so the
+    # crystals below the cap are not built first
+    done = cli_process("-m", "planar_rook.cli", "verify", target, "--max-m", "60", timeout=10)
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr.decode() == (
+        f"error: the crystal would have {nodes} nodes, over the cap 50000; verify has no override\n"
+    )
+
+
 def test_multiply_diagram_basis(capsys, tmp_path):
     d = Diagram(2, 1, ((1, 2, 1),))
     f1 = write_json(tmp_path / "e.json", identity_element(2, 1).to_json_dict())
@@ -853,6 +869,7 @@ LOADS = {
     ("enumerate", "--m", "2", "--n", "2"): {"diagrams"},
     **{argv: _CRYSTAL_LAYERS for name, argv in COMMANDS.items() if name.startswith("crystal-")},
     COMMANDS["multiply-element"]: {"diagrams", "algebra", "fractions", "decimal", "json"},
+    ("verify", "thm4.5", "--max-m", "2", "--max-n", "1"): _CRYSTAL_LAYERS | {"verify"},
 }
 
 

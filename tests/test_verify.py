@@ -6,6 +6,7 @@ from functools import partial
 import pytest
 
 import planar_rook.class_crystals as cc
+import planar_rook.modules as modules
 import planar_rook.tableaux as tableaux
 import planar_rook.verify as verify
 from planar_rook import clear_caches
@@ -186,6 +187,44 @@ def test_signature_equivalence_reports_a_wrong_tuple_rule(monkeypatch):
     assert verify_target("signature-equivalence", max_m=3, max_n=1)["failed"] == 0
 
 
+@pytest.mark.parametrize("target", ["thm4.5", "thm4.3", "component-blambda"])
+def test_only_component_blambda_searches_for_an_isomorphism(monkeypatch, target):
+    # thm4.5 and thm4.3 hold the identity as an explicit witness, which
+    # passes on correct crystals; component-blambda has none
+    calls = []
+    search = verify.isomorphism_positions
+    monkeypatch.setattr(verify, "isomorphism_positions", lambda a, b: calls.append(1) or search(a, b))
+    assert verify_target(target, max_m=4, max_n=2)["failed"] == 0
+    shapes = sum(len(partitions(total, n + 1)) for n in (1, 2) for total in range(1, 5))
+    assert len(calls) == (shapes if target == "component-blambda" else 0)
+
+
+def test_a_wrong_witness_falls_back_to_the_search():
+    rows, classes = row_crystal(2, 2), cc.class_crystal(2, 2)
+    reversed_positions = list(range(len(rows)))[::-1]
+    assert verify._image_violations(rows, classes, reversed_positions)
+    assert verify._isomorphism_defects("case", rows, classes, reversed_positions) == []
+
+
+def test_a_witness_on_a_crystal_that_is_not_normal_gets_the_search_detail():
+    # without its lowering edges a row crystal is no normal crystal, and the
+    # identity onto the intact one fails, so the search reports it as before
+    rows = row_crystal(2, 1)
+    frozen = Crystal(rows.n, rows.wt, rows.eps, rows.phi, rows.up, [[-1] * len(rows)], rows.nodes)
+    identity = list(range(len(rows)))
+    got = verify._isomorphism_defects("case", frozen, rows, identity)
+    assert got == verify._isomorphism_defects("case", frozen, rows)
+    assert "not a normal crystal component" in got[0]["detail"]
+
+
+def test_thm45_builds_each_row_crystal_once(monkeypatch):
+    built = []
+    build = verify.row_crystal
+    monkeypatch.setattr(verify, "row_crystal", lambda m, n: built.append((m, n)) or build(m, n))
+    assert verify_target("thm4.5", max_m=4, max_n=2)["failed"] == 0
+    assert sorted(built) == [(m, n) for m in range(1, 5) for n in (1, 2)]
+
+
 def test_left_products_keep_only_products_that_can_be_prefixes(monkeypatch):
     built = []
     tensor = verify.tensor
@@ -219,7 +258,7 @@ def test_functors_report_a_restriction_that_is_not_a_module(monkeypatch):
     def zero(i, mod):
         return ExplicitModule(mod.m - 1, mod.n, 1, lambda d: [{}])
 
-    monkeypatch.setattr(verify, "restrict", zero)
+    monkeypatch.setattr(modules, "restrict", zero)
     report = verify_target("thm3.2", max_m=2, max_n=1)
     # one restriction per class at m=1 (2) and m=2 (3), in the one color
     assert report["checked"] == report["failed"] == 5
