@@ -6,6 +6,12 @@ construction of the same object), and reports a dict with the number of
 elementary checks performed and any counterexamples found.  Targets never
 raise on mathematical disagreement; they return it as data so callers can
 render it and exit nonzero.
+
+A target is a stream of cases (case, guard, check), and verify_target runs
+every target the same way: first every guard, which refuses its case from
+closed-form sizes, so an over-cap sweep is refused before anything is
+built; then every check, which returns (count, counterexamples).  A check
+whose build raises ValueError counts once and reports the error.
 """
 
 from __future__ import annotations
@@ -19,13 +25,22 @@ from . import class_crystals as cc
 from .classes import all_class_labels, class_dimension, induce_class, restrict_class
 from .crystals import (
     _image_violations,
+    capped_binomial,
     check_axioms,
     ensure_nodes_within_cap,
     isomorphism_positions,
     morphism_violations,
     tensor,
 )
-from .diagrams import covers, enumerate_diagrams, juxtapose, multiply, unit_diagram
+from .diagrams import (
+    EnumerationCapError,
+    covers,
+    ensure_within_cap,
+    enumerate_diagrams,
+    juxtapose,
+    multiply,
+    unit_diagram,
+)
 from .tableaux import (
     _filling_crystal,
     box_crystal,
@@ -49,12 +64,28 @@ def _sweep(max_m, max_n, pin_m, pin_n, default_m=4, default_n=2, lo_m=1):
     return top_m, top_n, ms, ns
 
 
-def _pairs(max_m, max_n, pin_m, pin_n, default_m, default_n, lo_m=1):
-    """The (m, n) cases honoring pins, explicit maxima, or defaults, each
-    size for the first color count, then for the next.  They come one at a
-    time, so a sweep meets its size cap before it lists a huge range."""
-    _, _, ms, ns = _sweep(max_m, max_n, pin_m, pin_n, default_m, default_n, lo_m)
-    return ((m, n) for n in ns for m in ms)
+def _module_cases(check, default_m, default_n, max_m, max_n, pin_m, pin_n, narrow=False):
+    """(case, guard, check) for each (m, n), each size for the first color
+    count, then the next, one at a time, so a guard meets its cap before a
+    huge range is listed.  Unpinned, a narrow sweep has n = 1 or m <= 2."""
+    _, _, ms, ns = _sweep(max_m, max_n, pin_m, pin_n, default_m, default_n)
+    wide = not narrow or pin_m is not None or pin_n is not None
+    for n in ns:
+        for m in ms:
+            if wide or n == 1 or m <= 2:
+                yield f"m={m},n={n}", partial(_module_guard, m, n), partial(check, m, n)
+
+
+def _module_guard(m, n):
+    ensure_within_cap(m, n)
+    # a case lists its classes, the nodes of crystal cm
+    ensure_nodes_within_cap(capped_binomial(m + n, n))
+
+
+def _nodes_within_cap(*sizes):
+    """Refuse the first closed-form node count over the cap, in build order."""
+    for size in sizes:
+        ensure_nodes_within_cap(size)
 
 
 def compositions(total: int) -> Iterator[tuple[int, ...]]:
@@ -88,254 +119,222 @@ def partitions(total: int, max_parts: int) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------- targets
 
 
-def _verify_axioms(max_m, max_n, pin_m, pin_n):
+def _axioms(max_m, max_n, pin_m, pin_n):
     # a pin caps this sweep rather than replacing it
     top_m, top_n, _, _ = _sweep(max_m, max_n, pin_m, pin_n)
-    checked = 0
-    bad = []
-    for name, _, build in _capped(partial(_axioms_suite, top_m, top_n)):
-        checked += 1
-        violations = check_axioms(build())
-        if violations:
-            bad.append({"crystal": name, "violations": violations[:3]})
-    return checked, bad
 
+    def case(name, size, build, *args):
+        return name, partial(_nodes_within_cap, size), partial(_axioms_check, name, build, *args)
 
-def _capped(suite):
-    """suite(), a sweep's (name, closed-form node count, builder) items, after
-    a first read refused the first count over the cap before any build."""
-    for _, size, _ in suite():
-        ensure_nodes_within_cap(size)
-    return suite()
-
-
-def _axioms_suite(top_m, top_n):
-    """(name, closed-form node count, builder) for each crystal of the
-    axioms sweep, one at a time, so a huge range meets the cap first."""
     for n in range(1, top_n + 1):
-        yield f"box(n={n})", n + 1, partial(box_crystal, n)
+        yield case(f"box(n={n})", n + 1, box_crystal, n)
         for m in range(1, top_m + 1):
-            yield f"row(m={m},n={n})", comb(m + n, n), partial(row_crystal, m, n)
-            yield f"classes(m={m},n={n})", comb(m + n, n), partial(cc.class_crystal, m, n)
+            yield case(f"row(m={m},n={n})", comb(m + n, n), row_crystal, m, n)
+            yield case(f"classes(m={m},n={n})", comb(m + n, n), cc.class_crystal, m, n)
         powers = _left_products(partial(row_crystal, n=n), min(top_m, 5))
         for k in range(2, min(top_m, 5) + 1):
-            yield f"box^{k}(n={n})", (n + 1) ** k, partial(powers, (1,) * k)
+            yield case(f"box^{k}(n={n})", (n + 1) ** k, powers, (1,) * k)
         for total in range(1, top_m + 1):
             for shape in partitions(total, n + 1):
-                yield f"ssyt({shape},n={n})", ssyt_count(shape, n), partial(ssyt_crystal, shape, n)
+                yield case(f"ssyt({shape},n={n})", ssyt_count(shape, n), ssyt_crystal, shape, n)
                 size = cc.tuple_count(shape, n)
-                yield f"highest({shape},n={n})", size, partial(cc.highest_component, shape, n)
+                yield case(f"highest({shape},n={n})", size, cc.highest_component, shape, n)
             for parts in compositions(total):
                 size = cc.tuple_count(parts, n)
-                yield f"classes{parts}(n={n})", size, partial(cc.tensor_class_crystal, parts, n)
+                yield case(f"classes{parts}(n={n})", size, cc.tensor_class_crystal, parts, n)
 
 
-def _verify_regular_decomposition(max_m, max_n, pin_m, pin_n):
+def _axioms_check(name, build, *args):
+    violations = check_axioms(build(*args))
+    return 1, ([{"crystal": name, "violations": violations[:3]}] if violations else [])
+
+
+def _regular_decomposition(m, n):
     from .modules import decompose, regular_module
 
-    checked = 0
-    bad = []
-    for m, n in _pairs(max_m, max_n, pin_m, pin_n, 3, 2):
-        regular = regular_module(m, n)
-        total = regular.dimension
-        try:
-            dec = decompose(regular)
-        except ValueError as exc:
-            bad.append({"case": f"m={m},n={n}", "error": str(exc)})
-            continue
-        dim_sum = 0
-        for label in all_class_labels(m, n):
-            checked += 1
-            expected = class_dimension(label)
-            got = dec.get(label, 0)
-            if got != expected:
-                bad.append(
-                    {
-                        "case": f"regular(m={m},n={n})",
-                        "class": label.key,
-                        "expected": expected,
-                        "got": got,
-                    }
-                )
-            dim_sum += expected * expected
+    regular = regular_module(m, n)
+    total = regular.dimension
+    dec = decompose(regular)
+    checked, bad, dim_sum = 0, [], 0
+    for label in all_class_labels(m, n):
         checked += 1
-        if dim_sum != total:
+        expected = class_dimension(label)
+        got = dec.get(label, 0)
+        if got != expected:
             bad.append(
                 {
-                    "case": f"m={m},n={n}",
-                    "expected": total,
-                    "got": dim_sum,
-                    "detail": "sum of squared dimensions vs monoid size",
+                    "case": f"regular(m={m},n={n})",
+                    "class": label.key,
+                    "expected": expected,
+                    "got": got,
                 }
             )
+        dim_sum += expected * expected
+    checked += 1
+    if dim_sum != total:
+        bad.append(
+            {
+                "case": f"m={m},n={n}",
+                "expected": total,
+                "got": dim_sum,
+                "detail": "sum of squared dimensions vs monoid size",
+            }
+        )
     return checked, bad
 
 
-def _verify_orbit_product_laws(max_m, max_n, pin_m, pin_n):
+def _orbit_product_laws(m, n):
     from .algebra import Element, orbit_basis_product, orbit_vector
 
-    if pin_m is None and pin_n is None:
-        base = _pairs(max_m, max_n, pin_m, pin_n, 3, 2)
-        cases = ((m, n) for m, n in base if n == 1 or m <= 2)
-    else:
-        cases = _pairs(max_m, max_n, pin_m, pin_n, 3, 2)
-    checked = 0
-    bad = []
-    for m, n in cases:
-        diagrams = enumerate_diagrams(m, n)
-        # every product of two diagrams is a diagram of the sweep
-        orbit = {d: orbit_vector(d) for d in diagrams}
-        single = {d: Element.from_diagram(d) for d in diagrams}
-        zero = Element.zero(m, n)
-        for dp in diagrams:
-            dp_elt, dp_orbit = single[dp], orbit[dp]
-            for d in diagrams:
-                checked += 1
-                prod_orbit = orbit[multiply(dp, d)]
-                left = dp_elt * orbit[d]
-                left_expected = prod_orbit if covers(dp.bottom, d.top) else zero
-                right = dp_orbit * single[d]
-                right_expected = prod_orbit if covers(d.top, dp.bottom) else zero
-                # the matched-or-zero rule that multiply --x-basis runs,
-                # expanded back to the diagram basis
-                matched = orbit_basis_product({dp: 1}, {d: 1}).items()
-                both = sum((orbit[x].scale(c) for x, c in matched), zero)
-                both_brute = dp_orbit * orbit[d]
-                failures = []
-                if left != left_expected:
-                    failures.append("left law")
-                if right != right_expected:
-                    failures.append("right law")
-                if both != both_brute:
-                    failures.append("two-sided law")
-                if failures:
-                    bad.append(
-                        {
-                            "case": f"m={m},n={n}",
-                            "pair": [list(dp.edges), list(d.edges)],
-                            "laws": failures,
-                        }
-                    )
+    checked, bad = 0, []
+    diagrams = enumerate_diagrams(m, n)
+    # every product of two diagrams is a diagram of the sweep
+    orbit = {d: orbit_vector(d) for d in diagrams}
+    single = {d: Element.from_diagram(d) for d in diagrams}
+    zero = Element.zero(m, n)
+    for dp in diagrams:
+        dp_elt, dp_orbit = single[dp], orbit[dp]
+        for d in diagrams:
+            checked += 1
+            prod_orbit = orbit[multiply(dp, d)]
+            left = dp_elt * orbit[d]
+            left_expected = prod_orbit if covers(dp.bottom, d.top) else zero
+            right = dp_orbit * single[d]
+            right_expected = prod_orbit if covers(d.top, dp.bottom) else zero
+            # the matched-or-zero rule that multiply --x-basis runs,
+            # expanded back to the diagram basis
+            matched = orbit_basis_product({dp: 1}, {d: 1}).items()
+            both = sum((orbit[x].scale(c) for x, c in matched), zero)
+            both_brute = dp_orbit * orbit[d]
+            failures = []
+            if left != left_expected:
+                failures.append("left law")
+            if right != right_expected:
+                failures.append("right law")
+            if both != both_brute:
+                failures.append("two-sided law")
+            if failures:
+                bad.append(
+                    {
+                        "case": f"m={m},n={n}",
+                        "pair": [list(dp.edges), list(d.edges)],
+                        "laws": failures,
+                    }
+                )
     return checked, bad
 
 
-def _verify_truncation_lemmas(max_m, max_n, pin_m, pin_n):
+def _truncation_lemmas(m, n):
     from .algebra import Element, orbit_vector, strand, truncation_idempotent
 
-    checked = 0
-    bad = []
-    for m, n in _pairs(max_m, max_n, pin_m, pin_n, 3, 2):
-        diagrams = enumerate_diagrams(m, n)
-        smaller = enumerate_diagrams(m - 1, n) if m >= 1 else ()
-        # every extension of a smaller diagram is a diagram of the sweep
-        orbit = {d: orbit_vector(d) for d in diagrams}
-        small_orbit = {d: orbit_vector(d) for d in smaller}
-        zero = Element.zero(m, n)
-        for i in range(n + 1):
-            trunc = truncation_idempotent(m, n, i)
-            for d in diagrams:
-                x = orbit[d]
-                for side, got, word in (("left", trunc * x, d.top), ("right", x * trunc, d.bottom)):
-                    checked += 1
-                    if got != (x if word[m - 1] == i else zero):
-                        bad.append(
-                            {"case": f"{side} cut m={m},n={n},i={i}", "diagram": list(d.edges)}
-                        )
-            # appending a strand commutes with taking orbit vectors
-            last, unit = strand(n, i), unit_diagram(n, i)
-            for d in smaller:
+    checked, bad = 0, []
+    diagrams = enumerate_diagrams(m, n)
+    smaller = enumerate_diagrams(m - 1, n) if m >= 1 else ()
+    # every extension of a smaller diagram is a diagram of the sweep
+    orbit = {d: orbit_vector(d) for d in diagrams}
+    small_orbit = {d: orbit_vector(d) for d in smaller}
+    zero = Element.zero(m, n)
+    for i in range(n + 1):
+        trunc = truncation_idempotent(m, n, i)
+        for d in diagrams:
+            x = orbit[d]
+            for side, got, word in (("left", trunc * x, d.top), ("right", x * trunc, d.bottom)):
                 checked += 1
-                extended = orbit[juxtapose(d, unit)]
-                if small_orbit[d].tensor(last) != extended:
+                if got != (x if word[m - 1] == i else zero):
                     bad.append(
-                        {
-                            "case": f"extension m={m},n={n},i={i}",
-                            "diagram": list(d.edges),
-                        }
+                        {"case": f"{side} cut m={m},n={n},i={i}", "diagram": list(d.edges)}
                     )
+        # appending a strand commutes with taking orbit vectors
+        last, unit = strand(n, i), unit_diagram(n, i)
+        for d in smaller:
+            checked += 1
+            extended = orbit[juxtapose(d, unit)]
+            if small_orbit[d].tensor(last) != extended:
+                bad.append(
+                    {
+                        "case": f"extension m={m},n={n},i={i}",
+                        "diagram": list(d.edges),
+                    }
+                )
     return checked, bad
 
 
-def _verify_functors(colors, induction, max_m, max_n, pin_m, pin_n):
+def _functors(colors, induction, m, n):
     """Theorems 3.2, 3.5 and 3.6: restricting each simple in each color of
     range(n + 1)[colors] drops one vertex of that color; with induction,
     inducing each class one size up lands where those restrictions say.  A
     restriction that is not a module action is reported and counts as zero."""
     from .modules import decompose, restrict, simple
 
-    checked = 0
-    bad = []
-    for m, n in _pairs(max_m, max_n, pin_m, pin_n, 4, 2):
-        labels, table = all_class_labels(m, n), {}
-        for label in labels:
-            mod = simple(label)
-            for i in range(n + 1)[colors]:
-                restricted = restrict(i, mod)
+    checked, bad = 0, []
+    labels, table = all_class_labels(m, n), {}
+    for label in labels:
+        mod = simple(label)
+        for i in range(n + 1)[colors]:
+            restricted = restrict(i, mod)
+            checked += 1
+            try:
+                dec = table[(i, label)] = decompose(restricted)
+            except ValueError as exc:
+                table[(i, label)] = {}
+                case = f"restrict(i={i}) of {label.key}"
+                bad.append({"case": case, "error": str(exc)})
+                continue
+            target = restrict_class(i, label)
+            expected = {} if target is None else {target: 1}
+            if dec != expected:
+                bad.append(
+                    {
+                        "case": f"restrict(i={i}) of {label.key}",
+                        "expected": {k.key: v for k, v in expected.items()},
+                        "got": {k.key: v for k, v in dec.items()},
+                    }
+                )
+    if not induction:
+        return checked, bad
+    # Frobenius reciprocity pins the induced module: inducing a class M one
+    # size up must land on exactly the classes whose restriction contains M.
+    for small in all_class_labels(m - 1, n):
+        for i in range(n + 1)[colors]:
+            induced = induce_class(i, small)
+            for big in labels:
                 checked += 1
-                try:
-                    dec = table[(i, label)] = decompose(restricted)
-                except ValueError as exc:
-                    table[(i, label)] = {}
-                    case = f"restrict(i={i}) of {label.key}"
-                    bad.append({"case": case, "error": str(exc)})
-                    continue
-                target = restrict_class(i, label)
-                expected = {} if target is None else {target: 1}
-                if dec != expected:
+                got = table[(i, big)].get(small, 0)
+                expected = 1 if big == induced else 0
+                if got != expected:
                     bad.append(
                         {
-                            "case": f"restrict(i={i}) of {label.key}",
-                            "expected": {k.key: v for k, v in expected.items()},
-                            "got": {k.key: v for k, v in dec.items()},
+                            "case": f"induce(i={i}) of {small.key}",
+                            "candidate": big.key,
+                            "expected": expected,
+                            "got": got,
                         }
                     )
-        if not induction:
-            continue
-        # Frobenius reciprocity pins the induced module: inducing a class M one
-        # size up must land on exactly the classes whose restriction contains M.
-        for small in all_class_labels(m - 1, n):
-            for i in range(n + 1)[colors]:
-                induced = induce_class(i, small)
-                for big in labels:
-                    checked += 1
-                    got = table[(i, big)].get(small, 0)
-                    expected = 1 if big == induced else 0
-                    if got != expected:
-                        bad.append(
-                            {
-                                "case": f"induce(i={i}) of {small.key}",
-                                "candidate": big.key,
-                                "expected": expected,
-                                "got": got,
-                            }
-                        )
     return checked, bad
 
 
-def _verify_adjunction(max_m, max_n, pin_m, pin_n):
+def _adjunction(m, n):
     from .modules import multiplicity, simple
 
-    checked = 0
-    bad = []
-    for m, n in _pairs(max_m, max_n, pin_m, pin_n, 3, 2):
-        smalls, bigs = all_class_labels(m - 1, n), all_class_labels(m, n)
-        simples = {big: simple(big) for big in bigs}
-        for i in range(n + 1):
-            # Hom(Ind_i S_small, S_big) against Hom(S_small, Res_i S_big)
-            restricted = {big: mod.restrict(i) for big, mod in simples.items()}
-            for small in smalls:
-                for big in bigs:
-                    checked += 1
-                    left = 1 if induce_class(i, small) == big else 0
-                    right = multiplicity(restricted[big], small)
-                    if left != right:
-                        bad.append(
-                            {
-                                "case": f"i={i}, small={small.key}, big={big.key}",
-                                "induced side": left,
-                                "restricted side": right,
-                            }
-                        )
+    checked, bad = 0, []
+    smalls, bigs = all_class_labels(m - 1, n), all_class_labels(m, n)
+    simples = {big: simple(big) for big in bigs}
+    for i in range(n + 1):
+        # Hom(Ind_i S_small, S_big) against Hom(S_small, Res_i S_big)
+        restricted = {big: mod.restrict(i) for big, mod in simples.items()}
+        for small in smalls:
+            for big in bigs:
+                checked += 1
+                left = 1 if induce_class(i, small) == big else 0
+                right = multiplicity(restricted[big], small)
+                if left != right:
+                    bad.append(
+                        {
+                            "case": f"i={i}, small={small.key}, big={big.key}",
+                            "induced side": left,
+                            "restricted side": right,
+                        }
+                    )
     return checked, bad
 
 
@@ -356,152 +355,141 @@ def _isomorphism_defects(case, left, right, witness=None):
     return [{"case": case, "detail": detail}]
 
 
-def _verify_class_crystal_is_row_crystal(max_m, max_n, pin_m, pin_n):
-    checked = 0
-    bad = []
-    for m, n in _pairs(max_m, max_n, pin_m, pin_n, 4, 2, lo_m=0):
-        classes = cc.class_crystal(m, n)
-        rows = row_crystal(m, n)
-        # the class crystal's nodes are these labels in order, so its columns
-        # are the closed-form moves; checked first, a broken move is
-        # reported at its source before its crystal
-        labels = all_class_labels(m, n)
-        for p, label in enumerate(labels):
-            for i, up, down in zip(range(1, n + 1), classes.up, classes.down):
-                for kind, col in (("e", up), ("f", down)):
-                    checked += 1
-                    closed = None if col[p] < 0 else labels[col[p]]
-                    functorial = cc.class_operator_via_functors(kind, i, label)
-                    if closed != functorial:
-                        bad.append(
-                            {
-                                "case": f"{kind} at i={i} on {label.key}",
-                                "closed form": None if closed is None else closed.key,
-                                "via functors": None if functorial is None else functorial.key,
-                            }
-                        )
-        checked += 1
-        mapping = {label.key: word_key(label.canonical_word()) for label in labels}
-        defects = morphism_violations(classes, rows, mapping)
-        if defects:
-            bad.append({"case": f"m={m},n={n}", "witness defects": defects[:3]})
-        checked += 1
-        # the identity is that mapping in positions
-        bad += _isomorphism_defects(f"m={m},n={n}", classes, rows, list(range(len(labels))))
-    return checked, bad
-
-
-def _verify_tuple_crystal_factorizes(max_m, max_n, pin_m, pin_n):
-    top_m, _, totals, ns = _sweep(max_m, max_n, pin_m, pin_n)
-    checked = 0
-    bad = []
-    for where, _, build in _capped(partial(_tuple_suite, row_crystal, top_m, totals, ns)):
-        checked += 1
-        rows, _, tuple_crystal = build()
-        tuples = tuple_crystal()
-        # the identity: a factor's classes in label order are its row's words
-        bad += _isomorphism_defects(where, tuples, rows, list(range(len(tuples))))
-    return checked, bad
-
-
-def _tuple_suite(factor, top_m, totals, ns):
-    """(case, closed-form node count, builder) for each tuple crystal, in
-    build order.  A builder returns the product of factor's crystals over
-    the parts, the tuple keys' separator for ⊗, and the tuple builder."""
+def _class_crystal_is_row_crystal(max_m, max_n, pin_m, pin_n):
+    _, _, ms, ns = _sweep(max_m, max_n, pin_m, pin_n, lo_m=0)
     for n in ns:
-        products = _left_products(partial(factor, n=n), top_m)
+        for m in ms:
+            guard = partial(_nodes_within_cap, capped_binomial(m + n, n))
+            yield f"m={m},n={n}", guard, partial(_class_crystal_check, m, n)
+
+
+def _class_crystal_check(m, n):
+    classes = cc.class_crystal(m, n)
+    rows = row_crystal(m, n)
+    checked, bad = 0, []
+    # the class crystal's nodes are these labels in order, so its columns
+    # are the closed-form moves; checked first, a broken move is
+    # reported at its source before its crystal
+    labels = all_class_labels(m, n)
+    for p, label in enumerate(labels):
+        for i, up, down in zip(range(1, n + 1), classes.up, classes.down):
+            for kind, col in (("e", up), ("f", down)):
+                checked += 1
+                closed = None if col[p] < 0 else labels[col[p]]
+                functorial = cc.class_operator_via_functors(kind, i, label)
+                if closed != functorial:
+                    bad.append(
+                        {
+                            "case": f"{kind} at i={i} on {label.key}",
+                            "closed form": None if closed is None else closed.key,
+                            "via functors": None if functorial is None else functorial.key,
+                        }
+                    )
+    checked += 1
+    mapping = {label.key: word_key(label.canonical_word()) for label in labels}
+    defects = morphism_violations(classes, rows, mapping)
+    if defects:
+        bad.append({"case": f"m={m},n={n}", "witness defects": defects[:3]})
+    checked += 1
+    # the identity is that mapping in positions
+    bad += _isomorphism_defects(f"m={m},n={n}", classes, rows, list(range(len(labels))))
+    return checked, bad
+
+
+def _tuple_crystal_factorizes(max_m, max_n, pin_m, pin_n):
+    top_m, _, totals, ns = _sweep(max_m, max_n, pin_m, pin_n)
+    for n in ns:
+        rows = _left_products(partial(row_crystal, n=n), top_m)
         for total in totals:
             for parts in compositions(total):
-                build = partial(_tuple_pair, products, parts, n)
-                yield f"parts={parts}, n={n}", cc.tuple_count(parts, n), build
+                where = f"parts={parts}, n={n}"
+                guard = partial(_nodes_within_cap, cc.tuple_count(parts, n))
+                yield where, guard, partial(_factorization_check, where, rows, parts, n)
 
 
-def _tuple_pair(products, parts, n):
-    return products(parts), "×", partial(cc.tensor_class_crystal, parts, n)
+def _factorization_check(where, rows, parts, n):
+    product = rows(parts)
+    tuples = cc.tensor_class_crystal(parts, n)
+    # the identity: a factor's classes in label order are its row's words
+    return 1, _isomorphism_defects(where, tuples, product, list(range(len(tuples))))
 
 
-def _verify_highest_component(max_m, max_n, pin_m, pin_n):
+def _highest_component(max_m, max_n, pin_m, pin_n):
     _, _, totals, ns = _sweep(max_m, max_n, pin_m, pin_n)
-    checked = 0
-    bad = []
-    items = _capped(partial(_component_suite, totals, ns))
-    # a shape's two crystals come in a row; the second's count is expected
-    for (where, _, component), (_, expected, tableaux) in zip(items, items):
-        comp = component()
-        checked += 1
-        if len(comp) != expected:
-            bad.append(
-                {
-                    "case": where,
-                    "detail": "component size vs tableau count",
-                    "expected": expected,
-                    "got": len(comp),
-                }
-            )
-        checked += 1
-        bad += _isomorphism_defects(where, comp, tableaux())
-    return checked, bad
-
-
-def _component_suite(totals, ns):
-    """(case, closed-form node count, builder) for each highest component, then
-    its tableau crystal, counted by Weyl's formula, independent of any listing."""
     for n in ns:
         for total in totals:
             for shape in partitions(total, n + 1):
                 where = f"shape={shape}, n={n}"
-                yield where, cc.tuple_count(shape, n), partial(cc.highest_component, shape, n)
-                yield where, ssyt_count(shape, n), partial(ssyt_crystal, shape, n)
+                # the component, then its tableaux, counted by Weyl's formula
+                tableaux = ssyt_count(shape, n)
+                guard = partial(_nodes_within_cap, cc.tuple_count(shape, n), tableaux)
+                yield where, guard, partial(_component_check, where, shape, n, tableaux)
 
 
-def _verify_signature_equivalence(max_m, max_n, pin_m, pin_n):
+def _component_check(where, shape, n, expected):
+    comp = cc.highest_component(shape, n)
+    bad = []
+    if len(comp) != expected:
+        bad.append(
+            {
+                "case": where,
+                "detail": "component size vs tableau count",
+                "expected": expected,
+                "got": len(comp),
+            }
+        )
+    return 2, bad + _isomorphism_defects(where, comp, ssyt_crystal(shape, n))
+
+
+def _signature_equivalence(max_m, max_n, pin_m, pin_n):
     """The signature rule against the iterated binary rule on box powers and
     tuple crystals.  A box power's signature side is the filling builder over
     one-box rows, reading each word as itself in the power's position order."""
     top_m, _, totals, ns = _sweep(max_m, max_n, pin_m, pin_n)
-    checked = 0
-    bad = []
-    for where, _, build in _capped(partial(_signature_suite, top_m, totals, ns)):
-        product, sep, signed = build()
-        try:
-            ours = signed()
-        except ValueError as exc:
-            # a rule that moves a letter out of 0..n; its arrows still count
-            checked += 2 * product.n * len(product)
-            bad.append({"case": where, "detail": str(exc)})
-            continue
-        checked += _arrow_defects(bad, ours, sep, product, where)
-    return checked, bad
-
-
-def _signature_suite(top_m, totals, ns):
-    """_tuple_suite over class crystals, after the box squares, cubes and
-    fourth powers at each n, whose builders return the same three things."""
     for n in ns:
         # a box is the row of length 1, so a power is a product of rows
         boxes = _left_products(partial(row_crystal, n=n), min(top_m, 4))
         for length in range(2, min(top_m, 4) + 1):
-            build = partial(_box_power_pair, boxes, n, length)
-            yield f"length={length}, n={n}", (n + 1) ** length, build
-        yield from _tuple_suite(cc.class_crystal, top_m, totals, [n])
+            where = f"length={length}, n={n}"
+            guard = partial(_nodes_within_cap, (n + 1) ** length)
+            yield where, guard, partial(_box_power_check, where, boxes, n, length)
+        classes = _left_products(partial(cc.class_crystal, n=n), top_m)
+        for total in totals:
+            for parts in compositions(total):
+                where = f"parts={parts}, n={n}"
+                guard = partial(_nodes_within_cap, cc.tuple_count(parts, n))
+                signed = partial(cc.tensor_class_crystal, parts, n)
+                yield where, guard, partial(_signature_check, where, classes, parts, "×", signed)
 
 
-def _box_power_pair(boxes, n, length):
-    fillings = [tuple((x,) for x in w) for w in itertools.product(range(n + 1), repeat=length)]
-    return boxes((1,) * length), "/", partial(_filling_crystal, n, fillings)
+def _box_power_check(where, boxes, n, length):
+    words = itertools.product(range(n + 1), repeat=length)
+    signed = partial(_filling_crystal, n, [tuple((x,) for x in w) for w in words])
+    return _signature_check(where, boxes, (1,) * length, "/", signed)
 
 
-def _arrow_defects(bad, ours, sep, product, where):
-    """Append to bad the arrows of the signature-rule crystal ours that the
-    binary product disagrees with, and return the number of arrows compared.
-    Nodes are matched through the key rewrite sep -> ⊗; a key of ours with
-    no partner in the product is a counterexample of its own.  Whole
-    columns are compared first, and only a column that differs is walked
-    node by node."""
+def _signature_check(where, products, parts, sep, signed):
+    """(arrows compared, counterexamples) for the signature-rule crystal
+    signed() against the binary product(parts), keys matched by sep -> ⊗."""
+    product = products(parts)
+    try:
+        ours = signed()
+    except ValueError as exc:
+        # a rule that moves a letter out of 0..n; its arrows still count
+        return 2 * product.n * len(product), [{"case": where, "detail": str(exc)}]
+    return 2 * ours.n * len(ours), _arrow_defects(ours, sep, product, where)
+
+
+def _arrow_defects(ours, sep, product, where):
+    """The arrows of the signature-rule crystal ours that the binary product
+    disagrees with.  Nodes are matched through the key rewrite sep -> ⊗; a
+    key of ours with no partner in the product is a counterexample of its
+    own.  Whole columns are compared first, and only a column that differs
+    is walked node by node."""
     keys = product.nodes
     index = {k: p for p, k in enumerate(keys)}
     there = [index.get(k.replace(sep, "⊗"), -1) for k in ours.nodes]
-    bad += [
+    bad = [
         {"case": f"{k}, {where}", "signature": k, "binary": None}
         for k, p in zip(ours.nodes, there)
         if p < 0
@@ -521,7 +509,7 @@ def _arrow_defects(bad, ours, sep, product, where):
                             "binary": None if want < 0 else keys[want],
                         }
                     )
-    return 2 * ours.n * len(ours)
+    return bad
 
 
 def _left_products(build, top):
@@ -544,19 +532,19 @@ def _left_products(build, top):
 
 
 TARGETS = {
-    "axioms": _verify_axioms,
-    "thm2.2": _verify_regular_decomposition,
-    "prop2.1": _verify_orbit_product_laws,
-    "lemmas3": _verify_truncation_lemmas,
+    "axioms": _axioms,
+    "thm2.2": partial(_module_cases, _regular_decomposition, 3, 2),
+    "prop2.1": partial(_module_cases, _orbit_product_laws, 3, 2, narrow=True),
+    "lemmas3": partial(_module_cases, _truncation_lemmas, 3, 2),
     # colors 1..n, or color 0 alone, as a slice of range(n + 1)
-    "thm3.2": partial(_verify_functors, slice(1, None), False),
-    "thm3.5": partial(_verify_functors, slice(1, None), True),
-    "thm3.6": partial(_verify_functors, slice(0, 1), True),
-    "adjunction": _verify_adjunction,
-    "thm4.3": _verify_class_crystal_is_row_crystal,
-    "thm4.5": _verify_tuple_crystal_factorizes,
-    "component-blambda": _verify_highest_component,
-    "signature-equivalence": _verify_signature_equivalence,
+    "thm3.2": partial(_module_cases, partial(_functors, slice(1, None), False), 4, 2),
+    "thm3.5": partial(_module_cases, partial(_functors, slice(1, None), True), 4, 2),
+    "thm3.6": partial(_module_cases, partial(_functors, slice(0, 1), True), 4, 2),
+    "adjunction": partial(_module_cases, _adjunction, 3, 2),
+    "thm4.3": _class_crystal_is_row_crystal,
+    "thm4.5": _tuple_crystal_factorizes,
+    "component-blambda": _highest_component,
+    "signature-equivalence": _signature_equivalence,
 }
 
 
@@ -568,11 +556,23 @@ def verify_target(
     n: int | None = None,
 ) -> dict:
     """Run one verification target and return its report."""
-    fn = TARGETS.get(target)
-    if fn is None:
+    stream = TARGETS.get(target)
+    if stream is None:
         known = ", ".join(sorted(TARGETS))
         raise ValueError(f"unknown verify target {target!r}; known: {known}")
-    checked, bad = fn(max_m, max_n, m, n)
+    cases = partial(stream, max_m, max_n, m, n)
+    for _, guard, _ in cases():
+        guard()
+    checked, bad = 0, []
+    for case, _, check in cases():
+        try:
+            count, found = check()
+        except EnumerationCapError:
+            raise
+        except ValueError as exc:
+            count, found = 1, [{"case": case, "detail": str(exc)}]
+        checked += count
+        bad += found
     report = {"target": target, "checked": checked, "failed": len(bad)}
     if bad:
         report["counterexamples"] = bad[:MAX_COUNTEREXAMPLES]

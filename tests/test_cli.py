@@ -167,10 +167,13 @@ def test_a_forced_crystal_too_large_to_index_is_refused_at_once(argv, nodes):
     assert done.stderr.decode() == f"error: the crystal would have {nodes} nodes, too large to index\n"
 
 
-@pytest.mark.parametrize("target", ["thm3.2", "thm3.5", "thm3.6", "adjunction", "thm2.2"])
+@pytest.mark.parametrize(
+    "target", ["thm3.2", "thm3.5", "thm3.6", "adjunction", "thm2.2", "lemmas3", "prop2.1"]
+)
 def test_a_huge_module_sweep_stops_at_the_cap(target):
-    # the cases come one at a time, so the sweep meets the cap at m=9
-    # instead of listing the whole range first
+    # every case's guard runs before any case is checked, one case at a
+    # time, so the sweep is refused at m=9 before it lists the whole range
+    # or checks the cases below the cap
     done = cli_process(
         "-m", "planar_rook.cli", "verify", target, "--max-m", str(HUGE), "--max-n", "2", timeout=10
     )
@@ -191,19 +194,46 @@ def test_a_huge_axioms_sweep_stops_at_the_cap():
 
 
 @pytest.mark.parametrize(
-    "target, nodes",
+    "target, nodes, sweep",
     # the first sizes past the cap: the tuple crystal of the all-ones
-    # composition of 16 at n=1, and that of the shape (10, 6, 6) at n=2
-    [("thm4.5", 65536), ("signature-equivalence", 65536), ("component-blambda", 51744)],
+    # composition of 16 at n=1, that of the shape (10, 6, 6) at n=2, and
+    # the class crystal of m=50000 at n=1
+    [
+        pytest.param("thm4.5", 65536, ("--max-m", "60"), id="thm4.5-65536"),
+        pytest.param("signature-equivalence", 65536, ("--max-m", "60"), id="signature-equivalence-65536"),
+        pytest.param("component-blambda", 51744, ("--max-m", "60"), id="component-blambda-51744"),
+        pytest.param("thm4.3", 50001, ("--max-m", "100000", "--max-n", "1"), id="thm4.3-50001"),
+    ],
 )
-def test_a_huge_crystal_sweep_stops_at_the_cap(target, nodes):
+def test_a_huge_crystal_sweep_stops_at_the_cap(target, nodes, sweep):
     # every closed-form size is checked before anything is built, so the
     # crystals below the cap are not built first
-    done = cli_process("-m", "planar_rook.cli", "verify", target, "--max-m", "60", timeout=10)
+    done = cli_process("-m", "planar_rook.cli", "verify", target, *sweep, timeout=10)
     assert (done.returncode, done.stdout) == (2, b"")
     assert done.stderr.decode() == (
         f"error: the crystal would have {nodes} nodes, over the cap 50000; verify has no override\n"
     )
+
+
+OVER_THE_CAP = ", over the cap 50000; verify has no override"
+# each pinned verify case and its one-line refusal
+HUGE_CASES = {
+    f"thm3.2 --m {HUGE} --n 1": f"size m={HUGE} exceeds the largest size 4096",
+    # a case lists its C(m+n, n) classes: refused before any is listed
+    **{
+        f"{target} --m 2 --n {HUGE}": f"the crystal would have {comb(HUGE + 2, 2)} nodes{OVER_THE_CAP}"
+        for target in ("thm2.2", "prop2.1", "thm3.2")
+    },
+    "thm2.2 --m 2 --n 3000": f"the crystal would have 4504501 nodes{OVER_THE_CAP}",
+}
+
+
+@pytest.mark.parametrize("argv", HUGE_CASES)
+def test_a_huge_pinned_module_case_is_refused_at_once(argv):
+    # these ended in a traceback (ValueError, OverflowError) or ran for minutes
+    done = cli_process("-m", "planar_rook.cli", "verify", *argv.split(), timeout=10)
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr.decode() == f"error: {HUGE_CASES[argv]}\n"
 
 
 def test_multiply_diagram_basis(capsys, tmp_path):

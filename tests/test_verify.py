@@ -11,6 +11,7 @@ import planar_rook.tableaux as tableaux
 import planar_rook.verify as verify
 from planar_rook import clear_caches
 from planar_rook.crystals import Crystal, signature
+from planar_rook.diagrams import EnumerationCapError
 from planar_rook.modules import ExplicitModule, SimpleModule
 from planar_rook.tableaux import row_crystal
 from planar_rook.verify import TARGETS, compositions, partitions, verify_target
@@ -151,6 +152,57 @@ def test_signature_equivalence_reports_a_rule_that_leaves_the_alphabet(monkeypat
     assert report["checked"] == expected
     cases = {case["case"]: case for case in report["counterexamples"]}
     assert "leaves the given fillings" in cases["length=3, n=1"]["detail"]
+
+
+@pytest.mark.parametrize(
+    "target, case",
+    # the first crystal each sweep builds through row_crystal(2, 1)
+    [
+        ("axioms", "row(m=2,n=1)"),
+        ("thm4.3", "m=2,n=1"),
+        ("thm4.5", "parts=(2,), n=1"),
+        ("component-blambda", "shape=(2,), n=1"),
+    ],
+)
+def test_a_build_that_raises_is_reported_as_a_counterexample(monkeypatch, target, case):
+    # the wrong rule raises 11 to a word that is no row, which the row builder refuses
+    monkeypatch.setattr(tableaux, "signature", _leftmost_minus)
+    report = verify_target(target, max_m=3, max_n=1)
+    assert report["failed"] > 0
+    assert report["counterexamples"][0] == {
+        "case": case,
+        "detail": "raising 11 in direction 1 leaves the given fillings",
+    }
+
+
+# a sweep per target with cases below the cap before its first one over it
+OVER_THE_CAP = {target: {"max_m": 60} for target in TARGETS}
+OVER_THE_CAP["thm4.3"] = {"max_m": 100000, "max_n": 1}
+BUILDERS = {
+    verify: [
+        "box_crystal",
+        "row_crystal",
+        "ssyt_crystal",
+        "_filling_crystal",
+        "tensor",
+        "enumerate_diagrams",
+        "all_class_labels",
+    ],
+    cc: ["class_crystal", "tensor_class_crystal", "highest_component"],
+    modules: ["regular_module", "simple"],
+}
+
+
+@pytest.mark.parametrize("target", sorted(TARGETS))
+def test_no_builder_runs_before_a_refusal(monkeypatch, target):
+    def built(*args, **kwargs):
+        raise AssertionError("built before the refusal")
+
+    for owner, names in BUILDERS.items():
+        for name in names:
+            monkeypatch.setattr(owner, name, built)
+    with pytest.raises(EnumerationCapError):
+        verify_target(target, **OVER_THE_CAP[target])
 
 
 def test_component_blambda_reports_a_component_that_is_not_normal(monkeypatch):
