@@ -23,7 +23,7 @@ from .diagrams import (
     Diagram,
     brief,
     empty_diagram,
-    ensure_within_cap,
+    ensure_diagrams,
     flip,
     json_int,
     juxtapose,
@@ -352,11 +352,11 @@ def identity_element(m: int, n: int, force: bool = False) -> Element:
 
     The size-1 identity is the sum of the strands of every color: the
     one-edge diagrams minus (n-1) times the edgeless diagram.  Larger
-    identities are its tensor powers.  Term count grows like (n+1)^m for
-    n > 1, hence the size cap.
+    identities are its tensor powers, with (n+1)^m terms for n > 1, at most
+    the count of diagrams, which ensure_diagrams checks.
     """
     m, n = json_int(m, "m", 0), json_int(n, "n", 1)
-    ensure_within_cap(m, n, force)
+    ensure_diagrams(m, n, force)
     return _identity(m, n)
 
 
@@ -381,7 +381,8 @@ def _truncation(m: int, n: int, i: int) -> Element:
 
 def truncation_idempotent(m: int, n: int, i: int, force: bool = False) -> Element:
     """Idempotent cutting to the part of a module where vertex m is colored i:
-    identity(m-1) tensor strand(n, i), memoized like the identity."""
+    identity(m-1) tensor strand(n, i), memoized like the identity, with at
+    most as many terms as the diagrams of size m, which ensure_diagrams checks."""
     m, n, i = json_int(m, "m", 1), json_int(n, "n", 1), json_int(i, "color")
-    ensure_within_cap(m - 1, n, force)
+    ensure_diagrams(m, n, force)
     return _truncation(m, n, i)

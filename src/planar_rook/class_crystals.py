@@ -20,7 +20,6 @@ from operator import add
 from .classes import (
     ClassLabel,
     all_class_labels,
-    ensure_indexable,
     induce_class,
     restrict_class,
 )
@@ -28,11 +27,9 @@ from .crystals import (
     Crystal,
     _lowered,
     _restrict,
-    capped_binomial,
-    ensure_nodes_within_cap,
     signature,
 )
-from .diagrams import json_int
+from .diagrams import capped_binomial, ensure_work, json_int
 from .tableaux import partition_shape
 
 
@@ -86,9 +83,7 @@ def class_crystal(m: int, n: int, force: bool = False) -> Crystal:
     composition (m,): with a single factor nothing cancels.
     """
     m, n = json_int(m, "m", 0), json_int(n, "n", 1)
-    if force:  # force lifts the node cap, not the bound on listing classes
-        ensure_indexable(m, n)
-    ensure_nodes_within_cap(capped_binomial(m + n, n), force)
+    ensure_work(capped_binomial(m + n, n), m, n, "crystal nodes", force)
     return _tensor_class_crystal((m,), n)
 
 
@@ -113,9 +108,7 @@ def tensor_class_crystal(
     if not parts or any(type(p) is not int or p < 1 for p in parts):
         raise ValueError(f"parts must be positive integers, got {parts}")
     json_int(n, "n", 1)
-    if force:  # force lifts the node cap, not the bound on listing classes
-        ensure_indexable(max(parts), n)
-    ensure_nodes_within_cap(tuple_count(parts, n), force)
+    ensure_work(tuple_count(parts, n), sum(parts), n, "crystal nodes", force)
     return _tensor_class_crystal(parts, n)
 
 
@@ -135,7 +128,7 @@ def _tensor_class_crystal(parts: tuple[int, ...], n: int) -> Crystal:
     weakly increasing word."""
     if len(parts) > 1:
         return _extend(_tensor_class_crystal(parts[:-1], n), _tensor_class_crystal(parts[-1:], n))
-    labels = all_class_labels(parts[0], n)
+    labels = all_class_labels(parts[0], n, force=True)  # the builders checked their work
     counts = [label.counts for label in labels]
     index = {c: j for j, c in enumerate(counts)}
 
@@ -226,7 +219,7 @@ def highest_component(partition, n: int) -> Crystal:
             f"partition with {len(partition)} parts needs at least "
             f"{len(partition) - 1} colors, have n={n}"
         )
-    ensure_nodes_within_cap(tuple_count(partition, n))
+    ensure_work(tuple_count(partition, n), sum(partition), n, "crystal nodes")
     line = straight_line_tuple(partition, n)
     comp = None
     for j in range(len(partition)):

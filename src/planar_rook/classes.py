@@ -15,15 +15,15 @@ that stop at class arithmetic load no rational or linear algebra.
 from __future__ import annotations
 
 import itertools
-import sys
 from functools import total_ordering
 from math import comb, prod
 
 from .diagrams import (
     Diagram,
     brief,
-    count_diagrams,
-    ensure_within_cap,
+    capped_binomial,
+    ensure_diagrams,
+    ensure_work,
     json_int,
     multinomial,
     weak_compositions,
@@ -92,24 +92,18 @@ class ClassLabel:
         return tuple(color for color, c in enumerate(self.counts) for _ in range(c))
 
 
-def all_class_labels(m: int, n: int) -> list[ClassLabel]:
+def all_class_labels(m: int, n: int, force: bool = False) -> list[ClassLabel]:
     """Every class at size m, ordered so that earlier labels have more
-    isolated vertices (reverse lexicographic count vectors)."""
+    isolated vertices (reverse lexicographic count vectors); ensure_work
+    refuses their C(m + n, n) count first."""
     json_int(m, "m", 0)
     if json_int(n, "n") < 1:
         raise ValueError(f"need at least one color, got n={brief(n)}")
-    ensure_indexable(m, n)
+    ensure_work(capped_binomial(m + n, n), m, n, "classes", force)
     return [
         ClassLabel._trusted(n, counts)
         for counts in sorted(weak_compositions(m, n + 1), reverse=True)
     ]
-
-
-def ensure_indexable(m: int, n: int) -> None:
-    """Refuse a size whose classes cannot be listed, whatever the caps:
-    weak_compositions indexes range(m + n)."""
-    if m + n > sys.maxsize:
-        raise ValueError(f"size m={brief(m)} is too large to index")
 
 
 def class_dimension(label: ClassLabel) -> int:
@@ -157,8 +151,9 @@ def _invert(label: ClassLabel, t):
 def _tally(m: int, n: int, dimension: int, trace) -> dict[ClassLabel, int]:
     """The multiplicity of every class present, in all_class_labels order,
     from trace(w) on each class's block word.  Raises if a probe's trace is
-    not a count, or if the multiplicities do not account for the dimension."""
-    labels = all_class_labels(m, n)
+    not a count, or if the multiplicities do not account for the dimension.
+    The module's builder has bounded its classes, so they are listed forced."""
+    labels = all_class_labels(m, n, force=True)
     table = {w: trace(w) for w in map(ClassLabel.canonical_word, labels)}
     out, covered = {}, 0
     for label in labels:
@@ -179,8 +174,8 @@ def _tally(m: int, n: int, dimension: int, trace) -> dict[ClassLabel, int]:
 def regular_decomposition(m: int, n: int, force: bool = False) -> dict[ClassLabel, int]:
     """decompose(regular_module(m, n, force)) without building the module."""
     m, n = json_int(m, "m", 0), json_int(n, "n", 1)
-    ensure_within_cap(m, n, force)
-    return _tally(m, n, count_diagrams(m, n), lambda w: _regular_trace(Diagram._trusted(m, n, w, w)))
+    count = ensure_diagrams(m, n, force)
+    return _tally(m, n, count, lambda w: _regular_trace(Diagram._trusted(m, n, w, w)))
 
 
 def _regular_trace(d: Diagram) -> int:

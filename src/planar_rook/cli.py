@@ -1,11 +1,12 @@
 """Command line surface for the planar rook toolkit.
 
 Exit codes: 0 on success, 1 when a mathematical check fails, 2 on usage
-errors (bad flags, malformed inputs, or size caps hit without --force).
+errors (bad flags, malformed inputs, or the work cap hit without --force).
 All output is deterministic: rerunning a command byte-for-byte reproduces
-its output.  The size caps of enumerate, decompose and crystal are
-overridden by --force or by setting PLANAR_ROOK_FORCE=1; verify sweeps stay
-capped.
+its output.  Every builder refuses to list objects whose count times
+m + n + 1 passes the one work cap (diagrams.WORK_CAP); enumerate, decompose
+and crystal lift it with --force or PLANAR_ROOK_FORCE=1, while simples and
+verify stay capped.  Past sys.maxsize nothing is listed, forced or not.
 """
 
 from __future__ import annotations
@@ -198,10 +199,7 @@ def _cmd_multiply(args) -> int:
 
 def _cmd_simples(args) -> int:
     from .classes import all_class_labels, class_dimension
-    from .crystals import capped_binomial, ensure_nodes_within_cap
 
-    # the classes are the nodes of crystal cm, so they share its cap
-    ensure_nodes_within_cap(capped_binomial(args.m + args.n, args.n))
     labels = all_class_labels(args.m, args.n)
     payload = [
         {
@@ -460,7 +458,7 @@ def main(argv=None) -> int:
     except EnumerationCapError as exc:
         # the library's own hint names force=True; name the CLI's overrides,
         # which only the subcommands with a --force flag honour.  A bound
-        # that force does not lift (diagrams.MAX_SIZE) comes with no hint.
+        # that force does not lift (sys.maxsize) comes with no hint.
         reason, overridable, _ = str(exc).partition(";")
         hint = ""
         if overridable and "force" in vars(args):

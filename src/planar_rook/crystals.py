@@ -22,50 +22,11 @@ rule.
 
 from __future__ import annotations
 
-import sys
-from functools import reduce
 from itertools import chain, compress
 from operator import add
 from typing import Optional
 
-from .diagrams import EnumerationCapError, min_digits
-
-# Builders spend tens of microseconds per node, so a closed-form node count
-# is checked before anything is allocated.
-CRYSTAL_NODE_CAP = 50_000
-
-
-def ensure_nodes_within_cap(nodes: int, force: bool = False) -> None:
-    """Refuse a closed-form node count over the cap unless forced, and one
-    past sys.maxsize, which no list can index, even when forced."""
-    if not force and nodes > CRYSTAL_NODE_CAP:
-        raise EnumerationCapError(
-            f"the crystal would have {_nodes(nodes)}, over the cap "
-            f"{CRYSTAL_NODE_CAP}; pass force=True to override"
-        )
-    if nodes > sys.maxsize:
-        # no ";": force does not lift this bound, so there is no override to name
-        raise EnumerationCapError(f"the crystal would have {_nodes(nodes)}, too large to index")
-
-
-def _nodes(count: int) -> str:
-    """count nodes, worded by its digits past 256 bits: a closed-form count
-    can be astronomical, and str() fails past sys.get_int_max_str_digits()."""
-    if count.bit_length() > 256:
-        return f"a number of nodes with at least {min_digits(count)} digits"
-    return f"{count} nodes"
-
-
-def capped_binomial(total: int, k: int) -> int:
-    """comb(total, k), 0 <= k <= total, built as the running binomial
-    comb(total - k + j, j) and cut short once that passes 2**256: exact
-    below it, a lower bound past it, in a few hundred steps either way."""
-    k, out = min(k, total - k), 1
-    for j in range(1, k + 1):
-        if out.bit_length() > 256:
-            break
-        out = out * (total - k + j) // j
-    return out
+from .diagrams import ensure_work
 
 Weight = tuple[int, ...]
 
@@ -194,16 +155,17 @@ def tensor(left: Crystal, right: Crystal) -> Crystal:
     the right; lowering acts on the left when phi(left) > eps(right) (strict),
     otherwise on the right.  Weights add; eps and phi combine by the standard
     max formulas.  The pair (a, b) sits at position a * len(right) + b, with
-    key a⊗b.  The product's node count is checked against the cap before
-    anything is built.  Each column is built whole: an edge column by one
-    comprehension over the pairs, an eps, phi or weight row once per
-    distinct value of the left node that it reads, then chained.  `verify`
-    holds the signature rule against this binary rule, so it never calls
-    `signature`.
+    key a⊗b.  ensure_work checks the product's node count before anything
+    is built, with the size m read off the factors' weights.  Each column
+    is built whole: an edge column by one comprehension over the pairs, an
+    eps, phi or weight row once per distinct value of the left node that it
+    reads, then chained.  `verify` holds the signature rule against this
+    binary rule, so it never calls `signature`.
     """
     if left.n != right.n:
         raise ValueError("cannot tensor crystals with different color counts")
-    ensure_nodes_within_cap(len(left) * len(right))
+    m = sum(left.wt[0] if left.wt else ()) + sum(right.wt[0] if right.wt else ())
+    ensure_work(len(left) * len(right), m, left.n, "crystal nodes")
     size = len(right)
     bases = range(0, len(left) * size, size)
     eps, phi, up, down = [], [], [], []
@@ -241,14 +203,6 @@ def tensor(left: Crystal, right: Crystal) -> Crystal:
     wt = list(chain.from_iterable(map(sums.__getitem__, left.wt)))
     keys = [f"{b1}⊗{b2}" for b1 in left.nodes for b2 in right.nodes]
     return Crystal(left.n, wt, eps, phi, up, down, keys)
-
-
-def tensor_all(crystals) -> Crystal:
-    """Left-associated iterated tensor product."""
-    crystals = list(crystals)
-    if not crystals:
-        raise ValueError("need at least one crystal")
-    return reduce(tensor, crystals)
 
 
 def signature(factors) -> tuple[int, int, int, int]:
@@ -314,9 +268,10 @@ def _lowered(crystal: Crystal, start: int) -> list[int]:
 def _traversals(crystal: Crystal) -> list[tuple]:
     """(certificate, first position, order) for each highest node in
     position order, order being `_lowered` from the node.  The certificate
-    lists the weights, the eps, phi and lowering columns (targets as
-    indices into order) along order: equal certificates mean isomorphic
-    components, and matching the orders gives the isomorphism.
+    lists the weights, the eps, phi, lowering and raising columns (targets
+    as indices into order) along order: equal certificates mean isomorphic
+    components, and matching the orders gives the isomorphism (a raising
+    target that leaves order is refused below).
 
     Raises ValueError unless each component has one highest node and is
     generated by lowering from it, checked in this order: a node that a
@@ -340,7 +295,7 @@ def _traversals(crystal: Crystal) -> list[tuple]:
                     f"{keys[owner[p]]} and {keys[h]}; not a normal crystal component"
                 )
             owner[p], rank[p] = h, j
-        targets = (map(col.__getitem__, order) for col in crystal.down)
+        targets = (map(col.__getitem__, order) for col in crystal.down + crystal.up)
         cert = (
             tuple(map(crystal.wt.__getitem__, order)),
             tuple(tuple(map(col.__getitem__, order)) for col in crystal.eps + crystal.phi),

@@ -17,17 +17,19 @@ enumeration, products, flips and juxtaposition all work on words.
 from __future__ import annotations
 
 import itertools
+import sys
 from functools import lru_cache, total_ordering
-from math import comb
+from math import comb, factorial, perm, prod
 
 
 class EnumerationCapError(ValueError):
-    """An enumeration would exceed the configured size cap."""
+    """A build would pass the work cap, or list more than any index reaches."""
 
 
-# Caps keep accidental exponential enumerations out of interactive use.
-SIZE_CAP_ONE_COLOR = 8
-SIZE_CAP_MULTI_COLOR = 6
+# Every record the package lists holds O(m + n) entries (words of length m,
+# count vectors and weights of n + 1, n crystal columns), so each builder
+# refuses objects × (m + n + 1) over this cap before it allocates.
+WORK_CAP = 500_000
 MAX_SIZE = 4096
 
 
@@ -61,16 +63,45 @@ def json_int(x, what: str, least: int | None = None) -> int:
     return x
 
 
-def ensure_within_cap(m: int, n: int, force: bool = False) -> None:
-    if m > MAX_SIZE:
-        # no diagram is that large, so force does not lift this bound
-        raise EnumerationCapError(f"size m={brief(m)} exceeds the largest size {MAX_SIZE}")
-    cap = SIZE_CAP_ONE_COLOR if n == 1 else SIZE_CAP_MULTI_COLOR
-    if m > cap and not force:
-        raise EnumerationCapError(
-            f"size m={m} exceeds the enumeration cap {cap} for n={n} colors; "
-            "pass force=True to override"
-        )
+def ensure_work(objects: int, m: int, n: int, what: str, force: bool = False) -> None:
+    """Refuse to list `objects` records of m + n + 1 entries each when that
+    work is over WORK_CAP, unless forced, or past sys.maxsize, which no list
+    can index, even when forced.  Past 256 bits the count is worded as the
+    power of ten below it, as str() fails past sys.get_int_max_str_digits()."""
+    work = objects * (m + n + 1)
+    if work <= WORK_CAP or force and work <= sys.maxsize:
+        return
+    count = f"at least 10**{min_digits(objects) - 1}" if objects.bit_length() > 256 else objects
+    head = f"{what} at m={brief(m)}, n={brief(n)}: {count} of them, times m + n + 1, is"
+    if work > sys.maxsize:
+        # no ";": force does not lift this bound, so there is no override to name
+        raise EnumerationCapError(f"{head} too large to index")
+    raise EnumerationCapError(f"{head} over the work cap {WORK_CAP}; pass force=True to override")
+
+
+def capped_binomial(total: int, k: int) -> int:
+    """comb(total, k), 0 <= k <= total, built as the running binomial
+    comb(total - k + j, j) and cut short once that passes 2**256: exact
+    below it, a lower bound past it, in a few hundred steps either way."""
+    k, out = min(k, total - k), 1
+    for j in range(1, k + 1):
+        if out.bit_length() > 256:
+            break
+        out = out * (total - k + j) // j
+    return out
+
+
+def ensure_diagrams(m: int, n: int, force: bool = False) -> int:
+    """count_diagrams(m, n), once ensure_work has passed it.  The partition
+    sum's cost grows with m alone, so it runs only when the C(2m, m)
+    one-color diagrams alone are within the bound (m <= 10 unforced, 33
+    forced); past that they are what the refusal names."""
+    least = capped_binomial(2 * m, m)
+    if least > (sys.maxsize if force else WORK_CAP):
+        ensure_work(least, m, n, "one-color diagrams", force)  # raises
+    count = count_diagrams(m, n)
+    ensure_work(count, m, n, "diagrams", force)
+    return count
 
 
 @total_ordering
@@ -295,7 +326,7 @@ def enumerate_diagrams(m: int, n: int, force: bool = False) -> tuple[Diagram, ..
     """All diagrams of size m with n colors: every pair of words with equal
     color counts, ordered lexicographically by (bottom word, top word)."""
     m, n = json_int(m, "m", 0), json_int(n, "n", 1)
-    ensure_within_cap(m, n, force)
+    ensure_diagrams(m, n, force)
     return _enumerate(m, n)
 
 
@@ -308,6 +339,34 @@ def multinomial(counts) -> int:
     return ways
 
 
+def partitions(total: int, max_parts: int) -> list[tuple[int, ...]]:
+    """The partitions of total > 0 with at most max_parts parts, in reverse
+    lexicographic order."""
+    out = []
+
+    def rec(remaining, most, acc):
+        if remaining == 0 and acc:
+            out.append(tuple(acc))
+            return
+        if len(acc) == max_parts:
+            return
+        for part in range(min(remaining, most), 0, -1):
+            acc.append(part)
+            rec(remaining - part, part, acc)
+            acc.pop()
+
+    rec(total, total, [])
+    return out
+
+
 def count_diagrams(m: int, n: int) -> int:
-    """Closed form: sum over count vectors of the squared multinomial."""
-    return sum(multinomial(counts) ** 2 for counts in weak_compositions(m, n + 1))
+    """Closed form: the sum over count vectors of the squared multinomial,
+    taken per partition λ of the r colored letters, as colors are
+    interchangeable: (n)_ℓ(λ) / Π_j mult_j(λ)! vectors share the squared
+    multinomial C(m, r)² (r! / Π λ_i!)², so a huge n costs nothing."""
+    total = 1  # r = 0: the empty diagram
+    for r in range(1, m + 1):
+        for lam in partitions(r, n):
+            vectors = perm(n, len(lam)) // prod(factorial(lam.count(p)) for p in set(lam))
+            total += vectors * (comb(m, r) * multinomial(lam)) ** 2
+    return total

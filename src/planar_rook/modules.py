@@ -30,7 +30,7 @@ from .algebra import Element, truncation_idempotent
 from .classes import ClassLabel, _invert, _tally
 from .diagrams import (
     Diagram,
-    ensure_within_cap,
+    ensure_diagrams,
     enumerate_diagrams,
     json_int,
     juxtapose,
@@ -185,7 +185,9 @@ class SimpleModule(ExplicitModule):
 
 
 def simple(label: ClassLabel, force: bool = False) -> SimpleModule:
-    ensure_within_cap(label.m, label.n, force)
+    """The simple module of a class, whose squared dimension is at most the
+    count of diagrams, which ensure_diagrams checks."""
+    ensure_diagrams(label.m, label.n, force)
     return SimpleModule(label)
 
 
@@ -233,7 +235,7 @@ def restrict(i: int, mod: ExplicitModule, force: bool = False) -> ExplicitModule
     """Cut mod by the color-i truncation idempotent and restrict the action.
 
     The result is a module one size down, with coordinates in a canonical
-    basis of the image of e = truncation_idempotent(m, n, i), whose size cap
+    basis of the image of e = truncation_idempotent(m, n, i), whose work cap
     force overrides.  A diagram d acts there as d ⊗ unit_i: since
     (d ⊗ unit_i)·e = e·(d ⊗ strand(n, i)), the image is stable and this is
     the action of the extended element, one matrix of mod per diagram.  A

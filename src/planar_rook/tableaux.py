@@ -18,8 +18,8 @@ from __future__ import annotations
 import itertools
 from math import comb
 
-from .crystals import Crystal, capped_binomial, ensure_nodes_within_cap, signature
-from .diagrams import json_int
+from .crystals import Crystal, signature
+from .diagrams import capped_binomial, ensure_work, json_int
 
 Word = tuple[int, ...]
 
@@ -106,7 +106,7 @@ def row_crystal(m: int, n: int, force: bool = False) -> Crystal:
     in lexicographic order; eps counts the copies of i and phi the copies
     of i-1.  It has C(m+n, n) nodes."""
     m, n = json_int(m, "m", 0), json_int(n, "n", 1)
-    ensure_nodes_within_cap(capped_binomial(m + n, n), force)
+    ensure_work(capped_binomial(m + n, n), m, n, "crystal nodes", force)
     return _filling_crystal(n, [(w,) for w in weakly_increasing_words(m, n)])
 
 
@@ -167,7 +167,7 @@ def ssyt_crystal(shape, n: int, force: bool = False) -> Crystal:
     """
     shape, n = partition_shape(shape), json_int(n, "n", 1)
     # a tall shape counts 0 and its enumeration refuses it
-    ensure_nodes_within_cap(ssyt_count(shape, n), force)
+    ensure_work(ssyt_count(shape, n), sum(shape), n, "crystal nodes", force)
     rows = _ssyt_rows(shape, n)
     keys = list(map(filling_key, rows))
     order = sorted(range(len(rows)), key=keys.__getitem__)

@@ -25,20 +25,21 @@ from . import class_crystals as cc
 from .classes import all_class_labels, class_dimension, induce_class, restrict_class
 from .crystals import (
     _image_violations,
-    capped_binomial,
     check_axioms,
-    ensure_nodes_within_cap,
     isomorphism_positions,
     morphism_violations,
     tensor,
 )
 from .diagrams import (
     EnumerationCapError,
+    capped_binomial,
     covers,
-    ensure_within_cap,
+    ensure_diagrams,
+    ensure_work,
     enumerate_diagrams,
     juxtapose,
     multiply,
+    partitions,
     unit_diagram,
 )
 from .tableaux import (
@@ -64,28 +65,30 @@ def _sweep(max_m, max_n, pin_m, pin_n, default_m=4, default_n=2, lo_m=1):
     return top_m, top_n, ms, ns
 
 
-def _module_cases(check, default_m, default_n, max_m, max_n, pin_m, pin_n, narrow=False):
+def _module_cases(
+    check, default_m, default_n, max_m, max_n, pin_m, pin_n, narrow=False, guard=ensure_diagrams
+):
     """(case, guard, check) for each (m, n), each size for the first color
     count, then the next, one at a time, so a guard meets its cap before a
-    huge range is listed.  Unpinned, a narrow sweep has n = 1 or m <= 2."""
+    huge range is listed.  Unpinned, a narrow sweep has n = 1 or m <= 2.
+    A case builds from the diagrams of its size, whose count bounds its
+    classes and squared dimensions, so they are the guard's work."""
     _, _, ms, ns = _sweep(max_m, max_n, pin_m, pin_n, default_m, default_n)
     wide = not narrow or pin_m is not None or pin_n is not None
     for n in ns:
         for m in ms:
             if wide or n == 1 or m <= 2:
-                yield f"m={m},n={n}", partial(_module_guard, m, n), partial(check, m, n)
+                yield f"m={m},n={n}", partial(guard, m, n), partial(check, m, n)
 
 
-def _module_guard(m, n):
-    ensure_within_cap(m, n)
-    # a case lists its classes, the nodes of crystal cm
-    ensure_nodes_within_cap(capped_binomial(m + n, n))
+def _pairs_guard(m, n):
+    """prop2.1's work: it checks every pair of diagrams."""
+    count = ensure_diagrams(m, n)
+    ensure_work(count * count, m, n, "pairs of diagrams")
 
 
-def _nodes_within_cap(*sizes):
-    """Refuse the first closed-form node count over the cap, in build order."""
-    for size in sizes:
-        ensure_nodes_within_cap(size)
+def _nodes_guard(nodes, m, n):
+    return partial(ensure_work, nodes, m, n, "crystal nodes")
 
 
 def compositions(total: int) -> Iterator[tuple[int, ...]]:
@@ -98,24 +101,6 @@ def compositions(total: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + rest
 
 
-def partitions(total: int, max_parts: int) -> list[tuple[int, ...]]:
-    out = []
-
-    def rec(remaining, most, acc):
-        if remaining == 0 and acc:
-            out.append(tuple(acc))
-            return
-        if len(acc) == max_parts:
-            return
-        for part in range(min(remaining, most), 0, -1):
-            acc.append(part)
-            rec(remaining - part, part, acc)
-            acc.pop()
-
-    rec(total, total, [])
-    return out
-
-
 # ---------------------------------------------------------------- targets
 
 
@@ -123,25 +108,25 @@ def _axioms(max_m, max_n, pin_m, pin_n):
     # a pin caps this sweep rather than replacing it
     top_m, top_n, _, _ = _sweep(max_m, max_n, pin_m, pin_n)
 
-    def case(name, size, build, *args):
-        return name, partial(_nodes_within_cap, size), partial(_axioms_check, name, build, *args)
+    def case(name, nodes, m, build, *args):
+        return name, _nodes_guard(nodes, m, n), partial(_axioms_check, name, build, *args)
 
     for n in range(1, top_n + 1):
-        yield case(f"box(n={n})", n + 1, box_crystal, n)
+        yield case(f"box(n={n})", n + 1, 1, box_crystal, n)
         for m in range(1, top_m + 1):
-            yield case(f"row(m={m},n={n})", comb(m + n, n), row_crystal, m, n)
-            yield case(f"classes(m={m},n={n})", comb(m + n, n), cc.class_crystal, m, n)
+            yield case(f"row(m={m},n={n})", comb(m + n, n), m, row_crystal, m, n)
+            yield case(f"classes(m={m},n={n})", comb(m + n, n), m, cc.class_crystal, m, n)
         powers = _left_products(partial(row_crystal, n=n), min(top_m, 5))
         for k in range(2, min(top_m, 5) + 1):
-            yield case(f"box^{k}(n={n})", (n + 1) ** k, powers, (1,) * k)
+            yield case(f"box^{k}(n={n})", (n + 1) ** k, k, powers, (1,) * k)
         for total in range(1, top_m + 1):
             for shape in partitions(total, n + 1):
-                yield case(f"ssyt({shape},n={n})", ssyt_count(shape, n), ssyt_crystal, shape, n)
-                size = cc.tuple_count(shape, n)
-                yield case(f"highest({shape},n={n})", size, cc.highest_component, shape, n)
+                tableaux, size = ssyt_count(shape, n), cc.tuple_count(shape, n)
+                yield case(f"ssyt({shape},n={n})", tableaux, total, ssyt_crystal, shape, n)
+                yield case(f"highest({shape},n={n})", size, total, cc.highest_component, shape, n)
             for parts in compositions(total):
                 size = cc.tuple_count(parts, n)
-                yield case(f"classes{parts}(n={n})", size, cc.tensor_class_crystal, parts, n)
+                yield case(f"classes{parts}(n={n})", size, total, cc.tensor_class_crystal, parts, n)
 
 
 def _axioms_check(name, build, *args):
@@ -359,7 +344,7 @@ def _class_crystal_is_row_crystal(max_m, max_n, pin_m, pin_n):
     _, _, ms, ns = _sweep(max_m, max_n, pin_m, pin_n, lo_m=0)
     for n in ns:
         for m in ms:
-            guard = partial(_nodes_within_cap, capped_binomial(m + n, n))
+            guard = _nodes_guard(capped_binomial(m + n, n), m, n)
             yield f"m={m},n={n}", guard, partial(_class_crystal_check, m, n)
 
 
@@ -403,7 +388,7 @@ def _tuple_crystal_factorizes(max_m, max_n, pin_m, pin_n):
         for total in totals:
             for parts in compositions(total):
                 where = f"parts={parts}, n={n}"
-                guard = partial(_nodes_within_cap, cc.tuple_count(parts, n))
+                guard = _nodes_guard(cc.tuple_count(parts, n), total, n)
                 yield where, guard, partial(_factorization_check, where, rows, parts, n)
 
 
@@ -420,10 +405,10 @@ def _highest_component(max_m, max_n, pin_m, pin_n):
         for total in totals:
             for shape in partitions(total, n + 1):
                 where = f"shape={shape}, n={n}"
-                # the component, then its tableaux, counted by Weyl's formula
-                tableaux = ssyt_count(shape, n)
-                guard = partial(_nodes_within_cap, cc.tuple_count(shape, n), tableaux)
-                yield where, guard, partial(_component_check, where, shape, n, tableaux)
+                # the component lies in the tuple crystal; its tableaux
+                # are as many, counted by Weyl's formula
+                guard = _nodes_guard(cc.tuple_count(shape, n), total, n)
+                yield where, guard, partial(_component_check, where, shape, n, ssyt_count(shape, n))
 
 
 def _component_check(where, shape, n, expected):
@@ -451,13 +436,13 @@ def _signature_equivalence(max_m, max_n, pin_m, pin_n):
         boxes = _left_products(partial(row_crystal, n=n), min(top_m, 4))
         for length in range(2, min(top_m, 4) + 1):
             where = f"length={length}, n={n}"
-            guard = partial(_nodes_within_cap, (n + 1) ** length)
+            guard = _nodes_guard((n + 1) ** length, length, n)
             yield where, guard, partial(_box_power_check, where, boxes, n, length)
         classes = _left_products(partial(cc.class_crystal, n=n), top_m)
         for total in totals:
             for parts in compositions(total):
                 where = f"parts={parts}, n={n}"
-                guard = partial(_nodes_within_cap, cc.tuple_count(parts, n))
+                guard = _nodes_guard(cc.tuple_count(parts, n), total, n)
                 signed = partial(cc.tensor_class_crystal, parts, n)
                 yield where, guard, partial(_signature_check, where, classes, parts, "×", signed)
 
@@ -513,10 +498,11 @@ def _arrow_defects(ours, sep, product, where):
 
 
 def _left_products(build, top):
-    """tensor_all of build(p) over the parts of a tuple.  The returned
-    function keeps the products of part sum below top, one-part ones among
-    them, so compositions share each left prefix and each factor is built
-    once; a product of sum top is never a prefix or a factor, so not kept."""
+    """The left-associated tensor product of build(p) over the parts of a
+    tuple.  The returned function keeps the products of part sum below top,
+    one-part ones among them, so compositions share each left prefix and
+    each factor is built once; a product of sum top is never a prefix or a
+    factor, so not kept."""
     table = {}
 
     def product(parts):
@@ -534,7 +520,7 @@ def _left_products(build, top):
 TARGETS = {
     "axioms": _axioms,
     "thm2.2": partial(_module_cases, _regular_decomposition, 3, 2),
-    "prop2.1": partial(_module_cases, _orbit_product_laws, 3, 2, narrow=True),
+    "prop2.1": partial(_module_cases, _orbit_product_laws, 3, 2, narrow=True, guard=_pairs_guard),
     "lemmas3": partial(_module_cases, _truncation_lemmas, 3, 2),
     # colors 1..n, or color 0 alone, as a slice of range(n + 1)
     "thm3.2": partial(_module_cases, partial(_functors, slice(1, None), False), 4, 2),

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Mapping, Optional
 
-from planar_rook.crystals import Crystal, _restrict
+from planar_rook.crystals import Crystal, _restrict, tensor as column_tensor
 
 
 @dataclass(frozen=True)
@@ -231,6 +231,15 @@ def tensor_all(crystals) -> DictCrystal:
     return reduce(tensor, crystals)
 
 
+def tensor_columns(crystals) -> Crystal:
+    """The left-associated tensor product of column crystals by the
+    package's `crystals.tensor`."""
+    crystals = list(crystals)
+    if not crystals:
+        raise ValueError("need at least one crystal")
+    return reduce(column_tensor, crystals)
+
+
 def signature_survivors(factors) -> tuple[list[int], list[int]]:
     """Factor indices owning the surviving minuses and pluses, in order, by a
     stack of open pluses."""
@@ -373,6 +382,8 @@ def _traversals(crystal: DictCrystal) -> list[tuple[tuple, list[str]]]:
                     position[crystal.f(b, i)] if crystal.f(b, i) is not None else -1
                     for i in range(1, crystal.n + 1)
                 ),
+                # a raising target outside order is refused below
+                tuple(position.get(crystal.e(b, i), -1) for i in range(1, crystal.n + 1)),
             )
             for b in order
         )

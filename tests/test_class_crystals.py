@@ -13,7 +13,13 @@ from math import comb, prod
 
 import crystal_oracle as oracle
 import pytest
-from crystal_oracle import DictCrystal, as_dicts, column_components, component_containing
+from crystal_oracle import (
+    DictCrystal,
+    as_dicts,
+    column_components,
+    component_containing,
+    tensor_columns,
+)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -36,10 +42,10 @@ from planar_rook.crystals import (
     check_axioms,
     morphism_violations,
     signature,
-    tensor_all,
 )
+from planar_rook.diagrams import partitions
 from planar_rook.tableaux import row_crystal, ssyt_crystal, word_key
-from planar_rook.verify import compositions, partitions, verify_target
+from planar_rook.verify import compositions, verify_target
 
 
 def label(n, *counts):
@@ -198,7 +204,7 @@ def test_tensor_class_crystal_single_part_is_class_crystal():
 )
 def test_tensor_class_crystal_isomorphic_to_row_tensor(parts, n):
     tuples = tensor_class_crystal(parts, n)
-    rows = tensor_all([row_crystal(p, n) for p in parts])
+    rows = tensor_columns([row_crystal(p, n) for p in parts])
     assert check_axioms(tuples) == []
     ok, _ = are_isomorphic(tuples, rows)
     assert ok

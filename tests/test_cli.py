@@ -123,7 +123,7 @@ def test_enumerate_cap_and_overrides(capsys, monkeypatch):
     # verify has no --force and ignores the variable, so it names no override
     code, out, err = run(capsys, "verify", "prop2.1", "--m", "7", "--n", "2")
     assert (code, out) == (2, "")
-    assert "exceeds the enumeration cap" in err
+    assert "is over the work cap 500000" in err
     assert "force" not in err.lower()
 
 
@@ -132,7 +132,7 @@ def test_enumerate_cap_and_overrides(capsys, monkeypatch):
     [
         (
             ("enumerate", "--m", "9999999999999999999", "--n", "2", "--force", "--count-only"),
-            "exceeds the largest size 4096",
+            "is too large to index",
         ),
         (
             ("crystal", "clambda", "--parts", "9999999999999999999", "--n", "3", "--force", "--json", "-"),
@@ -141,10 +141,13 @@ def test_enumerate_cap_and_overrides(capsys, monkeypatch):
     ],
 )
 def test_a_forced_size_past_what_can_be_built_is_a_usage_error(capsys, argv, reason):
-    # no diagram has more than MAX_SIZE vertices a row, and no list of
-    # classes more than sys.maxsize entries; force lifts neither bound, so
-    # the one-line refusal names no override
-    assert run(capsys, *argv) == (2, "", f"error: size m=9999999999999999999 {reason}\n")
+    # no list holds more than sys.maxsize entries; force does not lift that
+    # bound, so the one-line refusal names the count and no override
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "at m=9999999999999999999" in err and " of them, times m + n + 1, " in err
+    assert err.endswith(f" {reason}\n")
 
 
 HUGE = 9999999999999999999  # past sys.maxsize on a 64-bit build
@@ -164,7 +167,9 @@ def test_a_forced_crystal_too_large_to_index_is_refused_at_once(argv, nodes):
     # ended in an OverflowError or ran for minutes
     done = cli_process("-m", "planar_rook.cli", "crystal", *argv, "--force", "--json", "-", timeout=10)
     assert (done.returncode, done.stdout) == (2, b"")
-    assert done.stderr.decode() == f"error: the crystal would have {nodes} nodes, too large to index\n"
+    err = done.stderr.decode()
+    assert err.startswith("error: crystal nodes at m=")
+    assert err.endswith(f": {nodes} of them, times m + n + 1, is too large to index\n")
 
 
 @pytest.mark.parametrize(
@@ -172,15 +177,14 @@ def test_a_forced_crystal_too_large_to_index_is_refused_at_once(argv, nodes):
 )
 def test_a_huge_module_sweep_stops_at_the_cap(target):
     # every case's guard runs before any case is checked, one case at a
-    # time, so the sweep is refused at m=9 before it lists the whole range
-    # or checks the cases below the cap
+    # time, so the sweep is refused at m=9 (m=6 for prop2.1, which checks
+    # every pair) before it lists the whole range or checks the cases below
     done = cli_process(
         "-m", "planar_rook.cli", "verify", target, "--max-m", str(HUGE), "--max-n", "2", timeout=10
     )
     assert (done.returncode, done.stdout) == (2, b"")
-    assert done.stderr.decode() == (
-        "error: size m=9 exceeds the enumeration cap 8 for n=1 colors; verify has no override\n"
-    )
+    what = "pairs of diagrams at m=6, n=1: 853776" if target == "prop2.1" else "diagrams at m=9, n=1: 48620"
+    assert done.stderr.decode() == f"error: {what} of them{OVER_THE_CAP}\n"
 
 
 def test_a_huge_axioms_sweep_stops_at_the_cap():
@@ -188,21 +192,20 @@ def test_a_huge_axioms_sweep_stops_at_the_cap():
     # of 16 are not all listed before the first over-cap size is refused
     done = cli_process("-m", "planar_rook.cli", "verify", "axioms", "--max-m", "60", timeout=10)
     assert (done.returncode, done.stdout) == (2, b"")
-    assert done.stderr.decode() == (
-        "error: the crystal would have 65536 nodes, over the cap 50000; verify has no override\n"
-    )
+    assert done.stderr.decode() == f"error: crystal nodes at m=15, n=1: 32768 of them{OVER_THE_CAP}\n"
 
 
 @pytest.mark.parametrize(
     "target, nodes, sweep",
-    # the first sizes past the cap: the tuple crystal of the all-ones
-    # composition of 16 at n=1, that of the shape (10, 6, 6) at n=2, and
-    # the class crystal of m=50000 at n=1
+    # sizes past the cap: the tuple crystal of the all-ones composition of
+    # 16 at n=1, the first of 2^15 compositions (14 is the largest all-ones
+    # sum a sweep passes), that of the shape (9, 6, 4) at n=2, and the
+    # class crystal of m=50000 at n=1
     [
-        pytest.param("thm4.5", 65536, ("--max-m", "60"), id="thm4.5-65536"),
-        pytest.param("signature-equivalence", 65536, ("--max-m", "60"), id="signature-equivalence-65536"),
-        pytest.param("component-blambda", 51744, ("--max-m", "60"), id="component-blambda-51744"),
-        pytest.param("thm4.3", 50001, ("--max-m", "100000", "--max-n", "1"), id="thm4.3-50001"),
+        pytest.param("thm4.5", 65536, ("--m", "16", "--n", "1"), id="thm4.5-65536"),
+        pytest.param("signature-equivalence", 65536, ("--m", "16", "--n", "1"), id="signature-equivalence-65536"),
+        pytest.param("component-blambda", 23100, ("--max-m", "60"), id="component-blambda-23100"),
+        pytest.param("thm4.3", 50001, ("--m", "50000", "--n", "1"), id="thm4.3-50001"),
     ],
 )
 def test_a_huge_crystal_sweep_stops_at_the_cap(target, nodes, sweep):
@@ -210,21 +213,23 @@ def test_a_huge_crystal_sweep_stops_at_the_cap(target, nodes, sweep):
     # crystals below the cap are not built first
     done = cli_process("-m", "planar_rook.cli", "verify", target, *sweep, timeout=10)
     assert (done.returncode, done.stdout) == (2, b"")
-    assert done.stderr.decode() == (
-        f"error: the crystal would have {nodes} nodes, over the cap 50000; verify has no override\n"
-    )
+    err = done.stderr.decode()
+    assert err.startswith("error: crystal nodes at m=")
+    assert err.endswith(f": {nodes} of them{OVER_THE_CAP}\n")
 
 
-OVER_THE_CAP = ", over the cap 50000; verify has no override"
+OVER_THE_CAP = ", times m + n + 1, is over the work cap 500000; verify has no override"
+TOO_LARGE = ", times m + n + 1, is too large to index"
 # each pinned verify case and its one-line refusal
 HUGE_CASES = {
-    f"thm3.2 --m {HUGE} --n 1": f"size m={HUGE} exceeds the largest size 4096",
-    # a case lists its C(m+n, n) classes: refused before any is listed
+    # the one-color diagrams alone, C(2m, m) of them, are past any index
+    f"thm3.2 --m {HUGE} --n 1": f"one-color diagrams at m={HUGE}, n=1: at least 10**92 of them{TOO_LARGE}",
+    # the partition sum counts the diagrams of a huge n at once
     **{
-        f"{target} --m 2 --n {HUGE}": f"the crystal would have {comb(HUGE + 2, 2)} nodes{OVER_THE_CAP}"
+        f"{target} --m 2 --n {HUGE}": f"diagrams at m=2, n={HUGE}: {(2 * HUGE + 1) * (HUGE + 1)} of them{TOO_LARGE}"
         for target in ("thm2.2", "prop2.1", "thm3.2")
     },
-    "thm2.2 --m 2 --n 3000": f"the crystal would have 4504501 nodes{OVER_THE_CAP}",
+    "thm2.2 --m 2 --n 3000": f"diagrams at m=2, n=3000: 18009001 of them{OVER_THE_CAP}",
 }
 
 
@@ -234,6 +239,48 @@ def test_a_huge_pinned_module_case_is_refused_at_once(argv):
     done = cli_process("-m", "planar_rook.cli", "verify", *argv.split(), timeout=10)
     assert (done.returncode, done.stdout) == (2, b"")
     assert done.stderr.decode() == f"error: {HUGE_CASES[argv]}\n"
+
+
+# commands that ran for seconds, past 20 s, out of memory or into a
+# traceback, and the objects each one's refusal counts: (what, m, n, count)
+REFUSALS = {
+    "enumerate --m 6 --n 4 --count-only": ("diagrams", 6, 4, 2241225),
+    "enumerate --m 6 --n 5 --count-only": ("diagrams", 6, 5, 8848236),
+    "enumerate --m 2 --n 100000 --count-only": ("diagrams", 2, 100000, 200001 * 100001),
+    "enumerate --m 1 --n 40000 --count-only": ("diagrams", 1, 40000, 40001),
+    "decompose --regular --m 2 --n 100000": ("diagrams", 2, 100000, 200001 * 100001),
+    "verify thm2.2 --m 6 --n 3": ("diagrams", 6, 3, 387136),
+    "verify prop2.1 --m 4 --n 2": ("pairs of diagrams", 4, 2, 639**2),
+    "crystal box --n 2000 --json -": ("crystal nodes", 1, 2000, 2001),
+    "crystal row --m 2 --n 300 --json -": ("crystal nodes", 2, 300, comb(302, 2)),
+    "verify thm4.3 --m 1 --n 5000": ("crystal nodes", 1, 5000, 5001),
+    "simples --m 1 --n 40000": ("classes", 1, 40000, 40001),
+    "crystal cm --m 49999 --n 1 --json -": ("crystal nodes", 49999, 1, 50000),
+    "verify thm4.3 --m 49999 --n 1": ("crystal nodes", 49999, 1, 50000),
+    # past sys.maxsize, so refused with --force too, where a command takes it
+    f"simples --m 0 --n {HUGE}": ("classes", 0, HUGE, 1),
+    **{
+        f"{command} --m 0 --n {HUGE}{extra}{tail}": (what, 0, HUGE, 1)
+        for command, what, tail in (
+            ("decompose --regular", "diagrams", ""),
+            ("crystal row", "crystal nodes", " --json -"),
+            ("enumerate", "diagrams", " --count-only"),
+        )
+        for extra in ("", " --force")
+    },
+    f"crystal cm --m 2 --n {HUGE} --force --json -": ("crystal nodes", 2, HUGE, comb(HUGE + 2, 2)),
+}
+
+
+@pytest.mark.parametrize("argv", REFUSALS)
+def test_a_listed_refusal_is_one_line_that_names_the_count(argv):
+    what, m, n, count = REFUSALS[argv]
+    start = time.perf_counter()
+    done = cli_process("-m", "planar_rook.cli", *argv.split(), timeout=10)
+    assert time.perf_counter() - start < 1
+    assert (done.returncode, done.stdout) == (2, b"")
+    (line,) = done.stderr.decode().splitlines()
+    assert line.startswith(f"error: {what} at m={m}, n={n}: {count} of them, times m + n + 1, is ")
 
 
 def test_multiply_diagram_basis(capsys, tmp_path):
@@ -513,12 +560,12 @@ def test_decompose_regular_builds_no_module_and_enumerates_no_diagram(capsys, mo
 
 @pytest.mark.parametrize("m, n", [("9", "1"), ("7", "2")])
 def test_decompose_regular_keeps_the_cap(capsys, m, n):
-    cap = 8 if n == "1" else 6
+    count = diagrams.count_diagrams(int(m), int(n))
     assert run(capsys, "decompose", "--regular", "--m", m, "--n", n) == (
         2,
         "",
-        f"error: size m={m} exceeds the enumeration cap {cap} for n={n} colors; "
-        "pass --force or set PLANAR_ROOK_FORCE=1 to override\n",
+        f"error: diagrams at m={m}, n={n}: {count} of them, times m + n + 1, is over the "
+        "work cap 500000; pass --force or set PLANAR_ROOK_FORCE=1 to override\n",
     )
 
 
@@ -588,8 +635,15 @@ def test_simples_refuses_over_the_crystal_cap(capsys):
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
     assert err == (
-        "error: the crystal would have 107507208733336176461620 nodes, "
-        "over the cap 50000; simples has no override\n"
+        "error: classes at m=40, n=40: 107507208733336176461620 of them, "
+        "times m + n + 1, is too large to index\n"
+    )
+    # 40,001 classes of 40,002 counts each: over the cap, with no override
+    assert run(capsys, "simples", "--m", "1", "--n", "40000") == (
+        2,
+        "",
+        "error: classes at m=1, n=40000: 40001 of them, times m + n + 1, "
+        "is over the work cap 500000; simples has no override\n",
     )
 
 
@@ -603,16 +657,17 @@ def test_class_counts_past_2_256_are_refused_at_once(capsys, command, size):
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1
-    assert err.startswith("error: the crystal would have a number of nodes with at least ")
+    what = "classes" if command == ("simples",) else "crystal nodes"
+    assert err.startswith(f"error: {what} at m={size}, n={size}: at least 10**")
     # C(2N, N) < 4**N has fewer than 2N log10(2) + 1 digits
-    digits = int(err.split("at least ")[1].split()[0])
+    digits = int(err.split("10**")[1].split()[0]) + 1
     assert 77 <= digits < 2 * int(size) * 0.30103 + 1
 
 
 def test_capped_binomial_is_exact_below_2_256_and_a_lower_bound_past_it():
     for total in range(0, 300, 7):
         for k in range(total + 1):
-            exact, capped = comb(total, k), crystals.capped_binomial(total, k)
+            exact, capped = comb(total, k), diagrams.capped_binomial(total, k)
             if exact.bit_length() <= 256:
                 assert capped == exact, (total, k)
             else:
@@ -727,8 +782,8 @@ def test_crystal_cap_and_overrides(capsys, monkeypatch):
     code, out, err = run(capsys, "crystal", "clambda", "--parts", "6,6,6,6", "--n", "4")
     assert (code, out) == (2, "")
     assert err == (
-        "error: the crystal would have 1944810000 nodes, over the cap 50000; "
-        "pass --force or set PLANAR_ROOK_FORCE=1 to override\n"
+        "error: crystal nodes at m=24, n=4: 1944810000 of them, times m + n + 1, is over "
+        "the work cap 500000; pass --force or set PLANAR_ROOK_FORCE=1 to override\n"
     )
     for argv, nodes in (
         (("box", "--n", "100000"), 100001),
@@ -738,9 +793,9 @@ def test_crystal_cap_and_overrides(capsys, monkeypatch):
     ):
         code, out, err = run(capsys, "crystal", *argv)
         assert (code, out) == (2, ""), argv
-        assert err.startswith(f"error: the crystal would have {nodes} nodes")
+        assert err.startswith("error: crystal nodes at m=") and f": {nodes} of them" in err
     # one override mechanism: --force or the environment variable
-    monkeypatch.setattr(crystals, "CRYSTAL_NODE_CAP", 9)
+    monkeypatch.setattr(diagrams, "WORK_CAP", 9)
     argv = ("crystal", "row", "--m", "3", "--n", "2", "--json", "-")
     assert run(capsys, *argv)[:2] == (2, "")
     golden = (GOLDEN / "crystal-row-json.out").read_text(encoding="utf-8")
@@ -752,18 +807,16 @@ def test_crystal_cap_and_overrides(capsys, monkeypatch):
 def test_crystal_edge_commands_finish_quickly(capsys):
     # the shape is checked and counted from its numbers before anything is
     # allocated, and tableaux are filled a row at a time
-    for shape, n, want in (
-        ("99999999999999999999", "3", 166666666666666666671666666666666666666700000000000000000000),
-        ("100000", "3", 166676666850001),
+    for shape, n, want, why in (
+        ("99999999999999999999", "3", 166666666666666666671666666666666666666700000000000000000000, TOO_LARGE),
+        ("100000", "3", 166676666850001, TOO_LARGE),
+        ("700", "3", 57657951, OVER_THE_CAP.replace("verify has no", "pass --force or set PLANAR_ROOK_FORCE=1 to")),
     ):
         start = time.perf_counter()
         code, out, err = run(capsys, "crystal", "ssyt", "--shape", shape, "--n", n, "--json", "-")
         assert time.perf_counter() - start < 1, shape
         assert (code, out) == (2, ""), shape
-        assert err == (
-            f"error: the crystal would have {want} nodes, over the cap 50000; "
-            "pass --force or set PLANAR_ROOK_FORCE=1 to override\n"
-        )
+        assert err == f"error: crystal nodes at m={shape}, n={n}: {want} of them{why}\n"
     # a count past 256 bits is worded by its digits: one short line, and no
     # int-to-str conversion, which fails past 4,300 digits
     for shape, digits in (("3000", 1805), ("9000", 5417)):
@@ -772,8 +825,7 @@ def test_crystal_edge_commands_finish_quickly(capsys):
         lines = [line for line in err.splitlines() if "error:" in line]
         assert len(lines) == 1 and len(lines[0].encode()) < 300, shape
         assert lines[0] == (
-            f"error: the crystal would have a number of nodes with at least {digits} "
-            "digits, over the cap 50000; pass --force or set PLANAR_ROOK_FORCE=1 to override"
+            f"error: crystal nodes at m={shape}, n={shape}: at least 10**{digits - 1} of them{TOO_LARGE}"
         )
     start = time.perf_counter()
     code, out, err = run(capsys, "crystal", "ssyt", "--shape", "5000,5000", "--n", "1", "--json", "-")
@@ -781,23 +833,25 @@ def test_crystal_edge_commands_finish_quickly(capsys):
     assert (code, err) == (0, "")
     assert [node["key"] for node in json.loads(out)["nodes"]] == ["0" * 5000 + "/" + "1" * 5000]
     # display words are built from the counts, not letter by letter (over
-    # ten seconds for this one before); the bytes stay the same
+    # ten seconds for this one before); the bytes stay the same.  Its 8,001
+    # nodes of 8,002 entries are over the work cap, so it is forced
     start = time.perf_counter()
-    code, out, err = run(capsys, "crystal", "cm", "--m", "8000", "--n", "1", "--dot", "-")
+    code, out, err = run(capsys, "crystal", "cm", "--m", "8000", "--n", "1", "--dot", "-", "--force")
     assert time.perf_counter() - start < 5
     assert (code, err) == (0, "")
     assert f'[label="8000|3,7997 ~ 000{"1" * 7997}\\nwt=(3, 7997)"]' in out
 
 
 def test_verify_tensor_cap_has_no_override(capsys, monkeypatch):
-    # verify axioms builds box^2 (4 nodes) through crystals.tensor, which
-    # checks the product's size before building it; verify has no --force
-    monkeypatch.setattr(crystals, "CRYSTAL_NODE_CAP", 3)
+    # verify axioms builds box^2 (4 nodes of 4 entries) through
+    # crystals.tensor; its case guard counts the same work before anything
+    # is built, and verify has no --force
+    monkeypatch.setattr(diagrams, "WORK_CAP", 15)
     code, out, err = run(capsys, "verify", "axioms", "--max-m", "2", "--max-n", "1")
     assert (code, out) == (2, "")
     assert err == (
-        "error: the crystal would have 4 nodes, over the cap 3; "
-        "verify has no override\n"
+        "error: crystal nodes at m=2, n=1: 4 of them, times m + n + 1, is over the "
+        "work cap 15; verify has no override\n"
     )
 
 
@@ -808,10 +862,7 @@ def test_verify_axioms_refuses_an_over_cap_sweep_before_building(capsys):
     code, out, err = run(capsys, "verify", "axioms", "--max-m", "5", "--max-n", "8")
     elapsed = time.perf_counter() - started
     assert (code, out) == (2, "")
-    assert err == (
-        "error: the crystal would have 59049 nodes, over the cap 50000; "
-        "verify has no override\n"
-    )
+    assert err == f"error: crystal nodes at m=5, n=8: 59049 of them{OVER_THE_CAP}\n"
     assert elapsed < 5
 
 
@@ -895,7 +946,7 @@ _CRYSTAL_LAYERS = {"diagrams", "crystals", "classes", "tableaux", "class_crystal
 LOADS = {
     ("decompose", "--regular", "--m", "3", "--n", "1"): {"diagrams", "classes"},
     ("decompose", "--induce", "2", "--class", "2,2:1,1,0"): {"diagrams", "classes"},
-    ("simples", "--m", "3", "--n", "2"): {"diagrams", "classes", "crystals"},
+    ("simples", "--m", "3", "--n", "2"): {"diagrams", "classes"},
     ("enumerate", "--m", "2", "--n", "2"): {"diagrams"},
     **{argv: _CRYSTAL_LAYERS for name, argv in COMMANDS.items() if name.startswith("crystal-")},
     COMMANDS["multiply-element"]: {"diagrams", "algebra", "fractions", "decimal", "json"},

@@ -16,6 +16,7 @@ from crystal_oracle import (
     column_components,
     component_containing,
     from_dicts,
+    tensor_columns,
 )
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -26,21 +27,18 @@ from planar_rook.class_crystals import (
     tensor_class_crystal,
 )
 from planar_rook.crystals import (
-    CRYSTAL_NODE_CAP,
     Crystal,
     are_isomorphic,
     check_axioms,
-    ensure_nodes_within_cap,
     isomorphism_positions,
     morphism_violations,
     signature,
     tensor,
-    tensor_all,
     to_dot,
     to_json_dict,
     weight_pairing,
 )
-from planar_rook.diagrams import EnumerationCapError
+from planar_rook.diagrams import WORK_CAP, EnumerationCapError, ensure_work
 from planar_rook.tableaux import box_crystal, row_crystal, ssyt_crystal
 
 
@@ -202,30 +200,36 @@ def test_tensor_all_associativity_up_to_iso():
 
 def test_tensor_all_requires_input():
     with pytest.raises(ValueError):
-        tensor_all([])
+        tensor_columns([])
     b = box_crystal(1)
-    assert tensor_all([b]) is b
+    assert tensor_columns([b]) is b
 
 
 def test_tensor_checks_the_cap_before_building():
-    # 9^5 = 59,049 nodes; the four-fold product (6,561) is built, the last
-    # step is refused before it allocates anything
-    assert 9**5 > CRYSTAL_NODE_CAP
-    with pytest.raises(EnumerationCapError, match="would have 59049 nodes"):
-        tensor_all([box_crystal(8)] * 5)
+    # 9^5 = 59,049 nodes of weight sum 5 and 8 colors; the four-fold
+    # product (6,561) is built, the last step is refused before it
+    # allocates anything
+    assert 9**5 * (5 + 8 + 1) > WORK_CAP
+    with pytest.raises(EnumerationCapError, match="^crystal nodes at m=5, n=8: 59049 of them"):
+        tensor_columns([box_crystal(8)] * 5)
     big = row_crystal(4, 8)  # 495 nodes
-    with pytest.raises(EnumerationCapError, match="would have 245025 nodes"):
+    with pytest.raises(EnumerationCapError, match="^crystal nodes at m=8, n=8: 245025 of them"):
         tensor(big, big)
 
 
 def test_force_lifts_the_node_cap_but_not_the_index_bound():
-    ensure_nodes_within_cap(sys.maxsize, force=True)
+    # the work is the count times m + n + 1, here 1
+    ensure_work(sys.maxsize, 0, 0, "nodes", force=True)
+    ensure_work(WORK_CAP, 0, 0, "nodes")
+    with pytest.raises(EnumerationCapError, match="^nodes at m=0, n=0: 500001 of them, times m"):
+        ensure_work(WORK_CAP + 1, 0, 0, "nodes")
     # no ";" before a reason force cannot lift, so callers add no override hint
-    for nodes, what in ((sys.maxsize + 1, f"{sys.maxsize + 1} nodes"), (10**100, "at least 100 digits")):
-        with pytest.raises(EnumerationCapError, match=f"{what}, too large to index$"):
-            ensure_nodes_within_cap(nodes, force=True)
-        with pytest.raises(EnumerationCapError, match="; pass force=True to override$"):
-            ensure_nodes_within_cap(nodes)
+    for nodes, what in ((sys.maxsize + 1, f"{sys.maxsize + 1}"), (10**100, "at least 10\\*\\*99")):
+        for force in (True, False):
+            with pytest.raises(EnumerationCapError, match=f": {what} of them, times m \\+ n \\+ 1, is too large to index$"):
+                ensure_work(nodes, 0, 0, "nodes", force=force)
+    with pytest.raises(EnumerationCapError, match="; pass force=True to override$"):
+        ensure_work(WORK_CAP, 1, 0, "nodes")
 
 
 def per_node_tensor(left: Crystal, right: Crystal) -> Crystal:
@@ -342,7 +346,7 @@ def components_by_rescan(crystal: DictCrystal) -> list[DictCrystal]:
 
 
 CORPUS = {
-    "box^3": lambda: tensor_all([box_crystal(2)] * 3),
+    "box^3": lambda: tensor_columns([box_crystal(2)] * 3),
     "row-box": lambda: tensor(row_crystal(2, 1), box_crystal(1)),
     "ssyt": lambda: ssyt_crystal((2, 1), 2),
     "classes(2,1,1)": lambda: tensor_class_crystal((2, 1, 1), 2),
@@ -396,7 +400,7 @@ def _word_nodes(n, length):
 @pytest.mark.parametrize("n,length", [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3)])
 def test_signature_matches_iterated_binary_rule(n, length):
     box = box_crystal(n)
-    power = as_dicts(tensor_all([box] * length))
+    power = as_dicts(tensor_columns([box] * length))
     for word in _word_nodes(n, length):
         key = "⊗".join(str(x) for x in word)
         for i in range(1, n + 1):
@@ -576,7 +580,7 @@ def test_to_json_structure():
 ORACLE_CORPUS = {
     **CORPUS,
     "box(1)": lambda: box_crystal(1),
-    "box^4(n=1)": lambda: tensor_all([box_crystal(1)] * 4),
+    "box^4(n=1)": lambda: tensor_columns([box_crystal(1)] * 4),
     "row(3,2)": lambda: row_crystal(3, 2),
     "ssyt((2,2,1),2)": lambda: ssyt_crystal((2, 2, 1), 2),
     "classes(3,2)": lambda: class_crystal(3, 2),
@@ -625,7 +629,7 @@ def test_column_core_matches_dict_oracle(name):
 
 
 ISO_PAIRS = [
-    ("classes(2,1,1)", lambda: tensor_all([row_crystal(p, 2) for p in (2, 1, 1)])),
+    ("classes(2,1,1)", lambda: tensor_columns([row_crystal(p, 2) for p in (2, 1, 1)])),
     ("highest((2,1),2)", lambda: ssyt_crystal((2, 1), 2)),
     ("classes(3,2)", lambda: row_crystal(3, 2)),
     ("box^3", lambda: tensor(box_crystal(2), tensor(box_crystal(2), box_crystal(2)))),
@@ -718,7 +722,7 @@ shapes_st = st.lists(st.integers(1, 4), min_size=1, max_size=4).map(
 def test_check_axioms_empty_on_random_compositions(parts, n):
     parts = tuple(parts)
     assert check_axioms(tensor_class_crystal(parts, n)) == []
-    assert check_axioms(tensor_all([row_crystal(p, n) for p in parts])) == []
+    assert check_axioms(tensor_columns([row_crystal(p, n) for p in parts])) == []
 
 
 @settings(max_examples=25, deadline=None)

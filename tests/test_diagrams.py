@@ -27,6 +27,7 @@ from planar_rook.diagrams import (
     flip,
     juxtapose,
     min_digits,
+    multinomial,
     multiply,
     partial_identity,
     unit_diagram,
@@ -445,6 +446,17 @@ def test_count_closed_form_one_color():
         assert count_diagrams(m, 1) == sum(
             __import__("math").comb(m, k) ** 2 for k in range(m + 1)
         )
+    # the partition sum against the listing, and against the squared
+    # multinomials of every count vector, which it groups by partition
+    for m in range(7):
+        for n in range(1, 5):
+            assert count_diagrams(m, n) == len(enumerate_diagrams(m, n, force=True)), (m, n)
+    for m in range(8):
+        for n in range(1, 7):
+            vectors = weak_compositions(m, n + 1)
+            assert count_diagrams(m, n) == sum(multinomial(c) ** 2 for c in vectors), (m, n)
+    # a huge color count costs nothing: (2n + 1)(n + 1) at m = 2
+    assert count_diagrams(2, 10**18) == (2 * 10**18 + 1) * (10**18 + 1)
 
 
 # ---------------------------------------------------------------- matching

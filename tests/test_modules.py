@@ -377,7 +377,7 @@ def test_regular_trace_is_the_diagonal_of_the_built_module():
 
 
 def test_regular_decomposition_keeps_the_audit(monkeypatch):
-    monkeypatch.setattr(classes, "count_diagrams", lambda m, n: 1)
+    monkeypatch.setattr(classes, "ensure_diagrams", lambda m, n, force: 1)
     with pytest.raises(ValueError, match="^dimension accounting failed: simple pieces cover 6 of 1;"):
         regular_decomposition(2, 1)
     monkeypatch.undo()
@@ -388,9 +388,9 @@ def test_regular_decomposition_keeps_the_audit(monkeypatch):
 
 
 def test_regular_decomposition_keeps_the_cap():
-    with pytest.raises(EnumerationCapError, match="^size m=9 exceeds the enumeration cap 8"):
+    with pytest.raises(EnumerationCapError, match="^diagrams at m=9, n=1: 48620 of them, times m"):
         regular_decomposition(9, 1)
-    with pytest.raises(EnumerationCapError, match="^size m=7 exceeds the enumeration cap 6"):
+    with pytest.raises(EnumerationCapError, match="^diagrams at m=7, n=2: 272835 of them, times m"):
         regular_decomposition(7, 2)
     dec = regular_decomposition(9, 1, force=True)
     assert all(k == class_dimension(lab) for lab, k in dec.items())

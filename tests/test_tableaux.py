@@ -17,14 +17,12 @@ from math import comb
 
 import crystal_oracle as oracle
 import pytest
-from crystal_oracle import as_dicts, column_components, component_containing
+from crystal_oracle import as_dicts, column_components, component_containing, tensor_columns
 
 from planar_rook.crystals import (
-    CRYSTAL_NODE_CAP,
     are_isomorphic,
     check_axioms,
     signature,
-    tensor_all,
 )
 from planar_rook.diagrams import EnumerationCapError
 from planar_rook.tableaux import (
@@ -171,7 +169,7 @@ def test_row_crystal_axioms_and_size(m, n):
 
 @pytest.mark.parametrize("m,n", [(2, 1), (3, 1), (2, 2), (3, 2)])
 def test_row_crystal_is_component_of_box_power(m, n):
-    power = tensor_all([box_crystal(n)] * m)
+    power = tensor_columns([box_crystal(n)] * m)
     comp = component_containing(power, "⊗".join("0" * m))
     ok, witness = are_isomorphic(row_crystal(m, n), comp)
     assert ok
@@ -312,9 +310,11 @@ def test_enumerate_ssyt_recurses_once_per_row():
 
 
 def test_ssyt_crystal_checks_the_shape_and_cap_from_the_numbers():
-    with pytest.raises(EnumerationCapError, match="166676666850001 nodes"):
+    with pytest.raises(EnumerationCapError, match=": 166676666850001 of them"):
         ssyt_crystal((100000,), 3)
-    with pytest.raises(EnumerationCapError, match=f"over the cap {CRYSTAL_NODE_CAP}"):
+    with pytest.raises(EnumerationCapError, match=": 57657951 of them, times m \\+ n \\+ 1, is over the work cap"):
+        ssyt_crystal((700,), 3)
+    with pytest.raises(EnumerationCapError, match="is too large to index$"):
         ssyt_crystal((99999999999999999999,), 3)
     with pytest.raises(ValueError, match="weakly decreasing"):
         ssyt_crystal((1, 99999999999999999999), 3)
@@ -426,7 +426,7 @@ def test_reading_intertwines_tableau_and_tensor_operators(n):
     for shape in partitions_up_to(4, n + 1):
         tableaux = _ssyt_rows(shape, n)
         size = sum(shape)
-        power = as_dicts(tensor_all([box_crystal(n)] * size))
+        power = as_dicts(tensor_columns([box_crystal(n)] * size))
         for t in tableaux:
             word = reading(t)
             key = "⊗".join(str(x) for x in word)

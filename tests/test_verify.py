@@ -11,10 +11,10 @@ import planar_rook.tableaux as tableaux
 import planar_rook.verify as verify
 from planar_rook import clear_caches
 from planar_rook.crystals import Crystal, signature
-from planar_rook.diagrams import EnumerationCapError
+from planar_rook.diagrams import EnumerationCapError, partitions
 from planar_rook.modules import ExplicitModule, SimpleModule
 from planar_rook.tableaux import row_crystal
-from planar_rook.verify import TARGETS, compositions, partitions, verify_target
+from planar_rook.verify import TARGETS, compositions, verify_target
 
 
 def test_every_target_passes_on_defaults():
@@ -129,6 +129,34 @@ def _first_factor(factors):
     out of the alphabet."""
     rise, fall, eps, phi = signature(factors)
     return (0 if rise >= 0 else -1), fall, eps, phi
+
+
+def _leftmost_surviving_minus(factors):
+    """A wrong signature rule: raising on the factor of the leftmost
+    surviving minus instead of the rightmost, so raising is not the inverse
+    of lowering wherever two factors keep a minus."""
+    factors, plus = list(factors), 0
+    rise, fall, eps, phi = signature(factors)
+    for j, (m, p) in enumerate(factors):
+        if m > plus:
+            return j, fall, eps, phi
+        plus += p - m
+    return rise, fall, eps, phi
+
+
+def test_a_raising_rule_that_does_not_invert_lowering_finds_no_isomorphism(monkeypatch):
+    # the certificate lists the raising columns beside the lowering ones, so
+    # such a component and its tableaux do not match; a certificate of
+    # lowering alone matched them and the witness check raised
+    clear_caches()
+    monkeypatch.setattr(cc, "signature", _leftmost_surviving_minus)
+    try:
+        report = verify_target("component-blambda", max_m=4, max_n=2)
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+    assert (report["checked"], report["failed"]) == (36, 2)
+    assert [case["detail"] for case in report["counterexamples"]] == ["no isomorphism found"] * 2
 
 
 def test_signature_equivalence_reports_a_wrong_box_power_rule(monkeypatch):
