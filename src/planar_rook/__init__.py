@@ -43,10 +43,10 @@ def __getattr__(name: str):
 
 
 def clear_caches() -> None:
-    """Drop every memoized result: words and matchings of diagrams, identity
-    and truncation elements, and crystals.  The memos of words, identity
-    elements and truncation elements have no bound.  A submodule that is not
-    loaded holds no memo, so only the loaded ones are cleared."""
+    """Drop every memoized result: matchings of diagrams, truncation
+    elements and tuple crystals.  Each memo has a bound and is kept because
+    a workload reuses it across calls.  A submodule that is not loaded holds
+    no memo, so only the loaded ones are cleared."""
     for name in _SUBMODULES:
         module = sys.modules.get(f"{__name__}.{name}")
         for memo in vars(module).values() if module else ():

@@ -41,8 +41,8 @@ class Element:
     diagrams make the representation unique, so == on elements is exact, and
     elements are immutable by convention.
 
-    `Element(m, n, terms)` checks sizes and coerces coefficients.
-    `Element._trusted(m, n, terms)` only sorts; callers pass nonzero
+    `Element(m, n, terms)` checks sizes and coerces outside input; every
+    operation on elements builds by `_trusted`, which only sorts nonzero
     Fractions on diagrams of size (m, n).  `_packed` caches the terms packed
     for the product kernel (see `_packed_side`).
     """
@@ -105,18 +105,18 @@ class Element:
         self._check_compatible(other)
         acc = dict(self.terms)
         for d, c in other.terms.items():
-            acc[d] = acc.get(d, Fraction(0)) + c
-        return Element(self.m, self.n, acc)
+            acc[d] = acc.get(d, 0) + c
+        return Element._trusted(self.m, self.n, {d: c for d, c in acc.items() if c})
 
     def __sub__(self, other: Element) -> Element:
         return self + (-other)
 
     def __neg__(self) -> Element:
-        return Element(self.m, self.n, {d: -c for d, c in self.terms.items()})
+        return Element._trusted(self.m, self.n, {d: -c for d, c in self.terms.items()})
 
     def scale(self, scalar) -> Element:
         s = Fraction(scalar)
-        return Element(self.m, self.n, {d: s * c for d, c in self.terms.items()})
+        return Element._trusted(self.m, self.n, {d: s * c for d, c in self.terms.items() if s})
 
     def __mul__(self, other):
         if isinstance(other, Element):
@@ -184,22 +184,19 @@ class Element:
         return self.scale(other)
 
     def tensor(self, other: Element) -> Element:
-        """Bilinear extension of diagram juxtaposition."""
+        """Bilinear extension of diagram juxtaposition, which is injective."""
         if self.n != other.n:
             raise ValueError("cannot tensor elements with different color counts")
-        acc: dict[Diagram, Fraction] = {}
-        for d1, c1 in self.terms.items():
-            for d2, c2 in other.terms.items():
-                prod = juxtapose(d1, d2)
-                acc[prod] = acc.get(prod, Fraction(0)) + c1 * c2
-        return Element(self.m + other.m, self.n, acc)
+        pairs = itertools.product(self.terms.items(), other.terms.items())
+        acc = {juxtapose(d1, d2): c1 * c2 for (d1, c1), (d2, c2) in pairs}
+        return Element._trusted(self.m + other.m, self.n, acc)
 
     def __matmul__(self, other: Element) -> Element:
         return self.tensor(other)
 
     def flip(self) -> Element:
         """The linear anti-involution extending the diagram flip."""
-        return Element(self.m, self.n, {flip(d): c for d, c in self.terms.items()})
+        return Element._trusted(self.m, self.n, {flip(d): c for d, c in self.terms.items()})
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -339,7 +336,6 @@ def orbit_basis_product(a, b) -> dict[Diagram, Fraction]:
     return dict(_sorted_terms(prods))
 
 
-@lru_cache(maxsize=None)
 def _identity(m: int, n: int) -> Element:
     if m == 0:
         return Element.from_diagram(empty_diagram(0, n))
@@ -374,14 +370,14 @@ def strand(n: int, i: int) -> Element:
     return last
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)  # the n + 1 colors of a size, reused across its classes
 def _truncation(m: int, n: int, i: int) -> Element:
     return _identity(m - 1, n).tensor(strand(n, i))
 
 
 def truncation_idempotent(m: int, n: int, i: int, force: bool = False) -> Element:
     """Idempotent cutting to the part of a module where vertex m is colored i:
-    identity(m-1) tensor strand(n, i), memoized like the identity, with at
+    identity(m-1) tensor strand(n, i), memoized per (m, n, i), with at
     most as many terms as the diagrams of size m, which ensure_diagrams checks."""
     m, n, i = json_int(m, "m", 1), json_int(n, "n", 1), json_int(i, "color")
     ensure_diagrams(m, n, force)

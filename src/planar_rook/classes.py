@@ -148,12 +148,12 @@ def _invert(label: ClassLabel, t):
     return total.numerator if total.denominator == 1 else total
 
 
-def _tally(m: int, n: int, dimension: int, trace) -> dict[ClassLabel, int]:
+def _tally(m: int, n: int, dimension: int, trace, force: bool) -> dict[ClassLabel, int]:
     """The multiplicity of every class present, in all_class_labels order,
     from trace(w) on each class's block word.  Raises if a probe's trace is
     not a count, or if the multiplicities do not account for the dimension.
-    The module's builder has bounded its classes, so they are listed forced."""
-    labels = all_class_labels(m, n, force=True)
+    The classes are listed forced when the module's builder bounded them."""
+    labels = all_class_labels(m, n, force)
     table = {w: trace(w) for w in map(ClassLabel.canonical_word, labels)}
     out, covered = {}, 0
     for label in labels:
@@ -175,7 +175,7 @@ def regular_decomposition(m: int, n: int, force: bool = False) -> dict[ClassLabe
     """decompose(regular_module(m, n, force)) without building the module."""
     m, n = json_int(m, "m", 0), json_int(n, "n", 1)
     count = ensure_diagrams(m, n, force)
-    return _tally(m, n, count, lambda w: _regular_trace(Diagram._trusted(m, n, w, w)))
+    return _tally(m, n, count, lambda w: _regular_trace(Diagram._trusted(m, n, w, w)), force=True)
 
 
 def _regular_trace(d: Diagram) -> int:

@@ -188,7 +188,7 @@ def _cmd_multiply(args) -> int:
         if args.x_basis:
             a._check_compatible(b)
             coords = orbit_basis_product(a.terms, b.terms)
-            payload = Element(a.m, a.n, coords).to_json_dict(basis="orbit")
+            payload = Element._trusted(a.m, a.n, coords).to_json_dict(basis="orbit")
         else:
             payload = (a * b).to_json_dict(basis="diagram")
     except ValueError as exc:
@@ -268,6 +268,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_crystal(args) -> int:
+    if args.dot is not None and args.json is not None:
+        raise UsageError("choose one of --dot or --json")
     from .class_crystals import class_crystal, tensor_class_crystal
     from .crystals import to_dot, to_json_dict
     from .tableaux import box_crystal, row_crystal, ssyt_crystal
@@ -299,8 +301,6 @@ def _cmd_crystal(args) -> int:
         raise
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    if args.dot is not None and args.json is not None:
-        raise UsageError("choose one of --dot or --json")
     if args.dot is not None:
         _emit(to_dot(crystal), args.dot)
     else:

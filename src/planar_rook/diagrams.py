@@ -295,7 +295,6 @@ def weak_compositions(total: int, slots: int) -> list[tuple[int, ...]]:
     ]
 
 
-@lru_cache(maxsize=None)
 def words_with_counts(counts: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """All words with counts[c] letters c, in lexicographic order: the
     next-permutation walk of the multiset from its sorted word."""
@@ -315,10 +314,11 @@ def words_with_counts(counts: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 def _enumerate(m: int, n: int) -> tuple[Diagram, ...]:
     trusted, letters = Diagram._trusted, range(n + 1)
+    tops = {counts: words_with_counts(counts) for counts in weak_compositions(m, n + 1)}
     return tuple(
         trusted(m, n, tau, beta)
         for beta in itertools.product(letters, repeat=m)
-        for tau in words_with_counts(tuple(beta.count(c) for c in letters))
+        for tau in tops[tuple(beta.count(c) for c in letters)]
     )
 
 

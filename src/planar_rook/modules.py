@@ -68,6 +68,7 @@ class ExplicitModule:
         m, n = json_int(m, "m", 0), json_int(n, "n", 1)
         dimension = json_int(dimension, "dimension", 0)
         self._adopt(m, n, dimension, lambda d: map(self._checked, diagram_action(d)))
+        self._bounded = False  # decompose lists its classes under the cap
 
     @classmethod
     def _trusted(cls, m: int, n: int, dimension: int, action) -> ExplicitModule:
@@ -79,6 +80,7 @@ class ExplicitModule:
     def _adopt(self, m: int, n: int, dimension: int, action) -> None:
         self.m, self.n, self.dimension, self._diagram_action = m, n, dimension, action
         self._cache: dict[Diagram, tuple] = {}
+        self._bounded = True  # the package's builders bound the classes
 
     def matrix(self, d: Diagram) -> tuple:
         if (d.m, d.n) != (self.m, self.n):
@@ -226,9 +228,10 @@ def decompose(mod: ExplicitModule) -> dict[ClassLabel, int]:
 
     Raises if a probe's trace is not a count, or if the multiplicities do not
     account for the full dimension, which catches callbacks that are not
-    actually module actions.
+    actually module actions.  A module from the public constructor has its
+    classes listed under the work cap; `multiplicity` reads one at a time.
     """
-    return _tally(mod.m, mod.n, mod.dimension, lambda word: _trace(mod, word))
+    return _tally(mod.m, mod.n, mod.dimension, lambda word: _trace(mod, word), mod._bounded)
 
 
 def restrict(i: int, mod: ExplicitModule, force: bool = False) -> ExplicitModule:

@@ -576,11 +576,16 @@ def test_trusted_elements_match_public_construction():
             x = orbit_vector(d)
             assert_same_element(x, Element(m, n, dict(x.terms)))
             assert_same_element(Element(m, n, dict(x.terms)), x)
+    # every operation on elements builds trusted, as the public constructor would
     rng = random.Random(5)
     for _ in range(30):
         a, b = random_element(rng, 3, 2, 6), random_element(rng, 3, 2, 6)
-        p = a * b
-        assert_same_element(p, Element(3, 2, dict(reversed(p.terms.items()))))
+        results = [a * b, a + b, a - b, -a, a.tensor(b), a.flip(), a - a, (a + b) - a]
+        results += [a.scale(q) for q in (0, Fraction(-2, 3), 5)]
+        for x in results:
+            assert_same_element(x, Element(x.m, x.n, dict(reversed(x.terms.items()))))
+        assert_same_element(a - a, Element.zero(3, 2))
+        assert_same_element((a + b) - a, b)
 
 
 def test_packed_form_stays_with_its_element():

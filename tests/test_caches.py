@@ -7,8 +7,10 @@ import pytest
 
 import planar_rook
 from planar_rook import algebra, class_crystals, classes, cli, diagrams, modules, tableaux
+from planar_rook.verify import verify_target
 
-# one call per memo; each returns something comparable with ==
+# calls that fill every memo, and two builders that keep none; each returns
+# something comparable with ==
 BUILDERS = {
     "enumerate": lambda: diagrams.enumerate_diagrams(3, 2),
     "words": lambda: diagrams.words_with_counts((1, 2, 1)),
@@ -41,6 +43,23 @@ def test_clear_caches_empties_every_memo_and_rebuilds_equal_results():
     }
     after = {name: build() for name, build in BUILDERS.items()}
     assert after == before
+
+
+def test_every_memo_has_a_bound():
+    # a memo is kept only where a workload reuses it across calls
+    assert sorted(memos()) == [
+        "planar_rook.algebra._truncation",
+        "planar_rook.class_crystals._tensor_class_crystal",
+        "planar_rook.diagrams._match",
+    ]
+    assert all(type(f.cache_info().maxsize) is int for f in memos().values())
+
+
+@pytest.mark.parametrize("target, m, builds", [("thm3.2", 4, 2), ("thm3.6", 5, 1)])
+def test_a_pinned_restriction_check_builds_each_truncation_once(target, m, builds):
+    planar_rook.clear_caches()
+    verify_target(target, m=m, n=2)
+    assert algebra._truncation.cache_info().misses == builds
 
 
 # A bool hashes and compares equal to an int, so a memo keyed by a bool size

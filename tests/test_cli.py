@@ -761,7 +761,7 @@ def test_crystal_node_counts(capsys):
     assert len(json.loads(out)["nodes"]) == 18
 
 
-def test_crystal_usage_errors(capsys):
+def test_crystal_usage_errors(capsys, monkeypatch):
     cases = [
         ("crystal", "ssyt", "--shape", "1,2", "--n", "2"),
         ("crystal", "ssyt", "--shape", "2,x", "--n", "2"),
@@ -775,6 +775,10 @@ def test_crystal_usage_errors(capsys):
         code, out, _ = run(capsys, *argv)
         assert code == 2, argv
         assert out == ""
+    # the flag pair is refused before a crystal of 175,616 nodes is built
+    monkeypatch.setattr(cc, "tensor_class_crystal", lambda *a: pytest.fail("built a crystal"))
+    argv = ("crystal", "clambda", "--parts", "5,5,5", "--n", "3", "--force", "--dot", "-")
+    assert run(capsys, *argv, "--json", "-") == (2, "", "error: choose one of --dot or --json\n")
 
 
 def test_crystal_cap_and_overrides(capsys, monkeypatch):

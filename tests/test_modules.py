@@ -8,12 +8,17 @@ truncated subspace) rather than against the formulas used in the code.
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
+import time
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import planar_rook
 import planar_rook.classes as classes
@@ -420,6 +425,25 @@ def test_decompose_refuses_a_probe_trace_that_is_not_an_integer():
         decompose(half)
 
 
+def test_decompose_lists_the_classes_of_a_public_module_under_the_cap():
+    # the public constructor bounds nothing: about 5·10^11 classes at
+    # (2, 10**6), which a forced listing would run for hours
+    start = time.perf_counter()
+    with pytest.raises(EnumerationCapError, match=r"^classes at m=2, n=1000000: 500001500001 of"):
+        decompose(ExplicitModule(2, 10**6, 0, lambda d: []))
+    assert time.perf_counter() - start < 1
+
+
+def test_decompose_lists_the_classes_of_a_package_module_forced(monkeypatch):
+    # a restricted simple is bounded by its builder, so its classes are
+    # listed past the cap, as `decompose --restrict --force` needs
+    monkeypatch.setattr(planar_rook.diagrams, "WORK_CAP", 9)
+    sm = simple(label(2, 1, 1, 0), force=True)
+    assert decompose(sm.restrict(1)) == {label(2, 1, 0, 0): 1}
+    with pytest.raises(EnumerationCapError, match="^classes at m=1, n=2: 3 of them"):
+        decompose(ExplicitModule(1, 2, 1, lambda d: [{0: 1} if not d.edges else {}]))
+
+
 def probe_rank(mod, lab):
     """The rank of the class probe's matrix, by elimination: the oracle for
     the trace that multiplicity reads."""
@@ -716,3 +740,89 @@ def test_class_label_value_semantics():
     assert sorted(labels) == sorted(labels, key=lambda x: (x.n, x.counts))
     assert max(labels) == ClassLabel(2, (1, 0, 1)) and ClassLabel(2, (0, 2, 0)) < lab
     assert len({ClassLabel(2, (1, 0, 1)), lab, ClassLabel(2, (0, 1, 1))}) == 2
+
+
+# ---------------------------------------------- modules that are not monomial
+
+
+def direct_sum(mods) -> ExplicitModule:
+    """The direct sum, through the public constructor, block by block."""
+    offsets = list(itertools.accumulate((mod.dimension for mod in mods), initial=0))
+
+    def action(d):
+        return [
+            {r + off: x for r, x in col.items()}
+            for mod, off in zip(mods, offsets)
+            for col in mod.matrix(d)
+        ]
+
+    return ExplicitModule(mods[0].m, mods[0].n, offsets[-1], action)
+
+
+def invertible_pair(dim, moves):
+    """(P, P⁻¹) as sparse columns: P is the product of the elementary column
+    moves, each scaling column a by q (b is None) or adding q times column a
+    to column b, and P⁻¹ undoes them in reverse on the rows."""
+    p = [[Fraction(int(r == c)) for c in range(dim)] for r in range(dim)]
+    p_inv = [row[:] for row in p]
+    for a, b, q in moves:
+        if b is None:
+            for row in p:
+                row[a] *= q
+            p_inv[a] = [x / q for x in p_inv[a]]
+        elif a != b:
+            for row in p:
+                row[b] += q * row[a]
+            p_inv[a] = [x - q * y for x, y in zip(p_inv[a], p_inv[b])]
+    p, p_inv = ([{r: row[c] for r, row in enumerate(mat) if row[c]} for c in range(dim)]
+                for mat in (p, p_inv))
+    assert [apply(p_inv, col) for col in p] == [{c: 1} for c in range(dim)]
+    return p, p_inv
+
+
+def conjugated(mod, p, p_inv) -> ExplicitModule:
+    """mod in the basis of P's columns: each diagram acts by P⁻¹·M(d)·P."""
+    return ExplicitModule(
+        mod.m, mod.n, mod.dimension,
+        lambda d: [apply(p_inv, apply(mod.matrix(d), col)) for col in p],
+    )
+
+
+SCALARS = [Fraction(q) for q in (2, -3, "1/2", "-2/3", "5/3")]
+
+
+@st.composite
+def conjugated_sums(draw):
+    m, n = draw(st.sampled_from([(1, 1), (2, 1), (3, 1), (4, 1), (1, 2), (2, 2), (3, 2)]))
+    labels = all_class_labels(m, n)
+    summands = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=3))
+    dim = sum(map(class_dimension, summands))
+    move = st.tuples(
+        st.integers(0, dim - 1),
+        st.none() | st.integers(0, dim - 1),
+        st.sampled_from(SCALARS),
+    )
+    p, p_inv = invertible_pair(dim, draw(st.lists(move, min_size=dim, max_size=2 * dim)))
+    return summands, conjugated(direct_sum([simple(lab) for lab in summands]), p, p_inv)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(conjugated_sums())
+def test_conjugated_direct_sums_decompose_by_class_arithmetic(case):
+    # every module a sweep decomposes is monomial; here each diagram acts by
+    # a rational matrix with non-unit entries, which reaches the non-unit
+    # pivots, the Fraction coordinates and the Fraction traces that cancel
+    summands, mod = case
+    want = Counter(summands)
+    assert mod.dimension == sum(k * class_dimension(lab) for lab, k in want.items())
+    assert decompose(mod) == want
+    for lab in all_class_labels(mod.m, mod.n):
+        assert multiplicity(mod, lab) == want[lab]
+    for i in range(mod.n + 1):
+        low = Counter()
+        for lab, k in want.items():
+            if restrict_class(i, lab) is not None:
+                low[restrict_class(i, lab)] += k
+        cut = restrict(i, mod)
+        assert cut.dimension == sum(k * class_dimension(lab) for lab, k in low.items())
+        assert decompose(cut) == low
