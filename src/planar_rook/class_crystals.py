@@ -13,7 +13,7 @@ generated by the straight-line tuple of a partition.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, groupby
 from math import prod
 from operator import add
 
@@ -23,12 +23,7 @@ from .classes import (
     induce_class,
     restrict_class,
 )
-from .crystals import (
-    Crystal,
-    _lowered,
-    _restrict,
-    signature,
-)
+from .crystals import Crystal, signature
 from .diagrams import capped_binomial, ensure_work, json_int
 from .tableaux import partition_shape
 
@@ -135,58 +130,138 @@ def _tensor_class_crystal(parts: tuple[int, ...], n: int) -> Crystal:
     def column(rule, i):
         return [-1 if (x := rule(i, label)) is None else index[x.counts] for label in labels]
 
+    def with_words(keys):
+        # the weakly increasing word from the counts, a run per letter
+        words = ("".join(str(j) * k for j, k in enumerate(c)) for c in counts)
+        return map(" ~ ".join, zip(keys, words))
+
     eps, phi = ([[c[d + j] for c in counts] for d in range(n)] for j in (1, 0))
     up, down = ([column(rule, i) for i in range(1, n + 1)] for rule in (raise_label, lower_label))
-    keys = [label.key for label in labels]
-    # the weakly increasing word from the counts, a run per letter
-    words = ("".join(str(j) * k for j, k in enumerate(c)) for c in counts)
-    return Crystal(n, counts, eps, phi, up, down, keys, map(" ~ ".join, zip(keys, words)))
+    return Crystal(n, counts, eps, phi, up, down, [label.key for label in labels], with_words)
+
+
+def _signature_rows(factor: Crystal):
+    """row(d, ep) for one factor step: appending each class k of factor to
+    a prefix node whose (eps, phi) in direction d + 1 is ep, by the
+    signature rule.  A row holds the surviving eps and phi over the
+    classes, then the raising and the lowering moves (k, r, c) that
+    `_moved` reads: r is the factor the rule picks (0 the prefix node, 1
+    the class, -1 none) and c the class's own target.  One signature call
+    per distinct pair of (eps, phi), memoized for the step."""
+    ks = range(len(factor))
+    pairs = [list(zip(factor.eps[d], factor.phi[d])) for d in range(factor.n)]
+    distinct = list(map(set, pairs))
+    sigs: dict = {}
+    rows: list[dict] = [{} for _ in pairs]
+
+    def row(d: int, ep: tuple[int, int]) -> tuple:
+        found = rows[d].get(ep)
+        if found is None:
+            memo = sigs.setdefault(ep, {})
+            for mq in distinct[d] - memo.keys():
+                memo[mq] = signature((ep, mq))
+            rise, fall, e, p = zip(*map(memo.get, pairs[d]))
+            moves = [*zip(ks, rise, factor.up[d])], [*zip(ks, fall, factor.down[d])]
+            found = rows[d][ep] = (e, p, *moves)
+        return found
+
+    return row
+
+
+def _moved(s: int, rows) -> list[int]:
+    """Where one operator sends nodes of a factor step, for (a, x, moves)
+    in rows and (k, r, c) in moves, node a * s + k in turn: r = 0 moves
+    the prefix node a to its target x, r = 1 moves class k to c, and
+    r = -1 or a target of -1 leaves no edge (which a correct rule never
+    does where a sign survives)."""
+    return [
+        (x * s + k if x >= 0 else -1) if r == 0 else (a * s + c if r == 1 and c >= 0 else -1)
+        for a, x, moves in rows
+        for k, r, c in moves
+    ]
+
+
+def _label_words(crystal: Crystal) -> list[str]:
+    """The words of a tuple crystal's labels, which read "key ~ words"."""
+    return [lab[len(k) + 3 :] for k, lab in zip(crystal.nodes, crystal.labels)]
 
 
 def _extend(prefix: Crystal, factor: Crystal) -> Crystal:
     """One factor step: prefix tensored with the one-part crystal factor,
-    prefix node a followed by class k of factor's s classes at a * s + k.
-    Appending class k is the signature rule on a's (eps, phi) and the
-    class's, memoized per (eps, phi, m, p) for the step: where it picks the
-    prefix, a's target x moves to x * s + k; where it picks the class, to
-    a * s + col[k] by factor's column.  A target left as -1 (which a correct
-    rule never does where a sign survives) leaves the edge out.  Weights
-    are summed once per distinct prefix weight; keys and labels extend the
-    prefix's, which has labels."""
-    s, ks = len(factor), range(len(factor))
-    memo: dict = {}
+    prefix node a followed by class k of factor's s classes at a * s + k,
+    moved by `_signature_rows` and `_moved`.  Weights are summed once per
+    distinct prefix weight; keys extend the prefix's, and so do the labels
+    when they are read (the prefix has labels)."""
+    s = len(factor)
+    row = _signature_rows(factor)
     eps, phi, up, down = [], [], [], []
     for d in range(prefix.n):
-        pairs = list(zip(factor.eps[d], factor.phi[d]))
-        # per prefix (eps, phi), over the classes: the factor raising
-        # and lowering pick, and the surviving (eps, phi)
-        rows = {}
-        for ep in set(zip(prefix.eps[d], prefix.phi[d])):
-            sigs = memo.setdefault(ep, {})
-            for mq in set(pairs) - sigs.keys():
-                sigs[mq] = signature((ep, mq))
-            rise, fall, e, p = zip(*map(sigs.get, pairs))
-            rows[ep] = e, p, [*zip(ks, rise, factor.up[d])], [*zip(ks, fall, factor.down[d])]
-        per = list(map(rows.__getitem__, zip(prefix.eps[d], prefix.phi[d])))
-        eps.append(list(chain.from_iterable(row[0] for row in per)))
-        phi.append(list(chain.from_iterable(row[1] for row in per)))
-        up_col, down_col = (
-            [
-                (x * s + k if x >= 0 else -1) if r == 0 else (a * s + c if r == 1 and c >= 0 else -1)
-                for a, (row, x) in enumerate(zip(per, targets))
-                for k, r, c in row[which]
-            ]
-            for which, targets in ((2, prefix.up[d]), (3, prefix.down[d]))
-        )
-        up.append(up_col)
-        down.append(down_col)
+        eps_phi = list(zip(prefix.eps[d], prefix.phi[d]))
+        table = {ep: row(d, ep) for ep in set(eps_phi)}
+        per = list(map(table.__getitem__, eps_phi))
+        eps.append(list(chain.from_iterable(r[0] for r in per)))
+        phi.append(list(chain.from_iterable(r[1] for r in per)))
+        for out, which, targets in ((up, 2, prefix.up[d]), (down, 3, prefix.down[d])):
+            out.append(_moved(s, zip(range(len(per)), targets, (r[which] for r in per))))
     sums = {w: [tuple(map(add, w, c)) for c in factor.wt] for w in set(prefix.wt)}
     wt = list(chain.from_iterable(map(sums.__getitem__, prefix.wt)))
     keys = [k + "×" + tk for k in prefix.nodes for tk in factor.nodes]
-    # a label is "key ~ words", so its words follow the key and " ~ "
-    pre, post = ([lab[len(k) + 3 :] for k, lab in zip(c.nodes, c.labels)] for c in (prefix, factor))
-    words = [ws + "×" + w for ws in pre for w in post]
-    return Crystal(prefix.n, wt, eps, phi, up, down, keys, map(" ~ ".join, zip(keys, words)))
+
+    def with_words(keys):
+        pre, post = _label_words(prefix), _label_words(factor)
+        return map(" ~ ".join, zip(keys, [ws + "×" + w for ws in pre for w in post]))
+
+    return Crystal(prefix.n, wt, eps, phi, up, down, keys, with_words)
+
+
+def _grow(prefix: Crystal, factor: Crystal, start: int) -> Crystal:
+    """What lowering reaches from position start of `_extend(prefix,
+    factor)`, built as the sub-crystal on those positions in their order
+    without building the rest: the walk moves one node at a time, and the
+    columns are then built for the reached nodes alone, a prefix node's
+    classes together.  A raising target outside them is left out."""
+    s, n = len(factor), prefix.n
+    row = _signature_rows(factor)
+    eps_phi = [list(zip(prefix.eps[d], prefix.phi[d])) for d in range(n)]
+    # the signature rows of each reached prefix node, by direction
+    rows_of: dict[int, list] = {}
+    lowered, todo = {start: None}, [start]
+    while todo:
+        p = todo.pop()
+        a, k = divmod(p, s)
+        rows = rows_of.get(a)
+        if rows is None:
+            rows = rows_of[a] = [row(d, eps_phi[d][a]) for d in range(n)]
+        moves = [(a, col[a], r[3][k : k + 1]) for col, r in zip(prefix.down, rows)]
+        lowered[p] = targets = _moved(s, moves)
+        for t in targets:
+            if t >= 0 and t not in lowered:
+                lowered[t] = None
+                todo.append(t)
+    members = sorted(lowered)
+    index = {p: q for q, p in enumerate(members)}
+    groups = [(a, [p - a * s for p in ps]) for a, ps in groupby(members, lambda p: p // s)]
+    eps, phi, up = [], [], []
+    for d in range(n):
+        e_col, p_col, raising = [], [], []
+        for a, ks in groups:
+            e, f, ups, _ = rows_of[a][d]
+            e_col += map(e.__getitem__, ks)
+            p_col += map(f.__getitem__, ks)
+            raising.append((a, prefix.up[d][a], list(map(ups.__getitem__, ks))))
+        eps.append(e_col)
+        phi.append(p_col)
+        up.append([index.get(t, -1) for t in _moved(s, raising)])
+    down = [[index.get(lowered[p][d], -1) for p in members] for d in range(n)]
+    pairs = [divmod(p, s) for p in members]
+    wt = [tuple(map(add, prefix.wt[a], factor.wt[k])) for a, k in pairs]
+    keys = [prefix.nodes[a] + "×" + factor.nodes[k] for a, k in pairs]
+
+    def with_words(keys):
+        pre, post = _label_words(prefix), _label_words(factor)
+        return map(" ~ ".join, zip(keys, [pre[a] + "×" + post[k] for a, k in pairs]))
+
+    return Crystal(n, wt, eps, phi, up, down, keys, with_words)
 
 
 def straight_line_tuple(partition: tuple[int, ...], n: int) -> tuple[ClassLabel, ...]:
@@ -208,8 +283,10 @@ def highest_component(partition, n: int) -> Crystal:
     Operators act factor by factor, so the component of u1⊗…⊗uk lies in
     comp(u1⊗…⊗u(k-1)) ⊗ (classes of part k): it is grown a part at a time,
     never building the whole tuple crystal, with the same nodes in order.
-    Each step keeps, in position order, what lowering reaches from the
-    straight-line prefix, the one highest node of its component.
+    The first part's component is its whole one-part crystal; each further
+    step `_grow`s, in position order, what lowering reaches from the
+    straight-line node, the one highest node of its component, and
+    computes no column entry for a node outside it.
     """
     partition = partition_shape(partition)
     if not partition:
@@ -221,11 +298,9 @@ def highest_component(partition, n: int) -> Crystal:
         )
     ensure_work(tuple_count(partition, n), sum(partition), n, "crystal nodes")
     line = straight_line_tuple(partition, n)
-    comp = None
-    for j in range(len(partition)):
+    comp = _tensor_class_crystal(partition[:1], n)
+    for j in range(1, len(partition)):
         factor = _tensor_class_crystal(partition[j : j + 1], n)
-        grown = factor if comp is None else _extend(comp, factor)
-        start = grown.nodes.index(tuple_key(line[: j + 1]))
-        comp = _restrict(grown, sorted(_lowered(grown, start)))
+        top = comp.nodes.index(tuple_key(line[:j]))
+        comp = _grow(comp, factor, top * len(factor) + factor.nodes.index(line[j].key))
     return comp
-

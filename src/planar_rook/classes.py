@@ -85,7 +85,7 @@ class ClassLabel:
 
     @property
     def key(self) -> str:
-        return f"{self.m}|{','.join(str(c) for c in self.counts)}"
+        return f"{sum(self.counts)}|{','.join(map(str, self.counts))}"
 
     def canonical_word(self) -> tuple[int, ...]:
         """The block word 0..0 1..1 2..2 with the prescribed counts."""

@@ -39,17 +39,28 @@ class Crystal:
     of its raising and lowering targets, or -1 when the operator kills it.
     The columns are lists that nobody mutates once the crystal is built.
     nodes[b] is the node's key and labels[b], when labels are given, its
-    DOT label.  Crystals are equal when their columns, keys and labels are,
-    and they are unhashable.
+    DOT label.  Labels may be handed over as a function of the keys that
+    builds them: it runs on the first read of `labels`, which only export,
+    equality and repr make, so a crystal that is only checked builds none.
+    Crystals are equal when their columns, keys and labels are, and they
+    are unhashable.
     """
 
-    __slots__ = ("n", "wt", "eps", "phi", "up", "down", "nodes", "labels")
+    __slots__ = ("n", "wt", "eps", "phi", "up", "down", "nodes", "_labels")
     __hash__ = None
 
     def __init__(self, n: int, wt, eps, phi, up, down, nodes, labels=None) -> None:
         self.n, self.wt, self.eps, self.phi, self.up, self.down = n, wt, eps, phi, up, down
         self.nodes = tuple(nodes)
-        self.labels = None if labels is None else tuple(labels)
+        self._labels = labels if labels is None or callable(labels) else tuple(labels)
+
+    @property
+    def labels(self) -> Optional[tuple[str, ...]]:
+        """The DOT labels, or None; built from the keys on first read when
+        they were handed over as a function."""
+        if callable(self._labels):
+            self._labels = tuple(self._labels(self.nodes))
+        return self._labels
 
     def _fields(self) -> tuple:
         return self.n, self.wt, self.eps, self.phi, self.up, self.down, self.nodes, self.labels
@@ -86,20 +97,6 @@ def weight_pairing(wt: Weight, i: int) -> int:
     return wt[i - 1] - wt[i]
 
 
-def _string_lengths(col: list[int]) -> list[int]:
-    """Steps along col from each position until -1; a string that runs into
-    a cycle, which no crystal has, gets length -1."""
-    limit = len(col)
-    out = []
-    for cur in col:
-        steps = 0
-        while cur >= 0 and steps <= limit:
-            steps += 1
-            cur = col[cur]
-        out.append(steps if cur < 0 else -1)
-    return out
-
-
 def check_axioms(crystal: Crystal) -> list[str]:
     """All axiom violations, as human-readable strings.  Empty means valid.
 
@@ -107,14 +104,63 @@ def check_axioms(crystal: Crystal) -> list[str]:
     with the coroot; raising adds the simple root to the weight and lowering
     subtracts it; raising and lowering are mutually inverse; eps and phi
     equal the lengths of the raising and lowering strings (a string that
-    runs into a cycle counts as -1).  Keys are read only to word a violation.
+    runs into a cycle counts as -1).  Whole columns are checked first, the
+    string lengths by the recurrence eps[p] = 0 if up[p] < 0 else
+    eps[up[p]] + 1 (and phi along down), which no cycle satisfies; only
+    when a column fails are the nodes walked to word the violations.  Keys
+    are read only to word a violation.
     """
+    return [] if _columns_hold(crystal) else _violations(crystal)
+
+
+def _columns_hold(crystal: Crystal) -> bool:
+    """Whether every axiom holds, decided on whole columns."""
+    n, wt = crystal.n, crystal.wt
+    if any(type(w) is not tuple or len(w) != n + 1 for w in wt):
+        return False
+    everyone = list(range(len(wt)))
+    for d, (eps, phi, up, down) in enumerate(zip(crystal.eps, crystal.phi, crystal.up, crystal.down)):
+        raised = {w: w[:d] + (w[d] + 1, w[d + 1] - 1) + w[d + 2 :] for w in set(wt)}
+        if (
+            phi != [e + w[d] - w[d + 1] for e, w in zip(eps, wt)]
+            or [p if t < 0 else down[t] for p, t in enumerate(up)] != everyone
+            or [p if t < 0 else up[t] for p, t in enumerate(down)] != everyone
+            # the edges being inverse, a lowering edge undoes a raising one
+            or [wt[t] for t in up if t >= 0] != [raised[w] for w, t in zip(wt, up) if t >= 0]
+            or eps != [0 if t < 0 else eps[t] + 1 for t in up]
+            or phi != [0 if t < 0 else phi[t] + 1 for t in down]
+        ):
+            return False
+    return True
+
+
+def _walked_lengths(col: list[int]) -> list[int]:
+    """Steps along col from each position until -1, or -1 for a string that
+    runs into a cycle, which no crystal has.  Each position is stepped from
+    once: a walk stops at a position already known and numbers its trail
+    back from there."""
+    lengths: list = [None] * len(col)
+    for p in range(len(col)):
+        trail = []
+        while p >= 0 and lengths[p] is None:
+            lengths[p] = -1  # a walk that meets it again has closed a cycle
+            trail.append(p)
+            p = col[p]
+        steps = 0 if p < 0 else lengths[p] + 1 if lengths[p] >= 0 else -1
+        for q in reversed(trail):
+            lengths[q] = steps
+            steps += steps >= 0
+    return lengths
+
+
+def _violations(crystal: Crystal) -> list[str]:
+    """The axiom violations of `check_axioms`, worded node by node."""
     n, wt = crystal.n, crystal.wt
     moves = [
         (("raising", "lowering", 1, up, down), ("lowering", "raising", -1, down, up))
         for up, down in zip(crystal.up, crystal.down)
     ]
-    lengths = [list(map(_string_lengths, cols)) for cols in zip(crystal.up, crystal.down)]
+    lengths = [list(map(_walked_lengths, cols)) for cols in zip(crystal.up, crystal.down)]
     bad: list[str] = []
     key = crystal.nodes.__getitem__
     for p, w in enumerate(wt):
@@ -231,26 +277,6 @@ def signature(factors) -> tuple[int, int, int, int]:
                 fall = j
             plus += p
     return rise, fall if plus else -1, minus, plus
-
-
-def _restrict(crystal: Crystal, members: list[int]) -> Crystal:
-    """The sub-crystal on the given positions, renumbered in their order."""
-    new = [-1] * len(crystal)
-    for q, p in enumerate(members):
-        new[p] = q
-
-    def pick(col):
-        return [col[p] for p in members]
-
-    def moved(col):
-        return [-1 if t < 0 else new[t] for t in pick(col)]
-
-    labels = None if crystal.labels is None else pick(crystal.labels)
-    return Crystal(
-        crystal.n, pick(crystal.wt), list(map(pick, crystal.eps)), list(map(pick, crystal.phi)),
-        list(map(moved, crystal.up)), list(map(moved, crystal.down)),
-        pick(crystal.nodes), labels,
-    )
 
 
 def _lowered(crystal: Crystal, start: int) -> list[int]:

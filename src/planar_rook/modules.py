@@ -223,15 +223,18 @@ def _trace(mod: ExplicitModule, word: tuple[int, ...]) -> int | Fraction:
     return sum(col.get(j, 0) for j, col in enumerate(mod.matrix(d)))
 
 
-def decompose(mod: ExplicitModule) -> dict[ClassLabel, int]:
+def decompose(mod: ExplicitModule, force: bool = False) -> dict[ClassLabel, int]:
     """Multiplicity of every class present, in all_class_labels order.
 
     Raises if a probe's trace is not a count, or if the multiplicities do not
     account for the full dimension, which catches callbacks that are not
     actually module actions.  A module from the public constructor has its
-    classes listed under the work cap; `multiplicity` reads one at a time.
+    classes listed under the work cap, which force overrides; `multiplicity`
+    reads one at a time.
     """
-    return _tally(mod.m, mod.n, mod.dimension, lambda word: _trace(mod, word), mod._bounded)
+    return _tally(
+        mod.m, mod.n, mod.dimension, lambda word: _trace(mod, word), mod._bounded or force
+    )
 
 
 def restrict(i: int, mod: ExplicitModule, force: bool = False) -> ExplicitModule:

@@ -323,13 +323,21 @@ def _adjunction(m, n):
     return checked, bad
 
 
+def _columns(crystal):
+    return crystal.wt, crystal.eps, crystal.phi, crystal.up, crystal.down
+
+
 def _isomorphism_defects(case, left, right, witness=None):
     """[] when left and right are isomorphic, else one counterexample whose
     detail says that no isomorphism exists or names the component of either
     side that is not normal.  A witness (a permutation sending left's b to
-    witness[b]) that is a strict isomorphism settles it without a search."""
+    witness[b]) that is a strict isomorphism settles it without a search;
+    the identity is one exactly when the two sides' columns are equal."""
     fits = witness is not None and (len(left), left.n) == (len(right), right.n)
-    if fits and not _image_violations(left, right, witness):
+    if fits and (
+        witness == list(range(len(left))) and _columns(left) == _columns(right)
+        or not _image_violations(left, right, witness)
+    ):
         return []
     try:
         if isomorphism_positions(left, right) is not None:
@@ -469,11 +477,15 @@ def _arrow_defects(ours, sep, product, where):
     """The arrows of the signature-rule crystal ours that the binary product
     disagrees with.  Nodes are matched through the key rewrite sep -> ⊗; a
     key of ours with no partner in the product is a counterexample of its
-    own.  Whole columns are compared first, and only a column that differs
-    is walked node by node."""
+    own.  When the rewrite sends every node to its own position, equal
+    edge columns settle it; otherwise whole columns are compared through
+    it, and only a column that differs is walked node by node."""
     keys = product.nodes
+    renamed = tuple(k.replace(sep, "⊗") for k in ours.nodes)
+    if renamed == keys and (ours.up, ours.down) == (product.up, product.down):
+        return []
     index = {k: p for p, k in enumerate(keys)}
-    there = [index.get(k.replace(sep, "⊗"), -1) for k in ours.nodes]
+    there = [index.get(k, -1) for k in renamed]
     bad = [
         {"case": f"{k}, {where}", "signature": k, "binary": None}
         for k, p in zip(ours.nodes, there)

@@ -9,7 +9,11 @@ broken crystals (edges that are not mutually inverse, say) for the checkers.
 `column_components` cuts a column crystal into its components, and
 `component_containing` cuts out the one that holds a node, with a
 union-find over both edge families that the package itself no longer
-needs: it finds components by lowering from each highest node.
+needs: it finds components by lowering from each highest node.  Both cut
+with `_restrict`, which also keeps `highest_component_by_cutting`, the
+build-then-cut construction of a highest component that growing it from
+its highest node replaced.  `check_axioms` walks every string node by
+node, where the package checks whole columns.
 `are_isomorphic` keeps the package's contract over dicts: one lowering
 traversal per highest node, the same refusals of a crystal that is not
 normal, in the same order and words, and the same matching of equal
@@ -22,7 +26,8 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Mapping, Optional
 
-from planar_rook.crystals import Crystal, _restrict, tensor as column_tensor
+from planar_rook import class_crystals as cc
+from planar_rook.crystals import Crystal, _lowered as column_lowered, tensor as column_tensor
 
 
 @dataclass(frozen=True)
@@ -293,6 +298,26 @@ def components(crystal: DictCrystal) -> list[DictCrystal]:
     ]
 
 
+def _restrict(crystal: Crystal, members: list[int]) -> Crystal:
+    """The sub-crystal on the given positions, renumbered in their order."""
+    new = [-1] * len(crystal)
+    for q, p in enumerate(members):
+        new[p] = q
+
+    def pick(col):
+        return [col[p] for p in members]
+
+    def moved(col):
+        return [-1 if t < 0 else new[t] for t in pick(col)]
+
+    labels = None if crystal.labels is None else pick(crystal.labels)
+    return Crystal(
+        crystal.n, pick(crystal.wt), list(map(pick, crystal.eps)), list(map(pick, crystal.phi)),
+        list(map(moved, crystal.up)), list(map(moved, crystal.down)),
+        pick(crystal.nodes), labels,
+    )
+
+
 def component_positions(crystal: Crystal) -> list[list[int]]:
     """Positions of each connected component of a column crystal under both
     edge families, in node order, components ordered by their first node.
@@ -330,6 +355,22 @@ def component_containing(crystal: Crystal, node: str) -> Crystal:
         raise ValueError(f"node {node!r} not in the crystal")
     p = crystal.nodes.index(node)
     return next(_restrict(crystal, g) for g in component_positions(crystal) if p in g)
+
+
+def highest_component_by_cutting(partition, n: int) -> Crystal:
+    """The highest component as the package built it before it grew one
+    from its highest node: each part's step builds the whole product of
+    the component so far and the part's one-part crystal by
+    `class_crystals._extend`, then cuts out, in position order, what
+    lowering reaches from the straight-line node."""
+    line = cc.straight_line_tuple(partition, n)
+    comp = None
+    for j in range(len(partition)):
+        factor = cc._tensor_class_crystal(tuple(partition[j : j + 1]), n)
+        grown = factor if comp is None else cc._extend(comp, factor)
+        start = grown.nodes.index(cc.tuple_key(line[: j + 1]))
+        comp = _restrict(grown, sorted(column_lowered(grown, start)))
+    return comp
 
 
 def highest_nodes(crystal: DictCrystal) -> list[str]:

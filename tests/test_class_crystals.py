@@ -462,8 +462,12 @@ HIGHEST_CASES += [
 
 @pytest.mark.parametrize("shape,n", HIGHEST_CASES)
 def test_grown_highest_component_matches_the_cut_component(shape, n):
-    # node order, columns, keys and labels, compared as whole crystals
-    assert highest_component(shape, n) == cut_highest_component(shape, n)
+    # node order, columns, keys and labels, compared as whole crystals, with
+    # the component cut from the whole tuple crystal and with the one cut
+    # from each step's whole product
+    grown = highest_component(shape, n)
+    assert grown == cut_highest_component(shape, n)
+    assert grown == oracle.highest_component_by_cutting(shape, n)
 
 
 @settings(max_examples=30, deadline=None)
@@ -471,7 +475,9 @@ def test_grown_highest_component_matches_the_cut_component(shape, n):
 def test_grown_highest_component_matches_the_cut_component_random(parts, n):
     shape = tuple(sorted(parts, reverse=True))
     assume(len(shape) <= n + 1 and cc.tuple_count(shape, n) <= 5000)
-    assert highest_component(shape, n) == cut_highest_component(shape, n)
+    grown = highest_component(shape, n)
+    assert grown == cut_highest_component(shape, n)
+    assert grown == oracle.highest_component_by_cutting(shape, n)
 
 
 def test_highest_component_validation():
@@ -481,3 +487,35 @@ def test_highest_component_validation():
         highest_component((1, 1, 1), 1)  # too many parts
     with pytest.raises(ValueError):
         highest_component((), 1)
+
+
+# ---------------------------------------------------------------- growth
+
+
+# the `component-blambda` range at --max-m 6 --max-n 3
+GROWTH_CASES = [(shape, n) for shape, n in HIGHEST_CASES if n <= 3 and sum(shape) <= 6]
+
+
+def test_growth_computes_columns_only_for_the_component(monkeypatch):
+    # every move `_grow` computes is one of its own nodes' edges: a
+    # lowering edge in the walk and a raising edge in the build, per
+    # direction, so never an entry for a node outside the component
+    moved, grown = [], []
+    move, grow = cc._moved, cc._grow
+
+    def counting_move(s, rows):
+        out = move(s, rows)
+        moved.append(len(out))
+        return out
+
+    def counting_grow(prefix, factor, start):
+        moved.clear()
+        comp = grow(prefix, factor, start)
+        grown.append((len(comp), comp.n, sum(moved)))
+        return comp
+
+    monkeypatch.setattr(cc, "_moved", counting_move)
+    monkeypatch.setattr(cc, "_grow", counting_grow)
+    sizes = [len(highest_component(shape, n)) for shape, n in GROWTH_CASES]
+    assert sum(sizes) == 1307
+    assert grown and all(entries == 2 * n * size for size, n, entries in grown)

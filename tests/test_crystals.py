@@ -4,6 +4,7 @@ components, and the isomorphism certificate machinery."""
 from __future__ import annotations
 
 import itertools
+import random
 import sys
 from dataclasses import replace
 from math import prod
@@ -750,3 +751,70 @@ def test_crystal_equality_compares_keys_and_labels():
         "Crystal(n=1, wt=[(1, 0), (0, 1)], eps=[[0, 1]], phi=[[1, 0]], "
         "up=[[-1, 0]], down=[[1, -1]], nodes=('0', '1'), labels=None)"
     )
+
+
+# ---------------------------------------------------------------- whole-column axioms
+
+
+def _defective(kind, c, rng):
+    """c with one seeded defect of the given kind."""
+    wt = list(c.wt)
+    eps, phi, up, down = ([list(col) for col in cols] for cols in (c.eps, c.phi, c.up, c.down))
+    nodes, d = list(c.nodes), rng.randrange(c.n)
+    if kind == "swapped lowering targets":
+        p = rng.choice([b for b, t in enumerate(down[d]) if t >= 0])
+        q = rng.choice([b for b, t in enumerate(down[d]) if t != down[d][p]])
+        down[d][p], down[d][q] = down[d][q], down[d][p]
+    elif kind == "eps off by one":
+        eps[d][rng.randrange(len(c))] += rng.choice([-1, 1])
+    elif kind == "weight off by one":
+        p, j = rng.randrange(len(c)), rng.randrange(c.n + 1)
+        wt[p] = wt[p][:j] + (wt[p][j] + rng.choice([-1, 1]),) + wt[p][j + 1 :]
+    else:
+        # two nodes raising and lowering into each other in direction d,
+        # eps = phi = -1 there as the string lengths of a cycle read
+        x, y = len(c), len(c) + 1
+        nodes += ["x", "y"]
+        wt += [(0,) * (c.n + 1)] * 2
+        for cols, value in ((eps, 0), (phi, 0), (up, -1), (down, -1)):
+            for col in cols:
+                col += [value, value]
+        eps[d][x:] = phi[d][x:] = [-1, -1]
+        up[d][x:] = down[d][x:] = [y, x]
+    return Crystal(c.n, wt, eps, phi, up, down, nodes)
+
+
+DEFECTS = ["swapped lowering targets", "eps off by one", "weight off by one", "2-cycle"]
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("kind", DEFECTS)
+@pytest.mark.parametrize("name", sorted(ORACLE_CORPUS))
+def test_check_axioms_words_a_defect_as_the_node_walk_does(name, kind, seed):
+    broken = _defective(kind, ORACLE_CORPUS[name](), random.Random(seed))
+    assert check_axioms(broken) == oracle.check_axioms(as_dicts(broken)) != []
+
+
+def test_a_cycle_cannot_pass_the_string_recurrence():
+    # a 2-cycle whose weights and statistics are otherwise consistent: equal
+    # weights make the pairing 0, and eps = phi = -1 is what walking a
+    # string that runs into a cycle reads, so only the weight shift and the
+    # recurrence can refuse it
+    c = _defective("2-cycle", box_crystal(1), random.Random(0))
+    msgs = check_axioms(c)
+    assert msgs == oracle.check_axioms(as_dicts(c)) != []
+    assert not any("string" in m for m in msgs)
+
+
+def test_labels_are_built_once_on_first_read():
+    calls = []
+
+    def build(keys):
+        calls.append(keys)
+        return (k + "!" for k in keys)
+
+    c = Crystal(1, [(1, 0)], [[0]], [[1]], [[-1]], [[-1]], ["a"], build)
+    assert calls == []
+    assert c.labels == ("a!",) and c.labels == ("a!",)
+    assert calls == [("a",)]
+    assert c == Crystal(1, [(1, 0)], [[0]], [[1]], [[-1]], [[-1]], ["a"], ["a!"])

@@ -826,3 +826,12 @@ def test_conjugated_direct_sums_decompose_by_class_arithmetic(case):
         cut = restrict(i, mod)
         assert cut.dimension == sum(k * class_dimension(lab) for lab, k in low.items())
         assert decompose(cut) == low
+
+
+def test_decompose_force_lists_the_classes_past_the_cap():
+    # 5050 classes at (2, 99) pass no cap unforced; forced, the zero
+    # module has no class
+    zero = ExplicitModule(2, 99, 0, lambda d: [])
+    with pytest.raises(EnumerationCapError, match=r"^classes at m=2, n=99: 5050 of them"):
+        decompose(zero)
+    assert decompose(zero, force=True) == {}

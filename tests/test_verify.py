@@ -1,8 +1,10 @@
 """Verification targets: defaults pass, pins shape the sweep, mutations caught."""
 
 import gc
+import random
 from functools import partial
 
+import crystal_oracle as oracle
 import pytest
 
 import planar_rook.class_crystals as cc
@@ -10,7 +12,7 @@ import planar_rook.modules as modules
 import planar_rook.tableaux as tableaux
 import planar_rook.verify as verify
 from planar_rook import clear_caches
-from planar_rook.crystals import Crystal, signature
+from planar_rook.crystals import Crystal, signature, to_dot
 from planar_rook.diagrams import EnumerationCapError, partitions
 from planar_rook.modules import ExplicitModule, SimpleModule
 from planar_rook.tableaux import row_crystal
@@ -383,3 +385,172 @@ def test_module_sweeps_keep_no_module_alive():
         if isinstance(o, ExplicitModule) and id(o) not in before
     ]
     assert left == []
+
+
+# ---------------------------------------------------------------- column paths
+
+
+def _rightmost_plus(factors):
+    """A wrong signature rule: lowering the factor of the rightmost
+    surviving plus instead of the leftmost."""
+    factors = list(factors)
+    rise, _, eps, phi = signature(factors)
+    pluses = oracle.signature_survivors(factors)[1]
+    return rise, (pluses[-1] if pluses else -1), eps, phi
+
+
+@pytest.mark.parametrize("rule", [_leftmost_minus, _rightmost_plus])
+def test_component_blambda_reports_a_wrong_rule_in_the_growth(monkeypatch, rule):
+    # growing a component reads the signature rule of class_crystals
+    clear_caches()
+    monkeypatch.setattr(cc, "signature", rule)
+    try:
+        report = verify_target("component-blambda", max_m=4, max_n=2)
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+    assert report["failed"] > 0 and report["counterexamples"]
+    assert verify_target("component-blambda", max_m=4, max_n=2)["failed"] == 0
+
+
+def _isomorphism_defects_by_witness(case, left, right, witness=None):
+    """`verify._isomorphism_defects` as it read before identity witnesses
+    were settled by whole columns."""
+    fits = witness is not None and (len(left), left.n) == (len(right), right.n)
+    if fits and not verify._image_violations(left, right, witness):
+        return []
+    try:
+        if verify.isomorphism_positions(left, right) is not None:
+            return []
+        detail = "no isomorphism found"
+    except ValueError as exc:
+        detail = str(exc)
+    return [{"case": case, "detail": detail}]
+
+
+def _arrow_defects_by_index(ours, sep, product, where):
+    """`verify._arrow_defects` as it read before a key match that is the
+    identity was settled by whole columns."""
+    keys = product.nodes
+    index = {k: p for p, k in enumerate(keys)}
+    there = [index.get(k.replace(sep, "⊗"), -1) for k in ours.nodes]
+    bad = [
+        {"case": f"{k}, {where}", "signature": k, "binary": None}
+        for k, p in zip(ours.nodes, there)
+        if p < 0
+    ]
+    for kind, mine, theirs in (("e", ours.up, product.up), ("f", ours.down, product.down)):
+        for i, (col, other) in enumerate(zip(mine, theirs), 1):
+            mapped = [-1 if t < 0 else there[t] for t in col]
+            pulled = [other[p] for p in there]
+            for b, (got, want) in enumerate(zip(mapped, pulled)):
+                if there[b] >= 0 and got != want:
+                    bad.append(
+                        {
+                            "case": f"{kind}_{i} on {ours.nodes[b]}, {where}",
+                            "signature": None if got < 0 else keys[got],
+                            "binary": None if want < 0 else keys[want],
+                        }
+                    )
+    return bad
+
+
+def _changed(crystal, **columns):
+    fields = dict(
+        wt=crystal.wt, eps=crystal.eps, phi=crystal.phi, up=crystal.up, down=crystal.down
+    )
+    fields.update(columns)
+    return Crystal(crystal.n, nodes=crystal.nodes, **fields)
+
+
+def _one_up_moved(crystal, seed):
+    """The crystal with one raising entry, chosen by seed, sent elsewhere."""
+    rng = random.Random(seed)
+    d = rng.randrange(crystal.n)
+    live = [b for b, t in enumerate(crystal.up[d]) if t >= 0]
+    up = [list(col) for col in crystal.up]
+    b = rng.choice(live)
+    up[d][b] = rng.choice([t for t in range(-1, len(crystal)) if t != up[d][b]])
+    return _changed(crystal, up=up)
+
+
+def _one_weight_moved(crystal, seed):
+    rng = random.Random(seed)
+    wt = list(crystal.wt)
+    b = rng.randrange(len(wt))
+    wt[b] = (wt[b][0] + 1,) + wt[b][1:]
+    return _changed(crystal, wt=wt)
+
+
+SIDES = [((2, 1), 2), ((1, 2), 1), ((1, 1, 1), 2), ((3,), 2), ((2, 2), 1)]
+
+
+@pytest.mark.parametrize("parts,n", SIDES)
+@pytest.mark.parametrize("seed", range(3))
+def test_an_identity_witness_reports_as_before(parts, n, seed):
+    tuples = cc.tensor_class_crystal(parts, n)
+    rows = oracle.tensor_columns(row_crystal(p, n) for p in parts)
+    identity = list(range(len(tuples)))
+    cases = [
+        (tuples, rows),
+        (_one_weight_moved(tuples, seed), rows),
+        (tuples, _one_weight_moved(rows, seed)),
+        (_one_up_moved(tuples, seed), rows),
+        (tuples, _one_up_moved(rows, seed)),
+    ]
+    for left, right in cases:
+        got = verify._isomorphism_defects("case", left, right, identity)
+        assert got == _isomorphism_defects_by_witness("case", left, right, identity)
+    # a witness that is no identity: the same crystal with its nodes permuted
+    order = random.Random(seed).sample(identity, len(identity))
+    shuffled = oracle._restrict(tuples, order)
+    witness = [order.index(b) for b in identity]
+    for right in (shuffled, _one_up_moved(shuffled, seed)):
+        got = verify._isomorphism_defects("case", tuples, right, witness)
+        assert got == _isomorphism_defects_by_witness("case", tuples, right, witness)
+
+
+@pytest.mark.parametrize("parts,n", SIDES)
+@pytest.mark.parametrize("seed", range(3))
+def test_an_identity_key_match_reports_as_before(parts, n, seed):
+    ours = cc.tensor_class_crystal(parts, n)
+    product = oracle.tensor_columns(cc.class_crystal(p, n) for p in parts)
+    order = random.Random(seed).sample(range(len(ours)), len(ours))
+    cases = [
+        (ours, product),
+        (_one_weight_moved(ours, seed), product),
+        (_one_up_moved(ours, seed), product),
+        (ours, _one_up_moved(product, seed)),
+        # a key match that is no identity
+        (oracle._restrict(ours, order), product),
+        (_one_up_moved(oracle._restrict(ours, order), seed), product),
+    ]
+    for left, right in cases:
+        got = verify._arrow_defects(left, "×", right, "where")
+        assert got == _arrow_defects_by_index(left, "×", right, "where")
+    assert verify._arrow_defects(ours, "×", product, "where") == []
+
+
+def test_a_thm45_run_builds_no_label(monkeypatch):
+    # labels are built on first read, which only export, equality and repr
+    # make; a verify run checks columns and keys alone
+    built = []
+    init = Crystal.__init__
+
+    def spying(self, n, wt, eps, phi, up, down, nodes, labels=None):
+        if callable(labels):
+            build = labels
+            labels = lambda keys: built.append(keys) or build(keys)  # noqa: E731
+        init(self, n, wt, eps, phi, up, down, nodes, labels)
+
+    clear_caches()
+    monkeypatch.setattr(Crystal, "__init__", spying)
+    try:
+        assert verify_target("thm4.5", max_m=5, max_n=3)["failed"] == 0
+        assert built == []
+        # the spy sees an export build them
+        to_dot(cc.tensor_class_crystal((2, 1), 2))
+        assert built
+    finally:
+        monkeypatch.undo()
+        clear_caches()
