@@ -13,7 +13,7 @@ generated by the straight-line tuple of a partition.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, groupby
+from itertools import chain
 from math import prod
 from operator import add
 
@@ -140,34 +140,6 @@ def _tensor_class_crystal(parts: tuple[int, ...], n: int) -> Crystal:
     return Crystal(n, counts, eps, phi, up, down, [label.key for label in labels], with_words)
 
 
-def _signature_rows(factor: Crystal):
-    """row(d, ep) for one factor step: appending each class k of factor to
-    a prefix node whose (eps, phi) in direction d + 1 is ep, by the
-    signature rule.  A row holds the surviving eps and phi over the
-    classes, then the raising and the lowering moves (k, r, c) that
-    `_moved` reads: r is the factor the rule picks (0 the prefix node, 1
-    the class, -1 none) and c the class's own target.  One signature call
-    per distinct pair of (eps, phi), memoized for the step."""
-    ks = range(len(factor))
-    pairs = [list(zip(factor.eps[d], factor.phi[d])) for d in range(factor.n)]
-    distinct = list(map(set, pairs))
-    sigs: dict = {}
-    rows: list[dict] = [{} for _ in pairs]
-
-    def row(d: int, ep: tuple[int, int]) -> tuple:
-        found = rows[d].get(ep)
-        if found is None:
-            memo = sigs.setdefault(ep, {})
-            for mq in distinct[d] - memo.keys():
-                memo[mq] = signature((ep, mq))
-            rise, fall, e, p = zip(*map(memo.get, pairs[d]))
-            moves = [*zip(ks, rise, factor.up[d])], [*zip(ks, fall, factor.down[d])]
-            found = rows[d][ep] = (e, p, *moves)
-        return found
-
-    return row
-
-
 def _moved(s: int, rows) -> list[int]:
     """Where one operator sends nodes of a factor step, for (a, x, moves)
     in rows and (k, r, c) in moves, node a * s + k in turn: r = 0 moves
@@ -188,16 +160,27 @@ def _label_words(crystal: Crystal) -> list[str]:
 
 def _extend(prefix: Crystal, factor: Crystal) -> Crystal:
     """One factor step: prefix tensored with the one-part crystal factor,
-    prefix node a followed by class k of factor's s classes at a * s + k,
-    moved by `_signature_rows` and `_moved`.  Weights are summed once per
-    distinct prefix weight; keys extend the prefix's, and so do the labels
-    when they are read (the prefix has labels)."""
-    s = len(factor)
-    row = _signature_rows(factor)
+    prefix node a followed by class k of factor's s classes at a * s + k.
+    Per direction, each distinct prefix (eps, phi) gets one entry over the
+    classes, their surviving eps and phi and the moves `_moved` reads, from
+    one `signature` call per distinct pair of (eps, phi) in the step.
+    Weights are summed once per distinct prefix weight; keys extend the
+    prefix's, and so do the labels when they are read (the prefix has
+    labels)."""
+    s, ks = len(factor), range(len(factor))
+    sigs: dict = {}
     eps, phi, up, down = [], [], [], []
     for d in range(prefix.n):
+        pairs = list(zip(factor.eps[d], factor.phi[d]))
+        distinct = set(pairs)
         eps_phi = list(zip(prefix.eps[d], prefix.phi[d]))
-        table = {ep: row(d, ep) for ep in set(eps_phi)}
+        table = {}
+        for ep in set(eps_phi):
+            memo = sigs.setdefault(ep, {})
+            for mq in distinct - memo.keys():
+                memo[mq] = signature((ep, mq))
+            rise, fall, e, p = zip(*map(memo.get, pairs))
+            table[ep] = e, p, [*zip(ks, rise, factor.up[d])], [*zip(ks, fall, factor.down[d])]
         per = list(map(table.__getitem__, eps_phi))
         eps.append(list(chain.from_iterable(r[0] for r in per)))
         phi.append(list(chain.from_iterable(r[1] for r in per)))
@@ -217,42 +200,31 @@ def _extend(prefix: Crystal, factor: Crystal) -> Crystal:
 def _grow(prefix: Crystal, factor: Crystal, start: int) -> Crystal:
     """What lowering reaches from position start of `_extend(prefix,
     factor)`, built as the sub-crystal on those positions in their order
-    without building the rest: the walk moves one node at a time, and the
-    columns are then built for the reached nodes alone, a prefix node's
-    classes together.  A raising target outside them is left out."""
+    without building the rest.  The walk signs one reached node a * s + k
+    at a time, one `signature` call per direction, and keeps its eps, phi
+    and raising and lowering targets; the columns are then read off the
+    reached nodes.  A raising target outside them is left out."""
     s, n = len(factor), prefix.n
-    row = _signature_rows(factor)
-    eps_phi = [list(zip(prefix.eps[d], prefix.phi[d])) for d in range(n)]
-    # the signature rows of each reached prefix node, by direction
-    rows_of: dict[int, list] = {}
-    lowered, todo = {start: None}, [start]
+    signed, todo = {start: None}, [start]
     while todo:
         p = todo.pop()
         a, k = divmod(p, s)
-        rows = rows_of.get(a)
-        if rows is None:
-            rows = rows_of[a] = [row(d, eps_phi[d][a]) for d in range(n)]
-        moves = [(a, col[a], r[3][k : k + 1]) for col, r in zip(prefix.down, rows)]
-        lowered[p] = targets = _moved(s, moves)
-        for t in targets:
-            if t >= 0 and t not in lowered:
-                lowered[t] = None
-                todo.append(t)
-    members = sorted(lowered)
+        signed[p] = per = []
+        for d in range(n):
+            ep = prefix.eps[d][a], prefix.phi[d][a]
+            rise, fall, e, f = signature((ep, (factor.eps[d][k], factor.phi[d][k])))
+            raised, lowered = _moved(s, [
+                (a, prefix.up[d][a], [(k, rise, factor.up[d][k])]),
+                (a, prefix.down[d][a], [(k, fall, factor.down[d][k])]),
+            ])
+            per.append((e, f, raised, lowered))
+            if lowered >= 0 and lowered not in signed:
+                signed[lowered] = None
+                todo.append(lowered)
+    members = sorted(signed)
     index = {p: q for q, p in enumerate(members)}
-    groups = [(a, [p - a * s for p in ps]) for a, ps in groupby(members, lambda p: p // s)]
-    eps, phi, up = [], [], []
-    for d in range(n):
-        e_col, p_col, raising = [], [], []
-        for a, ks in groups:
-            e, f, ups, _ = rows_of[a][d]
-            e_col += map(e.__getitem__, ks)
-            p_col += map(f.__getitem__, ks)
-            raising.append((a, prefix.up[d][a], list(map(ups.__getitem__, ks))))
-        eps.append(e_col)
-        phi.append(p_col)
-        up.append([index.get(t, -1) for t in _moved(s, raising)])
-    down = [[index.get(lowered[p][d], -1) for p in members] for d in range(n)]
+    eps, phi, up, down = ([[signed[p][d][j] for p in members] for d in range(n)] for j in range(4))
+    up, down = ([[index.get(t, -1) for t in col] for col in cols] for cols in (up, down))
     pairs = [divmod(p, s) for p in members]
     wt = [tuple(map(add, prefix.wt[a], factor.wt[k])) for a, k in pairs]
     keys = [prefix.nodes[a] + "×" + factor.nodes[k] for a, k in pairs]
@@ -285,8 +257,8 @@ def highest_component(partition, n: int) -> Crystal:
     never building the whole tuple crystal, with the same nodes in order.
     The first part's component is its whole one-part crystal; each further
     step `_grow`s, in position order, what lowering reaches from the
-    straight-line node, the one highest node of its component, and
-    computes no column entry for a node outside it.
+    straight-line node, the one highest node of its component, and signs
+    no node outside it.
     """
     partition = partition_shape(partition)
     if not partition:

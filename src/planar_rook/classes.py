@@ -152,7 +152,7 @@ def _tally(m: int, n: int, dimension: int, trace, force: bool) -> dict[ClassLabe
     """The multiplicity of every class present, in all_class_labels order,
     from trace(w) on each class's block word.  Raises if a probe's trace is
     not a count, or if the multiplicities do not account for the dimension.
-    The classes are listed forced when the module's builder bounded them."""
+    force lifts the work cap on listing the classes."""
     labels = all_class_labels(m, n, force)
     table = {w: trace(w) for w in map(ClassLabel.canonical_word, labels)}
     out, covered = {}, 0

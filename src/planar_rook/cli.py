@@ -242,7 +242,7 @@ def _cmd_decompose(args) -> int:
             from .modules import decompose, simple
 
             module = f"restrict(i={i}) of {label.key}"
-            dec = decompose(simple(label, force=args.force).restrict(i))
+            dec = decompose(simple(label, args.force).restrict(i), args.force)
             expected = restrict_class(i, label)
             if dec != ({} if expected is None else {expected: 1}):
                 print(

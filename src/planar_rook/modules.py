@@ -25,12 +25,14 @@ from __future__ import annotations
 import itertools
 from collections.abc import Mapping
 from fractions import Fraction
+from math import prod
 
 from .algebra import Element, truncation_idempotent
 from .classes import ClassLabel, _invert, _tally
 from .diagrams import (
     Diagram,
-    ensure_diagrams,
+    capped_binomial,
+    ensure_work,
     enumerate_diagrams,
     json_int,
     juxtapose,
@@ -62,13 +64,14 @@ class ExplicitModule:
     The public constructor validates every column the callback returns; the
     package's own modules (simple, regular, restricted) are trusted, built by
     `_trusted` from callbacks that return such columns, and not re-checked.
+    Whichever built it, `decompose` lists a module's classes under the work
+    cap unless forced.
     """
 
     def __init__(self, m: int, n: int, dimension: int, diagram_action):
         m, n = json_int(m, "m", 0), json_int(n, "n", 1)
         dimension = json_int(dimension, "dimension", 0)
         self._adopt(m, n, dimension, lambda d: map(self._checked, diagram_action(d)))
-        self._bounded = False  # decompose lists its classes under the cap
 
     @classmethod
     def _trusted(cls, m: int, n: int, dimension: int, action) -> ExplicitModule:
@@ -80,7 +83,6 @@ class ExplicitModule:
     def _adopt(self, m: int, n: int, dimension: int, action) -> None:
         self.m, self.n, self.dimension, self._diagram_action = m, n, dimension, action
         self._cache: dict[Diagram, tuple] = {}
-        self._bounded = True  # the package's builders bound the classes
 
     def matrix(self, d: Diagram) -> tuple:
         if (d.m, d.n) != (self.m, self.n):
@@ -187,9 +189,11 @@ class SimpleModule(ExplicitModule):
 
 
 def simple(label: ClassLabel, force: bool = False) -> SimpleModule:
-    """The simple module of a class, whose squared dimension is at most the
-    count of diagrams, which ensure_diagrams checks."""
-    ensure_diagrams(label.m, label.n, force)
+    """The simple module of a class, once ensure_work has passed its basis:
+    the dimension as the product of the C(c0 + ... + cj, cj), exact below
+    2**256 and past it a lower bound (see capped_binomial)."""
+    dimension = prod(map(capped_binomial, itertools.accumulate(label.counts), label.counts))
+    ensure_work(dimension, label.m, label.n, "basis vectors of the simple module", force)
     return SimpleModule(label)
 
 
@@ -228,13 +232,10 @@ def decompose(mod: ExplicitModule, force: bool = False) -> dict[ClassLabel, int]
 
     Raises if a probe's trace is not a count, or if the multiplicities do not
     account for the full dimension, which catches callbacks that are not
-    actually module actions.  A module from the public constructor has its
-    classes listed under the work cap, which force overrides; `multiplicity`
-    reads one at a time.
+    actually module actions.  The classes are listed under the work cap,
+    which force overrides; `multiplicity` reads one at a time.
     """
-    return _tally(
-        mod.m, mod.n, mod.dimension, lambda word: _trace(mod, word), mod._bounded or force
-    )
+    return _tally(mod.m, mod.n, mod.dimension, lambda word: _trace(mod, word), force)
 
 
 def restrict(i: int, mod: ExplicitModule, force: bool = False) -> ExplicitModule:

@@ -612,8 +612,8 @@ def test_decompose_induce_orders_one_label_without_listing_its_size(capsys):
 
 
 def test_decompose_restrict_honours_force(capsys, monkeypatch):
-    # m=10 is over the one-color cap 8, for the simple and for its truncation
-    argv = ("decompose", "--restrict", "1", "--class", "10,1:9,1")
+    # the simple's 34,650 basis vectors, times m + n + 1, are over the cap
+    argv = ("decompose", "--restrict", "1", "--class", "12,2:4,4,4")
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert "pass --force or set PLANAR_ROOK_FORCE=1 to override" in err
@@ -624,8 +624,31 @@ def test_decompose_restrict_honours_force(capsys, monkeypatch):
         assert (code, err) == (0, ""), extra
         payload = json.loads(out)
         assert [(s["class"], s["multiplicity"]) for s in payload["summands"]] == [
-            ("9|9,0", 1)
+            ("11|4,3,4", 1)
         ]
+
+
+def test_decompose_restrict_is_bounded_by_the_simples_own_basis(capsys):
+    # 40 basis vectors and 40 classes to list, though the diagrams of size
+    # 40 number about 10^23
+    start = time.perf_counter()
+    code, out, err = run(capsys, "decompose", "--restrict", "1", "--class", "40,1:39,1")
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, "")
+    assert [(s["class"], s["multiplicity"]) for s in json.loads(out)["summands"]] == [
+        ("39|39,0", 1)
+    ]
+    # the basis is counted by binomials cut short past 2**256, not by the
+    # exact dimension, whose ~300,000 digits take seconds to compute
+    start = time.perf_counter()
+    argv = ("decompose", "--restrict", "1", "--class", "1000000,1:500000,500000", "--force")
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: basis vectors of the simple module at m=1000000, n=1: at least "
+        "10**77 of them, times m + n + 1, is too large to index\n"
+    )
 
 
 def test_simples_refuses_over_the_crystal_cap(capsys):

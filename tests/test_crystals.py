@@ -770,6 +770,9 @@ def _defective(kind, c, rng):
     elif kind == "weight off by one":
         p, j = rng.randrange(len(c)), rng.randrange(c.n + 1)
         wt[p] = wt[p][:j] + (wt[p][j] + rng.choice([-1, 1]),) + wt[p][j + 1 :]
+    elif kind == "truncated weight":
+        p = rng.randrange(len(c))
+        wt[p] = wt[p][:-1]
     else:
         # two nodes raising and lowering into each other in direction d,
         # eps = phi = -1 there as the string lengths of a cycle read
@@ -784,7 +787,13 @@ def _defective(kind, c, rng):
     return Crystal(c.n, wt, eps, phi, up, down, nodes)
 
 
-DEFECTS = ["swapped lowering targets", "eps off by one", "weight off by one", "2-cycle"]
+DEFECTS = [
+    "swapped lowering targets",
+    "eps off by one",
+    "weight off by one",
+    "truncated weight",
+    "2-cycle",
+]
 
 
 @pytest.mark.parametrize("seed", range(2))

@@ -434,14 +434,14 @@ def test_decompose_lists_the_classes_of_a_public_module_under_the_cap():
     assert time.perf_counter() - start < 1
 
 
-def test_decompose_lists_the_classes_of_a_package_module_forced(monkeypatch):
-    # a restricted simple is bounded by its builder, so its classes are
-    # listed past the cap, as `decompose --restrict --force` needs
-    monkeypatch.setattr(planar_rook.diagrams, "WORK_CAP", 9)
-    sm = simple(label(2, 1, 1, 0), force=True)
-    assert decompose(sm.restrict(1)) == {label(2, 1, 0, 0): 1}
+def test_decompose_lists_the_classes_of_a_package_module_under_the_cap(monkeypatch):
+    # the simple's 2 basis vectors, times m + n + 1, are within the cap, and
+    # the restriction's 3 classes are not: decompose lists them only forced
+    monkeypatch.setattr(planar_rook.diagrams, "WORK_CAP", 10)
+    restricted = simple(label(2, 1, 1, 0)).restrict(1)
     with pytest.raises(EnumerationCapError, match="^classes at m=1, n=2: 3 of them"):
-        decompose(ExplicitModule(1, 2, 1, lambda d: [{0: 1} if not d.edges else {}]))
+        decompose(restricted)
+    assert decompose(restricted, force=True) == {label(2, 1, 0, 0): 1}
 
 
 def probe_rank(mod, lab):
