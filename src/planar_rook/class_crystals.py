@@ -223,8 +223,10 @@ def _grow(prefix: Crystal, factor: Crystal, start: int) -> Crystal:
                 todo.append(lowered)
     members = sorted(signed)
     index = {p: q for q, p in enumerate(members)}
-    eps, phi, up, down = ([[signed[p][d][j] for p in members] for d in range(n)] for j in range(4))
-    up, down = ([[index.get(t, -1) for t in col] for col in cols] for cols in (up, down))
+    eps = [[signed[p][d][0] for p in members] for d in range(n)]
+    phi = [[signed[p][d][1] for p in members] for d in range(n)]
+    up = [[index.get(signed[p][d][2], -1) for p in members] for d in range(n)]
+    down = [[index.get(signed[p][d][3], -1) for p in members] for d in range(n)]
     pairs = [divmod(p, s) for p in members]
     wt = [tuple(map(add, prefix.wt[a], factor.wt[k])) for a, k in pairs]
     keys = [prefix.nodes[a] + "×" + factor.nodes[k] for a, k in pairs]

@@ -148,12 +148,10 @@ def _invert(label: ClassLabel, t):
     return total.numerator if total.denominator == 1 else total
 
 
-def _tally(m: int, n: int, dimension: int, trace, force: bool) -> dict[ClassLabel, int]:
-    """The multiplicity of every class present, in all_class_labels order,
+def _tally(labels: list[ClassLabel], dimension: int, trace) -> dict[ClassLabel, int]:
+    """The multiplicity of every class of labels present, in their order,
     from trace(w) on each class's block word.  Raises if a probe's trace is
-    not a count, or if the multiplicities do not account for the dimension.
-    force lifts the work cap on listing the classes."""
-    labels = all_class_labels(m, n, force)
+    not a count, or if the multiplicities do not account for the dimension."""
     table = {w: trace(w) for w in map(ClassLabel.canonical_word, labels)}
     out, covered = {}, 0
     for label in labels:
@@ -175,7 +173,8 @@ def regular_decomposition(m: int, n: int, force: bool = False) -> dict[ClassLabe
     """decompose(regular_module(m, n, force)) without building the module."""
     m, n = json_int(m, "m", 0), json_int(n, "n", 1)
     count = ensure_diagrams(m, n, force)
-    return _tally(m, n, count, lambda w: _regular_trace(Diagram._trusted(m, n, w, w)), force=True)
+    labels = all_class_labels(m, n, force=True)  # the diagram count bounds them
+    return _tally(labels, count, lambda w: _regular_trace(Diagram._trusted(m, n, w, w)))
 
 
 def _regular_trace(d: Diagram) -> int:

@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import prod
 
 from .algebra import Element, truncation_idempotent
-from .classes import ClassLabel, _invert, _tally
+from .classes import ClassLabel, _invert, _tally, all_class_labels
 from .diagrams import (
     Diagram,
     capped_binomial,
@@ -64,8 +64,9 @@ class ExplicitModule:
     The public constructor validates every column the callback returns; the
     package's own modules (simple, regular, restricted) are trusted, built by
     `_trusted` from callbacks that return such columns, and not re-checked.
-    Whichever built it, `decompose` lists a module's classes under the work
-    cap unless forced.
+    Whichever built it, `decompose` holds a module's classes, and the
+    columns of the probe matrices it builds for them, to the work cap
+    unless forced.
     """
 
     def __init__(self, m: int, n: int, dimension: int, diagram_action):
@@ -232,10 +233,14 @@ def decompose(mod: ExplicitModule, force: bool = False) -> dict[ClassLabel, int]
 
     Raises if a probe's trace is not a count, or if the multiplicities do not
     account for the full dimension, which catches callbacks that are not
-    actually module actions.  The classes are listed under the work cap,
-    which force overrides; `multiplicity` reads one at a time.
+    actually module actions.  Each class's probe is one matrix of mod,
+    built and cached in full, so the classes and those matrices' columns
+    are checked against the work cap, which force overrides; `multiplicity`
+    reads one class at a time.
     """
-    return _tally(mod.m, mod.n, mod.dimension, lambda word: _trace(mod, word), force)
+    labels = all_class_labels(mod.m, mod.n, force)
+    ensure_work(mod.dimension * len(labels), mod.m, mod.n, "probe matrix columns", force)
+    return _tally(labels, mod.dimension, lambda word: _trace(mod, word))
 
 
 def restrict(i: int, mod: ExplicitModule, force: bool = False) -> ExplicitModule:

@@ -139,7 +139,9 @@ def _regular_decomposition(m, n):
 
     regular = regular_module(m, n)
     total = regular.dimension
-    dec = decompose(regular)
+    # the case's guard counted the diagrams, which bound the classes; the
+    # probes' columns, diagrams times classes, are not held to the cap
+    dec = decompose(regular, force=True)
     checked, bad, dim_sum = 0, [], 0
     for label in all_class_labels(m, n):
         checked += 1

@@ -651,6 +651,20 @@ def test_decompose_restrict_is_bounded_by_the_simples_own_basis(capsys):
     )
 
 
+def test_decompose_restrict_is_bounded_by_its_probe_matrices(capsys):
+    # 22,680 basis vectors and 24,310 classes of size 8 are each within the
+    # cap, but decompose would cache 5,040 columns for each class's probe
+    start = time.perf_counter()
+    argv = ("decompose", "--restrict", "1", "--class", "9,9:0,2,2,2,2,1,0,0,0,0")
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: probe matrix columns at m=8, n=9: 122522400 of them, times m + n + 1, "
+        "is over the work cap 500000; pass --force or set PLANAR_ROOK_FORCE=1 to override\n"
+    )
+
+
 def test_simples_refuses_over_the_crystal_cap(capsys):
     # C(80, 40) classes, about 10^23: refused before any is listed
     start = time.perf_counter()

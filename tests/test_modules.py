@@ -444,6 +444,16 @@ def test_decompose_lists_the_classes_of_a_package_module_under_the_cap(monkeypat
     assert decompose(restricted, force=True) == {label(2, 1, 0, 0): 1}
 
 
+def test_decompose_bounds_the_columns_of_its_probe_matrices(monkeypatch):
+    # the simple's 30 basis vectors and the restriction's 15 classes, times
+    # m + n + 1, are within the cap; the 15 probes' 12 columns each are not
+    monkeypatch.setattr(planar_rook.diagrams, "WORK_CAP", 1000)
+    restricted = simple(label(2, 1, 2, 2)).restrict(1)
+    with pytest.raises(EnumerationCapError, match="^probe matrix columns at m=4, n=2: 180 of"):
+        decompose(restricted)
+    assert decompose(restricted, force=True) == {label(2, 1, 1, 2): 1}
+
+
 def probe_rank(mod, lab):
     """The rank of the class probe's matrix, by elimination: the oracle for
     the trace that multiplicity reads."""
