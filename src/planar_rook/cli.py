@@ -140,19 +140,19 @@ def _parse_int_tuple(spec: str, what: str) -> tuple[int, ...]:
 
 
 def _cmd_enumerate(args) -> int:
-    from .diagrams import count_diagrams, enumerate_diagrams
+    from .diagrams import count_diagrams, count_enumerated, enumerate_diagrams
 
-    diagrams = enumerate_diagrams(args.m, args.n, force=args.force)
+    if args.count_only:
+        count = count_enumerated(args.m, args.n, force=args.force)
+    else:
+        diagrams = enumerate_diagrams(args.m, args.n, force=args.force)
+        count = len(diagrams)
     expected = count_diagrams(args.m, args.n)
-    if len(diagrams) != expected:
-        print(
-            f"count mismatch: enumerated {len(diagrams)}, "
-            f"closed formula gives {expected}",
-            file=sys.stderr,
-        )
+    if count != expected:
+        print(f"count mismatch: enumerated {count}, closed formula gives {expected}", file=sys.stderr)
         return 1
     if args.count_only:
-        sys.stdout.write(f"{len(diagrams)}\n")
+        sys.stdout.write(f"{count}\n")
     else:
         sys.stdout.write(_dump([d.to_json_dict() for d in diagrams]))
     return 0

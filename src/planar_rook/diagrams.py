@@ -312,22 +312,37 @@ def words_with_counts(counts: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         out.append(tuple(word))
 
 
-def _enumerate(m: int, n: int) -> tuple[Diagram, ...]:
-    trusted, letters = Diagram._trusted, range(n + 1)
+def _word_pairs(m: int, n: int):
+    """Each bottom word β of length m over 0..n, in lexicographic order, with
+    the tuple of top words τ it pairs with: those with β's color counts."""
+    letters = range(n + 1)
     tops = {counts: words_with_counts(counts) for counts in weak_compositions(m, n + 1)}
-    return tuple(
-        trusted(m, n, tau, beta)
-        for beta in itertools.product(letters, repeat=m)
-        for tau in tops[tuple(beta.count(c) for c in letters)]
-    )
+    for beta in itertools.product(letters, repeat=m):
+        yield beta, tops[tuple(beta.count(c) for c in letters)]
+
+
+def _enumerate(m: int, n: int) -> tuple[Diagram, ...]:
+    """The diagram of every word pair _word_pairs walks, in its order."""
+    trusted = Diagram._trusted
+    return tuple(trusted(m, n, tau, beta) for beta, taus in _word_pairs(m, n) for tau in taus)
 
 
 def enumerate_diagrams(m: int, n: int, force: bool = False) -> tuple[Diagram, ...]:
     """All diagrams of size m with n colors: every pair of words with equal
-    color counts, ordered lexicographically by (bottom word, top word)."""
+    color counts, ordered lexicographically by (bottom word, top word).
+    count_enumerated counts the same pairs, under the same checks and cap,
+    without building them."""
     m, n = json_int(m, "m", 0), json_int(n, "n", 1)
     ensure_diagrams(m, n, force)
     return _enumerate(m, n)
+
+
+def count_enumerated(m: int, n: int, force: bool = False) -> int:
+    """len(enumerate_diagrams(m, n, force)), summed over the same walk
+    without building a diagram; it refuses exactly where that does."""
+    m, n = json_int(m, "m", 0), json_int(n, "n", 1)
+    ensure_diagrams(m, n, force)
+    return sum(len(taus) for _, taus in _word_pairs(m, n))
 
 
 def multinomial(counts) -> int:

@@ -96,6 +96,33 @@ def test_enumerate_counts(capsys):
     assert (code, out) == (0, "1\n")
 
 
+def test_enumerate_count_only_builds_no_diagram(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate --count-only built a diagram")
+
+    monkeypatch.setattr(diagrams, "_enumerate", refuse)
+    monkeypatch.setattr(diagrams.Diagram, "_trusted", refuse)
+    code, out, err = run(capsys, *COMMANDS["enumerate-count-4-2"])
+    assert (code, err) == (0, "")
+    assert out.encode("utf-8") == (GOLDEN / "enumerate-count-4-2.out").read_bytes()
+    for m, n, count in (("6", "2", "35169\n"), ("5", "3", "31504\n")):
+        assert run(capsys, "enumerate", "--m", m, "--n", n, "--count-only") == (0, count, "")
+
+
+@pytest.mark.parametrize("extra", [("--count-only",), ()], ids=["count-only", "listing"])
+def test_enumerate_reports_a_count_mismatch(capsys, monkeypatch, extra):
+    words_with_counts = diagrams.words_with_counts
+
+    def drop_last(counts):
+        words = words_with_counts(counts)
+        return words[:-1] if len(words) > 1 else words
+
+    monkeypatch.setattr(diagrams, "words_with_counts", drop_last)
+    code, out, err = run(capsys, "enumerate", "--m", "2", "--n", "1", *extra)
+    assert (code, out) == (1, "")
+    assert err == "count mismatch: enumerated 4, closed formula gives 6\n"
+
+
 def test_enumerate_lists_valid_diagrams(capsys):
     code, out, _ = run(capsys, "enumerate", "--m", "1", "--n", "2")
     assert code == 0

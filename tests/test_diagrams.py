@@ -21,6 +21,7 @@ from planar_rook.diagrams import (
     EnumerationCapError,
     brief,
     count_diagrams,
+    count_enumerated,
     covers,
     empty_diagram,
     enumerate_diagrams,
@@ -438,6 +439,25 @@ def test_enumeration_cap():
     # within cap is fine, and force overrides
     assert len(enumerate_diagrams(7, 1)) == count_diagrams(7, 1)
     assert len(enumerate_diagrams(7, 2, force=True)) == count_diagrams(7, 2)
+
+
+@pytest.mark.parametrize("m,n", [*itertools.product(range(6), range(1, 4)), (0, 50)])
+def test_count_enumerated_agrees_with_the_listing(m, n):
+    assert count_enumerated(m, n) == len(enumerate_diagrams(m, n)) == count_diagrams(m, n)
+
+
+@pytest.mark.parametrize("m,n", [(9, 1), (6, 3), (2, 100000)])
+def test_count_enumerated_refuses_as_the_listing_does(m, n):
+    with pytest.raises(EnumerationCapError) as listed:
+        enumerate_diagrams(m, n)
+    with pytest.raises(EnumerationCapError) as counted:
+        count_enumerated(m, n)
+    assert str(counted.value) == str(listed.value)
+
+
+def test_count_enumerated_force_lifts_the_cap():
+    for m, n in ((9, 1), (6, 3)):
+        assert count_enumerated(m, n, force=True) == count_diagrams(m, n)
 
 
 def test_count_closed_form_one_color():
