@@ -11,12 +11,13 @@ verify stay capped.  Past sys.maxsize nothing is listed, forced or not.
 
 from __future__ import annotations
 
-import argparse
+import itertools
 import os
 import sys
+from types import SimpleNamespace
 
 # each command imports the layers it runs, so it loads no other
-from .diagrams import EnumerationCapError, brief
+from .diagrams import EnumerationCapError, brief, capped_binomial
 
 
 class UsageError(Exception):
@@ -136,6 +137,17 @@ def _parse_int_tuple(spec: str, what: str) -> tuple[int, ...]:
         ) from None
 
 
+def _ensure_printable(label: ClassLabel, what: str) -> None:
+    """Refuse a class whose size or dimension has more digits than Python
+    prints, deciding from capped binomials before any exact one is built."""
+    digits = sys.get_int_max_str_digits()  # 0 for no limit
+    dimension, cap = 1, 10**digits
+    for total, k in zip(itertools.accumulate(label.counts), label.counts):
+        dimension *= capped_binomial(total, k, 4 * digits)  # exact below cap < 2**(4 * digits)
+        if digits and max(label.m, dimension) >= cap:
+            raise UsageError(f"{brief(what)} has a size or dimension of more than {digits} digits")
+
+
 # ---------------------------------------------------------------- commands
 
 
@@ -235,7 +247,9 @@ def _cmd_decompose(args) -> int:
             raise UsageError(f"color {i} out of range 0..{label.n}")
         if args.induce is not None:
             module = f"induce(i={i}) of {label.key}"
-            dec = {induce_class(i, label): 1}
+            induced = induce_class(i, label)
+            _ensure_printable(induced, module)
+            dec = {induced: 1}
         else:
             if label.m == 0:
                 raise UsageError("cannot restrict a size-0 class")
@@ -330,6 +344,8 @@ def _at_least(least: int):
                 return int(text)
         except ValueError:
             pass
+        import argparse  # only a refusal needs argparse, which words it
+
         raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {brief(text)}")
 
     return parse
@@ -338,90 +354,131 @@ def _at_least(least: int):
 _nonneg, _positive = _at_least(0), _at_least(1)
 
 
-def _enumerate_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--m", type=_nonneg, required=True, help="number of vertices per row")
-    p.add_argument("--n", type=_positive, required=True, help="number of colors")
-    p.add_argument("--count-only", action="store_true")
-    p.add_argument("--force", action="store_true", help="override size caps")
-    p.set_defaults(fn=_cmd_enumerate)
-
-
-def _multiply_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("file1")
-    p.add_argument("file2")
-    p.add_argument(
-        "--x-basis",
-        action="store_true",
-        help="read and write coordinates in the orbit basis",
-    )
-    p.set_defaults(fn=_cmd_multiply)
-
-
-def _simples_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--m", type=_nonneg, required=True)
-    p.add_argument("--n", type=_positive, required=True)
-    p.set_defaults(fn=_cmd_simples)
-
-
-def _decompose_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--regular", action="store_true", help="regular module at --m --n")
-    p.add_argument("--restrict", type=_nonneg, metavar="I", help="restrict a class in color I")
-    p.add_argument("--induce", type=_nonneg, metavar="I", help="induce a class in color I")
-    p.add_argument(
-        "--class",
-        dest="klass",
-        metavar="SPEC",
-        help="class label as 'm,n:c0,...,cn'",
-    )
-    p.add_argument("--m", type=_nonneg)
-    p.add_argument("--n", type=_positive)
-    p.add_argument("--force", action="store_true", help="override size caps")
-    p.set_defaults(fn=_cmd_decompose)
-
-
-def _crystal_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("kind", choices=["box", "row", "ssyt", "cm", "clambda"])
-    p.add_argument("--m", type=_nonneg)
-    p.add_argument("--n", type=_positive)
-    p.add_argument("--shape", metavar="P1,P2,...", help="partition for ssyt")
-    p.add_argument("--parts", metavar="P1,P2,...", help="composition for clambda")
-    p.add_argument("--dot", metavar="PATH", help="write DOT ('-' = stdout)")
-    p.add_argument("--json", metavar="PATH", help="write JSON ('-' = stdout)")
-    p.add_argument("--force", action="store_true", help="override size caps")
-    p.set_defaults(fn=_cmd_crystal)
-
-
-def _verify_arguments(p: argparse.ArgumentParser) -> None:
+def _targets() -> list[str]:
     from .verify import TARGETS
 
-    p.add_argument("target", choices=sorted(TARGETS))
-    p.add_argument("--max-m", type=_nonneg, help="extend the size sweep")
-    p.add_argument("--max-n", type=_positive, help="extend the color sweep")
-    p.add_argument("--m", type=_positive, help="pin a single size")
-    p.add_argument("--n", type=_positive, help="pin a single color count")
-    p.set_defaults(fn=_cmd_verify)
+    return sorted(TARGETS)
 
 
-# each subcommand's help line and the function that adds its arguments
+_FORCE = ("--force", dict(action="store_true", help="override size caps"))
+
+# each subcommand's help line, handler and arguments, as add_argument takes
+# them; verify's target choices are read from verify when they are needed
 _SUBCOMMANDS = {
-    "enumerate": ("list diagrams of a given size", _enumerate_arguments),
-    "multiply": ("multiply two elements from JSON files", _multiply_arguments),
-    "simples": ("tabulate simple modules and dimensions", _simples_arguments),
-    "decompose": ("decompose a module into simples", _decompose_arguments),
-    "crystal": ("build a crystal and export it", _crystal_arguments),
-    "verify": ("check a structural fact on small instances", _verify_arguments),
+    "enumerate": ("list diagrams of a given size", _cmd_enumerate, [
+        ("--m", dict(type=_nonneg, required=True, help="number of vertices per row")),
+        ("--n", dict(type=_positive, required=True, help="number of colors")),
+        ("--count-only", dict(action="store_true")),
+        _FORCE,
+    ]),
+    "multiply": ("multiply two elements from JSON files", _cmd_multiply, [
+        ("file1", {}),
+        ("file2", {}),
+        ("--x-basis", dict(action="store_true", help="read and write coordinates in the orbit basis")),
+    ]),
+    "simples": ("tabulate simple modules and dimensions", _cmd_simples, [
+        ("--m", dict(type=_nonneg, required=True)),
+        ("--n", dict(type=_positive, required=True)),
+    ]),
+    "decompose": ("decompose a module into simples", _cmd_decompose, [
+        ("--regular", dict(action="store_true", help="regular module at --m --n")),
+        ("--restrict", dict(type=_nonneg, metavar="I", help="restrict a class in color I")),
+        ("--induce", dict(type=_nonneg, metavar="I", help="induce a class in color I")),
+        ("--class", dict(dest="klass", metavar="SPEC", help="class label as 'm,n:c0,...,cn'")),
+        ("--m", dict(type=_nonneg)),
+        ("--n", dict(type=_positive)),
+        _FORCE,
+    ]),
+    "crystal": ("build a crystal and export it", _cmd_crystal, [
+        ("kind", dict(choices=["box", "row", "ssyt", "cm", "clambda"])),
+        ("--m", dict(type=_nonneg)),
+        ("--n", dict(type=_positive)),
+        ("--shape", dict(metavar="P1,P2,...", help="partition for ssyt")),
+        ("--parts", dict(metavar="P1,P2,...", help="composition for clambda")),
+        ("--dot", dict(metavar="PATH", help="write DOT ('-' = stdout)")),
+        ("--json", dict(metavar="PATH", help="write JSON ('-' = stdout)")),
+        _FORCE,
+    ]),
+    "verify": ("check a structural fact on small instances", _cmd_verify, [
+        ("target", dict(choices=_targets)),
+        ("--max-m", dict(type=_nonneg, help="extend the size sweep")),
+        ("--max-n", dict(type=_positive, help="extend the color sweep")),
+        ("--m", dict(type=_positive, help="pin a single size")),
+        ("--n", dict(type=_positive, help="pin a single color count")),
+    ]),
 }
 
 
+def _arguments(command: str) -> dict[str, dict]:
+    """command's arguments, each name with its add_argument keywords."""
+    return {
+        name: {**kw, "choices": kw["choices"]()} if callable(kw.get("choices")) else kw
+        for name, kw in _SUBCOMMANDS[command][2]
+    }
+
+
+def _add_arguments(parser: argparse.ArgumentParser, command: str) -> None:
+    for name, kw in _arguments(command).items():
+        parser.add_argument(name, **kw)
+    parser.set_defaults(fn=_SUBCOMMANDS[command][1])
+
+
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="planar-rook",
         description="Colored planar rook diagrams, their algebra, and crystals.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, add_arguments) in _SUBCOMMANDS.items():
-        add_arguments(sub.add_parser(name, help=help_line))
+    for name, (help_line, _, _) in _SUBCOMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_line), name)
     return parser
+
+
+def _flag(word: str) -> bool:
+    """Whether argparse may read word as an option: a lone '-' is a value."""
+    return word.startswith("-") and word != "-"
+
+
+def _scan(argv: list[str]) -> SimpleNamespace | None:
+    """What _parse(argv) returns, read off the declarations without argparse,
+    when argv is a command with its positionals and required options, each
+    option named in full once with a value that is no flag and that its type
+    and choices accept; None for all else, which _parse reads or refuses."""
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    declared, given, values = _arguments(argv[0]), [], {}
+    words = iter(argv[1:])
+    for word in words:
+        if not _flag(word):
+            given.append(word)
+        elif word not in declared or word in values:
+            return None
+        elif declared[word].get("action"):  # store_true, the only action
+            values[word] = True
+        elif _flag(value := next(words, "--")):
+            return None
+        else:
+            values[word] = value
+    positionals = [name for name in declared if not _flag(name)]
+    if len(given) != len(positionals):
+        return None
+    values.update(zip(positionals, given))
+    args = SimpleNamespace(command=argv[0], fn=_SUBCOMMANDS[argv[0]][1])
+    for name, kw in declared.items():
+        if kw.get("required") and name not in values:
+            return None
+        value = values.get(name, False if kw.get("action") else None)
+        if isinstance(value, str):
+            try:
+                value = kw.get("type", str)(value)
+            except Exception:  # a refused value, which argparse words
+                return None
+            if value not in kw.get("choices", [value]):
+                return None
+        setattr(args, kw.get("dest", name.lstrip("-").replace("-", "_")), value)
+    return args
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
@@ -430,10 +487,11 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     parser the rest of argv unchanged, and its help and errors are its own.
     Words it leaves over, top-level help and a bad or missing command go to
     the whole parser, which words the error."""
+    import argparse
+
     if argv and argv[0] in _SUBCOMMANDS:
         parser = argparse.ArgumentParser(prog=f"planar-rook {argv[0]}")
-        _, add_arguments = _SUBCOMMANDS[argv[0]]
-        add_arguments(parser)
+        _add_arguments(parser, argv[0])
         args, extras = parser.parse_known_args(argv[1:])
         if not extras:
             args.command = argv[0]
@@ -442,8 +500,9 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parse(sys.argv[1:] if argv is None else list(argv))
+        args = _scan(argv) or _parse(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     # the subcommands with a --force flag also take PLANAR_ROOK_FORCE

@@ -79,13 +79,14 @@ def ensure_work(objects: int, m: int, n: int, what: str, force: bool = False) ->
     raise EnumerationCapError(f"{head} over the work cap {WORK_CAP}; pass force=True to override")
 
 
-def capped_binomial(total: int, k: int) -> int:
+def capped_binomial(total: int, k: int, bits: int = 256) -> int:
     """comb(total, k), 0 <= k <= total, built as the running binomial
-    comb(total - k + j, j) and cut short once that passes 2**256: exact
-    below it, a lower bound past it, in a few hundred steps either way."""
+    comb(total - k + j, j) and cut short once that passes 2**bits: exact
+    below it, a lower bound past it, in at most bits + 1 steps either way,
+    as each step at least doubles it."""
     k, out = min(k, total - k), 1
     for j in range(1, k + 1):
-        if out.bit_length() > 256:
+        if out.bit_length() > bits:
             break
         out = out * (total - k + j) // j
     return out

@@ -55,9 +55,10 @@ class ExplicitModule:
     column j is a mapping from row index (0..dimension-1) to the nonzero
     int or Fraction coefficient of that basis vector in the image of basis
     vector j.  A diagram moving basis vector j to basis vector t has column
-    {t: 1}, and {} where it kills j.  Floats are rejected.  The callback is
-    consulted once per diagram and memoized, and matrix() hands out the
-    cached columns themselves, so callers must not modify them.
+    {t: 1}, and {} where it kills j.  Floats are rejected.  matrix()
+    consults the callback once per diagram and memoizes it, and hands out
+    the cached columns themselves, so callers must not modify them;
+    `decompose`, which reads each probe once, caches none.
     Construction is pure, so the cache is idempotent and safe under
     concurrent readers.
 
@@ -86,16 +87,20 @@ class ExplicitModule:
         self._cache: dict[Diagram, tuple] = {}
 
     def matrix(self, d: Diagram) -> tuple:
+        got = self._cache.get(d)
+        if got is None:
+            got = self._cache[d] = self._columns(d)
+        return got
+
+    def _columns(self, d: Diagram) -> tuple:
+        """d's matrix, built and checked but not cached."""
         if (d.m, d.n) != (self.m, self.n):
             raise ValueError(
                 f"diagram of size ({d.m},{d.n}) cannot act on a ({self.m},{self.n}) module"
             )
-        got = self._cache.get(d)
-        if got is None:
-            got = tuple(self._diagram_action(d))
-            if len(got) != self.dimension:
-                raise ValueError("action callback returned a wrongly sized matrix")
-            self._cache[d] = got
+        got = tuple(self._diagram_action(d))
+        if len(got) != self.dimension:
+            raise ValueError("action callback returned a wrongly sized matrix")
         return got
 
     def _checked(self, col) -> dict:
@@ -222,10 +227,13 @@ def multiplicity(mod: ExplicitModule, label: ClassLabel) -> int | Fraction:
     return _invert(label, lambda word: _trace(mod, word))
 
 
-def _trace(mod: ExplicitModule, word: tuple[int, ...]) -> int | Fraction:
-    """The trace on mod of the partial identity on word."""
+def _trace(mod: ExplicitModule, word: tuple[int, ...], keep: bool = True) -> int | Fraction:
+    """The trace on mod of the partial identity on word.  Its matrix is read
+    through mod's cache when keep; otherwise a cached one is reused and a
+    new one is not stored."""
     d = Diagram._trusted(mod.m, mod.n, word, word)
-    return sum(col.get(j, 0) for j, col in enumerate(mod.matrix(d)))
+    cols = mod.matrix(d) if keep or d in mod._cache else mod._columns(d)
+    return sum(col.get(j, 0) for j, col in enumerate(cols))
 
 
 def decompose(mod: ExplicitModule, force: bool = False) -> dict[ClassLabel, int]:
@@ -234,13 +242,13 @@ def decompose(mod: ExplicitModule, force: bool = False) -> dict[ClassLabel, int]
     Raises if a probe's trace is not a count, or if the multiplicities do not
     account for the full dimension, which catches callbacks that are not
     actually module actions.  Each class's probe is one matrix of mod,
-    built and cached in full, so the classes and those matrices' columns
-    are checked against the work cap, which force overrides; `multiplicity`
-    reads one class at a time.
+    built in full and read once, so it is not cached; the classes and
+    those matrices' columns are checked against the work cap, which force
+    overrides.  `multiplicity` reads one class at a time and caches.
     """
     labels = all_class_labels(mod.m, mod.n, force)
     ensure_work(mod.dimension * len(labels), mod.m, mod.n, "probe matrix columns", force)
-    return _tally(labels, mod.dimension, lambda word: _trace(mod, word))
+    return _tally(labels, mod.dimension, lambda word: _trace(mod, word, keep=False))
 
 
 def restrict(i: int, mod: ExplicitModule, force: bool = False) -> ExplicitModule:

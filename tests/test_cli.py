@@ -638,6 +638,32 @@ def test_decompose_induce_orders_one_label_without_listing_its_size(capsys):
     assert payload["total_dimension"] == payload["summands"][0]["dimension"]
 
 
+def test_decompose_induce_refuses_a_number_past_the_digit_limit(capsys):
+    # the induced size or dimension is decided from capped binomials before
+    # any exact one is built: 10**d - 1 prints, 10**d is one error line
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        top = 10**640 - 1
+        start = time.perf_counter()
+        refused = [
+            ("1", "1000000,1:500000,500000"),  # a dimension of 301,027 digits
+            ("1", f"{top},1:{top},0"),  # size and dimension 10**640
+            ("0", f"{top},1:{top},0"),  # size 10**640, dimension 1
+        ]
+        for i, spec in refused:
+            code, out, err = run(capsys, "decompose", "--induce", i, "--class", spec)
+            assert (code, out) == (2, ""), spec[:20]
+            assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 300
+            assert "more than 640 digits" in err
+        assert time.perf_counter() - start < 1
+        code, out, err = run(capsys, "decompose", "--induce", "1", "--class", f"{top - 1},1:{top - 1},0")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["total_dimension"] == top
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def test_decompose_restrict_honours_force(capsys, monkeypatch):
     # the simple's 34,650 basis vectors, times m + n + 1, are over the cap
     argv = ("decompose", "--restrict", "1", "--class", "12,2:4,4,4")
@@ -1004,6 +1030,8 @@ def test_cli_import_loads_no_introspection_modules():
     ).stdout.split()
     assert "planar_rook.cli" in out
     assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(out)
+    # argparse, with the gettext and locale it loads, waits for help and errors
+    assert not {"argparse", "gettext", "locale"} & set(out)
     # the output writer escapes strings itself; only multiply imports json
     assert "json" not in out
 
@@ -1039,6 +1067,8 @@ def test_a_command_loads_only_the_layers_it_runs(argv):
     layers = {name.split(".", 1)[1] for name in loaded if name.startswith("planar_rook.")}
     heavy = {"fractions", "decimal", "json"} & set(loaded)
     assert layers | heavy == LOADS[argv] | {"cli"}
+    # a well-formed command line is scanned without argparse
+    assert not {"argparse", "gettext", "locale"} & set(loaded)
 
 
 # argparse's own texts, recorded with COLUMNS=80 while every command built
@@ -1063,6 +1093,93 @@ def test_help_and_parse_errors_match_golden(capsys, monkeypatch, argv, code, gol
     assert got == code
     assert (out if code == 0 else err).encode("utf-8") == (GOLDEN / golden).read_bytes()
     assert (err if code == 0 else out) == ""
+
+
+def argparse_vars(argv):
+    """vars() of what argparse parses argv into, or None where it exits."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return vars(cli._parse(list(argv)))
+    except SystemExit:
+        return None
+
+
+# (argv, whether the scanner parses it): every listed command, and forms at
+# the scanner's edges
+SCANS = [(argv, True) for argv in sorted({*COMMANDS.values(), *LOADS})] + [
+    (("enumerate", "--m", "05", "--n", "+5"), True),
+    (("crystal", "box", "--n", "\u0663", "--json", "-"), True),
+    (("multiply", "", "-"), True),
+    (("crystal", "box", "--shape", ""), True),
+    (("enumerate", "--m", "1", "--m", "2", "--n", "1"), False),
+    (("enumerate", "--m", "x", "--m", "2", "--n", "1"), False),
+    (("enumerate", "--count-only", "--count-only", "--m", "1", "--n", "1"), False),
+    (("enumerate", "--m=3", "--n", "1"), False),
+    (("enumerate", "--n", "1"), False),
+    (("enumerate", "--m", "-1", "--n", "1"), False),
+    (("crystal", "box", "--shape", "-1"), False),
+    (("crystal", "box", "--shape", "-h"), False),
+    (("crystal", "box", "--json", "--"), False),
+    (("crystal", "box", "--json"), False),
+    (("crystal", "--", "box"), False),
+    (("crystal", "nosuch"), False),
+    (("verify", "thm4.5", "--max", "2"), False),
+    (("verify", "thm4.5", "-h"), False),
+    (("verify", "thm4.5", "--help"), False),
+    (("verify", "thm4.5", "extra"), False),
+    (("multiply", "a.json"), False),
+    (("nosuch",), False),
+    ((), False),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, scanned", SCANS, ids=[" ".join(Path(a).name for a in argv) for argv, _ in SCANS]
+)
+def test_the_scanner_parses_listed_and_edge_forms_as_argparse_does(argv, scanned):
+    got = cli._scan(list(argv))
+    assert (got is not None) == scanned
+    if scanned:
+        assert vars(got) == argparse_vars(argv)
+
+
+# words that only argparse reads, or that a type or choice may refuse
+_ODD = ["-h", "--help", "--", "--m=3", "--max", "--count", "-m", "-1", "05", "+5", "\u0663", "", "x", "nosuch", "-"]
+
+
+@st.composite
+def command_lines(draw):
+    """A command's arguments, each left out, given once or repeated with a
+    value of its kind, in any order; then up to two words replaced by or
+    inserted as words of _ODD, the command name included."""
+    command = draw(st.sampled_from(sorted(cli._SUBCOMMANDS)))
+    groups = []
+    for name, kw in cli._arguments(command).items():
+        values = kw.get("choices") or (["1", "3"] if "type" in kw else ["-", "2,1", "a.json"])
+        for _ in range(draw(st.sampled_from([0, 0, 1, 1, 1, 1, 1, 1, 1, 2]))):
+            if not name.startswith("-"):
+                groups.append([draw(st.sampled_from(values))])
+            elif kw.get("action"):
+                groups.append([name])
+            else:
+                groups.append([name, draw(st.sampled_from(values))])
+    argv = [command, *(word for group in draw(st.permutations(groups)) for word in group)]
+    for _ in range(draw(st.integers(0, 2))):
+        at, word = draw(st.integers(0, len(argv))), draw(st.sampled_from(_ODD))
+        if at < len(argv) and draw(st.booleans()):
+            argv[at] = word
+        else:
+            argv.insert(at, word)
+    return argv
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(command_lines())
+def test_the_scanner_declines_or_parses_as_argparse_does(argv):
+    scanned = cli._scan(argv)
+    if scanned is not None:
+        assert vars(scanned) == argparse_vars(argv)
 
 
 # ------------------------------------------------- output writer and exit path

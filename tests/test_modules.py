@@ -498,8 +498,25 @@ def test_partial_identities_with_equal_counts_have_equal_traces():
 @pytest.mark.parametrize("m, n", [(3, 2), (4, 2)])
 def test_decompose_reads_one_matrix_per_class(m, n):
     mod = regular_module(m, n)
+    action, reads = mod._diagram_action, []
+    mod._diagram_action = lambda d: reads.append(d) or action(d)
     decompose(mod)
-    assert len(mod._cache) == len(all_class_labels(m, n))
+    assert len(reads) == len(set(reads)) == len(all_class_labels(m, n))
+
+
+def test_decompose_leaves_the_cache_as_it_found_it():
+    # decompose reads each probe once, so it caches none, and reads one that
+    # multiplicity cached before from the cache
+    mod = regular_module(3, 2)
+    expected = decompose(mod)
+    assert mod._cache == {}
+    multiplicity(mod, all_class_labels(3, 2)[-1])
+    cached = dict(mod._cache)
+    action, reads = mod._diagram_action, []
+    mod._diagram_action = lambda d: reads.append(d) or action(d)
+    assert decompose(mod) == expected
+    assert cached and mod._cache == cached and all(mod._cache[d] is cols for d, cols in cached.items())
+    assert not set(reads) & set(cached)
 
 
 # ---------------------------------------------------------------- restriction
