@@ -12,12 +12,13 @@ smaller diagram d act as d ⊗ unit_i.  On the image of e this is the action of
 d ⊗ strand(n, i), because (d ⊗ unit_i)·e = e·(d ⊗ strand(n, i)): for i >= 1
 the unit_0 term of the strand gives d ⊗ unit_0·strand(n, i) = 0.  On a simple
 module e fixes the orbit basis vectors whose top word ends in i and kills the
-rest, so `SimpleModule.restrict` keeps those vectors and needs no projector.
+rest, so `SimpleModule.restrict` takes those vectors and needs no projector.
 A class's multiplicity is the trace of its probe, an idempotent, read off one
-partial identity per count vector with no elimination.  The class labels and
-their arithmetic (dimensions, restriction and induction of labels, the trace
-inversion and the regular decomposition, which needs no module) live in
-`classes`, which loads no rational or linear algebra.
+partial identity per count vector with no elimination.  No module stores a
+matrix: each is built from the module's action when it is read.  The class
+labels and their arithmetic (dimensions, restriction and induction of
+labels, the trace inversion and the regular decomposition, which needs no
+module) live in `classes`, which loads no rational or linear algebra.
 """
 
 from __future__ import annotations
@@ -56,11 +57,8 @@ class ExplicitModule:
     int or Fraction coefficient of that basis vector in the image of basis
     vector j.  A diagram moving basis vector j to basis vector t has column
     {t: 1}, and {} where it kills j.  Floats are rejected.  matrix()
-    consults the callback once per diagram and memoizes it, and hands out
-    the cached columns themselves, so callers must not modify them;
-    `decompose`, which reads each probe once, caches none.
-    Construction is pure, so the cache is idempotent and safe under
-    concurrent readers.
+    consults the callback and checks its size on every call; a module
+    stores no matrix, only its sizes and its action.
 
     The public constructor validates every column the callback returns; the
     package's own modules (simple, regular, restricted) are trusted, built by
@@ -84,16 +82,8 @@ class ExplicitModule:
 
     def _adopt(self, m: int, n: int, dimension: int, action) -> None:
         self.m, self.n, self.dimension, self._diagram_action = m, n, dimension, action
-        self._cache: dict[Diagram, tuple] = {}
 
     def matrix(self, d: Diagram) -> tuple:
-        got = self._cache.get(d)
-        if got is None:
-            got = self._cache[d] = self._columns(d)
-        return got
-
-    def _columns(self, d: Diagram) -> tuple:
-        """d's matrix, built and checked but not cached."""
         if (d.m, d.n) != (self.m, self.n):
             raise ValueError(
                 f"diagram of size ({d.m},{d.n}) cannot act on a ({self.m},{self.n}) module"
@@ -143,7 +133,7 @@ class SimpleModule(ExplicitModule):
         m, n, beta = label.m, label.n, label.canonical_word()
         tops = words_with_counts(label.counts)
         self.basis = tuple(Diagram._trusted(m, n, tau, beta) for tau in tops)
-        # d*b keeps the module's bottom word, so its top word names it
+        # d*b still has the module's bottom word, so its top word names it
         self.index = {tau: j for j, tau in enumerate(tops)}
         self._adopt(m, n, len(tops), lambda d: _matrix_of_targets(self.targets(d)))
 
@@ -175,7 +165,7 @@ class SimpleModule(ExplicitModule):
         """restrict(i, self), read off the orbit basis: e fixes the basis
         vectors whose top word ends in i and kills the rest, so the reduced
         echelon basis of its image is those vectors, in basis order.  A
-        diagram d acts on them as d ⊗ unit_i, which keeps that last letter."""
+        diagram d acts on them as d ⊗ unit_i, which fixes that last letter."""
         if self.m < 1:
             raise ValueError("cannot restrict a size-0 module")
         if not 0 <= i <= self.n:
@@ -221,18 +211,16 @@ def multiplicity(mod: ExplicitModule, label: ClassLabel) -> int | Fraction:
     word: on a simple module it fixes the basis vector whose top word is the
     canonical word when the classes match, and kills the rest.  It is an
     idempotent (Prop. 2.1), so its rank on a module, which counts copies, is
-    its trace, which _invert reads off one diagram matrix per count vector."""
+    its trace, which _invert reads off one diagram matrix per count vector,
+    built anew on each call."""
     if (mod.m, mod.n) != (label.m, label.n):
         raise ValueError("module and class label live at different sizes")
     return _invert(label, lambda word: _trace(mod, word))
 
 
-def _trace(mod: ExplicitModule, word: tuple[int, ...], keep: bool = True) -> int | Fraction:
-    """The trace on mod of the partial identity on word.  Its matrix is read
-    through mod's cache when keep; otherwise a cached one is reused and a
-    new one is not stored."""
-    d = Diagram._trusted(mod.m, mod.n, word, word)
-    cols = mod.matrix(d) if keep or d in mod._cache else mod._columns(d)
+def _trace(mod: ExplicitModule, word: tuple[int, ...]) -> int | Fraction:
+    """The trace on mod of the partial identity on word."""
+    cols = mod.matrix(Diagram._trusted(mod.m, mod.n, word, word))
     return sum(col.get(j, 0) for j, col in enumerate(cols))
 
 
@@ -242,13 +230,13 @@ def decompose(mod: ExplicitModule, force: bool = False) -> dict[ClassLabel, int]
     Raises if a probe's trace is not a count, or if the multiplicities do not
     account for the full dimension, which catches callbacks that are not
     actually module actions.  Each class's probe is one matrix of mod,
-    built in full and read once, so it is not cached; the classes and
-    those matrices' columns are checked against the work cap, which force
-    overrides.  `multiplicity` reads one class at a time and caches.
+    built in full and read once; the classes and those matrices' columns
+    are checked against the work cap, which force overrides.
+    `multiplicity` reads one class at a time.
     """
     labels = all_class_labels(mod.m, mod.n, force)
     ensure_work(mod.dimension * len(labels), mod.m, mod.n, "probe matrix columns", force)
-    return _tally(labels, mod.dimension, lambda word: _trace(mod, word, keep=False))
+    return _tally(labels, mod.dimension, lambda word: _trace(mod, word))
 
 
 def restrict(i: int, mod: ExplicitModule, force: bool = False) -> ExplicitModule:
@@ -258,9 +246,9 @@ def restrict(i: int, mod: ExplicitModule, force: bool = False) -> ExplicitModule
     basis of the image of e = truncation_idempotent(m, n, i), whose work cap
     force overrides.  A diagram d acts there as d ⊗ unit_i: since
     (d ⊗ unit_i)·e = e·(d ⊗ strand(n, i)), the image is stable and this is
-    the action of the extended element, one matrix of mod per diagram.  A
-    zero image gives a zero module.  SimpleModule.restrict builds the same
-    module of a simple without the projector.
+    the action of the extended element, one matrix of mod built per
+    diagram read.  A zero image gives a zero module.  SimpleModule.restrict
+    builds the same module of a simple without the projector.
     """
     m, n = mod.m, mod.n
     if m < 1:

@@ -37,6 +37,7 @@ from .diagrams import (
     ensure_diagrams,
     ensure_work,
     enumerate_diagrams,
+    json_int,
     juxtapose,
     multiply,
     partitions,
@@ -263,9 +264,7 @@ def _functors(colors, induction, m, n):
             try:
                 dec = table[(i, label)] = decompose(restricted)
             except ValueError as exc:
-                table[(i, label)] = {}
-                case = f"restrict(i={i}) of {label.key}"
-                bad.append({"case": case, "error": str(exc)})
+                bad.append({"case": f"restrict(i={i}) of {label.key}", "error": str(exc)})
                 continue
             target = restrict_class(i, label)
             expected = {} if target is None else {target: 1}
@@ -286,7 +285,7 @@ def _functors(colors, induction, m, n):
             induced = induce_class(i, small)
             for big in labels:
                 checked += 1
-                got = table[(i, big)].get(small, 0)
+                got = table.get((i, big), {}).get(small, 0)
                 expected = 1 if big == induced else 0
                 if got != expected:
                     bad.append(
@@ -301,19 +300,26 @@ def _functors(colors, induction, m, n):
 
 
 def _adjunction(m, n):
-    from .modules import multiplicity, simple
+    """Hom(Ind_i S_small, S_big) against Hom(S_small, Res_i S_big), read off
+    one decomposition per simple and color.  A restriction that is not a
+    module action is reported and counts as zero."""
+    from .modules import decompose, simple
 
     checked, bad = 0, []
     smalls, bigs = all_class_labels(m - 1, n), all_class_labels(m, n)
     simples = {big: simple(big) for big in bigs}
     for i in range(n + 1):
-        # Hom(Ind_i S_small, S_big) against Hom(S_small, Res_i S_big)
-        restricted = {big: mod.restrict(i) for big, mod in simples.items()}
+        found = {}
+        for big, mod in simples.items():
+            try:
+                found[big] = decompose(mod.restrict(i))
+            except ValueError as exc:
+                bad.append({"case": f"restrict(i={i}) of {big.key}", "error": str(exc)})
         for small in smalls:
             for big in bigs:
                 checked += 1
                 left = 1 if induce_class(i, small) == big else 0
-                right = multiplicity(restricted[big], small)
+                right = found.get(big, {}).get(small, 0)
                 if left != right:
                     bad.append(
                         {
@@ -555,11 +561,15 @@ def verify_target(
     m: int | None = None,
     n: int | None = None,
 ) -> dict:
-    """Run one verification target and return its report."""
+    """Run one verification target and return its report.  A bound below the
+    command line's, or not an integer, raises before any case is listed."""
     stream = TARGETS.get(target)
     if stream is None:
         known = ", ".join(sorted(TARGETS))
         raise ValueError(f"unknown verify target {target!r}; known: {known}")
+    for what, value, least in ("max_m", max_m, 0), ("max_n", max_n, 1), ("m", m, 1), ("n", n, 1):
+        if value is not None:
+            json_int(value, what, least)
     cases = partial(stream, max_m, max_n, m, n)
     for _, guard, _ in cases():
         guard()

@@ -504,19 +504,42 @@ def test_decompose_reads_one_matrix_per_class(m, n):
     assert len(reads) == len(set(reads)) == len(all_class_labels(m, n))
 
 
-def test_decompose_leaves_the_cache_as_it_found_it():
-    # decompose reads each probe once, so it caches none, and reads one that
-    # multiplicity cached before from the cache
-    mod = regular_module(3, 2)
-    expected = decompose(mod)
-    assert mod._cache == {}
+@pytest.mark.parametrize(
+    "build, own",
+    [
+        (lambda: regular_module(3, 2), set()),
+        (lambda: simple(label(2, 1, 1, 1)), {"label", "basis", "index"}),
+    ],
+    ids=["regular", "simple"],
+)
+def test_reading_a_module_leaves_only_its_defining_attributes(build, own):
+    # a module stores no matrix: decompose, multiplicity, restrict and the
+    # restricted action read through the action and leave nothing behind
+    defining = {"m", "n", "dimension", "_diagram_action"}
+    mod = build()
+    before = dict(vars(mod))
+    decompose(mod)
     multiplicity(mod, all_class_labels(3, 2)[-1])
-    cached = dict(mod._cache)
+    restricted = restrict(1, mod)
+    decompose(restricted)
+    restricted.matrix(partial_identity(2, (1, 2)))
+    assert vars(mod) == before and set(before) == defining | own
+    assert set(vars(restricted)) == defining
+
+
+def test_multiplicity_reads_its_matrices_on_every_call():
+    # multiplicity makes one action call per count vector up to the
+    # class's, (k1, k2) in {0, 1}**2 for 3|1,1,1, and a second call makes
+    # them all again
+    mod = regular_module(3, 2)
     action, reads = mod._diagram_action, []
     mod._diagram_action = lambda d: reads.append(d) or action(d)
-    assert decompose(mod) == expected
-    assert cached and mod._cache == cached and all(mod._cache[d] is cols for d, cols in cached.items())
-    assert not set(reads) & set(cached)
+    lab = label(2, 1, 1, 1)
+    assert multiplicity(mod, lab) == class_dimension(lab)
+    first = list(reads)
+    assert multiplicity(mod, lab) == class_dimension(lab)
+    assert len(first) == len({tuple(map(d.top.count, (1, 2))) for d in first}) == 4
+    assert reads == first + first
 
 
 # ---------------------------------------------------------------- restriction

@@ -371,6 +371,43 @@ def test_adjunction_catches_a_wrong_simple_restriction(monkeypatch):
     assert sample["induced side"] != sample["restricted side"]
 
 
+def test_adjunction_reports_a_restriction_that_is_not_a_module(monkeypatch):
+    # a one-dimensional module on which every diagram acts by zero fails
+    # decompose's dimension audit; its comparisons still run, reading zero
+    def zero(self, i):
+        return ExplicitModule(self.m - 1, self.n, 1, lambda d: [{}])
+
+    passing = verify_target("adjunction", m=2, n=2)
+    monkeypatch.setattr(SimpleModule, "restrict", zero)
+    report = verify_target("adjunction", m=2, n=2)
+    # 3 colors times 3 small and 6 big classes, whether or not they pass
+    assert passing["checked"] == report["checked"] == 54
+    # 18 refused restrictions, and the 9 pairs whose induced side is 1
+    assert report["failed"] == 27
+    first = report["counterexamples"][0]
+    assert first["case"] == "restrict(i=0) of 2|2,0,0"
+    assert first["error"].startswith("dimension accounting failed")
+    sides = [c for c in report["counterexamples"] if "induced side" in c]
+    assert sides and all((c["induced side"], c["restricted side"]) == (1, 0) for c in sides)
+
+
+@pytest.mark.parametrize("target", sorted(TARGETS))
+def test_bounds_below_the_command_lines_are_refused_before_any_case(monkeypatch, target):
+    # the command line refuses --m 0, --n 0, --max-m -1 and --max-n 0; a
+    # library call is refused the same way, before the target lists a case
+    assert verify_target(target, m=1, n=1)["failed"] == 0
+    assert verify_target(target, max_m=0, max_n=1)["failed"] == 0
+
+    def unlisted(*args):
+        raise AssertionError("a case was listed")
+
+    monkeypatch.setitem(TARGETS, target, unlisted)
+    refused = [{"m": 0, "n": 1}, {"m": 1, "n": 0}, {"max_m": -1}, {"max_n": 0}, {"m": 1.0}, {"n": True}]
+    for sizes in refused:
+        with pytest.raises(ValueError, match=r"^(max_)?[mn] must be (at least|an integer)"):
+            verify_target(target, **sizes)
+
+
 def test_module_sweeps_keep_no_module_alive():
     # the sweeps hold their modules for one case and release them at the end
     clear_caches()
