@@ -89,7 +89,12 @@ class ClassLabel:
 
     def canonical_word(self) -> tuple[int, ...]:
         """The block word 0..0 1..1 2..2 with the prescribed counts."""
-        return tuple(color for color, c in enumerate(self.counts) for _ in range(c))
+        return block_word(self.counts)
+
+
+def block_word(counts: tuple[int, ...]) -> tuple[int, ...]:
+    """The word of counts[0] zeros, then counts[1] ones, and so on."""
+    return tuple(color for color, c in enumerate(counts) for _ in range(c))
 
 
 def all_class_labels(m: int, n: int, force: bool = False) -> list[ClassLabel]:
@@ -135,24 +140,26 @@ def induce_class(i: int, label: ClassLabel) -> ClassLabel:
 
 
 def _invert(label: ClassLabel, t):
-    """The trace of label's probe from t(w), the trace of the partial identity
-    on a block word w.  Of the probe's ±1 terms, prod_{c>=1} C(label_c, k_c)
-    have w's color counts k and share w's trace: for words w', w'' with equal
-    counts, the planar a joining the j-th letter of each color in w' to the
-    j-th in w'' gives id_w' = a·flip(a), id_w'' = flip(a)·a; tr(xy) = tr(yx).
-    An int, or a Fraction when t's traces are fractions that do not cancel."""
-    colored, total = label.counts[1:], 0
+    """The trace of label's probe from t(counts), the trace of the partial
+    identity on a word with those color counts.  Of the probe's ±1 terms,
+    prod_{c>=1} C(label_c, k_c) have color counts k and share that trace:
+    for words w', w'' with equal counts, the planar a joining the j-th letter
+    of each color in w' to the j-th in w'' gives id_w' = a·flip(a),
+    id_w'' = flip(a)·a; tr(xy) = tr(yx).  An int, or a Fraction when t's
+    traces are fractions that do not cancel."""
+    m, colored, total = label.m, label.counts[1:], 0
     for ks in itertools.product(*(range(c + 1) for c in colored)):
-        word = ClassLabel._trusted(label.n, (label.m - sum(ks), *ks)).canonical_word()
-        total += (-1) ** (sum(colored) - sum(ks)) * prod(map(comb, colored, ks)) * t(word)
+        sign = (-1) ** (sum(colored) - sum(ks))
+        total += sign * prod(map(comb, colored, ks)) * t((m - sum(ks), *ks))
     return total.numerator if total.denominator == 1 else total
 
 
 def _tally(labels: list[ClassLabel], dimension: int, trace) -> dict[ClassLabel, int]:
     """The multiplicity of every class of labels present, in their order,
-    from trace(w) on each class's block word.  Raises if a probe's trace is
-    not a count, or if the multiplicities do not account for the dimension."""
-    table = {w: trace(w) for w in map(ClassLabel.canonical_word, labels)}
+    from trace(w) on each class's block word, kept by count vector.  Raises
+    if a probe's trace is not a count, or if the multiplicities do not
+    account for the dimension."""
+    table = {label.counts: trace(block_word(label.counts)) for label in labels}
     out, covered = {}, 0
     for label in labels:
         k = _invert(label, table.__getitem__)

@@ -4,7 +4,8 @@ and induction structure between neighboring sizes.
 For each boundary word T of size m there is a module spanned by the orbit
 vectors of the diagrams whose bottom word is T; the one-sided orbit product
 rule makes the action combinatorial (a diagram either moves a basis vector to
-another basis vector or kills it).  Two such modules are isomorphic exactly
+another basis vector or kills it), so the package's own modules act as
+partial maps of their basis indices.  Two such modules are isomorphic exactly
 when their words have the same color counts, so isomorphism classes are
 labeled by count vectors.  Restriction to one size down is implemented
 concretely: cut by the truncation idempotent e = id ⊗ strand(n, i) and let a
@@ -14,22 +15,22 @@ the unit_0 term of the strand gives d ⊗ unit_0·strand(n, i) = 0.  On a simple
 module e fixes the orbit basis vectors whose top word ends in i and kills the
 rest, so `SimpleModule.restrict` takes those vectors and needs no projector.
 A class's multiplicity is the trace of its probe, an idempotent, read off one
-partial identity per count vector with no elimination.  No module stores a
-matrix: each is built from the module's action when it is read.  The class
-labels and their arithmetic (dimensions, restriction and induction of
-labels, the trace inversion and the regular decomposition, which needs no
-module) live in `classes`, which loads no rational or linear algebra.
+partial identity per count vector with no elimination; on a partial map the
+trace counts fixed points.  No module stores a matrix: each is built from
+the module's action when it is read.  The class labels and their arithmetic
+(dimensions, restriction and induction of labels, the trace inversion and
+the regular decomposition, which needs no module) live in `classes`.  This
+module loads the rational and linear algebra only for the generic `restrict`
+and for a user module's entries that are not ints.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping
-from fractions import Fraction
 from math import prod
 
-from .algebra import Element, truncation_idempotent
-from .classes import ClassLabel, _invert, _tally, all_class_labels
+from .classes import ClassLabel, _invert, _tally, all_class_labels, block_word
 from .diagrams import (
     Diagram,
     capped_binomial,
@@ -41,12 +42,6 @@ from .diagrams import (
     unit_diagram,
     words_with_counts,
 )
-from .linalg import apply, column_space_basis, coordinates_in_basis
-
-def _matrix_of_targets(targets) -> tuple[dict, ...]:
-    """The sparse columns sending basis vector j to basis vector targets[j],
-    or to zero where targets[j] is None."""
-    return tuple({} if t is None else {t: 1} for t in targets)
 
 
 class ExplicitModule:
@@ -56,17 +51,23 @@ class ExplicitModule:
     column j is a mapping from row index (0..dimension-1) to the nonzero
     int or Fraction coefficient of that basis vector in the image of basis
     vector j.  A diagram moving basis vector j to basis vector t has column
-    {t: 1}, and {} where it kills j.  Floats are rejected.  matrix()
-    consults the callback and checks its size on every call; a module
-    stores no matrix, only its sizes and its action.
+    {t: 1}, and {} where it kills j.  Floats and booleans are rejected.
+    matrix() consults the callback and checks its size on every call; a
+    module stores no matrix, only its sizes and its action.
 
-    The public constructor validates every column the callback returns; the
-    package's own modules (simple, regular, restricted) are trusted, built by
-    `_trusted` from callbacks that return such columns, and not re-checked.
-    Whichever built it, `decompose` holds a module's classes, and the
-    columns of the probe matrices it builds for them, to the work cap
+    The public constructor validates every column the callback returns, and
+    the generic `restrict` builds a trusted module of such columns.  The
+    package's other modules (simple, regular, and a simple's restriction)
+    act by a partial map instead, `_targets`: a diagram sends basis vector
+    j to basis vector targets[j], or kills it where that is None.  Traces
+    and `matrix_of` read the map directly, and matrix() builds its columns
+    {t: 1}.  Whichever built it, `decompose` holds a module's classes, and
+    the columns of the probe matrices it builds for them, to the work cap
     unless forced.
     """
+
+    # the partial map of a package module; None for a module of columns
+    _targets = None
 
     def __init__(self, m: int, n: int, dimension: int, diagram_action):
         m, n = json_int(m, "m", 0), json_int(n, "n", 1)
@@ -74,21 +75,31 @@ class ExplicitModule:
         self._adopt(m, n, dimension, lambda d: map(self._checked, diagram_action(d)))
 
     @classmethod
-    def _trusted(cls, m: int, n: int, dimension: int, action) -> ExplicitModule:
+    def _trusted(
+        cls, m: int, n: int, dimension: int, action, partial: bool = False
+    ) -> ExplicitModule:
         """A module whose action the caller knows to follow the contract."""
         mod = object.__new__(cls)
-        mod._adopt(m, n, dimension, action)
+        mod._adopt(m, n, dimension, action, partial)
         return mod
 
-    def _adopt(self, m: int, n: int, dimension: int, action) -> None:
-        self.m, self.n, self.dimension, self._diagram_action = m, n, dimension, action
+    def _adopt(self, m: int, n: int, dimension: int, action, partial: bool = False) -> None:
+        """Keep the sizes and the action: columns, or a partial map if partial."""
+        self.m, self.n, self.dimension = m, n, dimension
+        if partial:
+            self._targets = action
+        else:
+            self._diagram_action = action
 
     def matrix(self, d: Diagram) -> tuple:
         if (d.m, d.n) != (self.m, self.n):
             raise ValueError(
                 f"diagram of size ({d.m},{d.n}) cannot act on a ({self.m},{self.n}) module"
             )
-        got = tuple(self._diagram_action(d))
+        if self._targets is None:
+            got = tuple(self._diagram_action(d))
+        else:
+            got = tuple({} if t is None else {t: 1} for t in self._targets(d))
         if len(got) != self.dimension:
             raise ValueError("action callback returned a wrongly sized matrix")
         return got
@@ -97,13 +108,18 @@ class ExplicitModule:
         if not isinstance(col, Mapping):
             raise ValueError(f"action callback returned a non-mapping column {col!r}")
         for r, x in col.items():
+            if isinstance(r, bool) or isinstance(x, bool):
+                raise ValueError(f"action callback returned a boolean row or entry {r!r}: {x!r}")
             if not (isinstance(r, int) and 0 <= r < self.dimension):
                 raise ValueError(
                     f"action callback returned a wrongly sized matrix: "
                     f"row {r!r} outside 0..{self.dimension - 1}"
                 )
-            if not isinstance(x, (int, Fraction)):
-                raise ValueError(f"action callback returned a non-exact entry {x!r}")
+            if not isinstance(x, int):
+                from fractions import Fraction
+
+                if not isinstance(x, Fraction):
+                    raise ValueError(f"action callback returned a non-exact entry {x!r}")
         return {r: x for r, x in col.items() if x}
 
     def matrix_of(self, a: Element) -> tuple[dict, ...]:
@@ -112,9 +128,14 @@ class ExplicitModule:
         acc: list[dict] = [{} for _ in range(self.dimension)]
         for d, c in a.terms.items():
             c = c.numerator if c.denominator == 1 else c
-            for out, col in zip(acc, self.matrix(d)):
-                for r, x in col.items():
-                    out[r] = out.get(r, 0) + c * x
+            if self._targets is None:
+                for out, col in zip(acc, self.matrix(d)):
+                    for r, x in col.items():
+                        out[r] = out.get(r, 0) + c * x
+            else:
+                for out, t in zip(acc, self._targets(d)):
+                    if t is not None:
+                        out[t] = out.get(t, 0) + c
         return tuple({r: x for r, x in col.items() if x} for col in acc)
 
     def __repr__(self) -> str:
@@ -135,7 +156,7 @@ class SimpleModule(ExplicitModule):
         self.basis = tuple(Diagram._trusted(m, n, tau, beta) for tau in tops)
         # d*b still has the module's bottom word, so its top word names it
         self.index = {tau: j for j, tau in enumerate(tops)}
-        self._adopt(m, n, len(tops), lambda d: _matrix_of_targets(self.targets(d)))
+        self._adopt(m, n, len(tops), self.targets, partial=True)
 
     def targets(self, d: Diagram) -> list[int | None]:
         """Where d sends each basis vector, by basis index.
@@ -174,11 +195,11 @@ class SimpleModule(ExplicitModule):
         where = {j: k for k, j in enumerate(kept)}
         last = unit_diagram(self.n, i)
 
-        def action(d: Diagram):
+        def targets(d: Diagram) -> list[int | None]:
             moved = self.targets(juxtapose(d, last))
-            return _matrix_of_targets([where.get(moved[j]) for j in kept])
+            return [where.get(moved[j]) for j in kept]
 
-        return ExplicitModule._trusted(self.m - 1, self.n, len(kept), action)
+        return ExplicitModule._trusted(self.m - 1, self.n, len(kept), targets, partial=True)
 
     def __repr__(self) -> str:
         return f"SimpleModule({self.label.key}, dim={self.dimension})"
@@ -198,10 +219,10 @@ def regular_module(m: int, n: int, force: bool = False) -> ExplicitModule:
     basis = enumerate_diagrams(m, n, force)
     index = {(d.top, d.bottom): j for j, d in enumerate(basis)}
 
-    def action(d: Diagram):
-        return _matrix_of_targets([index[product_words(d, b)] for b in basis])
+    def targets(d: Diagram) -> list[int]:
+        return [index[product_words(d, b)] for b in basis]
 
-    return ExplicitModule._trusted(m, n, len(basis), action)
+    return ExplicitModule._trusted(m, n, len(basis), targets, partial=True)
 
 
 def multiplicity(mod: ExplicitModule, label: ClassLabel) -> int | Fraction:
@@ -211,17 +232,20 @@ def multiplicity(mod: ExplicitModule, label: ClassLabel) -> int | Fraction:
     word: on a simple module it fixes the basis vector whose top word is the
     canonical word when the classes match, and kills the rest.  It is an
     idempotent (Prop. 2.1), so its rank on a module, which counts copies, is
-    its trace, which _invert reads off one diagram matrix per count vector,
-    built anew on each call."""
+    its trace, which _invert reads off one diagram action per count vector,
+    read anew on each call."""
     if (mod.m, mod.n) != (label.m, label.n):
         raise ValueError("module and class label live at different sizes")
-    return _invert(label, lambda word: _trace(mod, word))
+    return _invert(label, lambda counts: _trace(mod, block_word(counts)))
 
 
 def _trace(mod: ExplicitModule, word: tuple[int, ...]) -> int | Fraction:
-    """The trace on mod of the partial identity on word."""
-    cols = mod.matrix(Diagram._trusted(mod.m, mod.n, word, word))
-    return sum(col.get(j, 0) for j, col in enumerate(cols))
+    """The trace on mod of the partial identity on word: the fixed points
+    of a partial map, or the diagonal of a matrix of columns."""
+    d = Diagram._trusted(mod.m, mod.n, word, word)
+    if mod._targets is not None:
+        return sum(1 for j, t in enumerate(mod._targets(d)) if t == j)
+    return sum(col.get(j, 0) for j, col in enumerate(mod.matrix(d)))
 
 
 def decompose(mod: ExplicitModule, force: bool = False) -> dict[ClassLabel, int]:
@@ -229,9 +253,9 @@ def decompose(mod: ExplicitModule, force: bool = False) -> dict[ClassLabel, int]
 
     Raises if a probe's trace is not a count, or if the multiplicities do not
     account for the full dimension, which catches callbacks that are not
-    actually module actions.  Each class's probe is one matrix of mod,
-    built in full and read once; the classes and those matrices' columns
-    are checked against the work cap, which force overrides.
+    actually module actions.  Each class's probe is one action of mod,
+    built in full and read once; the classes and the probes' columns are
+    checked against the work cap, which force overrides.
     `multiplicity` reads one class at a time.
     """
     labels = all_class_labels(mod.m, mod.n, force)
@@ -250,6 +274,9 @@ def restrict(i: int, mod: ExplicitModule, force: bool = False) -> ExplicitModule
     diagram read.  A zero image gives a zero module.  SimpleModule.restrict
     builds the same module of a simple without the projector.
     """
+    from .algebra import truncation_idempotent
+    from .linalg import apply, column_space_basis, coordinates_in_basis
+
     m, n = mod.m, mod.n
     if m < 1:
         raise ValueError("cannot restrict a size-0 module")

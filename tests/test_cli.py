@@ -1047,6 +1047,12 @@ LOADS = {
     **{argv: _CRYSTAL_LAYERS for name, argv in COMMANDS.items() if name.startswith("crystal-")},
     COMMANDS["multiply-element"]: {"diagrams", "algebra", "fractions", "decimal", "json"},
     ("verify", "thm4.5", "--max-m", "2", "--max-n", "1"): _CRYSTAL_LAYERS | {"verify"},
+    # a simple's restriction and the adjunction act by partial maps, with no
+    # rational or linear algebra; the thm3.x oracle builds the projector
+    ("decompose", "--restrict", "1", "--class", "3,2:1,1,1"): {"diagrams", "classes", "modules"},
+    ("verify", "adjunction", "--m", "2", "--n", "2"): _CRYSTAL_LAYERS | {"verify", "modules"},
+    ("verify", "thm3.2", "--m", "2", "--n", "1"): _CRYSTAL_LAYERS
+    | {"verify", "modules", "algebra", "linalg", "fractions", "decimal"},
 }
 
 

@@ -267,6 +267,20 @@ def test_explicit_module_refuses_a_shape_that_is_not_a_sized_int(shape, message)
         ExplicitModule(*shape, lambda d: [{}] * shape[2])
 
 
+@pytest.mark.parametrize(
+    "column, message",
+    [({True: 1}, "True: 1"), ({0: True}, "0: True")],
+    ids=["row", "entry"],
+)
+def test_explicit_module_refuses_booleans(column, message):
+    # bool is an int, so without the check True would pass as row 1 or entry 1
+    mod = ExplicitModule(1, 1, 2, lambda d: [column, {}])
+    with pytest.raises(
+        ValueError, match=f"^action callback returned a boolean row or entry {message}$"
+    ):
+        mod.matrix(unit_diagram(1, 1))
+
+
 def targets_by_covering(mod: SimpleModule, d: Diagram) -> list[int | None]:
     """The oracle for SimpleModule.targets: test every basis vector, sending
     b to d*b when the bottom word of d covers the top word of b."""
@@ -454,6 +468,49 @@ def test_decompose_bounds_the_columns_of_its_probe_matrices(monkeypatch):
     assert decompose(restricted, force=True) == {label(2, 1, 1, 2): 1}
 
 
+def column_sum(mod, a):
+    """The oracle for matrix_of: the sum of c·matrix(d) over a's terms."""
+    acc = [{} for _ in range(mod.dimension)]
+    for d, c in a.terms.items():
+        for out, col in zip(acc, mod.matrix(d)):
+            for r, x in col.items():
+                out[r] = out.get(r, 0) + c * x
+    return tuple({r: x for r, x in col.items() if x} for col in acc)
+
+
+def partial_map_cases():
+    for m, n in [(m, n) for n in (1, 2) for m in range(4)]:
+        yield f"regular-{m}-{n}", regular_module(m, n)
+        for lab in all_class_labels(m, n):
+            sm = simple(lab)
+            yield lab.key, sm
+            for i in range(n + 1) if m else ():
+                yield f"{lab.key} restricted {i}", sm.restrict(i)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_partial_map_reads_agree_with_the_columns(seed):
+    # traces and matrix_of read a package module's partial map, matrix()
+    # builds its columns, and a public module of those columns reads them
+    rng = random.Random(seed)
+    for case, mod in partial_map_cases():
+        m, n = mod.m, mod.n
+        assert mod._targets is not None, case
+        copy = ExplicitModule(m, n, mod.dimension, mod.matrix)
+        for word in itertools.product(range(n + 1), repeat=m):
+            cols = mod.matrix(partial_identity(n, word))
+            diagonal = sum(col.get(j, 0) for j, col in enumerate(cols))
+            assert modules._trace(mod, word) == modules._trace(copy, word) == diagonal, (case, word)
+        diagrams = enumerate_diagrams(m, n)
+        picked = rng.sample(diagrams, min(4, len(diagrams)))
+        terms = {d: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for d in picked}
+        elements = [Element(m, n, terms)]
+        elements += [truncation_idempotent(m, n, i) for i in range(n + 1) if m]
+        for a in elements:
+            assert mod.matrix_of(a) == column_sum(mod, a) == copy.matrix_of(a), (case, a)
+        assert decompose(copy) == decompose(mod), case
+
+
 def probe_rank(mod, lab):
     """The rank of the class probe's matrix, by elimination: the oracle for
     the trace that multiplicity reads."""
@@ -498,8 +555,8 @@ def test_partial_identities_with_equal_counts_have_equal_traces():
 @pytest.mark.parametrize("m, n", [(3, 2), (4, 2)])
 def test_decompose_reads_one_matrix_per_class(m, n):
     mod = regular_module(m, n)
-    action, reads = mod._diagram_action, []
-    mod._diagram_action = lambda d: reads.append(d) or action(d)
+    action, reads = mod._targets, []
+    mod._targets = lambda d: reads.append(d) or action(d)
     decompose(mod)
     assert len(reads) == len(set(reads)) == len(all_class_labels(m, n))
 
@@ -514,17 +571,20 @@ def test_decompose_reads_one_matrix_per_class(m, n):
 )
 def test_reading_a_module_leaves_only_its_defining_attributes(build, own):
     # a module stores no matrix: decompose, multiplicity, restrict and the
-    # restricted action read through the action and leave nothing behind
-    defining = {"m", "n", "dimension", "_diagram_action"}
+    # restricted action read through the action and leave nothing behind.
+    # The package's modules act by a partial map, the generic restriction
+    # by columns.
+    sizes = {"m", "n", "dimension"}
     mod = build()
     before = dict(vars(mod))
     decompose(mod)
     multiplicity(mod, all_class_labels(3, 2)[-1])
+    mod.matrix_of(truncation_idempotent(3, 2, 1))
     restricted = restrict(1, mod)
     decompose(restricted)
     restricted.matrix(partial_identity(2, (1, 2)))
-    assert vars(mod) == before and set(before) == defining | own
-    assert set(vars(restricted)) == defining
+    assert vars(mod) == before and set(before) == sizes | {"_targets"} | own
+    assert set(vars(restricted)) == sizes | {"_diagram_action"}
 
 
 def test_multiplicity_reads_its_matrices_on_every_call():
@@ -532,8 +592,8 @@ def test_multiplicity_reads_its_matrices_on_every_call():
     # class's, (k1, k2) in {0, 1}**2 for 3|1,1,1, and a second call makes
     # them all again
     mod = regular_module(3, 2)
-    action, reads = mod._diagram_action, []
-    mod._diagram_action = lambda d: reads.append(d) or action(d)
+    action, reads = mod._targets, []
+    mod._targets = lambda d: reads.append(d) or action(d)
     lab = label(2, 1, 1, 1)
     assert multiplicity(mod, lab) == class_dimension(lab)
     first = list(reads)
@@ -713,7 +773,7 @@ def test_simple_restrict_builds_no_idempotent(monkeypatch, capsys):
         raise AssertionError("truncation idempotent built")
 
     planar_rook.clear_caches()
-    monkeypatch.setattr(modules, "truncation_idempotent", refuse)
+    monkeypatch.setattr(planar_rook.algebra, "truncation_idempotent", refuse)
     assert cli.main(["decompose", "--restrict", "1", "--class", "3,2:1,1,1"]) == 0
     assert '"class": "2|1,0,1"' in capsys.readouterr().out
     # 3 colors x 3 classes at size 1 x 6 classes at size 2
