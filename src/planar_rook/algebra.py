@@ -362,7 +362,7 @@ def strand(n: int, i: int) -> Element:
     For i >= 1 it is unit_i - unit_0, a color-i edge minus an isolated pair;
     for i = 0 it is the isolated pair unit_0 itself.
     """
-    if not (0 <= i <= n):
+    if not (0 <= json_int(i, "color") <= n):
         raise ValueError(f"color {i} outside 0..{n}")
     last = Element.from_diagram(Diagram._trusted(1, n, (i,), (i,)))
     if i >= 1:

@@ -417,12 +417,6 @@ def _arguments(command: str) -> dict[str, dict]:
     }
 
 
-def _add_arguments(parser: argparse.ArgumentParser, command: str) -> None:
-    for name, kw in _arguments(command).items():
-        parser.add_argument(name, **kw)
-    parser.set_defaults(fn=_SUBCOMMANDS[command][1])
-
-
 def build_parser() -> argparse.ArgumentParser:
     import argparse
 
@@ -431,8 +425,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Colored planar rook diagrams, their algebra, and crystals.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, _, _) in _SUBCOMMANDS.items():
-        _add_arguments(sub.add_parser(name, help=help_line), name)
+    for name, (help_line, fn, _) in _SUBCOMMANDS.items():
+        command = sub.add_parser(name, help=help_line)
+        for arg, kw in _arguments(name).items():
+            command.add_argument(arg, **kw)
+        command.set_defaults(fn=fn)
     return parser
 
 
@@ -442,10 +439,11 @@ def _flag(word: str) -> bool:
 
 
 def _scan(argv: list[str]) -> SimpleNamespace | None:
-    """What _parse(argv) returns, read off the declarations without argparse,
-    when argv is a command with its positionals and required options, each
-    option named in full once with a value that is no flag and that its type
-    and choices accept; None for all else, which _parse reads or refuses."""
+    """What build_parser().parse_args(argv) returns, read off the
+    declarations without argparse, when argv is a command with its
+    positionals and required options, each option named in full once with a
+    value that is no flag and that its type and choices accept; None for all
+    else, which argparse reads or refuses."""
     if not argv or argv[0] not in _SUBCOMMANDS:
         return None
     declared, given, values = _arguments(argv[0]), [], {}
@@ -481,28 +479,10 @@ def _scan(argv: list[str]) -> SimpleNamespace | None:
     return args
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """build_parser().parse_args(argv), building only one subcommand's
-    parser when argv starts with its name: the whole parser would hand that
-    parser the rest of argv unchanged, and its help and errors are its own.
-    Words it leaves over, top-level help and a bad or missing command go to
-    the whole parser, which words the error."""
-    import argparse
-
-    if argv and argv[0] in _SUBCOMMANDS:
-        parser = argparse.ArgumentParser(prog=f"planar-rook {argv[0]}")
-        _add_arguments(parser, argv[0])
-        args, extras = parser.parse_known_args(argv[1:])
-        if not extras:
-            args.command = argv[0]
-            return args
-    return build_parser().parse_args(argv)
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _scan(argv) or _parse(argv)
+        args = _scan(argv) or build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     # the subcommands with a --force flag also take PLANAR_ROOK_FORCE

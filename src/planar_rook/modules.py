@@ -55,41 +55,30 @@ class ExplicitModule:
     matrix() consults the callback and checks its size on every call; a
     module stores no matrix, only its sizes and its action.
 
-    The public constructor validates every column the callback returns, and
-    the generic `restrict` builds a trusted module of such columns.  The
-    package's other modules (simple, regular, and a simple's restriction)
-    act by a partial map instead, `_targets`: a diagram sends basis vector
-    j to basis vector targets[j], or kills it where that is None.  Traces
-    and `matrix_of` read the map directly, and matrix() builds its columns
-    {t: 1}.  Whichever built it, `decompose` holds a module's classes, and
-    the columns of the probe matrices it builds for them, to the work cap
-    unless forced.
+    The public constructor validates every column the callback returns, the
+    generic `restrict`'s among them.  The package's own modules (simple,
+    regular, and a simple's restriction) act by a partial map instead,
+    `_targets`: a diagram sends basis vector j to basis vector targets[j],
+    or kills it where that is None.  Traces and `matrix_of` read the map
+    directly, and matrix() builds its columns {t: 1}.  Whichever built it,
+    `decompose` holds a module's classes, and the columns of the probe
+    matrices it builds for them, to the work cap unless forced.
     """
 
     # the partial map of a package module; None for a module of columns
     _targets = None
 
     def __init__(self, m: int, n: int, dimension: int, diagram_action):
-        m, n = json_int(m, "m", 0), json_int(n, "n", 1)
-        dimension = json_int(dimension, "dimension", 0)
-        self._adopt(m, n, dimension, lambda d: map(self._checked, diagram_action(d)))
+        self.m, self.n = json_int(m, "m", 0), json_int(n, "n", 1)
+        self.dimension = json_int(dimension, "dimension", 0)
+        self._diagram_action = lambda d: map(self._checked, diagram_action(d))
 
     @classmethod
-    def _trusted(
-        cls, m: int, n: int, dimension: int, action, partial: bool = False
-    ) -> ExplicitModule:
-        """A module whose action the caller knows to follow the contract."""
+    def _trusted(cls, m: int, n: int, dimension: int, targets) -> ExplicitModule:
+        """A package module acting by the partial map targets."""
         mod = object.__new__(cls)
-        mod._adopt(m, n, dimension, action, partial)
+        mod.m, mod.n, mod.dimension, mod._targets = m, n, dimension, targets
         return mod
-
-    def _adopt(self, m: int, n: int, dimension: int, action, partial: bool = False) -> None:
-        """Keep the sizes and the action: columns, or a partial map if partial."""
-        self.m, self.n, self.dimension = m, n, dimension
-        if partial:
-            self._targets = action
-        else:
-            self._diagram_action = action
 
     def matrix(self, d: Diagram) -> tuple:
         if (d.m, d.n) != (self.m, self.n):
@@ -156,7 +145,7 @@ class SimpleModule(ExplicitModule):
         self.basis = tuple(Diagram._trusted(m, n, tau, beta) for tau in tops)
         # d*b still has the module's bottom word, so its top word names it
         self.index = {tau: j for j, tau in enumerate(tops)}
-        self._adopt(m, n, len(tops), self.targets, partial=True)
+        self.m, self.n, self.dimension, self._targets = m, n, len(tops), self.targets
 
     def targets(self, d: Diagram) -> list[int | None]:
         """Where d sends each basis vector, by basis index.
@@ -199,7 +188,7 @@ class SimpleModule(ExplicitModule):
             moved = self.targets(juxtapose(d, last))
             return [where.get(moved[j]) for j in kept]
 
-        return ExplicitModule._trusted(self.m - 1, self.n, len(kept), targets, partial=True)
+        return ExplicitModule._trusted(self.m - 1, self.n, len(kept), targets)
 
     def __repr__(self) -> str:
         return f"SimpleModule({self.label.key}, dim={self.dimension})"
@@ -222,7 +211,7 @@ def regular_module(m: int, n: int, force: bool = False) -> ExplicitModule:
     def targets(d: Diagram) -> list[int]:
         return [index[product_words(d, b)] for b in basis]
 
-    return ExplicitModule._trusted(m, n, len(basis), targets, partial=True)
+    return ExplicitModule._trusted(m, n, len(basis), targets)
 
 
 def multiplicity(mod: ExplicitModule, label: ClassLabel) -> int | Fraction:
@@ -289,4 +278,4 @@ def restrict(i: int, mod: ExplicitModule, force: bool = False) -> ExplicitModule
         big = mod.matrix(juxtapose(d, last))
         return [coordinates_in_basis(apply(big, b), basis, pivots) for b in basis]
 
-    return ExplicitModule._trusted(m - 1, n, len(pivots), action)
+    return ExplicitModule(m - 1, n, len(pivots), action)

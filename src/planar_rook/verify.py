@@ -23,13 +23,7 @@ from math import comb
 
 from . import class_crystals as cc
 from .classes import all_class_labels, class_dimension, induce_class, restrict_class
-from .crystals import (
-    _image_violations,
-    check_axioms,
-    isomorphism_positions,
-    morphism_violations,
-    tensor,
-)
+from .crystals import check_axioms, isomorphism_positions, morphism_violations, tensor
 from .diagrams import (
     EnumerationCapError,
     capped_binomial,
@@ -335,17 +329,12 @@ def _columns(crystal):
     return crystal.wt, crystal.eps, crystal.phi, crystal.up, crystal.down
 
 
-def _isomorphism_defects(case, left, right, witness=None):
+def _isomorphism_defects(case, left, right):
     """[] when left and right are isomorphic, else one counterexample whose
     detail says that no isomorphism exists or names the component of either
-    side that is not normal.  A witness (a permutation sending left's b to
-    witness[b]) that is a strict isomorphism settles it without a search;
-    the identity is one exactly when the two sides' columns are equal."""
-    fits = witness is not None and (len(left), left.n) == (len(right), right.n)
-    if fits and (
-        witness == list(range(len(left))) and _columns(left) == _columns(right)
-        or not _image_violations(left, right, witness)
-    ):
+    side that is not normal.  Equal columns make the identity a strict
+    isomorphism, which settles it; only sides that differ are searched."""
+    if _columns(left) == _columns(right):
         return []
     try:
         if isomorphism_positions(left, right) is not None:
@@ -393,7 +382,7 @@ def _class_crystal_check(m, n):
         bad.append({"case": f"m={m},n={n}", "witness defects": defects[:3]})
     checked += 1
     # the identity is that mapping in positions
-    bad += _isomorphism_defects(f"m={m},n={n}", classes, rows, list(range(len(labels))))
+    bad += _isomorphism_defects(f"m={m},n={n}", classes, rows)
     return checked, bad
 
 
@@ -412,7 +401,7 @@ def _factorization_check(where, rows, parts, n):
     product = rows(parts)
     tuples = cc.tensor_class_crystal(parts, n)
     # the identity: a factor's classes in label order are its row's words
-    return 1, _isomorphism_defects(where, tuples, product, list(range(len(tuples))))
+    return 1, _isomorphism_defects(where, tuples, product)
 
 
 def _highest_component(max_m, max_n, pin_m, pin_n):
@@ -483,34 +472,27 @@ def _signature_check(where, products, parts, sep, signed):
 
 def _arrow_defects(ours, sep, product, where):
     """The arrows of the signature-rule crystal ours that the binary product
-    disagrees with.  Nodes are matched through the key rewrite sep -> ⊗; a
-    key of ours with no partner in the product is a counterexample of its
-    own.  When the rewrite sends every node to its own position, equal
-    edge columns settle it; otherwise whole columns are compared through
-    it, and only a column that differs is walked node by node."""
+    disagrees with.  Both list their nodes in the same order, so node b of
+    ours, its key rewritten sep -> ⊗, is the product's node b; a key that
+    is not is a counterexample of its own.  Equal edge columns settle it;
+    otherwise only a column that differs is walked node by node."""
     keys = product.nodes
     renamed = tuple(k.replace(sep, "⊗") for k in ours.nodes)
-    if renamed == keys and (ours.up, ours.down) == (product.up, product.down):
-        return []
-    index = {k: p for p, k in enumerate(keys)}
-    there = [index.get(k, -1) for k in renamed]
-    bad = [
+    bad = [] if renamed == keys else [
         {"case": f"{k}, {where}", "signature": k, "binary": None}
-        for k, p in zip(ours.nodes, there)
-        if p < 0
+        for b, k in enumerate(ours.nodes)
+        if b >= len(keys) or renamed[b] != keys[b]
     ]
     for kind, mine, theirs in (("e", ours.up, product.up), ("f", ours.down, product.down)):
         for i, (col, other) in enumerate(zip(mine, theirs), 1):
-            mapped = [-1 if t < 0 else there[t] for t in col]
-            pulled = [other[p] for p in there]
-            if mapped == pulled:
+            if col == other:
                 continue
-            for b, (got, want) in enumerate(zip(mapped, pulled)):
-                if there[b] >= 0 and got != want:
+            for b, (got, want) in enumerate(zip(col, other)):
+                if got != want:
                     bad.append(
                         {
                             "case": f"{kind}_{i} on {ours.nodes[b]}, {where}",
-                            "signature": None if got < 0 else keys[got],
+                            "signature": None if got < 0 else renamed[got],
                             "binary": None if want < 0 else keys[want],
                         }
                     )

@@ -327,6 +327,13 @@ def test_strand_is_unit_minus_isolated_pair():
         strand(2, -1)
 
 
+@pytest.mark.parametrize("color", [True, False, 1.0])
+def test_strand_refuses_a_color_that_is_no_integer(color):
+    # True and 1.0 compare within 0..n, so the range check alone builds them
+    with pytest.raises(ValueError, match="^color must be an integer, got "):
+        strand(2, color)
+
+
 def test_truncation_idempotent_picks_out_last_vertex_color():
     # acting on an orbit vector keeps it iff the last top vertex has color i
     for m, n in [(2, 1), (2, 2)]:

@@ -577,7 +577,8 @@ def test_decompose_regular_builds_no_module_and_enumerates_no_diagram(capsys, mo
         raise AssertionError("decompose --regular built the regular module")
 
     monkeypatch.setattr(modules, "regular_module", refuse)
-    monkeypatch.setattr(modules.ExplicitModule, "_adopt", refuse)
+    monkeypatch.setattr(modules.ExplicitModule, "_trusted", refuse)
+    monkeypatch.setattr(modules.ExplicitModule, "__init__", refuse)
     monkeypatch.setattr(diagrams, "_enumerate", refuse)
     for name in ("decompose-regular-5-1", "decompose-regular-2-3"):
         code, out, err = run(capsys, *COMMANDS[name])
@@ -1106,7 +1107,7 @@ def argparse_vars(argv):
     out, err = io.StringIO(), io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            return vars(cli._parse(list(argv)))
+            return vars(cli.build_parser().parse_args(list(argv)))
     except SystemExit:
         return None
 

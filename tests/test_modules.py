@@ -9,6 +9,7 @@ truncated subspace) rather than against the formulas used in the code.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 import re
 import time
@@ -311,6 +312,17 @@ def test_trusted_modules_return_checked_columns(m, n):
         for d in enumerate_diagrams(mod.m, n):
             for col in mod.matrix(d):
                 assert mod._checked(col) == col, (mod, d)
+
+
+def test_the_generic_restriction_validates_its_columns(monkeypatch, capsys):
+    # its coordinates come through the public constructor, as a user's do
+    monkeypatch.setattr(planar_rook.linalg, "coordinates_in_basis", lambda *a: {0: True})
+    restricted = restrict(1, simple(label(1, 1, 1)))
+    with pytest.raises(ValueError, match="boolean row or entry 0: True"):
+        restricted.matrix(partial_identity(1, (1,)))
+    assert cli.main(["verify", "thm3.2", "--m", "2", "--n", "1"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert any("boolean row or entry" in case.get("error", "") for case in report["counterexamples"])
 
 
 # ---------------------------------------------------------------- regular module

@@ -12,10 +12,10 @@ import planar_rook.modules as modules
 import planar_rook.tableaux as tableaux
 import planar_rook.verify as verify
 from planar_rook import clear_caches
-from planar_rook.crystals import Crystal, signature, to_dot
+from planar_rook.crystals import Crystal, _image_violations, signature, to_dot
 from planar_rook.diagrams import EnumerationCapError, partitions
 from planar_rook.modules import ExplicitModule, SimpleModule
-from planar_rook.tableaux import row_crystal
+from planar_rook.tableaux import row_crystal, ssyt_count
 from planar_rook.verify import TARGETS, compositions, verify_target
 
 
@@ -269,33 +269,55 @@ def test_signature_equivalence_reports_a_wrong_tuple_rule(monkeypatch):
     assert verify_target("signature-equivalence", max_m=3, max_n=1)["failed"] == 0
 
 
-@pytest.mark.parametrize("target", ["thm4.5", "thm4.3", "component-blambda"])
-def test_only_component_blambda_searches_for_an_isomorphism(monkeypatch, target):
-    # thm4.5 and thm4.3 hold the identity as an explicit witness, which
-    # passes on correct crystals; component-blambda has none
+def _counting_search(monkeypatch):
+    """The list that gets one entry per isomorphism search verify runs."""
     calls = []
     search = verify.isomorphism_positions
     monkeypatch.setattr(verify, "isomorphism_positions", lambda a, b: calls.append(1) or search(a, b))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "target", ["thm4.5", "thm4.3", "component-blambda", "signature-equivalence", "axioms"]
+)
+def test_no_crystal_target_searches_on_a_correct_sweep(monkeypatch, target):
+    # each side of a correct sweep lists its nodes as the other does, so
+    # equal columns settle every isomorphism by the identity
+    calls = _counting_search(monkeypatch)
     assert verify_target(target, max_m=4, max_n=2)["failed"] == 0
-    shapes = sum(len(partitions(total, n + 1)) for n in (1, 2) for total in range(1, 5))
-    assert len(calls) == (shapes if target == "component-blambda" else 0)
+    assert calls == []
 
 
-def test_a_wrong_witness_falls_back_to_the_search():
+def test_a_sweep_whose_sides_differ_in_node_order_passes_through_the_search(monkeypatch):
+    # a one-node crystal reversed is itself; every other one is searched
+    calls = _counting_search(monkeypatch)
+    build = verify.ssyt_crystal
+    monkeypatch.setattr(
+        verify, "ssyt_crystal", lambda *a: oracle._restrict(c := build(*a), list(range(len(c)))[::-1])
+    )
+    assert verify_target("component-blambda", max_m=4, max_n=2)["failed"] == 0
+    shapes = [
+        (shape, n) for n in (1, 2) for total in range(1, 5) for shape in partitions(total, n + 1)
+    ]
+    assert len(calls) == sum(1 for shape, n in shapes if ssyt_count(shape, n) > 1) > 0
+
+
+def test_unequal_columns_fall_back_to_the_search(monkeypatch):
+    calls = _counting_search(monkeypatch)
     rows, classes = row_crystal(2, 2), cc.class_crystal(2, 2)
-    reversed_positions = list(range(len(rows)))[::-1]
-    assert verify._image_violations(rows, classes, reversed_positions)
-    assert verify._isomorphism_defects("case", rows, classes, reversed_positions) == []
+    reversed_classes = oracle._restrict(classes, list(range(len(classes)))[::-1])
+    assert verify._columns(rows) == verify._columns(classes)
+    assert verify._isomorphism_defects("case", rows, classes) == [] and calls == []
+    assert verify._columns(rows) != verify._columns(reversed_classes)
+    assert verify._isomorphism_defects("case", rows, reversed_classes) == [] and calls == [1]
 
 
-def test_a_witness_on_a_crystal_that_is_not_normal_gets_the_search_detail():
-    # without its lowering edges a row crystal is no normal crystal, and the
-    # identity onto the intact one fails, so the search reports it as before
+def test_a_crystal_that_is_not_normal_gets_the_search_detail():
+    # without its lowering edges a row crystal is no normal crystal, and its
+    # columns differ from the intact one's, so the search reports it
     rows = row_crystal(2, 1)
     frozen = Crystal(rows.n, rows.wt, rows.eps, rows.phi, rows.up, [[-1] * len(rows)], rows.nodes)
-    identity = list(range(len(rows)))
-    got = verify._isomorphism_defects("case", frozen, rows, identity)
-    assert got == verify._isomorphism_defects("case", frozen, rows)
+    got = verify._isomorphism_defects("case", frozen, rows)
     assert "not a normal crystal component" in got[0]["detail"]
 
 
@@ -454,7 +476,7 @@ def _isomorphism_defects_by_witness(case, left, right, witness=None):
     """`verify._isomorphism_defects` as it read before identity witnesses
     were settled by whole columns."""
     fits = witness is not None and (len(left), left.n) == (len(right), right.n)
-    if fits and not verify._image_violations(left, right, witness):
+    if fits and not _image_violations(left, right, witness):
         return []
     try:
         if verify.isomorphism_positions(left, right) is not None:
@@ -536,15 +558,8 @@ def test_an_identity_witness_reports_as_before(parts, n, seed):
         (tuples, _one_up_moved(rows, seed)),
     ]
     for left, right in cases:
-        got = verify._isomorphism_defects("case", left, right, identity)
+        got = verify._isomorphism_defects("case", left, right)
         assert got == _isomorphism_defects_by_witness("case", left, right, identity)
-    # a witness that is no identity: the same crystal with its nodes permuted
-    order = random.Random(seed).sample(identity, len(identity))
-    shuffled = oracle._restrict(tuples, order)
-    witness = [order.index(b) for b in identity]
-    for right in (shuffled, _one_up_moved(shuffled, seed)):
-        got = verify._isomorphism_defects("case", tuples, right, witness)
-        assert got == _isomorphism_defects_by_witness("case", tuples, right, witness)
 
 
 @pytest.mark.parametrize("parts,n", SIDES)
@@ -552,20 +567,31 @@ def test_an_identity_witness_reports_as_before(parts, n, seed):
 def test_an_identity_key_match_reports_as_before(parts, n, seed):
     ours = cc.tensor_class_crystal(parts, n)
     product = oracle.tensor_columns(cc.class_crystal(p, n) for p in parts)
-    order = random.Random(seed).sample(range(len(ours)), len(ours))
     cases = [
         (ours, product),
         (_one_weight_moved(ours, seed), product),
         (_one_up_moved(ours, seed), product),
         (ours, _one_up_moved(product, seed)),
-        # a key match that is no identity
-        (oracle._restrict(ours, order), product),
-        (_one_up_moved(oracle._restrict(ours, order), seed), product),
     ]
     for left, right in cases:
         got = verify._arrow_defects(left, "×", right, "where")
         assert got == _arrow_defects_by_index(left, "×", right, "where")
     assert verify._arrow_defects(ours, "×", product, "where") == []
+
+
+@pytest.mark.parametrize("parts,n", SIDES)
+@pytest.mark.parametrize("seed", range(3))
+def test_a_key_out_of_place_is_a_counterexample_of_its_own(parts, n, seed):
+    # nodes are matched by position, so each key that a permutation moves
+    # is a counterexample with no binary partner, listed before any arrow
+    ours = cc.tensor_class_crystal(parts, n)
+    product = oracle.tensor_columns(cc.class_crystal(p, n) for p in parts)
+    order = random.Random(seed).sample(range(len(ours)), len(ours))
+    got = verify._arrow_defects(oracle._restrict(ours, order), "×", product, "where")
+    moved = [ours.nodes[p] for b, p in enumerate(order) if p != b]
+    assert moved
+    keyed = [{"case": f"{k}, where", "signature": k, "binary": None} for k in moved]
+    assert got[: len(moved)] == keyed
 
 
 def test_a_thm45_run_builds_no_label(monkeypatch):
